@@ -47,7 +47,6 @@ from .timebase import (
     DEFAULT_SEQUENCE_CAP,
     MODE_NAMES,
     ComparatorStats,
-    EventIdentity,
     OrderingMode,
     TimeSignature,
     compare_signatures,
@@ -58,7 +57,6 @@ from .timebase import (
     sort_key,
 )
 from .trace import (
-    CommittedEvent,
     Event,
     Trace,
     first_divergence,
@@ -70,13 +68,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CausalityViolation",
     "ChaosConfig",
-    "CommittedEvent",
     "ComparatorStats",
     "ConfigError",
     "DEFAULT_SEQUENCE_CAP",
     "DrawStream",
     "Event",
-    "EventIdentity",
     "EventTiesConfig",
     "EventTiesModel",
     "FairnessReport",

@@ -200,9 +200,8 @@ def run_fairness(mode_name: str, depth: int, samples: int,
     for i in range(samples):
         model = TiePairModel(depth)
         trace = run_sequential(model, mode, base_seed + i)
-        index = {}
-        for ce in trace.committed:
-            index[(ce.identity.source_lp, ce.identity.event_serial)] = ce.commit_index
+        index = {(ev.source_lp, ev.serial): i
+                 for i, ev in enumerate(trace.committed)}
         if index[model.target_identity()] < index[model.rival_identity()]:
             successes += 1
     p_hat = successes / samples
@@ -240,14 +239,16 @@ def audit_trace(trace: Trace, mode_name: str) -> dict:
 
     Checks that commit keys never regress (strictly ascending in draw-based
     and biased modes, non-decreasing timestamps otherwise) and that every
-    event with a recorded parent commits after that parent.
+    event with a recorded parent commits after that parent. Keys are
+    recomputed from each event's signature and identity, not read from the
+    key the kernel stored, so the audit checks the kernels independently.
     """
     mode = OrderingMode.from_name(mode_name)
     violations = []
-    seen = {}
+    seen = set()
     last_key = None
-    for ce in trace.committed:
-        key = sort_key(ce.signature, ce.identity, mode)
+    for index, ev in enumerate(trace.committed):
+        key = sort_key(ev.signature, (ev.source_pe, ev.source_lp, ev.serial), mode)
         if last_key is not None:
             if mode is OrderingMode.NONE:
                 ok = key[0] >= last_key[0]
@@ -255,14 +256,13 @@ def audit_trace(trace: Trace, mode_name: str) -> dict:
                 ok = key > last_key
             if not ok:
                 violations.append({"kind": "order-regression",
-                                   "commit_index": ce.commit_index})
+                                   "commit_index": index})
         last_key = key
-        ident = (ce.identity.source_lp, ce.identity.event_serial)
-        if ce.parent_key is not None and ce.parent_key not in seen:
+        if ev.parent_key is not None and ev.parent_key not in seen:
             violations.append({"kind": "parent-not-committed",
-                               "commit_index": ce.commit_index,
-                               "parent": list(ce.parent_key)})
-        seen[ident] = ce.commit_index
+                               "commit_index": index,
+                               "parent": list(ev.parent_key)})
+        seen.add((ev.source_lp, ev.serial))
     return {"events": len(trace.committed), "violations": violations}
 
 

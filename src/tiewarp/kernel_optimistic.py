@@ -23,8 +23,9 @@ from heapq import heappop, heappush
 from .errors import CausalityViolation, ConfigError, LivelockDetected, UnmatchedAntiMessage
 from .kernel_seq import build_event, make_lps, seed_initial_events
 from .rngstream import DrawStream, Purpose, derive_stream_key
-from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, format_signature, sort_key
-from .trace import CommittedEvent, Event, Trace
+from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, format_signature
+from .timebase import sort_key  # noqa: F401  (looked up by perfbench's layer tracer)
+from .trace import Event, Trace
 
 DEFAULT_GVT_INTERVAL = 4096
 DEFAULT_MAX_DELAY = 4
@@ -50,12 +51,11 @@ class ProcessedEntry:
     from the LP that handled the event, so all four live on one LP).
     """
 
-    __slots__ = ("key", "event", "pre_state", "pre_tb_cursor", "pre_model_cursor",
+    __slots__ = ("event", "pre_state", "pre_tb_cursor", "pre_model_cursor",
                  "pre_serial", "local_children", "remote_children")
 
-    def __init__(self, key, event, pre_state, pre_tb_cursor, pre_model_cursor,
+    def __init__(self, event, pre_state, pre_tb_cursor, pre_model_cursor,
                  pre_serial, local_children, remote_children):
-        self.key = key
         self.event = event
         self.pre_state = pre_state
         self.pre_tb_cursor = pre_tb_cursor
@@ -98,12 +98,8 @@ class Transport:
     def next_due(self) -> int:
         return min(box[0][0] for box in self.inboxes if box)
 
-    def inflight_keys(self, mode: OrderingMode) -> list:
-        keys = []
-        for box in self.inboxes:
-            for _, _, msg in box:
-                keys.append(sort_key(msg.signature, msg.identity, mode))
-        return keys
+    def inflight_keys(self) -> list:
+        return [msg.key for box in self.inboxes for _, _, msg in box]
 
 
 class PeRuntime:
@@ -147,14 +143,13 @@ class PeRuntime:
                 self.stash_keys.pop(m, None)
             self.kernel.annihilations += 1
             return
-        key = sort_key(ev.signature, ev.identity, self.kernel.mode)
-        heappush(self.pending, (key, self.push_seq, ev))
+        heappush(self.pending, (ev.key, self.push_seq, ev))
         self.push_seq += 1
         self.pending_counts[m] += 1
 
-    def pop_live(self):
+    def pop_live(self) -> Event | None:
         while self.pending:
-            key, _, ev = heappop(self.pending)
+            ev = heappop(self.pending)[2]
             m = ev.match_key()
             self.pending_counts[m] -= 1
             if self.pending_counts[m] == 0:
@@ -164,7 +159,7 @@ class PeRuntime:
                 if self.kill_marks[m] == 0:
                     del self.kill_marks[m]
                 continue
-            return key, ev
+            return ev
         return None
 
     def has_work(self, now: int) -> bool:
@@ -186,21 +181,24 @@ class PeRuntime:
             self.kernel.annihilations += 1
         else:
             self.stash[m] += 1
-            self.stash_keys[m] = sort_key(anti.signature, anti.identity,
-                                          self.kernel.mode)
+            self.stash_keys[m] = anti.key
 
     # -- rollback -----------------------------------------------------------
 
     def _count_rollback(self, cause: Event) -> None:
         self.rollbacks += 1
-        tag = f"{format_signature(cause.signature)}/{cause.identity.source_lp}" \
-              f"#{cause.identity.event_serial}"
-        self.rollback_counts[tag] += 1
-        if self.rollback_counts[tag] > self.kernel.livelock_bound:
+        sig = cause.signature
+        # not cause.key: in mode NONE that is the bare timestamp, which would
+        # merge distinct events into one count
+        cause_id = (sig.timestamp, sig.tiebreak, cause.source_lp, cause.serial)
+        count = self.rollback_counts[cause_id] + 1
+        self.rollback_counts[cause_id] = count
+        if count > self.kernel.livelock_bound:
+            tag = f"{format_signature(sig)}/{cause.source_lp}#{cause.serial}"
             raise LivelockDetected(
-                f"PE {self.pe_id} rolled back {self.rollback_counts[tag]} times "
+                f"PE {self.pe_id} rolled back {count} times "
                 f"for the same event {tag}; the ordering scheme is not making "
-                f"progress", signature=tag, count=self.rollback_counts[tag])
+                f"progress", signature=tag, count=count)
 
     def _undo(self, entry: ProcessedEntry, now: int, in_hand: Event | None) -> bool:
         """Reverse one processed event; True if it condemned the in-hand event."""
@@ -240,14 +238,14 @@ class PeRuntime:
         mode_none = self.kernel.mode is OrderingMode.NONE
         killed = False
         while self.processed:
-            top = self.processed[-1]
+            top = self.processed[-1].event.key
             if mode_none:
-                if top.key[0] < boundary_key[0]:
+                if top[0] < boundary_key[0]:
                     break
-            elif top.key <= boundary_key:
+            elif top <= boundary_key:
                 break
             killed |= self._undo(self.processed.pop(), now, in_hand)
-        self.clock_key = self.processed[-1].key if self.processed else None
+        self.clock_key = self.processed[-1].event.key if self.processed else None
         return killed
 
     def rollback_through(self, match_key, now: int) -> None:
@@ -258,16 +256,13 @@ class PeRuntime:
             self._undo(entry, now, None)
             if hit:
                 break
-        self.clock_key = self.processed[-1].key if self.processed else None
+        self.clock_key = self.processed[-1].event.key if self.processed else None
 
     # -- forward progress ---------------------------------------------------
 
     def is_straggler(self, key) -> bool:
-        if self.clock_key is None:
-            return False
-        if self.kernel.mode is OrderingMode.NONE:
-            return key[0] < self.clock_key[0]
-        return key < self.clock_key
+        # mode NONE keys are 1-tuples, so this is the bare timestamp test
+        return self.clock_key is not None and key < self.clock_key
 
     def step(self, now: int) -> bool:
         delivered = self.kernel.transport.deliver_due(self.pe_id, now)
@@ -276,20 +271,19 @@ class PeRuntime:
                 self.receive_anti(msg, now)
             else:
                 self.enqueue_positive(msg)
-        popped = self.pop_live()
-        if popped is None:
+        ev = self.pop_live()
+        if ev is None:
             return bool(delivered)
-        key, ev = popped
-        if self.is_straggler(key):
+        if self.is_straggler(ev.key):
             self.stragglers += 1
             self._count_rollback(ev)
-            if self.rollback_past(key, now, ev):
+            if self.rollback_past(ev.key, now, ev):
                 # the straggler was a speculative child of an undone event
                 return True
-        self._process(key, ev, now)
+        self._process(ev, now)
         return True
 
-    def _process(self, key, ev: Event, now: int) -> None:
+    def _process(self, ev: Event, now: int) -> None:
         kernel = self.kernel
         rt = self.lps[ev.dest_lp]
         pre = (rt.state, rt.tiebreak_stream.snapshot(),
@@ -310,10 +304,10 @@ class PeRuntime:
             else:
                 kernel.transport.send(dest_pe, child, now)
                 remote_children.append((dest_pe, child))
-        self.processed.append(ProcessedEntry(key, ev, *pre,
+        self.processed.append(ProcessedEntry(ev, *pre,
                                              local_children, remote_children))
         self.processed_ids[ev.match_key()] += 1
-        self.clock_key = key
+        self.clock_key = ev.key
         self.total_processed += 1
         kernel.global_processed += 1
 
@@ -322,11 +316,12 @@ class PeRuntime:
         out = []
         while self.processed:
             entry = self.processed[0]
-            if gvt_key is not None and not entry.key < gvt_key:
+            ev = entry.event
+            if gvt_key is not None and not ev.key < gvt_key:
                 break
             self.processed.popleft()
-            self.processed_ids[entry.event.match_key()] -= 1
-            out.append((entry.key, self.pe_id, self.fossil_count, entry))
+            self.processed_ids[ev.match_key()] -= 1
+            out.append((ev.key, self.pe_id, self.fossil_count, ev))
             self.fossil_count += 1
         return out
 
@@ -386,14 +381,14 @@ class OptimisticKernel:
         the estimate, which is safe. Returns None when nothing is reachable,
         meaning GVT is past the end of the run.
         """
-        keys = self.transport.inflight_keys(self.mode)
+        keys = self.transport.inflight_keys()
         for pe in self.pes:
             for key, _, _ in pe.pending:
                 keys.append(key)
             keys.extend(pe.stash_keys.values())
         return min(keys) if keys else None
 
-    def _commit_epoch(self, committed: list[CommittedEvent], final: bool) -> None:
+    def _commit_epoch(self, committed: list[Event], final: bool) -> None:
         self.gvt_rounds += 1
         self._last_gvt_mark = self.global_processed
         gvt_key = None if final else self._compute_gvt()
@@ -403,7 +398,7 @@ class OptimisticKernel:
         for pe in self.pes:
             batches.extend(pe.collect_fossils(gvt_key))
         batches.sort(key=lambda item: (item[0], item[1], item[2]))
-        for key, _, _, entry in batches:
+        for key, _, _, ev in batches:
             if self._last_commit_key is not None:
                 if self.mode is OrderingMode.NONE:
                     ok = key[0] >= self._last_commit_key[0]
@@ -412,12 +407,10 @@ class OptimisticKernel:
                 if not ok:
                     raise CausalityViolation(
                         f"commit order regression at "
-                        f"{format_signature(entry.event.signature)}",
-                        event=repr(entry.event), frontier=repr(self._last_commit_key))
+                        f"{format_signature(ev.signature)}",
+                        event=repr(ev), frontier=repr(self._last_commit_key))
             self._last_commit_key = key
-            ev = entry.event
-            committed.append(CommittedEvent(len(committed), ev.identity,
-                                            ev.dest_lp, ev.signature, ev.parent_key))
+            committed.append(ev)
         for pe in self.pes:
             for m, k in pe.stash_keys.items():
                 if gvt_key is None or k < gvt_key:
@@ -428,7 +421,7 @@ class OptimisticKernel:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> Trace:
-        committed: list[CommittedEvent] = []
+        committed: list[Event] = []
         step = 0
         while True:
             runnable = [pe for pe in self.pes if pe.has_work(step)]

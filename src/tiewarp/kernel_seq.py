@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .errors import CausalityViolation
+from .errors import CausalityViolation, ConfigError
 from .models import Emit
 from .rngstream import DrawStream, Purpose
 from .timebase import (
     DEFAULT_SEQUENCE_CAP,
-    EventIdentity,
     OrderingMode,
     TimeSignature,
     derive_child_signature,
@@ -24,7 +23,7 @@ from .timebase import (
     format_signature,
     sort_key,
 )
-from .trace import CommittedEvent, Event, Trace
+from .trace import Event, Trace
 
 # Virtual parent of seed events: time zero, empty tie-break.
 _ROOT_SIGNATURE = TimeSignature(0.0)
@@ -62,35 +61,43 @@ def build_event(
     seq_cap: int = DEFAULT_SEQUENCE_CAP,
     naive: bool = False,
 ) -> Event:
-    """Create an event from an emit request, deriving its signature.
+    """Create an event from an emit request, deriving its signature and key.
 
     Consumes one tie-break draw in draw-based modes (unless the emit forces
     a replayed value) and one serial from the source LP, in both kernels,
     whether or not the event survives the horizon check. ``naive`` swaps in
     the broken independent-draw derivation for zero offsets; it exists only
-    to demonstrate why that derivation is unsafe.
+    to demonstrate why that derivation is unsafe. Payloads must be hashable,
+    because the optimistic kernel matches anti-messages on event content;
+    both kernels reject an unhashable one here.
     """
+    payload = emit.payload
+    try:
+        hash(payload)
+    except TypeError:
+        raise ConfigError(
+            f"LP {source.lp_id} emitted an unhashable payload of type "
+            f"{type(payload).__name__}; event payloads must be hashable") from None
     serial = source.next_serial()
-    identity = EventIdentity(source.pe_id, source.lp_id, serial)
-    if emit.offset == 0.0 and parent is not None:
-        depth = parent.zero_offset_depth + 1
+    if parent is None:
+        parent_sig, depth, parent_key = _ROOT_SIGNATURE, 0, None
     else:
-        depth = 0
-    parent_sig = parent.signature if parent is not None else _ROOT_SIGNATURE
-    if mode.uses_draws:
-        if emit.forced_tiebreak is not None:
-            draw = emit.forced_tiebreak
-        else:
-            draw = source.tiebreak_stream.draw()
-        if naive:
-            sig = derive_naive_signature(parent_sig, emit.offset, draw)
-        else:
-            sig = derive_child_signature(parent_sig, emit.offset, draw, mode, seq_cap)
+        parent_sig = parent.signature
+        depth = parent.zero_offset_depth + 1 if emit.offset == 0.0 else 0
+        parent_key = (parent.source_lp, parent.serial)
+    if not mode.uses_draws:
+        draw = None
+    elif emit.forced_tiebreak is not None:
+        draw = emit.forced_tiebreak
     else:
-        sig = TimeSignature(parent_sig.timestamp + emit.offset)
-    parent_key = parent.identity.unique_key() if parent is not None else None
-    return Event(identity, emit.dest_lp, sig, emit.payload,
-                 zero_offset_depth=depth, parent_key=parent_key)
+        draw = source.tiebreak_stream.draw()
+    if naive and draw is not None:
+        sig = derive_naive_signature(parent_sig, emit.offset, draw)
+    else:
+        sig = derive_child_signature(parent_sig, emit.offset, draw, mode, seq_cap)
+    key = sort_key(sig, (source.pe_id, source.lp_id, serial), mode)
+    return Event(source.pe_id, source.lp_id, serial, emit.dest_lp, sig, key,
+                 payload, False, depth, parent_key)
 
 
 def make_lps(model, global_seed: int, pe_of_lp=None) -> list[LpRuntime]:
@@ -140,8 +147,7 @@ class SequentialKernel:
     def _push(self, ev: Event) -> None:
         if ev.signature.timestamp > self.model.end_time:
             return
-        key = sort_key(ev.signature, ev.identity, self.mode)
-        heappush(self._heap, (key, self._push_seq, ev))
+        heappush(self._heap, (ev.key, self._push_seq, ev))
         self._push_seq += 1
 
     def run(self) -> Trace:
@@ -150,7 +156,7 @@ class SequentialKernel:
         lps = self.lps
         for ev in seed_initial_events(model, lps, mode, self.seq_cap):
             self._push(ev)
-        committed: list[CommittedEvent] = []
+        committed: list[Event] = []
         last_key = None
         heap = self._heap
         while heap:
@@ -167,9 +173,7 @@ class SequentialKernel:
             new_state, emits = model.handle(rt.state, ev, rt.model_stream)
             rt.state = new_state
             if self.collect_trace:
-                committed.append(CommittedEvent(
-                    self.processed_count, ev.identity, ev.dest_lp,
-                    ev.signature, ev.parent_key))
+                committed.append(ev)
             self.processed_count += 1
             for emit in emits:
                 self._push(build_event(rt, ev, emit, mode, self.seq_cap, self.naive))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,30 +50,9 @@ def derive_stream_key(global_seed: int, lp_id: int, purpose: Purpose) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class StreamKey:
-    global_seed: int
-    lp_id: int
-    purpose: Purpose
-
-    @property
-    def key(self) -> int:
-        return derive_stream_key(self.global_seed, self.lp_id, self.purpose)
-
-
 def draw_at(key: int, index: int) -> int:
     """The stream's value at cursor ``index``; pure in (key, index)."""
     return mix64(key + (index + 1) * _GAMMA)
-
-
-def draw(key: int, cursor: int) -> tuple:
-    """Functional draw: value at ``cursor`` plus the advanced cursor."""
-    return draw_at(key, cursor), cursor + 1
-
-
-def restore(cursor_snapshot: int) -> int:
-    """Rollback is cursor restoration; the snapshot is the whole state."""
-    return cursor_snapshot
 
 
 def draws_array(key: int, start: int, count: int) -> np.ndarray:
@@ -97,15 +75,6 @@ def to_unit_interval(value: int) -> float:
     exponential sampler would return inf.)
     """
     return (value >> 12) * 2.0**-52 + 2.0**-53
-
-
-def exponential_variate(key: int, cursor: int, mean: float) -> tuple:
-    """Inverse-CDF exponential offset; strictly positive by construction."""
-    if mean <= 0:
-        raise ValueError(f"mean must be positive, got {mean}")
-    value, cursor = draw(key, cursor)
-    u = to_unit_interval(value)
-    return -mean * math.log1p(-u), cursor
 
 
 class DrawStream:
@@ -138,6 +107,7 @@ class DrawStream:
         return low + self.draw() % (high - low + 1)
 
     def exponential(self, mean: float) -> float:
+        """Inverse-CDF exponential offset; strictly positive by construction."""
         if mean <= 0:
             raise ValueError(f"mean must be positive, got {mean}")
         return -mean * math.log1p(-self.uniform())

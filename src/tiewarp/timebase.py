@@ -48,14 +48,10 @@ class OrderingMode(enum.Enum):
     ADDITIVE = "additive"
     LEX_SEQUENCE = "lex"
 
-    @property
-    def uses_draws(self) -> bool:
-        """Whether events in this mode carry tie-break draws."""
-        return self in (
-            OrderingMode.UNBIASED_SINGLE,
-            OrderingMode.ADDITIVE,
-            OrderingMode.LEX_SEQUENCE,
-        )
+    def __init__(self, value: str):
+        # whether events in this mode carry tie-break draws; a plain member
+        # attribute, fixed once here, because every built event reads it
+        self.uses_draws = value in ("unbiased-single", "additive", "lex")
 
     @classmethod
     def from_name(cls, name: str) -> "OrderingMode":
@@ -66,25 +62,6 @@ class OrderingMode(enum.Enum):
 
 
 MODE_NAMES = tuple(mode.value for mode in OrderingMode)
-
-
-@dataclass(frozen=True)
-class EventIdentity:
-    """Where an event came from: creating PE, creating LP, per-LP serial.
-
-    ``(source_lp, event_serial)`` is globally unique; ``source_pe`` exists
-    for the explicit-bias ruleset and depends on how LPs are partitioned.
-    """
-
-    source_pe: int
-    source_lp: int
-    event_serial: int
-
-    def ruleset_key(self) -> tuple:
-        return (self.source_pe, self.source_lp, self.event_serial)
-
-    def unique_key(self) -> tuple:
-        return (self.source_lp, self.event_serial)
 
 
 @dataclass(frozen=True)
@@ -132,8 +109,8 @@ def compare_signatures(
     a: TimeSignature,
     b: TimeSignature,
     mode: OrderingMode,
-    a_identity: EventIdentity | None = None,
-    b_identity: EventIdentity | None = None,
+    a_identity: tuple | None = None,
+    b_identity: tuple | None = None,
     cap: int = DEFAULT_SEQUENCE_CAP,
     stats: ComparatorStats | None = None,
 ) -> int:
@@ -145,7 +122,7 @@ def compare_signatures(
     compare their single draw; BIASED_RULESET compares identities. If the
     tie-break content is fully equal, distinct identities break the tie
     deterministically, so 0 is returned only for an event compared against
-    itself.
+    itself. An identity is the tuple ``(source_pe, source_lp, serial)``.
     """
     if mode is OrderingMode.NONE:
         raise ValueError("mode NONE forbids comparison of tied events")
@@ -158,9 +135,8 @@ def compare_signatures(
     if mode is OrderingMode.BIASED_RULESET:
         if a_identity is None or b_identity is None:
             raise ValueError("biased ruleset comparison requires identities")
-        ka, kb = a_identity.ruleset_key(), b_identity.ruleset_key()
-        if ka != kb:
-            return LESS if ka < kb else GREATER
+        if a_identity != b_identity:
+            return LESS if a_identity < b_identity else GREATER
         return EQUAL
 
     if a.tiebreak != b.tiebreak:
@@ -169,26 +145,13 @@ def compare_signatures(
         return LESS if a.tiebreak < b.tiebreak else GREATER
 
     if a_identity is not None and b_identity is not None:
-        ka, kb = a_identity.unique_key(), b_identity.unique_key()
+        # (source_lp, serial) is globally unique; the PE is left out because
+        # it depends on how LPs are partitioned
+        ka, kb = a_identity[1:], b_identity[1:]
         if ka != kb:
             if stats is not None:
                 stats.fallback_activations += 1
             return LESS if ka < kb else GREATER
-    return EQUAL
-
-
-def biased_ruleset_compare(
-    a_signature: TimeSignature,
-    a_identity: EventIdentity,
-    b_signature: TimeSignature,
-    b_identity: EventIdentity,
-) -> int:
-    """Explicit-bias order: timestamp, then PE id, then LP id, then serial."""
-    if a_signature.timestamp != b_signature.timestamp:
-        return LESS if a_signature.timestamp < b_signature.timestamp else GREATER
-    ka, kb = a_identity.ruleset_key(), b_identity.ruleset_key()
-    if ka != kb:
-        return LESS if ka < kb else GREATER
     return EQUAL
 
 
@@ -210,7 +173,7 @@ def derive_child_signature(
     """
     if offset < 0:
         raise ValueError(f"negative offset {offset}")
-    if mode is OrderingMode.NONE or not mode.uses_draws:
+    if not mode.uses_draws:
         # No draw content; ordering falls to timestamps (and, for the biased
         # ruleset, identities). Useful only for those modes' kernels.
         return TimeSignature(parent.timestamp + offset)
@@ -260,23 +223,20 @@ def is_causal_prefix(a: TimeSignature, b: TimeSignature) -> bool:
     return na < nb and b.tiebreak[:na] == a.tiebreak
 
 
-def sort_key(signature: TimeSignature, identity: EventIdentity, mode: OrderingMode) -> tuple:
+def sort_key(signature: TimeSignature, identity: tuple, mode: OrderingMode) -> tuple:
     """Tuple that native comparison orders identically to compare_signatures.
 
-    This is the hot-path key used by the kernels' priority queues. The
-    identity suffix uses (source_lp, serial), never the PE id, so keys do
-    not depend on how LPs are partitioned across workers.
+    ``identity`` is ``(source_pe, source_lp, serial)``. The kernels compute
+    this key once per event, when it is built. In the draw-based modes the
+    identity suffix uses (source_lp, serial), never the PE id, so keys do not
+    depend on how LPs are partitioned across workers.
     """
     if mode is OrderingMode.BIASED_RULESET:
-        return (signature.timestamp,) + identity.ruleset_key()
+        return (signature.timestamp,) + identity
     if mode is OrderingMode.NONE:
         return (signature.timestamp,)
-    return (
-        signature.timestamp,
-        signature.tiebreak,
-        identity.source_lp,
-        identity.event_serial,
-    )
+    _, source_lp, serial = identity
+    return (signature.timestamp, signature.tiebreak, source_lp, serial)
 
 
 def format_timestamp(timestamp: float) -> str:

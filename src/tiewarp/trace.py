@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .rngstream import GENERATOR_NAME, GENERATOR_VERSION
 from .timebase import (
-    EventIdentity,
     TimeSignature,
     format_tiebreak,
     format_timestamp,
@@ -32,15 +31,23 @@ TRACE_CSV_HEADER = "commit_index,lp,timestamp,tiebreak,serial"
 class Event:
     """An addressed, signed message: the only mechanism for state change.
 
-    ``parent_key`` is the (source_lp, serial) of the causal parent event,
-    or None for seed events; the causality audits walk these back-pointers.
-    ``zero_offset_depth`` counts consecutive zero-offset ancestors.
+    One record serves the queues, the anti-messages and the committed trace.
+    ``(source_lp, serial)`` is globally unique; ``source_pe``, the creating
+    PE, exists for the explicit-bias ruleset and depends on how LPs are
+    partitioned. ``key`` is the event's total-order sort key, computed once
+    when the event is built. ``parent_key`` is the (source_lp, serial) of the
+    causal parent event, or None for seed events; the causality audits walk
+    these back-pointers. ``zero_offset_depth`` counts consecutive
+    zero-offset ancestors.
     """
 
     __slots__ = (
-        "identity",
+        "source_pe",
+        "source_lp",
+        "serial",
         "dest_lp",
         "signature",
+        "key",
         "payload",
         "anti",
         "zero_offset_depth",
@@ -49,17 +56,23 @@ class Event:
 
     def __init__(
         self,
-        identity: EventIdentity,
+        source_pe: int,
+        source_lp: int,
+        serial: int,
         dest_lp: int,
         signature: TimeSignature,
+        key: tuple | None = None,
         payload=None,
         anti: bool = False,
         zero_offset_depth: int = 0,
         parent_key=None,
     ):
-        self.identity = identity
+        self.source_pe = source_pe
+        self.source_lp = source_lp
+        self.serial = serial
         self.dest_lp = dest_lp
         self.signature = signature
+        self.key = key
         self.payload = payload
         self.anti = anti
         self.zero_offset_depth = zero_offset_depth
@@ -77,58 +90,43 @@ class Event:
         drive the same state transition, and spawn the same children.
         Payloads must therefore be hashable values.
         """
-        return (
-            self.identity.source_lp,
-            self.identity.event_serial,
-            self.dest_lp,
-            self.signature,
-            self.payload,
-            self.zero_offset_depth,
-            self.parent_key,
-        )
+        sig = self.signature
+        return (self.source_lp, self.serial, self.dest_lp, sig.timestamp,
+                sig.tiebreak, self.payload, self.zero_offset_depth,
+                self.parent_key)
 
     def as_anti(self) -> "Event":
-        return Event(
-            self.identity,
-            self.dest_lp,
-            self.signature,
-            payload=self.payload,
-            anti=True,
-            zero_offset_depth=self.zero_offset_depth,
-            parent_key=self.parent_key,
+        return Event(self.source_pe, self.source_lp, self.serial, self.dest_lp,
+                     self.signature, self.key, self.payload, True,
+                     self.zero_offset_depth, self.parent_key)
+
+    def canonical_line(self, commit_index: int) -> str:
+        """The digest's text for this event committed at ``commit_index``."""
+        parent = (
+            f"{self.parent_key[0]}#{self.parent_key[1]}" if self.parent_key else "-"
+        )
+        sig = self.signature
+        return (
+            f"{commit_index},{self.source_lp},{self.serial},{self.dest_lp},"
+            f"{format_timestamp(sig.timestamp)},"
+            f"{format_tiebreak(sig.tiebreak)},{parent}"
         )
 
     def __repr__(self):
         kind = "anti" if self.anti else "event"
         return (
-            f"<{kind} lp{self.identity.source_lp}#{self.identity.event_serial}"
+            f"<{kind} lp{self.source_lp}#{self.serial}"
             f" -> lp{self.dest_lp} @ {self.signature.timestamp}>"
-        )
-
-
-@dataclass(frozen=True)
-class CommittedEvent:
-    commit_index: int
-    identity: EventIdentity
-    dest_lp: int
-    signature: TimeSignature
-    parent_key: tuple | None = None
-
-    def canonical_line(self) -> str:
-        parent = (
-            f"{self.parent_key[0]}#{self.parent_key[1]}" if self.parent_key else "-"
-        )
-        return (
-            f"{self.commit_index},{self.identity.source_lp},"
-            f"{self.identity.event_serial},{self.dest_lp},"
-            f"{format_timestamp(self.signature.timestamp)},"
-            f"{format_tiebreak(self.signature.tiebreak)},{parent}"
         )
 
 
 @dataclass
 class Trace:
-    """Committed event order plus per-LP final states."""
+    """Committed event order plus per-LP final states.
+
+    ``committed`` lists the committed Events; an event's commit index is its
+    position in the list.
+    """
 
     committed: list = field(default_factory=list)
     final_states: dict = field(default_factory=dict)
@@ -150,8 +148,8 @@ class Trace:
         return header
 
     def canonical_lines(self):
-        for entry in self.committed:
-            yield entry.canonical_line()
+        for index, ev in enumerate(self.committed):
+            yield ev.canonical_line(index)
         for lp in sorted(self.final_states):
             value = self.final_states[lp]
             text = format_timestamp(value) if isinstance(value, float) else repr(value)
@@ -167,12 +165,12 @@ class Trace:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(TRACE_CSV_HEADER + "\n")
-            for entry in self.committed:
+            for index, ev in enumerate(self.committed):
                 fh.write(
-                    f"{entry.commit_index},{entry.dest_lp},"
-                    f"{format_timestamp(entry.signature.timestamp)},"
-                    f"{format_tiebreak(entry.signature.tiebreak)},"
-                    f"{entry.identity.event_serial}\n"
+                    f"{index},{ev.dest_lp},"
+                    f"{format_timestamp(ev.signature.timestamp)},"
+                    f"{format_tiebreak(ev.signature.tiebreak)},"
+                    f"{ev.serial}\n"
                 )
 
     def summary_dict(self, metrics: dict | None = None) -> dict:
@@ -224,15 +222,16 @@ def first_divergence(a: Trace, b: Trace):
     Final-state differences with an identical commit stream are reported as
     index -1 (possible only across modes or via kernel bugs).
     """
-    for ea, eb in zip(a.committed, b.committed):
+    for index, (ea, eb) in enumerate(zip(a.committed, b.committed)):
         # identities compare by (lp, serial): the creating PE is a detail of
         # the partition and legitimately differs between kernels
         if (
-            ea.identity.unique_key() != eb.identity.unique_key()
+            ea.source_lp != eb.source_lp
+            or ea.serial != eb.serial
             or ea.dest_lp != eb.dest_lp
             or ea.signature != eb.signature
         ):
-            return ea.commit_index
+            return index
     if len(a.committed) != len(b.committed):
         return min(len(a.committed), len(b.committed))
     if a.final_states != b.final_states:

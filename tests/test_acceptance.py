@@ -31,7 +31,6 @@ from tiewarp.scenarios import (
 )
 from tiewarp.timebase import (
     EQUAL,
-    EventIdentity,
     OrderingMode,
     TimeSignature,
     compare_signatures,
@@ -238,15 +237,15 @@ def test_criterion_10_comparator_laws_at_scale():
             tb = tuple(rng.randrange(8) for _ in range(1 + rng.randrange(3)))
         else:
             tb = (rng.randrange(16),)
-        ident = EventIdentity(rng.randrange(3), rng.randrange(4), rng.randrange(6))
+        ident = (rng.randrange(3), rng.randrange(4), rng.randrange(6))
         return TimeSignature(ts, tb), ident
 
     checked = 0
     for mode in DRAW_MODES + (OrderingMode.BIASED_RULESET,):
         if mode is OrderingMode.BIASED_RULESET:
             pool = [(TimeSignature(float(rng.randrange(2))),
-                     EventIdentity(rng.randrange(3), rng.randrange(4),
-                                   rng.randrange(6))) for _ in range(300)]
+                     (rng.randrange(3), rng.randrange(4),
+                      rng.randrange(6))) for _ in range(300)]
         else:
             # tiny draw alphabet forces heavy tie traffic through every branch
             pool = [sample(mode) for _ in range(300)]

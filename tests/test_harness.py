@@ -17,8 +17,8 @@ from tiewarp.harness import (
     run_fairness,
     verify_determinism,
 )
-from tiewarp.timebase import EventIdentity, OrderingMode, TimeSignature
-from tiewarp.trace import CommittedEvent, Trace
+from tiewarp.timebase import OrderingMode, TimeSignature
+from tiewarp.trace import Event, Trace
 
 TIES_SPEC = RunSpec(model="event-ties", mode="lex", n_lps=6, end_time=4.0,
                     chain_length=2, seed=3)
@@ -159,9 +159,8 @@ def test_compare_traces_reports_divergence():
 
 def synthetic_trace(entries):
     return Trace(committed=[
-        CommittedEvent(i, EventIdentity(0, lp, serial), lp,
-                       TimeSignature(ts, tb), parent)
-        for i, (lp, serial, ts, tb, parent) in enumerate(entries)
+        Event(0, lp, serial, lp, TimeSignature(ts, tb), parent_key=parent)
+        for lp, serial, ts, tb, parent in entries
     ])
 
 

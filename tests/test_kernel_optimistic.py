@@ -8,7 +8,7 @@ from tiewarp.errors import ConfigError, LivelockDetected
 from tiewarp.harness import audit_trace
 from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel, run_optimistic
 from tiewarp.kernel_seq import run_sequential
-from tiewarp.models import build_model
+from tiewarp.models import Emit, EventTiesConfig, EventTiesModel, build_model
 from tiewarp.scenarios import ScriptedModel, committed_names, SCRIPT_LEX_ORDER
 from tiewarp.timebase import OrderingMode
 from tiewarp.trace import first_divergence
@@ -216,3 +216,25 @@ def test_coupled_routing_still_bit_exact():
         opt = run_optimistic(model, OrderingMode.LEX_SEQUENCE, 3, workers,
                              chaos_seed=chaos)
         assert opt.digest() == ref
+
+
+class ListPayloadTies(EventTiesModel):
+    """event-ties whose payloads are one-element lists, which cannot be hashed."""
+
+    def seed_events(self, lp_id, stream):
+        return [Emit(lp_id, 1.0, [stream.randint(0, 100)])]
+
+    def handle(self, state, event, stream):
+        emit = Emit(event.dest_lp, 1.0, [stream.randint(0, 100)])
+        return state.fold(event.payload[0]), [emit]
+
+
+def test_unhashable_payloads_are_rejected_in_both_kernels():
+    # anti-messages match on content, so the optimistic kernel must hash
+    # payloads; both kernels refuse the model at emit rather than one of them
+    # running it and the other failing deep in its queues
+    model = ListPayloadTies(EventTiesConfig(n_lps=8, end_time=3))
+    with pytest.raises(ConfigError, match=r"LP 0 .*payload of type list"):
+        run_sequential(model, OrderingMode.LEX_SEQUENCE, 1)
+    with pytest.raises(ConfigError, match=r"LP 0 .*payload of type list"):
+        run_optimistic(model, OrderingMode.LEX_SEQUENCE, 1, 4)

@@ -88,7 +88,8 @@ def test_same_seed_reproduces_digest_different_seed_does_not():
 def test_commit_keys_strictly_ascend(mode):
     model = build_model("phold", n_lps=6, end_time=8.0, remote_prob=0.5)
     trace = run_sequential(model, mode, 21)
-    keys = [sort_key(ce.signature, ce.identity, mode) for ce in trace.committed]
+    keys = [sort_key(ce.signature, (ce.source_pe, ce.source_lp, ce.serial), mode)
+            for ce in trace.committed]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert keys[0][0] == 1.0  # seeds arrive at the first timestep
 
@@ -96,7 +97,9 @@ def test_commit_keys_strictly_ascend(mode):
 def test_commit_indices_are_dense_and_horizon_respected():
     model = build_model("event-ties", n_lps=5, end_time=4.0, chain_length=2)
     trace = run_sequential(model, OrderingMode.ADDITIVE, 9)
-    assert [ce.commit_index for ce in trace.committed] == list(range(len(trace.committed)))
+    indices = [int(line.split(",")[0]) for line in trace.canonical_lines()
+               if not line.startswith("state,")]
+    assert indices == list(range(len(trace.committed)))
     assert all(ce.signature.timestamp <= model.end_time for ce in trace.committed)
     assert trace.net_event_count == len(trace.committed)
 
@@ -110,7 +113,7 @@ def test_seed_events_have_no_parent_and_serials_count_sends():
     # serials are unique per source LP
     seen = set()
     for ce in trace.committed:
-        ident = (ce.identity.source_lp, ce.identity.event_serial)
+        ident = (ce.source_lp, ce.serial)
         assert ident not in seen
         seen.add(ident)
 
@@ -123,7 +126,7 @@ def test_parents_commit_before_children():
     for ce in trace.committed:
         if ce.parent_key is not None:
             assert ce.parent_key in committed_at, ce
-        committed_at[(ce.identity.source_lp, ce.identity.event_serial)] = ce.commit_index
+        committed_at[(ce.source_lp, ce.serial)] = ce
 
 
 def test_collect_trace_off_keeps_counts():
@@ -157,7 +160,7 @@ def test_tie_pair_model_commits_both_lineages():
     assert len(trace.committed) == 4
     by_lp = {}
     for ce in trace.committed:
-        by_lp.setdefault(ce.identity.source_lp, []).append(ce)
+        by_lp.setdefault(ce.source_lp, []).append(ce)
     assert len(by_lp[0]) == 3
     assert len(by_lp[1]) == 1
 
@@ -169,12 +172,12 @@ def test_trace_csv_round_trip(tmp_path):
     trace.write_csv(path)
     rows = read_trace_csv(path)
     assert len(rows) == len(trace.committed)
-    for row, ce in zip(rows, trace.committed):
+    for index, (row, ce) in enumerate(zip(rows, trace.committed)):
         idx, lp, sig, serial = row
-        assert idx == ce.commit_index
+        assert idx == index
         assert lp == ce.dest_lp
         assert sig == ce.signature
-        assert serial == ce.identity.event_serial
+        assert serial == ce.serial
 
 
 def test_summary_reports_digest_and_finals(tmp_path):

@@ -13,7 +13,6 @@ from tiewarp.rngstream import (
     derive_stream_key,
     draw_at,
     draws_array,
-    exponential_variate,
     mix64,
     to_unit_interval,
 )
@@ -150,13 +149,13 @@ def test_exponential_positive_with_correct_mean():
 
 
 def test_functional_exponential_matches_stream():
+    # the stream's exponential is the inverse CDF of the indexed draw, bit for bit
     key = derive_stream_key(77, 1, Purpose.MODEL)
     stream = DrawStream(key)
-    cursor = 0
-    for _ in range(100):
-        want, cursor = exponential_variate(key, cursor, 1.5)
+    for i in range(100):
+        want = -1.5 * math.log1p(-to_unit_interval(draw_at(key, i)))
         assert stream.exponential(1.5) == want
-    assert stream.cursor == cursor
+    assert stream.cursor == 100
 
 
 def test_pick_other_excludes_self_and_covers_rest():

@@ -12,7 +12,6 @@ from tiewarp.timebase import (
     LESS,
     MODE_NAMES,
     ComparatorStats,
-    EventIdentity,
     OrderingMode,
     TimeSignature,
     compare_signatures,
@@ -54,7 +53,7 @@ def rand_tiebreak(rng, max_len=4):
 
 
 def rand_identity(rng):
-    return EventIdentity(rng.randrange(4), rng.randrange(8), rng.randrange(100))
+    return (rng.randrange(4), rng.randrange(8), rng.randrange(100))
 
 
 def test_mode_names_round_trip():
@@ -128,21 +127,21 @@ def test_worked_sequence_example():
 
 def test_biased_mode_uses_source_ruleset():
     sig = TimeSignature(3.0)
-    a = EventIdentity(0, 5, 9)
-    b = EventIdentity(1, 0, 0)
+    a = (0, 5, 9)
+    b = (1, 0, 0)
     mode = OrderingMode.BIASED_RULESET
     assert compare_signatures(sig, sig, mode, a_identity=a, b_identity=b) == LESS
     assert compare_signatures(sig, sig, mode, a_identity=b, b_identity=a) == GREATER
-    same_pe_a = EventIdentity(0, 2, 7)
-    same_pe_b = EventIdentity(0, 2, 8)
+    same_pe_a = (0, 2, 7)
+    same_pe_b = (0, 2, 8)
     assert compare_signatures(sig, sig, mode,
                               a_identity=same_pe_a, b_identity=same_pe_b) == LESS
 
 
 def test_identity_fallback_counts_activations():
     sig = TimeSignature(1.0, (42,))
-    a = EventIdentity(0, 1, 5)
-    b = EventIdentity(0, 2, 5)
+    a = (0, 1, 5)
+    b = (0, 2, 5)
     stats = ComparatorStats()
     got = compare_signatures(sig, sig, OrderingMode.LEX_SEQUENCE,
                              a_identity=a, b_identity=b, stats=stats)
@@ -177,7 +176,7 @@ def test_comparator_laws_small(mode):
         if ab == bc != EQUAL:
             assert ac == ab  # transitivity
         if ab == EQUAL:
-            assert (ia.source_lp, ia.event_serial) == (ib.source_lp, ib.event_serial)
+            assert ia[1:] == ib[1:]
 
 
 @pytest.mark.parametrize("mode", DRAW_MODES)
@@ -203,8 +202,8 @@ def test_sort_key_agrees_with_comparator(mode):
 
 def test_sort_key_ignores_pe_for_draw_modes():
     sig = TimeSignature(1.0, (9,))
-    a = EventIdentity(0, 3, 1)
-    b = EventIdentity(7, 3, 1)  # same LP and serial, different PE
+    a = (0, 3, 1)
+    b = (7, 3, 1)  # same LP and serial, different PE
     for mode in DRAW_MODES:
         assert sort_key(sig, a, mode) == sort_key(sig, b, mode)
     assert sort_key(sig, a, OrderingMode.BIASED_RULESET) != sort_key(
