@@ -7,7 +7,7 @@ replaying gives bit-identical values. This is what lets the optimistic kernel
 roll an LP back without keeping draw logs.
 """
 
-from tiewarp.rngstream import DrawStream, Purpose, draw_at, draws_array
+from tiewarp.rngstream import DrawStream, Purpose, draw_at
 
 stream = DrawStream.for_lp(global_seed=42, lp_id=7, purpose=Purpose.TIEBREAK)
 
@@ -29,10 +29,10 @@ assert replayed == later, "replay must be bit-identical"
 print("draw_at(key, 5) ==", hex(draw_at(stream.key, 5))[:10])
 assert draw_at(stream.key, 5) == later[1]
 
-# and the vectorized form matches the scalar loop bit for bit
-vec = draws_array(stream.key, 0, 7)
-assert vec.tolist() == first + later
-print("vectorized == scalar for", len(vec), "draws")
+# and the whole stream so far is just draw_at over its cursor positions
+indexed = [draw_at(stream.key, i) for i in range(7)]
+assert indexed == first + later
+print("stream == draw_at for", len(indexed), "draws")
 
 # separate purposes give unrelated streams for the same LP and seed
 model = DrawStream.for_lp(global_seed=42, lp_id=7, purpose=Purpose.MODEL)

@@ -23,7 +23,6 @@ from .harness import (
     RunSpec,
     audit_trace,
     benchmark_sequential,
-    compare_traces,
     execute,
     fairness_expected,
     run_fairness,
@@ -53,15 +52,9 @@ from .timebase import (
     derive_child_signature,
     format_signature,
     is_causal_prefix,
-    parse_signature,
     sort_key,
 )
-from .trace import (
-    Event,
-    Trace,
-    first_divergence,
-    read_trace_csv,
-)
+from .trace import Event, Trace, first_divergence, read_trace
 
 __version__ = "0.1.0"
 
@@ -100,7 +93,6 @@ __all__ = [
     "benchmark_sequential",
     "build_model",
     "compare_signatures",
-    "compare_traces",
     "derive_child_signature",
     "derive_stream_key",
     "draw_at",
@@ -109,8 +101,7 @@ __all__ = [
     "first_divergence",
     "format_signature",
     "is_causal_prefix",
-    "parse_signature",
-    "read_trace_csv",
+    "read_trace",
     "run_fairness",
     "run_optimistic",
     "run_sequential",

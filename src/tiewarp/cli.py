@@ -4,7 +4,7 @@ Subcommands:
   run                  execute one simulation, optionally writing trace/summary
   verify-determinism   sweep workers x chaos seeds and compare digests
   fairness             estimate tie-ordering probabilities against closed forms
-  compare              diff two committed trace CSV files
+  compare              check two trace files for digest identity
 
 Exit codes: 0 success, 2 configuration error, 3 causality violation,
 4 rollback livelock. A config file (JSON or flat "key = value" lines) can
@@ -33,7 +33,7 @@ from .harness import (
 )
 from .models import MODEL_NAMES
 from .timebase import MODE_NAMES
-from .trace import first_divergence_rows, read_trace_csv
+from .trace import digest_lines, first_divergence, read_trace
 
 RUN_DEFAULTS = {
     "model": "phold",
@@ -138,7 +138,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="use the broken independent-draw derivation "
                              "(unbiased-single only; expected to fail)")
     parser.add_argument("--trace-out", dest="trace_out",
-                        help="write committed trace CSV here")
+                        help="write the trace file (schema tag, then the "
+                             "digest's canonical lines) here")
     parser.add_argument("--summary-out", dest="summary_out",
                         help="write run summary JSON here")
 
@@ -191,7 +192,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"anti-messages: {metrics['antis_sent']}  "
               f"efficiency: {metrics['efficiency']:.3f}")
     if opts["trace_out"]:
-        trace.write_csv(opts["trace_out"])
+        trace.write(opts["trace_out"])
         print(f"trace written: {opts['trace_out']}")
     if opts["summary_out"]:
         trace.write_summary(opts["summary_out"], metrics)
@@ -268,19 +269,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    rows_a = read_trace_csv(args.trace_a)
-    rows_b = read_trace_csv(args.trace_b)
-    where = first_divergence_rows(rows_a, rows_b)
+    lines_a = read_trace(args.trace_a)
+    lines_b = read_trace(args.trace_b)
+    print(f"a: {digest_lines(lines_a)}  {args.trace_a}")
+    print(f"b: {digest_lines(lines_b)}  {args.trace_b}")
+    where = first_divergence(lines_a, lines_b)
     if where is None:
-        print(f"identical: {len(rows_a)} committed events")
+        print(f"identical: {len(lines_a)} canonical lines")
         return 0
-    print(f"traces differ at commit index {where} "
-          f"(lengths {len(rows_a)} vs {len(rows_b)})")
-    for label, rows in (("a", rows_a), ("b", rows_b)):
-        if where < len(rows):
-            print(f"  {label}: {rows[where]}")
-        else:
-            print(f"  {label}: <absent>")
+    print(f"traces differ at canonical line {where} "
+          f"(lengths {len(lines_a)} vs {len(lines_b)})")
+    for label, lines in (("a", lines_a), ("b", lines_b)):
+        print(f"  {label}: {lines[where] if where < len(lines) else '<absent>'}")
     return 1
 
 
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
-    p_cmp = sub.add_parser("compare", help="diff two trace CSV files")
+    p_cmp = sub.add_parser("compare", help="check two trace files for digest identity")
     p_cmp.add_argument("trace_a")
     p_cmp.add_argument("trace_b")
     p_cmp.set_defaults(func=_cmd_compare)

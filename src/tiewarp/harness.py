@@ -25,7 +25,7 @@ from .kernel_seq import run_sequential
 from .models import MODEL_NAMES, build_model
 from .scenarios import TiePairModel
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
-from .trace import Trace, first_divergence
+from .trace import Trace
 
 DETERMINISM_SCHEMA = "tiewarp.determinism/1"
 FAIRNESS_SCHEMA = "tiewarp.fairness/1"
@@ -213,25 +213,6 @@ def run_fairness(mode_name: str, depth: int, samples: int,
     within = abs(p_hat - expected) <= half_width
     return FairnessReport(mode.value, depth, samples, successes, p_hat,
                           expected, half_width, within)
-
-
-def compare_traces(a: Trace, b: Trace) -> dict:
-    """Structural diff of two traces: first divergence and state deltas."""
-    da, db = a.digest(), b.digest()
-    state_diffs = []
-    for lp in sorted(set(a.final_states) | set(b.final_states)):
-        va = a.final_states.get(lp)
-        vb = b.final_states.get(lp)
-        if va != vb:
-            state_diffs.append({"lp": lp, "a": va, "b": vb})
-    return {
-        "equal": da == db,
-        "digest_a": da,
-        "digest_b": db,
-        "first_divergence": first_divergence(a, b),
-        "net_events": [a.net_event_count, b.net_event_count],
-        "state_diffs": state_diffs,
-    }
 
 
 def audit_trace(trace: Trace, mode_name: str) -> dict:

@@ -397,6 +397,12 @@ class OptimisticKernel:
         batches = []
         for pe in self.pes:
             batches.extend(pe.collect_fossils(gvt_key))
+            if gvt_key is not None:
+                # every later rollback cause has a key at or above GVT, so a
+                # cause stamped below its timestamp can never count again
+                pe.rollback_counts = Counter(
+                    {cause: n for cause, n in pe.rollback_counts.items()
+                     if cause[0] >= gvt_key[0]})
         batches.sort(key=lambda item: (item[0], item[1], item[2]))
         for key, _, _, ev in batches:
             if self._last_commit_key is not None:

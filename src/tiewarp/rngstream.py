@@ -18,8 +18,6 @@ from __future__ import annotations
 import enum
 import math
 
-import numpy as np
-
 GENERATOR_NAME = "splitmix64-counter"
 GENERATOR_VERSION = 1
 
@@ -53,16 +51,6 @@ def derive_stream_key(global_seed: int, lp_id: int, purpose: Purpose) -> int:
 def draw_at(key: int, index: int) -> int:
     """The stream's value at cursor ``index``; pure in (key, index)."""
     return mix64(key + (index + 1) * _GAMMA)
-
-
-def draws_array(key: int, start: int, count: int) -> np.ndarray:
-    """Vectorized draw_at over indices [start, start+count); used by the
-    statistical tests. Bit-identical to the scalar path."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(key & _MASK64) + idx * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
 
 
 def to_unit_interval(value: int) -> float:

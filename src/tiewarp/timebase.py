@@ -252,13 +252,3 @@ def format_tiebreak(tiebreak: tuple) -> str:
 def format_signature(signature: TimeSignature) -> str:
     return f"{format_timestamp(signature.timestamp)}@{format_tiebreak(signature.tiebreak)}"
 
-
-def parse_tiebreak(text: str) -> tuple:
-    if not text:
-        return ()
-    return tuple(int(part, 16) for part in text.split(":"))
-
-
-def parse_signature(text: str) -> TimeSignature:
-    ts_text, _, tb_text = text.partition("@")
-    return TimeSignature(float(ts_text), parse_tiebreak(tb_text))

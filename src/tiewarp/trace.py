@@ -6,6 +6,9 @@ their trace digests match; the digest is a SHA-256 over a canonical text
 form that deliberately excludes anything partition- or schedule-dependent
 (PE ids, wall time, rollback counts), so a sequential run and any optimistic
 run can hash identically.
+
+The trace file is that canonical text itself, behind a one-line schema tag,
+so the SHA-256 of a file's bytes after its first line is the run's digest.
 """
 
 from __future__ import annotations
@@ -13,19 +16,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
+from .errors import ConfigError
 from .rngstream import GENERATOR_NAME, GENERATOR_VERSION
-from .timebase import (
-    TimeSignature,
-    format_tiebreak,
-    format_timestamp,
-    parse_tiebreak,
-)
+from .timebase import TimeSignature, format_tiebreak, format_timestamp
 
-TRACE_SCHEMA = "tiewarp.trace/1"
+TRACE_SCHEMA = "tiewarp.trace/2"
 SUMMARY_SCHEMA = "tiewarp.summary/1"
-
-TRACE_CSV_HEADER = "commit_index,lp,timestamp,tiebreak,serial"
 
 
 class Event:
@@ -156,22 +154,14 @@ class Trace:
             yield f"state,{lp},{text}"
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for line in self.canonical_lines():
-            h.update(line.encode("ascii"))
-            h.update(b"\n")
-        return h.hexdigest()
+        return digest_lines(self.canonical_lines())
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(TRACE_CSV_HEADER + "\n")
-            for index, ev in enumerate(self.committed):
-                fh.write(
-                    f"{index},{ev.dest_lp},"
-                    f"{format_timestamp(ev.signature.timestamp)},"
-                    f"{format_tiebreak(ev.signature.tiebreak)},"
-                    f"{ev.serial}\n"
-                )
+    def write(self, path) -> None:
+        """Write the schema tag, then the canonical lines: the digest's input."""
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(TRACE_SCHEMA + "\n")
+            for line in self.canonical_lines():
+                fh.write(line + "\n")
 
     def summary_dict(self, metrics: dict | None = None) -> dict:
         summary = {
@@ -191,49 +181,44 @@ class Trace:
             fh.write("\n")
 
 
-def read_trace_csv(path) -> list:
-    """Round-trip reader for the CSV trail: (index, lp, signature, serial)."""
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != TRACE_CSV_HEADER:
-            raise ValueError(f"unexpected trace CSV header {header!r}")
-        for line in fh:
-            idx, lp, ts, tb, serial = line.strip().split(",")
-            rows.append(
-                (int(idx), int(lp), TimeSignature(float(ts), parse_tiebreak(tb)), int(serial))
-            )
-    return rows
+def digest_lines(lines) -> str:
+    """SHA-256 hex digest of ``lines``, each terminated by a newline."""
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode("ascii"))
+        h.update(b"\n")
+    return h.hexdigest()
 
 
-def first_divergence_rows(rows_a: list, rows_b: list):
-    """First index where two read-back CSV row lists differ; None if equal."""
-    for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
-        if ra != rb:
-            return i
-    if len(rows_a) != len(rows_b):
-        return min(len(rows_a), len(rows_b))
-    return None
+def read_trace(path) -> list:
+    """The canonical lines of a file written by ``Trace.write``.
 
-
-def first_divergence(a: Trace, b: Trace):
-    """Index of the first differing commit, or None if traces are identical.
-
-    Final-state differences with an identical commit stream are reported as
-    index -1 (possible only across modes or via kernel bugs).
+    Raises ConfigError unless the first line is the schema tag and every
+    line is newline-terminated ASCII, so that ``digest_lines`` of the result
+    is the SHA-256 of the file's bytes after the tag.
     """
-    for index, (ea, eb) in enumerate(zip(a.committed, b.committed)):
-        # identities compare by (lp, serial): the creating PE is a detail of
-        # the partition and legitimately differs between kernels
-        if (
-            ea.source_lp != eb.source_lp
-            or ea.serial != eb.serial
-            or ea.dest_lp != eb.dest_lp
-            or ea.signature != eb.signature
-        ):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    tag, newline, body = data.partition(b"\n")
+    if tag != TRACE_SCHEMA.encode() or not newline:
+        raise ConfigError(
+            f"{path}: first line {tag[:40]!r} is not the schema tag {TRACE_SCHEMA}")
+    try:
+        lines = body.decode("ascii").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not ASCII text: {exc}") from exc
+    if lines.pop():
+        raise ConfigError(f"{path}: last line is not newline-terminated")
+    return lines
+
+
+def first_divergence(lines_a, lines_b):
+    """Index of the first differing canonical line; None if all are equal.
+
+    Commit lines come before the final states, so an index inside the commit
+    stream is the commit index of the first differing event.
+    """
+    for index, (a, b) in enumerate(zip_longest(lines_a, lines_b)):
+        if a != b:
             return index
-    if len(a.committed) != len(b.committed):
-        return min(len(a.committed), len(b.committed))
-    if a.final_states != b.final_states:
-        return -1
     return None

@@ -1,12 +1,14 @@
 """Command line behavior: subcommands, config files, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from tiewarp.cli import load_config, main
 from tiewarp.errors import ConfigError
-from tiewarp.trace import read_trace_csv
+from tiewarp.harness import RunSpec, execute
+from tiewarp.trace import TRACE_SCHEMA, Event, first_divergence, read_trace
 
 RUN_TIES = ["run", "--model", "event-ties", "--mode", "lex", "--lps", "5",
             "--end", "3", "--chain", "2", "--seed", "9"]
@@ -36,14 +38,14 @@ def test_run_parallel_prints_metrics_and_matches_sequential(capsys):
 
 
 def test_run_writes_trace_and_summary(tmp_path, capsys):
-    trace_path = tmp_path / "trail.csv"
+    trace_path = tmp_path / "trail.txt"
     summary_path = tmp_path / "summary.json"
     code = main(RUN_TIES + ["--trace-out", str(trace_path),
                             "--summary-out", str(summary_path)])
     assert code == 0
     out = capsys.readouterr().out
-    rows = read_trace_csv(trace_path)
-    assert len(rows) == 30
+    lines = read_trace(trace_path)
+    assert sum(not line.startswith("state,") for line in lines) == 30
     summary = json.loads(summary_path.read_text())
     assert summary["digest"] == digest_from(out)
     assert summary["net_events"] == 30
@@ -51,17 +53,81 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
 
 
 def test_compare_identical_and_divergent(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    c = tmp_path / "c.csv"
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    c = tmp_path / "c.txt"
     main(RUN_TIES + ["--trace-out", str(a)])
     main(RUN_TIES + ["--trace-out", str(b)])
     main(RUN_TIES[:-1] + ["10", "--trace-out", str(c)])  # different seed
     capsys.readouterr()
     assert main(["compare", str(a), str(b)]) == 0
-    assert "identical: 30 committed events" in capsys.readouterr().out
+    assert "identical: 35 canonical lines" in capsys.readouterr().out
     assert main(["compare", str(a), str(c)]) == 1
-    assert "traces differ at commit index" in capsys.readouterr().out
+    assert "traces differ at canonical line" in capsys.readouterr().out
+
+
+def test_trace_file_hashes_to_the_printed_digest(tmp_path, capsys):
+    path = tmp_path / "trail.txt"
+    assert main(RUN_TIES + ["--workers", "3", "--trace-out", str(path)]) == 0
+    tag, _, body = path.read_bytes().partition(b"\n")
+    assert tag.decode() == TRACE_SCHEMA == "tiewarp.trace/2"
+    assert hashlib.sha256(body).hexdigest() == digest_from(capsys.readouterr().out)
+
+
+def altered(ev, **changes):
+    fields = {name: getattr(ev, name) for name in Event.__slots__}
+    fields.update(changes)
+    return Event(**fields)
+
+
+def test_compare_sees_everything_the_digest_covers(tmp_path, capsys):
+    spec = RunSpec(model="event-ties", mode="lex", n_lps=5, end_time=3.0,
+                   chain_length=2, seed=9)
+    trace, _ = execute(spec)
+    original = tmp_path / "original.txt"
+    trace.write(original)
+    index = next(i for i, ev in enumerate(trace.committed) if ev.parent_key)
+    ev = trace.committed[index]
+    for name in ("source-lp", "parent", "final-state"):
+        copy, _ = execute(spec)
+        if name == "final-state":
+            copy.final_states[1] += 1
+            where = len(trace.committed) + 1  # the second state line
+        else:
+            change = ({"source_lp": (ev.source_lp + 1) % 5} if name == "source-lp"
+                      else {"parent_key": (ev.parent_key[0], ev.parent_key[1] + 1)})
+            copy.committed[index] = altered(ev, **change)
+            where = index
+        assert copy.digest() != trace.digest(), name
+        path = tmp_path / f"{name}.txt"
+        copy.write(path)
+        assert first_divergence(read_trace(original), read_trace(path)) == where
+        assert main(["compare", str(original), str(path)]) == 1, name
+        out = capsys.readouterr().out
+        assert f"a: {trace.digest()}" in out and f"b: {copy.digest()}" in out
+        assert f"traces differ at canonical line {where}" in out
+
+
+def test_compare_rejects_malformed_trace_files(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    assert main(RUN_TIES + ["--trace-out", str(good)]) == 0
+    text = good.read_text()
+    body = text.partition("\n")[2]
+    malformed = {
+        "old-csv": "commit_index,lp,timestamp,tiebreak,serial\n0,1,1.0,ab,0\n",
+        "wrong-schema": "tiewarp.trace/1\n" + body,
+        "no-schema": body,
+        "empty": "",
+        "unterminated": text[:-1],
+    }
+    capsys.readouterr()
+    for name, content in malformed.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(content)
+        assert main(["compare", str(good), str(path)]) == 2, name
+        assert "config error" in capsys.readouterr().err, name
+        with pytest.raises(ConfigError):
+            read_trace(path)
 
 
 def test_verify_determinism_expectations(capsys):
@@ -125,10 +191,10 @@ def test_exit_code_2_on_config_errors(capsys):
 
 def test_exit_code_2_on_file_errors(tmp_path, capsys):
     # a missing trace must not exit 1, which compare reserves for divergence
-    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
+    assert main(["compare", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]) == 2
     assert "file error" in capsys.readouterr().err
     assert main(["run", "--model", "phold", "--lps", "2", "--end", "1",
-                 "--trace-out", str(tmp_path / "no" / "dir" / "t.csv")]) == 2
+                 "--trace-out", str(tmp_path / "no" / "dir" / "t.txt")]) == 2
     capsys.readouterr()
 
 

@@ -11,7 +11,6 @@ from tiewarp.harness import (
     audit_trace,
     benchmark_sequential,
     build_run,
-    compare_traces,
     execute,
     fairness_expected,
     run_fairness,
@@ -144,17 +143,6 @@ def test_run_fairness_is_seeded():
     c = run_fairness("additive", 0, 150, base_seed=8)
     assert a == b
     assert a != c
-
-
-def test_compare_traces_reports_divergence():
-    ta, _ = execute(TIES_SPEC)
-    tb, _ = execute(RunSpec(**{**TIES_SPEC.to_dict(), "seed": 4}))
-    same = compare_traces(ta, ta)
-    assert same["equal"] is True and same["first_divergence"] is None
-    diff = compare_traces(ta, tb)
-    assert diff["equal"] is False
-    assert diff["first_divergence"] is not None
-    assert diff["digest_a"] != diff["digest_b"]
 
 
 def synthetic_trace(entries):

@@ -41,7 +41,7 @@ def test_rollbacks_occur_and_digest_still_matches():
     assert metrics["antis_sent"] == metrics["annihilations"]
     seq = run_sequential(model, OrderingMode.LEX_SEQUENCE, 1)
     assert opt.digest() == seq.digest()
-    assert first_divergence(seq, opt) is None
+    assert first_divergence(seq.canonical_lines(), opt.canonical_lines()) is None
 
 
 def test_metrics_accounting_is_consistent():
@@ -163,6 +163,28 @@ def test_livelock_bound_is_configurable():
         run_optimistic(model, OrderingMode.LEX_SEQUENCE, 5, 4, naive=True,
                        livelock_bound=8)
     assert info.value.count >= 8
+
+
+class GvtRecordingKernel(OptimisticKernel):
+    def _compute_gvt(self):
+        gvt = super()._compute_gvt()
+        if gvt is not None:
+            self.last_gvt = gvt
+        return gvt
+
+
+def test_rollback_counts_are_pruned_below_gvt():
+    model = build_model("event-ties", **TIES)
+    kernel = GvtRecordingKernel(model, OrderingMode.LEX_SEQUENCE, 1, 4,
+                                chaos=ChaosConfig(0, 4), gvt_interval=16)
+    trace = kernel.run()
+    assert kernel.metrics()["rollbacks"] > 10 and kernel.gvt_rounds > 10
+    gvt_ts = kernel.last_gvt[0]
+    assert gvt_ts > 1.0  # commits were made well before the end
+    for pe in kernel.pes:
+        assert all(cause[0] >= gvt_ts for cause in pe.rollback_counts)
+    assert trace.digest() == run_sequential(
+        model, OrderingMode.LEX_SEQUENCE, 1).digest()
 
 
 def test_audit_passes_on_optimistic_traces():

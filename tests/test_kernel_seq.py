@@ -19,7 +19,7 @@ from tiewarp.scenarios import (
     committed_names,
 )
 from tiewarp.timebase import OrderingMode, sort_key
-from tiewarp.trace import first_divergence, read_trace_csv
+from tiewarp.trace import digest_lines, first_divergence, read_trace
 
 DRAW_MODES = (OrderingMode.UNBIASED_SINGLE, OrderingMode.ADDITIVE, OrderingMode.LEX_SEQUENCE)
 
@@ -79,9 +79,9 @@ def test_same_seed_reproduces_digest_different_seed_does_not():
     b = run_sequential(model, OrderingMode.LEX_SEQUENCE, 11)
     c = run_sequential(model, OrderingMode.LEX_SEQUENCE, 12)
     assert a.digest() == b.digest()
-    assert first_divergence(a, b) is None
+    assert first_divergence(a.canonical_lines(), b.canonical_lines()) is None
     assert a.digest() != c.digest()
-    assert first_divergence(a, c) is not None
+    assert first_divergence(a.canonical_lines(), c.canonical_lines()) is not None
 
 
 @pytest.mark.parametrize("mode", DRAW_MODES)
@@ -165,19 +165,15 @@ def test_tie_pair_model_commits_both_lineages():
     assert len(by_lp[1]) == 1
 
 
-def test_trace_csv_round_trip(tmp_path):
+def test_trace_file_round_trip(tmp_path):
     model = build_model("event-ties", n_lps=4, end_time=3.0, chain_length=2)
     trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, 13)
-    path = tmp_path / "trail.csv"
-    trace.write_csv(path)
-    rows = read_trace_csv(path)
-    assert len(rows) == len(trace.committed)
-    for index, (row, ce) in enumerate(zip(rows, trace.committed)):
-        idx, lp, sig, serial = row
-        assert idx == index
-        assert lp == ce.dest_lp
-        assert sig == ce.signature
-        assert serial == ce.serial
+    path = tmp_path / "trail.txt"
+    trace.write(path)
+    lines = read_trace(path)
+    assert lines == list(trace.canonical_lines())
+    assert len(lines) == len(trace.committed) + len(trace.final_states)
+    assert digest_lines(lines) == trace.digest()
 
 
 def test_summary_reports_digest_and_finals(tmp_path):

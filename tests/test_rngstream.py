@@ -8,14 +8,27 @@ import pytest
 from scipy import stats
 
 from tiewarp.rngstream import (
+    _GAMMA,
+    _MASK64,
+    _MIX1,
+    _MIX2,
     DrawStream,
     Purpose,
     derive_stream_key,
     draw_at,
-    draws_array,
     mix64,
     to_unit_interval,
 )
+
+
+def draws_array(key: int, start: int, count: int) -> np.ndarray:
+    """Vectorized draw_at over indices [start, start+count), for the
+    statistical tests. Bit-identical to the scalar path."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.uint64(key & _MASK64) + idx * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 def test_mix64_is_injective_on_sample():

@@ -1,12 +1,7 @@
 """Trace and event plumbing: match keys, digests, canonical lines."""
 
 from tiewarp.timebase import TimeSignature
-from tiewarp.trace import (
-    Event,
-    Trace,
-    first_divergence,
-    first_divergence_rows,
-)
+from tiewarp.trace import Event, Trace, first_divergence
 
 
 def make_event(serial=0, tb=(5,), payload=7, depth=0, parent=None):
@@ -65,7 +60,7 @@ def test_digest_ignores_creating_pe():
     a = Trace(committed=[committed(0, 0, 1.0, (3,), pe=0)])
     b = Trace(committed=[committed(0, 0, 1.0, (3,), pe=2)])
     assert a.digest() == b.digest()
-    assert first_divergence(a, b) is None
+    assert first_divergence(a.canonical_lines(), b.canonical_lines()) is None
 
 
 def test_canonical_line_format():
@@ -80,20 +75,12 @@ def test_canonical_line_format():
 
 def test_first_divergence_positions():
     base = [committed(0, 0, 1.0, (3,)), committed(1, 0, 1.0, (5,))]
-    a = Trace(committed=list(base))
-    assert first_divergence(a, Trace(committed=list(base))) is None
-    swapped = Trace(committed=[base[1], base[0]])
+    a = list(Trace(committed=list(base)).canonical_lines())
+    assert first_divergence(a, Trace(committed=list(base)).canonical_lines()) is None
+    swapped = Trace(committed=[base[1], base[0]]).canonical_lines()
     assert first_divergence(a, swapped) == 0
-    shorter = Trace(committed=base[:1])
+    shorter = Trace(committed=base[:1]).canonical_lines()
     assert first_divergence(a, shorter) == 1
-    # same commits, different final states
-    richer = Trace(committed=list(base), final_states={0: 2.0})
-    assert first_divergence(a, richer) == -1
-
-
-def test_first_divergence_rows_mirrors_trace_rule():
-    rows_a = [(0, 1, TimeSignature(1.0, (2,)), 0), (1, 2, TimeSignature(1.0, (9,)), 1)]
-    rows_b = [rows_a[0], (1, 2, TimeSignature(1.0, (8,)), 1)]
-    assert first_divergence_rows(rows_a, rows_a) is None
-    assert first_divergence_rows(rows_a, rows_b) == 1
-    assert first_divergence_rows(rows_a, rows_a[:1]) == 1
+    # same commits, different final states: the first state line
+    richer = Trace(committed=list(base), final_states={0: 2.0}).canonical_lines()
+    assert first_divergence(a, richer) == 2
