@@ -12,11 +12,15 @@ is bit-identical to the sequential kernel's, for every worker count and
 every chaos seed. PEs process optimistically, roll back on stragglers,
 cancel speculative sends with anti-messages, and commit only below GVT, the
 global minimum signature still reachable by any pending or in-flight event.
+An error raised while an event is processed speculatively (by the model's
+handler or by building a child) is recorded on that event's history entry
+and raised only when the entry commits, so the run fails exactly when and
+how the sequential run does.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -49,20 +53,36 @@ class ProcessedEntry:
     Pre-images cover every mutation processing makes: the destination LP's
     state, both stream cursors, and its serial counter (emits are sourced
     from the LP that handled the event, so all four live on one LP).
+    ``match`` is the event's match key, computed when it arrived at the PE.
+    ``local_children`` holds ``(child, match key)`` pairs. ``fault`` is the
+    exception processing raised, or None; a faulted entry changed nothing
+    and sent nothing, and raises its fault when it commits.
     """
 
-    __slots__ = ("event", "pre_state", "pre_tb_cursor", "pre_model_cursor",
-                 "pre_serial", "local_children", "remote_children")
+    __slots__ = ("event", "match", "pre_state", "pre_tb_cursor",
+                 "pre_model_cursor", "pre_serial", "local_children",
+                 "remote_children", "fault")
 
-    def __init__(self, event, pre_state, pre_tb_cursor, pre_model_cursor,
-                 pre_serial, local_children, remote_children):
+    def __init__(self, event, match, pre_state, pre_tb_cursor, pre_model_cursor,
+                 pre_serial, local_children, remote_children, fault=None):
         self.event = event
+        self.match = match
         self.pre_state = pre_state
         self.pre_tb_cursor = pre_tb_cursor
         self.pre_model_cursor = pre_model_cursor
         self.pre_serial = pre_serial
         self.local_children = local_children
         self.remote_children = remote_children
+        self.fault = fault
+
+
+def _decrement(counts: dict, key) -> None:
+    """Take one from a positive count, deleting the entry when it reaches 0."""
+    n = counts[key] - 1
+    if n:
+        counts[key] = n
+    else:
+        del counts[key]
 
 
 class Transport:
@@ -83,10 +103,6 @@ class Transport:
         self.in_flight += 1
         self.total_sent += 1
 
-    def has_due(self, pe_id: int, now: int) -> bool:
-        box = self.inboxes[pe_id]
-        return bool(box) and box[0][0] <= now
-
     def deliver_due(self, pe_id: int, now: int) -> list[Event]:
         box = self.inboxes[pe_id]
         out = []
@@ -105,10 +121,14 @@ class Transport:
 class PeRuntime:
     """One processing element: its LPs, pending heap, and processed history.
 
-    Annihilation is count-based and lazy. ``pending_counts`` tracks copies of
-    each event identity in the heap, ``kill_marks`` how many of those are
-    condemned; condemned copies are skipped at pop time. ``stash`` holds
-    anti-messages that arrived before their positive twin.
+    Annihilation is count-based and lazy, keyed by match key. Each event's
+    match key is computed once, when the event arrives at this PE, and
+    travels with it through the pending heap (entries ``(key, seq, event,
+    match)``) and the processed history. ``pending_counts`` tracks copies of
+    each event in the heap, ``kill_marks`` how many of those are condemned;
+    condemned copies are skipped at pop time. ``stash`` holds anti-messages
+    that arrived before their positive twin. These counts, and
+    ``processed_ids``, are plain dicts that never hold a zero.
     """
 
     def __init__(self, pe_id: int, kernel: "OptimisticKernel"):
@@ -117,15 +137,15 @@ class PeRuntime:
         self.lps = {}
         self.pending: list = []
         self.push_seq = 0
-        self.pending_counts: Counter = Counter()
-        self.kill_marks: Counter = Counter()
-        self.stash: Counter = Counter()
+        self.pending_counts: dict = {}
+        self.kill_marks: dict = {}
+        self.stash: dict = {}
         self.stash_keys: dict = {}
         self.processed: deque = deque()
-        self.processed_ids: Counter = Counter()
+        self.processed_ids: dict = {}
         self.clock_key = None
         self.fossil_count = 0
-        self.rollback_counts: Counter = Counter()
+        self.rollback_counts: dict = {}
         self.total_processed = 0
         self.stragglers = 0
         self.rollbacks = 0
@@ -134,53 +154,54 @@ class PeRuntime:
 
     # -- queue plumbing ----------------------------------------------------
 
-    def enqueue_positive(self, ev: Event) -> None:
-        m = ev.match_key()
-        if self.stash[m] > 0:
-            self.stash[m] -= 1
-            if self.stash[m] == 0:
-                del self.stash[m]
-                self.stash_keys.pop(m, None)
+    def enqueue_positive(self, ev: Event, m: tuple) -> None:
+        stash = self.stash
+        if m in stash:
+            _decrement(stash, m)
+            if m not in stash:
+                del self.stash_keys[m]
             self.kernel.annihilations += 1
             return
-        heappush(self.pending, (ev.key, self.push_seq, ev))
+        heappush(self.pending, (ev.key, self.push_seq, ev, m))
         self.push_seq += 1
-        self.pending_counts[m] += 1
+        counts = self.pending_counts
+        counts[m] = counts.get(m, 0) + 1
 
-    def pop_live(self) -> Event | None:
-        while self.pending:
-            ev = heappop(self.pending)[2]
-            m = ev.match_key()
-            self.pending_counts[m] -= 1
-            if self.pending_counts[m] == 0:
-                del self.pending_counts[m]
-            if self.kill_marks[m] > 0:
-                self.kill_marks[m] -= 1
-                if self.kill_marks[m] == 0:
-                    del self.kill_marks[m]
+    def pop_live(self) -> tuple | None:
+        """The next live pending ``(event, match key)``, or None."""
+        pending, kill_marks = self.pending, self.kill_marks
+        while pending:
+            _, _, ev, m = heappop(pending)
+            _decrement(self.pending_counts, m)
+            if m in kill_marks:
+                _decrement(kill_marks, m)
                 continue
-            return ev
+            return ev, m
         return None
 
-    def has_work(self, now: int) -> bool:
-        return bool(self.pending) or self.kernel.transport.has_due(self.pe_id, now)
+    def _condemn(self, m: tuple) -> bool:
+        """Mark one live pending copy of ``m`` dead; False if there is none."""
+        kills = self.kill_marks.get(m, 0)
+        if self.pending_counts.get(m, 0) > kills:
+            self.kill_marks[m] = kills + 1
+            return True
+        return False
 
     # -- anti-message handling ----------------------------------------------
 
     def receive_anti(self, anti: Event, now: int) -> None:
         m = anti.match_key()
-        if self.pending_counts[m] - self.kill_marks[m] > 0:
-            self.kill_marks[m] += 1
+        if self._condemn(m):
             self.kernel.annihilations += 1
-        elif self.processed_ids[m] > 0:
+        elif m in self.processed_ids:
             # The twin already executed speculatively: rewind through it,
             # which re-enqueues it, then condemn the re-enqueued copy.
             self._count_rollback(anti)
             self.rollback_through(m, now)
-            self.kill_marks[m] += 1
+            self.kill_marks[m] = self.kill_marks.get(m, 0) + 1
             self.kernel.annihilations += 1
         else:
-            self.stash[m] += 1
+            self.stash[m] = self.stash.get(m, 0) + 1
             self.stash_keys[m] = anti.key
 
     # -- rollback -----------------------------------------------------------
@@ -191,7 +212,7 @@ class PeRuntime:
         # not cause.key: in mode NONE that is the bare timestamp, which would
         # merge distinct events into one count
         cause_id = (sig.timestamp, sig.tiebreak, cause.source_lp, cause.serial)
-        count = self.rollback_counts[cause_id] + 1
+        count = self.rollback_counts.get(cause_id, 0) + 1
         self.rollback_counts[cause_id] = count
         if count > self.kernel.livelock_bound:
             tag = f"{format_signature(sig)}/{cause.source_lp}#{cause.serial}"
@@ -200,34 +221,35 @@ class PeRuntime:
                 f"for the same event {tag}; the ordering scheme is not making "
                 f"progress", signature=tag, count=count)
 
-    def _undo(self, entry: ProcessedEntry, now: int, in_hand: Event | None) -> bool:
-        """Reverse one processed event; True if it condemned the in-hand event."""
+    def _undo(self, entry: ProcessedEntry, now: int, in_hand: tuple | None) -> bool:
+        """Reverse one processed event; True if it condemned the in-hand event.
+
+        ``in_hand`` is the match key of the popped event being processed, or
+        None.
+        """
         ev = entry.event
         rt = self.lps[ev.dest_lp]
         rt.state = entry.pre_state
         rt.tiebreak_stream.restore(entry.pre_tb_cursor)
         rt.model_stream.restore(entry.pre_model_cursor)
         rt.serial = entry.pre_serial
-        self.processed_ids[ev.match_key()] -= 1
+        _decrement(self.processed_ids, entry.match)
         self.rolled_back_events += 1
         killed_in_hand = False
-        for child in entry.local_children:
-            cm = child.match_key()
-            if in_hand is not None and not killed_in_hand and cm == in_hand.match_key():
+        for child, cm in entry.local_children:
+            if not killed_in_hand and cm == in_hand:
                 killed_in_hand = True
-            elif self.pending_counts[cm] - self.kill_marks[cm] > 0:
-                self.kill_marks[cm] += 1
-            else:
+            elif not self._condemn(cm):
                 raise UnmatchedAntiMessage(
                     f"local child {child!r} vanished before its parent's rollback")
         for dest_pe, child in entry.remote_children:
             self.kernel.transport.send(dest_pe, child.as_anti(), now)
             self.antis_sent += 1
         # the undone event itself goes back to pending for re-execution
-        self.enqueue_positive(ev)
+        self.enqueue_positive(ev, entry.match)
         return killed_in_hand
 
-    def rollback_past(self, boundary_key, now: int, in_hand: Event | None) -> bool:
+    def rollback_past(self, boundary_key, now: int, in_hand: tuple | None) -> bool:
         """Straggler rollback: undo every entry the straggler must precede.
 
         In draw-based and biased modes that is every entry strictly above the
@@ -252,7 +274,7 @@ class PeRuntime:
         """Anti-message rollback: undo back through the latest matching twin."""
         while self.processed:
             entry = self.processed.pop()
-            hit = entry.event.match_key() == match_key
+            hit = entry.match == match_key
             self._undo(entry, now, None)
             if hit:
                 break
@@ -270,43 +292,57 @@ class PeRuntime:
             if msg.anti:
                 self.receive_anti(msg, now)
             else:
-                self.enqueue_positive(msg)
-        ev = self.pop_live()
-        if ev is None:
+                self.enqueue_positive(msg, msg.match_key())
+        popped = self.pop_live()
+        if popped is None:
             return bool(delivered)
+        ev, m = popped
         if self.is_straggler(ev.key):
             self.stragglers += 1
             self._count_rollback(ev)
-            if self.rollback_past(ev.key, now, ev):
+            if self.rollback_past(ev.key, now, m):
                 # the straggler was a speculative child of an undone event
                 return True
-        self._process(ev, now)
+        self._process(ev, m, now)
         return True
 
-    def _process(self, ev: Event, now: int) -> None:
+    def _process(self, ev: Event, m: tuple, now: int) -> None:
         kernel = self.kernel
         rt = self.lps[ev.dest_lp]
         pre = (rt.state, rt.tiebreak_stream.snapshot(),
                rt.model_stream.snapshot(), rt.serial)
-        new_state, emits = kernel.model.handle(rt.state, ev, rt.model_stream)
-        rt.state = new_state
-        local_children: list[Event] = []
+        local_children: list[tuple[Event, tuple]] = []
         remote_children: list[tuple[int, Event]] = []
-        for emit in emits:
-            child = build_event(rt, ev, emit, kernel.mode, kernel.seq_cap,
-                                kernel.naive)
-            if child.signature.timestamp > kernel.end_time:
-                continue
-            dest_pe = kernel.pe_of_lp(child.dest_lp)
-            if dest_pe == self.pe_id:
-                self.enqueue_positive(child)
-                local_children.append(child)
-            else:
-                kernel.transport.send(dest_pe, child, now)
-                remote_children.append((dest_pe, child))
-        self.processed.append(ProcessedEntry(ev, *pre,
-                                             local_children, remote_children))
-        self.processed_ids[ev.match_key()] += 1
+        fault = None
+        try:
+            new_state, emits = kernel.model.handle(rt.state, ev, rt.model_stream)
+            # every child is built before any is sent, so a fault sends nothing
+            children = [build_event(rt, ev, emit, kernel.mode, kernel.seq_cap,
+                                    kernel.naive) for emit in emits]
+        except Exception as exc:
+            # Speculation may reach states the sequential order never does:
+            # keep the fault for commit time and leave the LP untouched.
+            fault = exc
+            _, tb_cursor, model_cursor, rt.serial = pre
+            rt.tiebreak_stream.restore(tb_cursor)
+            rt.model_stream.restore(model_cursor)
+        else:
+            rt.state = new_state
+            for child in children:
+                if child.signature.timestamp > kernel.end_time:
+                    continue
+                dest_pe = kernel.pe_of_lp(child.dest_lp)
+                if dest_pe == self.pe_id:
+                    cm = child.match_key()
+                    self.enqueue_positive(child, cm)
+                    local_children.append((child, cm))
+                else:
+                    kernel.transport.send(dest_pe, child, now)
+                    remote_children.append((dest_pe, child))
+        self.processed.append(ProcessedEntry(ev, m, *pre, local_children,
+                                             remote_children, fault))
+        ids = self.processed_ids
+        ids[m] = ids.get(m, 0) + 1
         self.clock_key = ev.key
         self.total_processed += 1
         kernel.global_processed += 1
@@ -316,12 +352,12 @@ class PeRuntime:
         out = []
         while self.processed:
             entry = self.processed[0]
-            ev = entry.event
-            if gvt_key is not None and not ev.key < gvt_key:
+            key = entry.event.key
+            if gvt_key is not None and not key < gvt_key:
                 break
             self.processed.popleft()
-            self.processed_ids[ev.match_key()] -= 1
-            out.append((ev.key, self.pe_id, self.fossil_count, ev))
+            _decrement(self.processed_ids, entry.match)
+            out.append((key, self.pe_id, self.fossil_count, entry))
             self.fossil_count += 1
         return out
 
@@ -367,7 +403,7 @@ class OptimisticKernel:
         for ev in seed_initial_events(model, lps, mode, seq_cap):
             if ev.signature.timestamp > self.end_time:
                 continue
-            self.pes[self.pe_of_lp(ev.dest_lp)].enqueue_positive(ev)
+            self.pes[self.pe_of_lp(ev.dest_lp)].enqueue_positive(ev, ev.match_key())
 
     def pe_of_lp(self, lp_id: int) -> int:
         return lp_id % self.n_workers
@@ -383,8 +419,8 @@ class OptimisticKernel:
         """
         keys = self.transport.inflight_keys()
         for pe in self.pes:
-            for key, _, _ in pe.pending:
-                keys.append(key)
+            for entry in pe.pending:
+                keys.append(entry[0])
             keys.extend(pe.stash_keys.values())
         return min(keys) if keys else None
 
@@ -400,11 +436,12 @@ class OptimisticKernel:
             if gvt_key is not None:
                 # every later rollback cause has a key at or above GVT, so a
                 # cause stamped below its timestamp can never count again
-                pe.rollback_counts = Counter(
-                    {cause: n for cause, n in pe.rollback_counts.items()
-                     if cause[0] >= gvt_key[0]})
+                pe.rollback_counts = {cause: n for cause, n
+                                      in pe.rollback_counts.items()
+                                      if cause[0] >= gvt_key[0]}
         batches.sort(key=lambda item: (item[0], item[1], item[2]))
-        for key, _, _, ev in batches:
+        for key, _, _, entry in batches:
+            ev = entry.event
             if self._last_commit_key is not None:
                 if self.mode is OrderingMode.NONE:
                     ok = key[0] >= self._last_commit_key[0]
@@ -415,6 +452,9 @@ class OptimisticKernel:
                         f"commit order regression at "
                         f"{format_signature(ev.signature)}",
                         event=repr(ev), frontier=repr(self._last_commit_key))
+            if entry.fault is not None:
+                # the sequential run raises here too, at the same event
+                raise entry.fault
             self._last_commit_key = key
             committed.append(ev)
         for pe in self.pes:
@@ -429,8 +469,10 @@ class OptimisticKernel:
     def run(self) -> Trace:
         committed: list[Event] = []
         step = 0
+        pes_and_inboxes = list(zip(self.pes, self.transport.inboxes))
         while True:
-            runnable = [pe for pe in self.pes if pe.has_work(step)]
+            runnable = [pe for pe, box in pes_and_inboxes
+                        if pe.pending or (box and box[0][0] <= step)]
             if not runnable:
                 if self.transport.in_flight == 0:
                     break

@@ -83,9 +83,12 @@ class DrawStream:
         return cls(derive_stream_key(global_seed, lp_id, purpose))
 
     def draw(self) -> int:
-        value = draw_at(self.key, self.cursor)
+        # draw_at(self.key, self.cursor), with mix64 inlined: one frame per draw
+        z = (self.key + (self.cursor + 1) * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         self.cursor += 1
-        return value
+        return z ^ (z >> 31)
 
     def uniform(self) -> float:
         return to_unit_interval(self.draw())

@@ -26,7 +26,6 @@ fallback are counted so any residual bias is measurable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import ConfigError, MalformedSignature, SequenceCapExceeded, ZeroOffsetForbidden
 
@@ -64,7 +63,6 @@ class OrderingMode(enum.Enum):
 MODE_NAMES = tuple(mode.value for mode in OrderingMode)
 
 
-@dataclass(frozen=True)
 class TimeSignature:
     """Virtual timestamp plus ordered tie-break draws; the total-order key.
 
@@ -72,16 +70,29 @@ class TimeSignature:
     not consume draws), holds exactly one value in UNBIASED_SINGLE and
     ADDITIVE, and one value per zero-offset ancestor plus one in
     LEX_SEQUENCE.
+
+    Signatures are values: they compare and hash by content, and nothing
+    assigns to one after it is built (events, keys and match keys share it).
     """
 
-    timestamp: float
-    tiebreak: tuple = ()
+    __slots__ = ("timestamp", "tiebreak")
 
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise MalformedSignature(f"negative timestamp {self.timestamp}")
-        object.__setattr__(self, "timestamp", float(self.timestamp))
-        object.__setattr__(self, "tiebreak", tuple(self.tiebreak))
+    def __init__(self, timestamp: float, tiebreak: tuple = ()):
+        if timestamp < 0:
+            raise MalformedSignature(f"negative timestamp {timestamp}")
+        self.timestamp = float(timestamp)
+        self.tiebreak = tuple(tiebreak)
+
+    def __eq__(self, other):
+        if other.__class__ is not TimeSignature:
+            return NotImplemented
+        return self.timestamp == other.timestamp and self.tiebreak == other.tiebreak
+
+    def __hash__(self):
+        return hash((self.timestamp, self.tiebreak))
+
+    def __repr__(self):
+        return f"TimeSignature(timestamp={self.timestamp!r}, tiebreak={self.tiebreak!r})"
 
 
 class ComparatorStats:

@@ -4,13 +4,14 @@ Each small run's sequential outcome, a trace digest or the error it raises,
 is pinned here as computed before the event record was restructured. A
 change that alters any committed line, final state or error for any
 (model, mode) pair fails this file. Draw-based modes must also reproduce
-the pinned digest optimistically at 2 and 8 PEs.
+the pinned digest optimistically at 2 and 8 PEs, with the pinned metrics:
+the same processed, rolled-back and message work under the same schedule.
 """
 
 import pytest
 
 from tiewarp import errors
-from tiewarp.kernel_optimistic import run_optimistic
+from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel
 from tiewarp.kernel_seq import run_sequential
 from tiewarp.models import build_model
 from tiewarp.scenarios import ScriptedModel
@@ -64,6 +65,28 @@ FROZEN = {
         "6b0c7d5af6a2287b7de8b77a6b3154048c52cfc66526a9be453e01b3731ce7a1",
 }
 
+# (model, mode, workers) -> OptimisticKernel.metrics() counters, in the order
+# of METRIC_NAMES, of the chaos-seed-1 run whose digest is pinned above
+METRIC_NAMES = ("processed", "rolled_back", "rollbacks", "stragglers",
+                "antis_sent", "annihilations", "messages_sent", "gvt_rounds")
+PHOLD_METRICS = {2: (87, 17, 8, 8, 4, 4, 27, 1), 8: (131, 61, 33, 18, 24, 24, 78, 1)}
+SCRIPTED_METRICS = (5, 0, 0, 0, 0, 0, 0, 1)
+FROZEN_METRICS = {
+    **{("phold", mode, workers): counts
+       for mode in ("unbiased-single", "additive", "lex")
+       for workers, counts in PHOLD_METRICS.items()},
+    ("event-ties", "additive", 2): (79, 7, 5, 5, 3, 3, 24, 1),
+    ("event-ties", "additive", 8): (87, 15, 11, 8, 5, 5, 38, 1),
+    ("event-ties", "lex", 2): (114, 42, 12, 8, 12, 12, 42, 1),
+    ("event-ties", "lex", 8): (127, 55, 27, 10, 27, 27, 82, 1),
+    ("event-ties-stress", "additive", 2): (84, 21, 12, 8, 16, 16, 56, 1),
+    ("event-ties-stress", "additive", 8): (88, 25, 17, 11, 19, 19, 72, 1),
+    ("event-ties-stress", "lex", 2): (85, 22, 11, 10, 13, 13, 50, 1),
+    ("event-ties-stress", "lex", 8): (97, 34, 20, 13, 30, 30, 93, 1),
+    **{("scripted-pair", mode, workers): SCRIPTED_METRICS
+       for mode in ("additive", "lex") for workers in (2, 8)},
+}
+
 DIGEST_CASES = [case for case, want in FROZEN.items() if not hasattr(errors, want)]
 ERROR_CASES = [case for case, want in FROZEN.items() if hasattr(errors, want)]
 PARALLEL_CASES = [(model, mode) for model, mode in DIGEST_CASES
@@ -90,6 +113,11 @@ def test_sequential_error_is_frozen(model, mode):
 @pytest.mark.parametrize("workers", (2, 8))
 @pytest.mark.parametrize("model,mode", PARALLEL_CASES)
 def test_optimistic_digest_is_frozen(model, mode, workers):
-    trace = run_optimistic(MODELS[model](), OrderingMode.from_name(mode), SEED,
-                           workers, chaos_seed=1)
-    assert trace.digest() == FROZEN[model, mode]
+    kernel = OptimisticKernel(MODELS[model](), OrderingMode.from_name(mode), SEED,
+                              workers, chaos=ChaosConfig(1))
+    assert kernel.run().digest() == FROZEN[model, mode]
+    counts = dict(zip(METRIC_NAMES, FROZEN_METRICS[model, mode, workers]))
+    processed = counts["processed"]
+    efficiency = (processed - counts["rolled_back"]) / processed
+    assert kernel.metrics() == {"workers": workers, **counts,
+                                "efficiency": efficiency}

@@ -3,15 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tiewarp.errors import ConfigError, LivelockDetected
+from tiewarp.errors import ConfigError, LivelockDetected, SequenceCapExceeded
 from tiewarp.harness import audit_trace
 from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel, run_optimistic
 from tiewarp.kernel_seq import run_sequential
 from tiewarp.models import Emit, EventTiesConfig, EventTiesModel, build_model
 from tiewarp.scenarios import ScriptedModel, committed_names, SCRIPT_LEX_ORDER
 from tiewarp.timebase import OrderingMode
-from tiewarp.trace import first_divergence
+from tiewarp.trace import Event, first_divergence
 
 # tie-heavy configuration that provokes hundreds of rollbacks (measured:
 # >50 rollbacks and >60 annihilations at 4 workers, chaos seed 0)
@@ -260,3 +262,128 @@ def test_unhashable_payloads_are_rejected_in_both_kernels():
         run_sequential(model, OrderingMode.LEX_SEQUENCE, 1)
     with pytest.raises(ConfigError, match=r"LP 0 .*payload of type list"):
         run_optimistic(model, OrderingMode.LEX_SEQUENCE, 1, 4)
+
+
+def test_match_key_is_computed_once_per_arrival(monkeypatch):
+    # an event's match key is built where it enters a PE (seed, delivered
+    # message, local child) and then travels with it
+    calls = 0
+    original = Event.match_key
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return original(self)
+
+    monkeypatch.setattr(Event, "match_key", counting)
+    model = build_model("event-ties", n_lps=32, end_time=4.0, chain_length=2)
+    kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 8)
+    kernel.run()
+    m = kernel.metrics()
+    assert m["rollbacks"] > 10
+    assert 0 < calls <= m["processed"] + m["messages_sent"] + model.n_lps
+
+
+class StateZeroOffsetTies(EventTiesModel):
+    """event-ties whose chains continue at zero offset on a state condition.
+
+    A child is zero-offset exactly when the LP's new mean has an integer
+    part divisible by 3, so how long a zero-offset chain grows, and whether
+    it outgrows a small sequence cap, depends on the order in which LPs saw
+    their events. Speculative orders reach chains the sequential run never
+    builds.
+    """
+
+    def handle(self, state, event, stream):
+        new_state, emits = super().handle(state, event, stream)
+        offset = 0.0 if int(new_state.mean_val) % 3 == 0 else 1.0
+        return new_state, [Emit(e.dest_lp, offset, e.payload) for e in emits]
+
+
+class ModelFault(Exception):
+    pass
+
+
+class StateFaultTies(StateZeroOffsetTies):
+    """The same chains, but the handler itself raises where a chain would
+    grow past three draws, naming the event it was handling."""
+
+    def handle(self, state, event, stream):
+        new_state, emits = super().handle(state, event, stream)
+        if event.zero_offset_depth >= 2 and emits[0].offset == 0.0:
+            raise ModelFault(f"chain too deep at {event!r}")
+        return new_state, emits
+
+
+FAULT_CASES = ((StateZeroOffsetTies, SequenceCapExceeded),
+               (StateFaultTies, ModelFault))
+FAULT_CONFIG = EventTiesConfig(n_lps=8, remote_prob=0.7, end_time=4)
+# the seeds in 0..39 whose sequential run completes with sequence cap 3
+COMPLETING_SEEDS = (0, 14, 17, 24, 27, 29, 35, 39)
+
+
+@pytest.mark.parametrize("model_class", (StateZeroOffsetTies, StateFaultTies))
+def test_speculative_faults_are_contained(model_class):
+    # a fault raised by a speculative order that the sequential run never
+    # takes is rolled back with its event instead of ending the run
+    model = model_class(FAULT_CONFIG)
+    for seed in COMPLETING_SEEDS:
+        ref = run_sequential(model, OrderingMode.LEX_SEQUENCE, seed,
+                             seq_cap=3).digest()
+        for chaos in range(3):
+            opt = run_optimistic(model, OrderingMode.LEX_SEQUENCE, seed, 4,
+                                 chaos_seed=chaos, seq_cap=3)
+            assert opt.digest() == ref, (seed, chaos)
+
+
+@pytest.mark.parametrize("model_class,error", FAULT_CASES)
+def test_committed_faults_raise_the_sequential_error(model_class, error):
+    model = model_class(FAULT_CONFIG)
+    seed = 1  # not completing: the sequential run raises
+    with pytest.raises(error) as seq:
+        run_sequential(model, OrderingMode.LEX_SEQUENCE, seed, seq_cap=3)
+    for chaos in range(3):
+        with pytest.raises(error) as opt:
+            run_optimistic(model, OrderingMode.LEX_SEQUENCE, seed, 4,
+                           chaos_seed=chaos, seq_cap=3)
+        assert str(opt.value) == str(seq.value)
+
+
+def build_fuzz_model(name, n_lps, end_time, remote_prob):
+    if name == "phold":
+        return build_model(name, n_lps=n_lps, end_time=float(end_time),
+                           remote_prob=remote_prob)
+    if name == "event-ties-stress":
+        return build_model(name, n_lps=n_lps, end_time=end_time, height=2,
+                           arity=2, remote_prob=remote_prob)
+    config = EventTiesConfig(n_lps=n_lps, end_time=end_time, chain_length=3,
+                             remote_prob=remote_prob)
+    classes = {"event-ties": EventTiesModel, "state-zero-offset": StateZeroOffsetTies,
+               "state-fault": StateFaultTies}
+    return classes[name](config)
+
+
+def outcome(run):
+    """A run's digest, or the type and text of the error it raised."""
+    try:
+        return run().digest()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(("phold", "event-ties", "event-ties-stress",
+                             "state-zero-offset", "state-fault")),
+       n_lps=st.integers(1, 16), end_time=st.integers(1, 4),
+       remote_prob=st.sampled_from((0.0, 0.3, 0.7, 1.0)),
+       mode=st.sampled_from((OrderingMode.UNBIASED_SINGLE, OrderingMode.ADDITIVE,
+                             OrderingMode.LEX_SEQUENCE)),
+       seq_cap=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       workers=st.integers(2, 8), chaos=st.integers(0, 3))
+def test_differential_outcome_matches_sequential(name, n_lps, end_time, remote_prob,
+                                                 mode, seq_cap, seed, workers, chaos):
+    model = build_fuzz_model(name, n_lps, end_time, remote_prob)
+    ref = outcome(lambda: run_sequential(model, mode, seed, seq_cap=seq_cap))
+    opt = outcome(lambda: run_optimistic(model, mode, seed, workers,
+                                         chaos_seed=chaos, seq_cap=seq_cap))
+    assert opt == ref

@@ -74,6 +74,14 @@ def test_signature_validation():
         TimeSignature(-0.25)
     # lists are coerced to tuples so signatures stay hashable
     assert TimeSignature(0.0, [1, 2]).tiebreak == (1, 2)
+    # signatures are values: equal content, equal signature and hash
+    same = TimeSignature(1.5, [3, 4])
+    assert same == sig and hash(same) == hash(sig)
+    assert TimeSignature(2, (5,)) == TimeSignature(2.0, (5,))
+    assert sig != TimeSignature(1.5, (3,)) and sig != TimeSignature(2.5, (3, 4))
+    assert sig != (1.5, (3, 4))
+    assert {sig, TimeSignature(1.5, (3, 4)), TimeSignature(1.5)} == {sig, TimeSignature(1.5)}
+    assert repr(sig) == "TimeSignature(timestamp=1.5, tiebreak=(3, 4))"
 
 
 def test_timestamp_dominates_tiebreak():
