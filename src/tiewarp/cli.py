@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import (
@@ -35,27 +36,13 @@ from .models import MODEL_NAMES
 from .timebase import MODE_NAMES
 from .trace import digest_lines, first_divergence, read_trace
 
-RUN_DEFAULTS = {
-    "model": "phold",
-    "mode": "lex",
-    "lps": 4,
-    "remote_prob": None,
-    "chain": None,
-    "height": None,
-    "arity": None,
-    "coupled": False,
-    "mean_offset": None,
-    "end": 10.0,
-    "seed": 1,
-    "workers": 1,
-    "chaos_seed": 0,
-    "max_delay": 4,
-    "gvt_interval": 4096,
-    "seq_cap": 64,
-    "naive": False,
-    "trace_out": None,
-    "summary_out": None,
-}
+RUN_FIELDS = tuple(f.name for f in fields(RunSpec))
+# config keys and flags spelled differently from their RunSpec field
+FIELD_OF_KEY = {"lps": "n_lps", "end": "end_time", "chain": "chain_length"}
+_KEY_OF_FIELD = {field: key for key, field in FIELD_OF_KEY.items()}
+# run options that are output paths, not part of the spec
+OUTPUT_KEYS = ("trace_out", "summary_out")
+CONFIG_KEYS = tuple(_KEY_OF_FIELD.get(name, name) for name in RUN_FIELDS) + OUTPUT_KEYS
 
 
 def _parse_scalar(text: str):
@@ -102,7 +89,7 @@ def load_config(path: str) -> dict:
             if not sep:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value'")
             data[key.strip().replace("-", "_")] = _parse_scalar(value)
-    unknown = set(data) - set(RUN_DEFAULTS)
+    unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {sorted(unknown)}")
     return data
@@ -114,16 +101,18 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file (JSON or key = value)")
     parser.add_argument("--model", choices=MODEL_NAMES)
     parser.add_argument("--mode", choices=MODE_NAMES)
-    parser.add_argument("--lps", type=int, help="number of LPs")
+    parser.add_argument("--lps", type=int, dest="n_lps", help="number of LPs")
     parser.add_argument("--remote-prob", type=float, dest="remote_prob")
-    parser.add_argument("--chain", type=int, help="event-ties chain length")
+    parser.add_argument("--chain", type=int, dest="chain_length",
+                        help="event-ties chain length")
     parser.add_argument("--height", type=int, help="stress tree height")
     parser.add_argument("--arity", type=int, help="stress tree arity")
     parser.add_argument("--coupled", action="store_const", const=True,
                         help="route event-ties remotes by LP state")
     parser.add_argument("--mean-offset", type=float, dest="mean_offset",
                         help="phold mean exponential offset")
-    parser.add_argument("--end", type=float, help="simulation end time")
+    parser.add_argument("--end", type=float, dest="end_time",
+                        help="simulation end time")
     parser.add_argument("--seed", type=int, help="global seed")
     parser.add_argument("--workers", type=int, help="PE count; 1 = sequential")
     parser.add_argument("--chaos-seed", type=int, dest="chaos_seed",
@@ -144,42 +133,26 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="write run summary JSON here")
 
 
-def _merge_run_options(args: argparse.Namespace) -> dict:
-    merged = dict(RUN_DEFAULTS)
+def _run_options(args: argparse.Namespace) -> tuple[RunSpec, dict]:
+    """The run's spec and output paths.
+
+    Values come from RunSpec's defaults, then the config file, then the
+    flags the user typed.
+    """
+    opts = {}
     if args.config:
-        merged.update(load_config(args.config))
-    for key in RUN_DEFAULTS:
-        value = getattr(args, key, None)
+        opts = {FIELD_OF_KEY.get(key, key): value
+                for key, value in load_config(args.config).items()}
+    for name in RUN_FIELDS + OUTPUT_KEYS:
+        value = getattr(args, name, None)
         if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _spec_from_options(opts: dict) -> RunSpec:
-    return RunSpec(
-        model=opts["model"],
-        mode=opts["mode"],
-        n_lps=opts["lps"],
-        end_time=opts["end"],
-        seed=opts["seed"],
-        remote_prob=opts["remote_prob"],
-        chain_length=opts["chain"],
-        height=opts["height"],
-        arity=opts["arity"],
-        coupled=bool(opts["coupled"]),
-        mean_offset=opts["mean_offset"],
-        workers=opts["workers"],
-        chaos_seed=opts["chaos_seed"],
-        max_delay=opts["max_delay"],
-        gvt_interval=opts["gvt_interval"],
-        seq_cap=opts["seq_cap"],
-        naive=bool(opts["naive"]),
-    )
+            opts[name] = value
+    outputs = {key: opts.pop(key, None) for key in OUTPUT_KEYS}
+    return RunSpec(**opts), outputs
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    opts = _merge_run_options(args)
-    spec = _spec_from_options(opts)
+    spec, outputs = _run_options(args)
     trace, metrics = execute(spec)
     print(f"model={spec.model} mode={spec.mode} lps={spec.n_lps} "
           f"end={spec.end_time:g} seed={spec.seed} workers={spec.workers} "
@@ -191,12 +164,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"rolled back events: {metrics['rolled_back']}  "
               f"anti-messages: {metrics['antis_sent']}  "
               f"efficiency: {metrics['efficiency']:.3f}")
-    if opts["trace_out"]:
-        trace.write(opts["trace_out"])
-        print(f"trace written: {opts['trace_out']}")
-    if opts["summary_out"]:
-        trace.write_summary(opts["summary_out"], metrics)
-        print(f"summary written: {opts['summary_out']}")
+    if outputs["trace_out"]:
+        trace.write(outputs["trace_out"])
+        print(f"trace written: {outputs['trace_out']}")
+    if outputs["summary_out"]:
+        trace.write_summary(outputs["summary_out"], metrics)
+        print(f"summary written: {outputs['summary_out']}")
     return 0
 
 
@@ -211,8 +184,7 @@ def _parse_int_list(text: str, flag: str) -> tuple:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    opts = _merge_run_options(args)
-    spec = _spec_from_options(opts)
+    spec, _ = _run_options(args)
     workers = _parse_int_list(args.workers_list, "--workers-list")
     chaos_seeds = _parse_int_list(args.chaos_seeds, "--chaos-seeds")
     if args.repeats < 1:
@@ -259,8 +231,7 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    opts = _merge_run_options(args)
-    spec = _spec_from_options(opts)
+    spec, _ = _run_options(args)
     result = benchmark_sequential(spec)
     print(f"mode={result['mode']} events={result['events']} "
           f"seconds={result['seconds']:.3f} "

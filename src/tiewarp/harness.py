@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from .errors import CausalityViolation, ConfigError, InsufficientSamples, LivelockDetected
 from .kernel_optimistic import (
@@ -22,7 +22,7 @@ from .kernel_optimistic import (
     OptimisticKernel,
 )
 from .kernel_seq import run_sequential
-from .models import MODEL_NAMES, build_model
+from .models import build_model, model_classes
 from .scenarios import TiePairModel
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
 from .trace import Trace
@@ -33,10 +33,14 @@ FAIRNESS_SCHEMA = "tiewarp.fairness/1"
 
 @dataclass
 class RunSpec:
-    """Flat, serializable description of one simulation run."""
+    """Flat, serializable description of one simulation run.
 
-    model: str
-    mode: str
+    The single declaration of every run parameter and its default. A model
+    parameter left None takes its default from the model's config class.
+    """
+
+    model: str = "phold"
+    mode: str = "lex"
     n_lps: int = 4
     end_time: float = 10.0
     seed: int = 1
@@ -54,30 +58,16 @@ class RunSpec:
     naive: bool = False
 
     def model_params(self) -> dict:
-        params = {"n_lps": self.n_lps, "end_time": self.end_time}
-        if self.remote_prob is not None:
-            params["remote_prob"] = self.remote_prob
-        if self.model == "event-ties":
-            if self.chain_length is not None:
-                params["chain_length"] = self.chain_length
-            params["coupled"] = self.coupled
-        elif self.model == "event-ties-stress":
-            if self.height is not None:
-                params["height"] = self.height
-            if self.arity is not None:
-                params["arity"] = self.arity
-        elif self.model == "phold":
-            if self.mean_offset is not None:
-                params["mean_offset"] = self.mean_offset
-        return params
+        """This spec's non-None values for the fields the model's config declares."""
+        _, config_class = model_classes(self.model)
+        return {f.name: getattr(self, f.name) for f in fields(config_class)
+                if getattr(self, f.name, None) is not None}
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 def build_run(spec: RunSpec):
-    if spec.model not in MODEL_NAMES:
-        raise ConfigError(f"unknown model {spec.model!r}; expected one of {MODEL_NAMES}")
     model = build_model(spec.model, **spec.model_params())
     mode = OrderingMode.from_name(spec.mode)
     if spec.naive and mode is not OrderingMode.UNBIASED_SINGLE:
@@ -85,13 +75,12 @@ def build_run(spec: RunSpec):
     return model, mode
 
 
-def execute(spec: RunSpec, force_optimistic: bool = False,
-            collect_trace: bool = True):
+def execute(spec: RunSpec, force_optimistic: bool = False):
     """Run the spec; returns (trace, metrics or None for sequential runs)."""
     model, mode = build_run(spec)
     if spec.workers == 1 and not force_optimistic:
         trace = run_sequential(model, mode, spec.seed, seq_cap=spec.seq_cap,
-                               naive=spec.naive, collect_trace=collect_trace)
+                               naive=spec.naive)
         return trace, None
     kernel = OptimisticKernel(
         model, mode, spec.seed, spec.workers,

@@ -33,7 +33,8 @@ from .trace import Event, Trace
 
 DEFAULT_GVT_INTERVAL = 4096
 DEFAULT_MAX_DELAY = 4
-DEFAULT_LIVELOCK_BOUND = 64
+# rollbacks one PE may take for the same cause before LivelockDetected
+LIVELOCK_BOUND = 64
 
 # lp-id salt so the chaos stream can never collide with a simulation stream
 _CHAOS_SALT = 0x51ED0C4A05
@@ -144,7 +145,6 @@ class PeRuntime:
         self.processed: deque = deque()
         self.processed_ids: dict = {}
         self.clock_key = None
-        self.fossil_count = 0
         self.rollback_counts: dict = {}
         self.total_processed = 0
         self.stragglers = 0
@@ -214,7 +214,7 @@ class PeRuntime:
         cause_id = (sig.timestamp, sig.tiebreak, cause.source_lp, cause.serial)
         count = self.rollback_counts.get(cause_id, 0) + 1
         self.rollback_counts[cause_id] = count
-        if count > self.kernel.livelock_bound:
+        if count > LIVELOCK_BOUND:
             tag = f"{format_signature(sig)}/{cause.source_lp}#{cause.serial}"
             raise LivelockDetected(
                 f"PE {self.pe_id} rolled back {count} times "
@@ -235,6 +235,8 @@ class PeRuntime:
         rt.serial = entry.pre_serial
         _decrement(self.processed_ids, entry.match)
         self.rolled_back_events += 1
+        if entry.fault is not None:
+            self.kernel.live_faults -= 1
         killed_in_hand = False
         for child, cm in entry.local_children:
             if not killed_in_hand and cm == in_hand:
@@ -323,6 +325,7 @@ class PeRuntime:
             # Speculation may reach states the sequential order never does:
             # keep the fault for commit time and leave the LP untouched.
             fault = exc
+            kernel.live_faults += 1
             _, tb_cursor, model_cursor, rt.serial = pre
             rt.tiebreak_stream.restore(tb_cursor)
             rt.model_stream.restore(model_cursor)
@@ -347,18 +350,16 @@ class PeRuntime:
         self.total_processed += 1
         kernel.global_processed += 1
 
-    def collect_fossils(self, gvt_key) -> list[tuple]:
+    def collect_fossils(self, gvt_key) -> list[ProcessedEntry]:
         """Detach committed-safe entries (key strictly below GVT) in order."""
         out = []
         while self.processed:
             entry = self.processed[0]
-            key = entry.event.key
-            if gvt_key is not None and not key < gvt_key:
+            if gvt_key is not None and not entry.event.key < gvt_key:
                 break
             self.processed.popleft()
             _decrement(self.processed_ids, entry.match)
-            out.append((key, self.pe_id, self.fossil_count, entry))
-            self.fossil_count += 1
+            out.append(entry)
         return out
 
 
@@ -368,8 +369,7 @@ class OptimisticKernel:
     def __init__(self, model, mode: OrderingMode, global_seed: int,
                  n_workers: int, chaos: ChaosConfig | None = None,
                  gvt_interval: int = DEFAULT_GVT_INTERVAL,
-                 seq_cap: int = DEFAULT_SEQUENCE_CAP, naive: bool = False,
-                 livelock_bound: int = DEFAULT_LIVELOCK_BOUND):
+                 seq_cap: int = DEFAULT_SEQUENCE_CAP, naive: bool = False):
         if n_workers < 1:
             raise ConfigError("n_workers must be >= 1")
         if gvt_interval < 1:
@@ -385,7 +385,6 @@ class OptimisticKernel:
         self.gvt_interval = gvt_interval
         self.seq_cap = seq_cap
         self.naive = naive
-        self.livelock_bound = livelock_bound
         self.end_time = model.end_time
         self.chaos = DrawStream(derive_stream_key(chaos.chaos_seed, _CHAOS_SALT,
                                                   Purpose.MODEL))
@@ -398,6 +397,9 @@ class OptimisticKernel:
         self.global_processed = 0
         self.annihilations = 0
         self.gvt_rounds = 0
+        # faulted history entries not rolled back; while any is live, GVT
+        # rounds run after every step so a fault raises as soon as it commits
+        self.live_faults = 0
         self._last_gvt_mark = 0
         self._last_commit_key = None
         for ev in seed_initial_events(model, lps, mode, seq_cap):
@@ -439,9 +441,11 @@ class OptimisticKernel:
                 pe.rollback_counts = {cause: n for cause, n
                                       in pe.rollback_counts.items()
                                       if cause[0] >= gvt_key[0]}
-        batches.sort(key=lambda item: (item[0], item[1], item[2]))
-        for key, _, _, entry in batches:
+        # stable: entries that tie (mode none only) stay in PE, then history, order
+        batches.sort(key=lambda entry: entry.event.key)
+        for entry in batches:
             ev = entry.event
+            key = ev.key
             if self._last_commit_key is not None:
                 if self.mode is OrderingMode.NONE:
                     ok = key[0] >= self._last_commit_key[0]
@@ -481,7 +485,8 @@ class OptimisticKernel:
             pe = runnable[self.chaos.randint(0, len(runnable) - 1)]
             pe.step(step)
             step += 1
-            if self.global_processed - self._last_gvt_mark >= self.gvt_interval:
+            if (self.live_faults
+                    or self.global_processed - self._last_gvt_mark >= self.gvt_interval):
                 self._commit_epoch(committed, final=False)
         self._commit_epoch(committed, final=True)
         self._check_quiescent()
@@ -530,10 +535,9 @@ class OptimisticKernel:
 def run_optimistic(model, mode: OrderingMode, global_seed: int, n_workers: int,
                    chaos_seed: int = 0, max_delay: int = DEFAULT_MAX_DELAY,
                    gvt_interval: int = DEFAULT_GVT_INTERVAL,
-                   seq_cap: int = DEFAULT_SEQUENCE_CAP, naive: bool = False,
-                   livelock_bound: int = DEFAULT_LIVELOCK_BOUND) -> Trace:
+                   seq_cap: int = DEFAULT_SEQUENCE_CAP, naive: bool = False) -> Trace:
     kernel = OptimisticKernel(model, mode, global_seed, n_workers,
                               chaos=ChaosConfig(chaos_seed, max_delay),
                               gvt_interval=gvt_interval, seq_cap=seq_cap,
-                              naive=naive, livelock_bound=livelock_bound)
+                              naive=naive)
     return kernel.run()

@@ -77,7 +77,24 @@ def stress_tree_node_count(height: int, arity: int) -> int:
     return (arity ** (height + 1) - 1) // (arity - 1)
 
 
-class PholdModel:
+class _ConfiguredModel:
+    """What the built-in models share: a validated config and the run size.
+
+    Every config class declares ``n_lps``, ``remote_prob`` and ``end_time``;
+    the kernels read the LP count and the end time from the model.
+    """
+
+    def __init__(self, cfg):
+        if cfg.n_lps < 1:
+            raise ConfigError(f"{self.name} needs at least one LP")
+        if not 0.0 <= cfg.remote_prob <= 1.0:
+            raise ConfigError(f"remote_prob {cfg.remote_prob} outside [0,1]")
+        self.cfg = cfg
+        self.n_lps = cfg.n_lps
+        self.end_time = float(cfg.end_time)
+
+
+class PholdModel(_ConfiguredModel):
     """Classic hold model: every event reschedules exactly one future event.
 
     Destination is self with probability 1 - remote_prob, otherwise a
@@ -89,23 +106,11 @@ class PholdModel:
     name = "phold"
 
     def __init__(self, cfg: PholdConfig):
-        if cfg.n_lps < 1:
-            raise ConfigError("phold needs at least one LP")
-        if not 0.0 <= cfg.remote_prob <= 1.0:
-            raise ConfigError(f"remote_prob {cfg.remote_prob} outside [0,1]")
+        super().__init__(cfg)
         if cfg.mean_offset <= 0:
             raise ConfigError("mean_offset must be positive")
         if cfg.initial_events_per_lp < 1:
             raise ConfigError("initial_events_per_lp must be >= 1")
-        self.cfg = cfg
-
-    @property
-    def n_lps(self) -> int:
-        return self.cfg.n_lps
-
-    @property
-    def end_time(self) -> float:
-        return self.cfg.end_time
 
     def initial_state(self, lp_id: int):
         return None
@@ -132,7 +137,7 @@ class PholdModel:
         return None
 
 
-class EventTiesModel:
+class EventTiesModel(_ConfiguredModel):
     """Zero-offset chain model; every event in the run ties with another.
 
     Each received event folds its value into the LP mean and emits one new
@@ -145,23 +150,11 @@ class EventTiesModel:
     name = "event-ties"
 
     def __init__(self, cfg: EventTiesConfig):
-        if cfg.n_lps < 1:
-            raise ConfigError("event-ties needs at least one LP")
-        if not 0.0 <= cfg.remote_prob <= 1.0:
-            raise ConfigError(f"remote_prob {cfg.remote_prob} outside [0,1]")
+        super().__init__(cfg)
         if cfg.chain_length < 1:
             raise ConfigError("chain_length must be >= 1")
         if cfg.end_time < 1 or cfg.end_time != int(cfg.end_time):
             raise ConfigError("event-ties end_time must be a positive integer")
-        self.cfg = cfg
-
-    @property
-    def n_lps(self) -> int:
-        return self.cfg.n_lps
-
-    @property
-    def end_time(self) -> float:
-        return float(self.cfg.end_time)
 
     def initial_state(self, lp_id: int):
         return MeanState()
@@ -196,7 +189,7 @@ class EventTiesModel:
         return self.cfg.n_lps * int(self.cfg.end_time) * self.cfg.chain_length
 
 
-class StressModel:
+class StressModel(_ConfiguredModel):
     """Zero-offset tree model: the worst-case burst of simultaneous events.
 
     Every non-leaf event spawns ``arity`` zero-offset children, child i
@@ -208,25 +201,13 @@ class StressModel:
     name = "event-ties-stress"
 
     def __init__(self, cfg: StressConfig):
-        if cfg.n_lps < 1:
-            raise ConfigError("stress model needs at least one LP")
-        if not 0.0 <= cfg.remote_prob <= 1.0:
-            raise ConfigError(f"remote_prob {cfg.remote_prob} outside [0,1]")
+        super().__init__(cfg)
         if cfg.height < 0:
             raise ConfigError("tree height must be >= 0")
         if cfg.arity < 1:
             raise ConfigError("tree arity must be >= 1")
         if cfg.end_time < 1 or cfg.end_time != int(cfg.end_time):
             raise ConfigError("stress end_time must be a positive integer")
-        self.cfg = cfg
-
-    @property
-    def n_lps(self) -> int:
-        return self.cfg.n_lps
-
-    @property
-    def end_time(self) -> float:
-        return float(self.cfg.end_time)
 
     def initial_state(self, lp_id: int):
         return MeanState()
@@ -265,36 +246,27 @@ class StressModel:
         return self.cfg.n_lps * int(self.cfg.end_time) * per_tree
 
 
-MODEL_NAMES = ("phold", "event-ties", "event-ties-stress")
+MODELS = {
+    "phold": (PholdModel, PholdConfig),
+    "event-ties": (EventTiesModel, EventTiesConfig),
+    "event-ties-stress": (StressModel, StressConfig),
+}
+MODEL_NAMES = tuple(MODELS)
+
+
+def model_classes(name: str) -> tuple:
+    """The (model class, config class) pair registered under ``name``."""
+    if name not in MODELS:
+        raise ConfigError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+    return MODELS[name]
 
 
 def build_model(name: str, **params):
-    """Construct a model from flat CLI/config parameters."""
-    if name == "phold":
-        cfg = PholdConfig(
-            n_lps=params["n_lps"],
-            remote_prob=params.get("remote_prob", 0.1),
-            mean_offset=params.get("mean_offset", 1.0),
-            initial_events_per_lp=params.get("initial_events_per_lp", 1),
-            end_time=params.get("end_time", 10.0),
-        )
-        return PholdModel(cfg)
-    if name == "event-ties":
-        cfg = EventTiesConfig(
-            n_lps=params["n_lps"],
-            remote_prob=params.get("remote_prob", 0.5),
-            chain_length=params.get("chain_length", 2),
-            end_time=params.get("end_time", 10.0),
-            coupled=params.get("coupled", False),
-        )
-        return EventTiesModel(cfg)
-    if name == "event-ties-stress":
-        cfg = StressConfig(
-            n_lps=params["n_lps"],
-            remote_prob=params.get("remote_prob", 0.1),
-            height=params.get("height", 2),
-            arity=params.get("arity", 2),
-            end_time=params.get("end_time", 10.0),
-        )
-        return StressModel(cfg)
-    raise ConfigError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+    """Construct a model from its config class's fields; defaults are the
+    config class's own, and an undeclared or missing parameter is a ConfigError."""
+    model_class, config_class = model_classes(name)
+    try:
+        cfg = config_class(**params)
+    except TypeError as exc:
+        raise ConfigError(f"model {name!r}: {exc}") from None
+    return model_class(cfg)

@@ -1,10 +1,15 @@
 """Command line behavior: subcommands, config files, exit codes."""
 
+import argparse
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from tiewarp import cli
 from tiewarp.cli import load_config, main
 from tiewarp.errors import ConfigError
 from tiewarp.harness import RunSpec, execute
@@ -26,6 +31,11 @@ def test_run_prints_digest_and_count(capsys):
     out = capsys.readouterr().out
     assert "net events: 30" in out  # 5 lps * 3 steps * chain 2
     assert len(digest_from(out)) == 64
+
+
+def test_run_without_flags_runs_the_default_spec(capsys):
+    assert main(["run"]) == 0
+    assert digest_from(capsys.readouterr().out) == execute(RunSpec())[0].digest()
 
 
 def test_run_parallel_prints_metrics_and_matches_sequential(capsys):
@@ -267,3 +277,33 @@ def test_config_scalar_parsing(tmp_path):
     )
     data = load_config(str(cfg))
     assert data == {"model": "phold", "coupled": True, "end": 2.5, "seed": 16}
+
+
+def test_config_keys_and_flags_cover_the_run_schema():
+    # the config keys are exactly the flag names with "_"
+    assert set(cli.CONFIG_KEYS) == {
+        "model", "mode", "lps", "remote_prob", "chain", "height", "arity",
+        "coupled", "mean_offset", "end", "seed", "workers", "chaos_seed",
+        "max_delay", "gvt_interval", "seq_cap", "naive", "trace_out",
+        "summary_out"}
+    # every run flag lands on a RunSpec field or an output path, and
+    # every RunSpec field has a flag
+    parser = argparse.ArgumentParser()
+    cli._add_run_options(parser)
+    dests = {action.dest for action in parser._actions} - {"help", "config"}
+    assert dests == set(cli.RUN_FIELDS + cli.OUTPUT_KEYS)
+
+
+def readme_cli_commands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    text = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("tiewarp ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_commands_parse(argv):
+    # parse only, nothing is run: a renamed or removed flag fails here
+    args = cli.build_parser().parse_args(argv)
+    assert args.command == argv[0]

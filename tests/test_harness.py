@@ -77,11 +77,11 @@ def test_verify_determinism_records_faults(monkeypatch):
     # a cell that faults must be recorded, not propagated
     real_execute = harness.execute
 
-    def flaky(spec, force_optimistic=False, collect_trace=True):
+    def flaky(spec, force_optimistic=False):
         if spec.workers == 4:
             from tiewarp.errors import LivelockDetected
             raise LivelockDetected("injected", count=99)
-        return real_execute(spec, force_optimistic, collect_trace)
+        return real_execute(spec, force_optimistic)
 
     monkeypatch.setattr(harness, "execute", flaky)
     report = verify_determinism(TIES_SPEC, workers=(2, 4), chaos_seeds=(0,),

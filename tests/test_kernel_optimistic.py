@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiewarp import kernel_optimistic
 from tiewarp.errors import ConfigError, LivelockDetected, SequenceCapExceeded
 from tiewarp.harness import audit_trace
 from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel, run_optimistic
@@ -159,12 +160,12 @@ def test_naive_derivation_livelocks():
         run_optimistic(model, OrderingMode.LEX_SEQUENCE, 5, 4, naive=True)
 
 
-def test_livelock_bound_is_configurable():
+def test_livelock_bound_is_configurable(monkeypatch):
+    monkeypatch.setattr(kernel_optimistic, "LIVELOCK_BOUND", 8)
     model = build_model("event-ties", n_lps=6, end_time=4.0, chain_length=3)
     with pytest.raises(LivelockDetected) as info:
-        run_optimistic(model, OrderingMode.LEX_SEQUENCE, 5, 4, naive=True,
-                       livelock_bound=8)
-    assert info.value.count >= 8
+        run_optimistic(model, OrderingMode.LEX_SEQUENCE, 5, 4, naive=True)
+    assert info.value.count == 9
 
 
 class GvtRecordingKernel(OptimisticKernel):
@@ -347,6 +348,17 @@ def test_committed_faults_raise_the_sequential_error(model_class, error):
             run_optimistic(model, OrderingMode.LEX_SEQUENCE, seed, 4,
                            chaos_seed=chaos, seq_cap=3)
         assert str(opt.value) == str(seq.value)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_committed_faults_raise_promptly(seed):
+    # sequentially these runs raise after 33, 20 and 43 events; the fault
+    # must not wait for the next regular GVT round, 4096 events on
+    model = StateFaultTies(EventTiesConfig(n_lps=256, remote_prob=0.7, end_time=10))
+    kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, seed, 4, seq_cap=3)
+    with pytest.raises(ModelFault):
+        kernel.run()
+    assert kernel.global_processed < 200
 
 
 def build_fuzz_model(name, n_lps, end_time, remote_prob):

@@ -71,6 +71,13 @@ def test_ties_config_validation():
         build_model("no-such-model", n_lps=2)
 
 
+def test_build_model_rejects_undeclared_and_missing_parameters():
+    with pytest.raises(ConfigError, match="chain_length"):
+        build_model("phold", n_lps=2, chain_length=3)
+    with pytest.raises(ConfigError, match="n_lps"):
+        build_model("event-ties", end_time=3.0)
+
+
 def test_phold_handler_contract():
     model = PholdModel(PholdConfig(n_lps=8, remote_prob=0.3))
     stream = DrawStream.for_lp(3, 2, Purpose.MODEL)
