@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, fields
+from typing import get_args, get_type_hints
 
 from .errors import CausalityViolation, ConfigError, InsufficientSamples, LivelockDetected
 from .kernel_optimistic import (
@@ -37,6 +38,8 @@ class RunSpec:
 
     The single declaration of every run parameter and its default. A model
     parameter left None takes its default from the model's config class.
+    Each value must have its field's declared type, or a ConfigError is
+    raised: an int is accepted for a float field, a bool never for a number.
     """
 
     model: str = "phold"
@@ -57,6 +60,13 @@ class RunSpec:
     seq_cap: int = DEFAULT_SEQUENCE_CAP
     naive: bool = False
 
+    def __post_init__(self):
+        for f in fields(self):
+            value, allowed = getattr(self, f.name), _FIELD_TYPES[f.name]
+            if (isinstance(value, bool) != (bool in allowed)
+                    or not isinstance(value, allowed)):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+
     def model_params(self) -> dict:
         """This spec's non-None values for the fields the model's config declares."""
         _, config_class = model_classes(self.model)
@@ -65,6 +75,16 @@ class RunSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _allowed_types(hint) -> tuple:
+    """The classes a field's values may have; an int widens to a float."""
+    allowed = get_args(hint) or (hint,)
+    return allowed + (int,) if float in allowed else allowed
+
+
+_FIELD_TYPES = {name: _allowed_types(hint)
+                for name, hint in get_type_hints(RunSpec).items()}
 
 
 def build_run(spec: RunSpec):

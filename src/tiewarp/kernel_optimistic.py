@@ -12,6 +12,10 @@ is bit-identical to the sequential kernel's, for every worker count and
 every chaos seed. PEs process optimistically, roll back on stragglers,
 cancel speculative sends with anti-messages, and commit only below GVT, the
 global minimum signature still reachable by any pending or in-flight event.
+Rollback is per LP: each LP keeps its own processed history, so a straggler
+or an anti-message undoes only the work of the LP it is addressed to (plus
+whatever that work caused), never that of the other LPs on its PE. Each GVT
+round detaches every LP's entries below GVT and merges them by key.
 An error raised while an event is processed speculatively (by the model's
 handler or by building a child) is recorded on that event's history entry
 and raised only when the entry commits, so the run fails exactly when and
@@ -120,7 +124,21 @@ class Transport:
 
 
 class PeRuntime:
-    """One processing element: its LPs, pending heap, and processed history.
+    """One processing element: its LPs, their histories, one pending heap.
+
+    Each LP has its own processed history in ``histories``: a stack in
+    processing order, and so in ascending key order, whose top is the LP's
+    clock. An event keyed below the top of its LP's history is a straggler
+    and undoes only that LP's later entries; an anti-message undoes only its
+    twin's LP. The pending heap, the counts, the stash and the transport are
+    shared by the PE's LPs.
+
+    Undoing an entry condemns its local children in the pending heap. A
+    local child that another LP of this PE has already processed is first
+    rolled back out of that LP's history, as an anti-message would be, and
+    that rollback may cascade further. Everything a cascade undoes was
+    processed after the entry that started it, so it never reaches below an
+    entry an outer rollback is still undoing.
 
     Annihilation is count-based and lazy, keyed by match key. Each event's
     match key is computed once, when the event arrives at this PE, and
@@ -129,7 +147,8 @@ class PeRuntime:
     each event in the heap, ``kill_marks`` how many of those are condemned;
     condemned copies are skipped at pop time. ``stash`` holds anti-messages
     that arrived before their positive twin. These counts, and
-    ``processed_ids``, are plain dicts that never hold a zero.
+    ``processed_ids`` (the PE's history entries by match key), are plain
+    dicts that never hold a zero.
     """
 
     def __init__(self, pe_id: int, kernel: "OptimisticKernel"):
@@ -142,15 +161,19 @@ class PeRuntime:
         self.kill_marks: dict = {}
         self.stash: dict = {}
         self.stash_keys: dict = {}
-        self.processed: deque = deque()
+        self.histories: dict[int, deque] = {}
         self.processed_ids: dict = {}
-        self.clock_key = None
         self.rollback_counts: dict = {}
         self.total_processed = 0
         self.stragglers = 0
         self.rollbacks = 0
         self.rolled_back_events = 0
         self.antis_sent = 0
+
+    @property
+    def processed(self) -> list[ProcessedEntry]:
+        """A snapshot of every uncommitted history entry, LP by LP."""
+        return [entry for hist in self.histories.values() for entry in hist]
 
     # -- queue plumbing ----------------------------------------------------
 
@@ -225,7 +248,8 @@ class PeRuntime:
         """Reverse one processed event; True if it condemned the in-hand event.
 
         ``in_hand`` is the match key of the popped event being processed, or
-        None.
+        None. Local children processed by another LP are rolled back out of
+        its history first.
         """
         ev = entry.event
         rt = self.lps[ev.dest_lp]
@@ -242,8 +266,11 @@ class PeRuntime:
             if not killed_in_hand and cm == in_hand:
                 killed_in_hand = True
             elif not self._condemn(cm):
-                raise UnmatchedAntiMessage(
-                    f"local child {child!r} vanished before its parent's rollback")
+                if cm not in self.processed_ids:
+                    raise UnmatchedAntiMessage(
+                        f"local child {child!r} vanished before its parent's rollback")
+                killed_in_hand |= self.rollback_through(cm, now, in_hand)
+                self.kill_marks[cm] = self.kill_marks.get(cm, 0) + 1
         for dest_pe, child in entry.remote_children:
             self.kernel.transport.send(dest_pe, child.as_anti(), now)
             self.antis_sent += 1
@@ -251,42 +278,46 @@ class PeRuntime:
         self.enqueue_positive(ev, entry.match)
         return killed_in_hand
 
-    def rollback_past(self, boundary_key, now: int, in_hand: tuple | None) -> bool:
-        """Straggler rollback: undo every entry the straggler must precede.
+    def rollback_past(self, lp_id: int, boundary_key, now: int,
+                      in_hand: tuple | None) -> bool:
+        """Straggler rollback: undo every entry of the LP that the straggler
+        must precede.
 
         In draw-based and biased modes that is every entry strictly above the
         straggler's key. In the no-tie-break mode the boundary is the bare
         timestamp and entries tying it are rolled back too, conservatively,
         because without tie-breaks there is no defensible order among them.
         """
+        hist = self.histories[lp_id]
         mode_none = self.kernel.mode is OrderingMode.NONE
         killed = False
-        while self.processed:
-            top = self.processed[-1].event.key
+        while hist:
+            top = hist[-1].event.key
             if mode_none:
                 if top[0] < boundary_key[0]:
                     break
             elif top <= boundary_key:
                 break
-            killed |= self._undo(self.processed.pop(), now, in_hand)
-        self.clock_key = self.processed[-1].event.key if self.processed else None
+            killed |= self._undo(hist.pop(), now, in_hand)
         return killed
 
-    def rollback_through(self, match_key, now: int) -> None:
-        """Anti-message rollback: undo back through the latest matching twin."""
-        while self.processed:
-            entry = self.processed.pop()
-            hit = entry.match == match_key
-            self._undo(entry, now, None)
-            if hit:
+    def rollback_through(self, match_key, now: int,
+                         in_hand: tuple | None = None) -> bool:
+        """Undo the twin's LP back through its latest processed copy.
+
+        The LP is the match key's destination. Returns True if the rollback
+        condemned the in-hand event.
+        """
+        hist = self.histories[match_key[2]]
+        killed = False
+        while hist:
+            entry = hist.pop()
+            killed |= self._undo(entry, now, in_hand)
+            if entry.match == match_key:
                 break
-        self.clock_key = self.processed[-1].event.key if self.processed else None
+        return killed
 
     # -- forward progress ---------------------------------------------------
-
-    def is_straggler(self, key) -> bool:
-        # mode NONE keys are 1-tuples, so this is the bare timestamp test
-        return self.clock_key is not None and key < self.clock_key
 
     def step(self, now: int) -> bool:
         delivered = self.kernel.transport.deliver_due(self.pe_id, now)
@@ -299,10 +330,12 @@ class PeRuntime:
         if popped is None:
             return bool(delivered)
         ev, m = popped
-        if self.is_straggler(ev.key):
+        hist = self.histories[ev.dest_lp]
+        # mode NONE keys are 1-tuples, so this is the bare timestamp test
+        if hist and ev.key < hist[-1].event.key:
             self.stragglers += 1
             self._count_rollback(ev)
-            if self.rollback_past(ev.key, now, m):
+            if self.rollback_past(ev.dest_lp, ev.key, now, m):
                 # the straggler was a speculative child of an undone event
                 return True
         self._process(ev, m, now)
@@ -342,24 +375,22 @@ class PeRuntime:
                 else:
                     kernel.transport.send(dest_pe, child, now)
                     remote_children.append((dest_pe, child))
-        self.processed.append(ProcessedEntry(ev, m, *pre, local_children,
-                                             remote_children, fault))
+        self.histories[ev.dest_lp].append(ProcessedEntry(
+            ev, m, *pre, local_children, remote_children, fault))
         ids = self.processed_ids
         ids[m] = ids.get(m, 0) + 1
-        self.clock_key = ev.key
         self.total_processed += 1
         kernel.global_processed += 1
 
     def collect_fossils(self, gvt_key) -> list[ProcessedEntry]:
-        """Detach committed-safe entries (key strictly below GVT) in order."""
+        """Detach committed-safe entries (key strictly below GVT), LP by LP."""
         out = []
-        while self.processed:
-            entry = self.processed[0]
-            if gvt_key is not None and not entry.event.key < gvt_key:
-                break
-            self.processed.popleft()
-            _decrement(self.processed_ids, entry.match)
-            out.append(entry)
+        ids = self.processed_ids
+        for hist in self.histories.values():
+            while hist and (gvt_key is None or hist[0].event.key < gvt_key):
+                entry = hist.popleft()
+                _decrement(ids, entry.match)
+                out.append(entry)
         return out
 
 
@@ -393,6 +424,7 @@ class OptimisticKernel:
         lps = make_lps(model, global_seed, self.pe_of_lp)
         for rt in lps:
             self.pes[rt.pe_id].lps[rt.lp_id] = rt
+            self.pes[rt.pe_id].histories[rt.lp_id] = deque()
         self._all_lps = lps
         self.global_processed = 0
         self.annihilations = 0
@@ -441,7 +473,8 @@ class OptimisticKernel:
                 pe.rollback_counts = {cause: n for cause, n
                                       in pe.rollback_counts.items()
                                       if cause[0] >= gvt_key[0]}
-        # stable: entries that tie (mode none only) stay in PE, then history, order
+        # stable: entries that tie (mode none only) stay in PE, LP, then
+        # history order
         batches.sort(key=lambda entry: entry.event.key)
         for entry in batches:
             ev = entry.event
@@ -474,6 +507,8 @@ class OptimisticKernel:
         committed: list[Event] = []
         step = 0
         pes_and_inboxes = list(zip(self.pes, self.transport.inboxes))
+        # one PE leaves the scheduler nothing to choose, so it draws nothing
+        pick = self.chaos.randint if self.n_workers > 1 else None
         while True:
             runnable = [pe for pe, box in pes_and_inboxes
                         if pe.pending or (box and box[0][0] <= step)]
@@ -482,7 +517,7 @@ class OptimisticKernel:
                     break
                 step = self.transport.next_due()
                 continue
-            pe = runnable[self.chaos.randint(0, len(runnable) - 1)]
+            pe = runnable[pick(0, len(runnable) - 1)] if pick else runnable[0]
             pe.step(step)
             step += 1
             if (self.live_faults

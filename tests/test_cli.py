@@ -267,6 +267,22 @@ def test_config_file_validation(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("text,message", (
+    ("lps = abc\n", "n_lps must be int, got 'abc'"),
+    ("seed = abc\n", "seed must be int, got 'abc'"),
+    ("seed = 1.5\n", "seed must be int, got 1.5"),
+    ("lps = true\n", "n_lps must be int, got True"),
+    ("coupled = 1\n", "coupled must be bool, got 1"),
+    ("remote_prob = high\n", "remote_prob must be float | None, got 'high'"),
+))
+def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, text,
+                                                           message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_config_scalar_parsing(tmp_path):
     cfg = tmp_path / "types.cfg"
     cfg.write_text(

@@ -33,6 +33,16 @@ def test_single_worker_matches_sequential():
     assert opt.digest() == seq.digest()
 
 
+def test_single_worker_draws_no_chaos():
+    # one PE leaves the scheduler nothing to choose and sends nothing remote
+    model = build_model("phold", n_lps=16, end_time=6.0, remote_prob=0.5)
+    kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 1,
+                              chaos=ChaosConfig(3, 4))
+    trace = kernel.run()
+    assert kernel.chaos.cursor == 0
+    assert trace.digest() == run_sequential(model, OrderingMode.LEX_SEQUENCE, 1).digest()
+
+
 def test_rollbacks_occur_and_digest_still_matches():
     model = build_model("event-ties", **TIES)
     kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 4,
@@ -188,6 +198,120 @@ def test_rollback_counts_are_pruned_below_gvt():
         assert all(cause[0] >= gvt_ts for cause in pe.rollback_counts)
     assert trace.digest() == run_sequential(
         model, OrderingMode.LEX_SEQUENCE, 1).digest()
+
+
+class Clockwork:
+    """Three LPs on fixed timestamps, for steering a rollback by hand.
+
+    LP 0 ticks at 1, 2, 3 and 4, and LP 2 at 1.5, 2.5 and 3.5; each tick
+    schedules its LP's next one. With ``poke``, each LP 0 tick also sends LP 2
+    a poke a quarter later. LP 1 ticks once, at 2.1, and sends LP 0 a late
+    event at 2.2. An LP's state is the tuple of payloads it handled.
+    """
+
+    name = "clockwork"
+    n_lps = 3
+    end_time = 4.0
+
+    def __init__(self, poke: bool):
+        self.poke = poke
+
+    def initial_state(self, lp_id):
+        return ()
+
+    def seed_events(self, lp_id, stream):
+        return [Emit(lp_id, (1.0, 2.1, 1.5)[lp_id], "tick")]
+
+    def handle(self, state, event, stream):
+        lp, emits = event.dest_lp, []
+        if event.payload == "tick":
+            emits.append(Emit(0, 0.1, "late") if lp == 1 else Emit(lp, 1.0, "tick"))
+            if lp == 0 and self.poke:
+                emits.append(Emit(2, 0.25, "poke"))
+        return state + (event.payload,), emits
+
+    def final_value(self, state):
+        return state
+
+
+def lp_snapshot(pe, lp_id):
+    rt = pe.lps[lp_id]
+    return (list(pe.histories[lp_id]), rt.state, rt.tiebreak_stream.cursor,
+            rt.model_stream.cursor, rt.serial)
+
+
+def timestamps(entries):
+    return [entry.event.signature.timestamp for entry in entries]
+
+
+def run_with_late_straggler(poke: bool):
+    """LPs 0 and 2 share PE 0, which runs through 3.5 before PE 1 sends LP 0
+    its event at 2.2. Returns the kernel, LP 2's snapshots before and after
+    the straggler is handled, and the timestamps of the pending copies the
+    rollback condemned."""
+    model = Clockwork(poke)
+    kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 2,
+                              chaos=ChaosConfig(0, 0))
+    pe0, pe1 = kernel.pes
+    now = 0
+    while pe0.pending[0][2].signature.timestamp <= 3.5:
+        pe0.step(now)
+        now += 1
+    pe1.step(now)  # sends "late", due at now + 1
+    before = lp_snapshot(pe0, 2)
+    pe0.step(now + 1)
+    after = lp_snapshot(pe0, 2)
+    condemned = sorted(m[3] for m in pe0.kill_marks)
+    assert pe0.stragglers == 1 and timestamps(pe0.histories[0]) == [1.0, 2.0, 2.2]
+    trace = kernel.run()
+    assert trace.digest() == run_sequential(model, OrderingMode.LEX_SEQUENCE, 1).digest()
+    return kernel, before, after, condemned
+
+
+def test_straggler_leaves_other_lps_untouched():
+    kernel, before, after, condemned = run_with_late_straggler(poke=False)
+    # only LP 0's tick at 3 was undone; LP 2's history, state and stream
+    # cursors are the very objects and values they were
+    assert timestamps(before[0]) == [1.5, 2.5, 3.5]
+    assert all(a is b for a, b in zip(after[0], before[0]))
+    assert after[1:] == before[1:] and len(after[0]) == 3
+    assert kernel.metrics()["rolled_back"] == 1
+    assert condemned == [4.0]  # the undone tick's successor
+
+
+def test_undone_local_child_is_rolled_back_out_of_its_lp():
+    # LP 0's undone tick at 3 had poked LP 2 at 3.25, which LP 2 had already
+    # processed: LP 2 is rolled back through the poke (and its tick at 3.5
+    # above it), the re-enqueued poke is condemned, LP 2's earlier work stays
+    kernel, before, after, condemned = run_with_late_straggler(poke=True)
+    assert timestamps(before[0]) == [1.25, 1.5, 2.25, 2.5, 3.25, 3.5]
+    assert all(a is b for a, b in zip(after[0], before[0][:4]))
+    assert len(after[0]) == 4 and after[1] == before[1][:4]
+    assert kernel.metrics()["rolled_back"] == 3
+    assert condemned == [3.25, 4.0]
+
+
+def test_cascade_can_condemn_the_straggler_in_hand():
+    # mode none also undoes entries tying the straggler's timestamp, so a
+    # zero-offset ancestor of the straggler, on another LP of its PE, can be
+    # undone by the local-child cascade; the straggler is then dropped, not
+    # looked for in the pending heap (measured: one such kill in this run)
+    model = build_model("event-ties", n_lps=8, remote_prob=0.7, chain_length=4,
+                        end_time=5.0)
+    trace = run_optimistic(model, OrderingMode.NONE, 2, 6, chaos_seed=0, max_delay=6)
+    assert trace.net_event_count == model.expected_net_events()
+
+
+def test_per_lp_rollback_keeps_efficiency_high():
+    # tie-heavy run where per-PE rollback threw away about half the work
+    # (efficiency 0.45-0.53); per-LP rollback keeps 0.87-0.91 of it
+    model = build_model("event-ties", n_lps=64, chain_length=2, end_time=4.0)
+    ref = run_sequential(model, OrderingMode.LEX_SEQUENCE, 1).digest()
+    for chaos in range(4):
+        kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 8,
+                                  chaos=ChaosConfig(chaos))
+        assert kernel.run().digest() == ref, chaos
+        assert kernel.metrics()["efficiency"] >= 0.8, chaos
 
 
 def test_audit_passes_on_optimistic_traces():
