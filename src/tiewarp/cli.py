@@ -158,17 +158,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"end={spec.end_time:g} seed={spec.seed} workers={spec.workers} "
           f"chaos-seed={spec.chaos_seed}")
     print(f"net events: {trace.net_event_count}")
-    print(f"trace digest: {trace.digest()}")
+    # one encoder pass: writing the trace file also hashes it
+    digest = trace.write(outputs["trace_out"]) if outputs["trace_out"] else trace.digest()
+    print(f"trace digest: {digest}")
     if metrics is not None:
         print(f"rollbacks: {metrics['rollbacks']}  "
               f"rolled back events: {metrics['rolled_back']}  "
               f"anti-messages: {metrics['antis_sent']}  "
               f"efficiency: {metrics['efficiency']:.3f}")
     if outputs["trace_out"]:
-        trace.write(outputs["trace_out"])
         print(f"trace written: {outputs['trace_out']}")
     if outputs["summary_out"]:
-        trace.write_summary(outputs["summary_out"], metrics)
+        trace.write_summary(outputs["summary_out"], metrics, digest)
         print(f"summary written: {outputs['summary_out']}")
     return 0
 

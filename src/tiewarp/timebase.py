@@ -38,6 +38,7 @@ DEFAULT_SEQUENCE_CAP = 64
 # Fixed serialization width per tie-break value: 128 bits, so additive sums
 # of up to 2**64 capped draws still round-trip bit-exactly.
 TIEBREAK_HEX_WIDTH = 32
+TIEBREAK_HEX = f"%0{TIEBREAK_HEX_WIDTH}x"
 
 
 class OrderingMode(enum.Enum):
@@ -256,8 +257,14 @@ def format_timestamp(timestamp: float) -> str:
 
 
 def format_tiebreak(tiebreak: tuple) -> str:
-    """Fixed-width lowercase hex values joined by ':' (empty string if none)."""
-    return ":".join(format(v, f"0{TIEBREAK_HEX_WIDTH}x") for v in tiebreak)
+    """Fixed-width lowercase hex values joined by ':' (empty string if none).
+
+    The trace encoder calls this once per committed event, so the common
+    single draw takes one %-format and no join.
+    """
+    if len(tiebreak) == 1:
+        return TIEBREAK_HEX % tiebreak[0]
+    return ":".join([TIEBREAK_HEX % v for v in tiebreak])
 
 
 def format_signature(signature: TimeSignature) -> str:

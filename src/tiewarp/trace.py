@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 from .errors import ConfigError
 from .rngstream import GENERATOR_NAME, GENERATOR_VERSION
@@ -24,6 +24,10 @@ from .timebase import TimeSignature, format_tiebreak, format_timestamp
 
 TRACE_SCHEMA = "tiewarp.trace/2"
 SUMMARY_SCHEMA = "tiewarp.summary/1"
+
+# Committed events formatted per chunk of canonical text. Encoding, hashing
+# and writing hold one chunk at a time, never the whole text.
+CHUNK = 4096
 
 
 class Event:
@@ -98,18 +102,6 @@ class Event:
                      self.signature, self.key, self.payload, True,
                      self.zero_offset_depth, self.parent_key)
 
-    def canonical_line(self, commit_index: int) -> str:
-        """The digest's text for this event committed at ``commit_index``."""
-        parent = (
-            f"{self.parent_key[0]}#{self.parent_key[1]}" if self.parent_key else "-"
-        )
-        sig = self.signature
-        return (
-            f"{commit_index},{self.source_lp},{self.serial},{self.dest_lp},"
-            f"{format_timestamp(sig.timestamp)},"
-            f"{format_tiebreak(sig.tiebreak)},{parent}"
-        )
-
     def __repr__(self):
         kind = "anti" if self.anti else "event"
         return (
@@ -145,49 +137,91 @@ class Trace:
             header.update(extra)
         return header
 
+    def _chunks(self):
+        """The canonical lines, one list per chunk: the only place their text
+        is spelled out.
+
+        Commit lines come first, at most CHUNK per list, then one list of
+        ``state,LP,value`` lines (empty when there are no final states).
+        """
+        committed = self.committed
+        tiebreak = format_tiebreak
+        for start in range(0, len(committed), CHUNK):
+            lines = []
+            append = lines.append
+            for index, ev in enumerate(committed[start:start + CHUNK], start):
+                sig = ev.signature
+                parent = ev.parent_key
+                append(f"{index},{ev.source_lp},{ev.serial},{ev.dest_lp},"
+                       f"{sig.timestamp!r},{tiebreak(sig.tiebreak)},"
+                       f"{f'{parent[0]}#{parent[1]}' if parent else '-'}")
+            yield lines
+        yield [f"state,{lp},"
+               f"{format_timestamp(value) if isinstance(value, float) else repr(value)}"
+               for lp, value in sorted(self.final_states.items())]
+
+    def _blocks(self):
+        """The canonical text as newline-terminated ASCII blocks."""
+        for lines in self._chunks():
+            if lines:
+                yield _encode(lines)
+
     def canonical_lines(self):
-        for index, ev in enumerate(self.committed):
-            yield ev.canonical_line(index)
-        for lp in sorted(self.final_states):
-            value = self.final_states[lp]
-            text = format_timestamp(value) if isinstance(value, float) else repr(value)
-            yield f"state,{lp},{text}"
+        for lines in self._chunks():
+            yield from lines
 
     def digest(self) -> str:
-        return digest_lines(self.canonical_lines())
+        return _sha256_hex(self._blocks())
 
-    def write(self, path) -> None:
-        """Write the schema tag, then the canonical lines: the digest's input."""
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(TRACE_SCHEMA + "\n")
-            for line in self.canonical_lines():
-                fh.write(line + "\n")
+    def write(self, path) -> str:
+        """Write the schema tag, then the canonical lines: the digest's input.
 
-    def summary_dict(self, metrics: dict | None = None) -> dict:
+        Returns the digest, the SHA-256 of the bytes written after the tag.
+        """
+        with open(path, "wb") as fh:
+            fh.write(TRACE_SCHEMA.encode("ascii") + b"\n")
+            return _sha256_hex(self._blocks(), fh)
+
+    def summary_dict(self, metrics: dict | None = None, digest: str | None = None) -> dict:
+        """The run summary; ``digest``, if given, is this trace's digest."""
         summary = {
             "schema": SUMMARY_SCHEMA,
             "header": self.header,
             "net_events": self.net_event_count,
             "final_states": {str(lp): self.final_states[lp] for lp in sorted(self.final_states)},
-            "digest": self.digest(),
+            "digest": self.digest() if digest is None else digest,
         }
         if metrics is not None:
             summary["metrics"] = metrics
         return summary
 
-    def write_summary(self, path, metrics: dict | None = None) -> None:
+    def write_summary(self, path, metrics: dict | None = None, digest: str | None = None) -> None:
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(self.summary_dict(metrics), fh, indent=2, sort_keys=True)
+            json.dump(self.summary_dict(metrics, digest), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _encode(lines: list) -> bytes:
+    """``lines`` as one ASCII block, each line terminated by a newline."""
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _sha256_hex(blocks, sink=None) -> str:
+    """SHA-256 hex digest of the concatenated ``blocks``; each block is also
+    written to the binary file ``sink`` if one is given."""
+    h = hashlib.sha256()
+    for block in blocks:
+        h.update(block)
+        if sink is not None:
+            sink.write(block)
+    return h.hexdigest()
 
 
 def digest_lines(lines) -> str:
     """SHA-256 hex digest of ``lines``, each terminated by a newline."""
-    h = hashlib.sha256()
-    for line in lines:
-        h.update(line.encode("ascii"))
-        h.update(b"\n")
-    return h.hexdigest()
+    it = iter(lines)
+    # iter(callable, sentinel): CHUNK-line lists until the lines run out
+    return _sha256_hex(_encode(chunk) for chunk in iter(lambda: list(islice(it, CHUNK)), []))
 
 
 def read_trace(path) -> list:

@@ -13,7 +13,8 @@ from tiewarp import cli
 from tiewarp.cli import load_config, main
 from tiewarp.errors import ConfigError
 from tiewarp.harness import RunSpec, execute
-from tiewarp.trace import TRACE_SCHEMA, Event, first_divergence, read_trace
+from tiewarp.trace import (CHUNK, TRACE_SCHEMA, Event, Trace, digest_lines,
+                           first_divergence, read_trace)
 
 RUN_TIES = ["run", "--model", "event-ties", "--mode", "lex", "--lps", "5",
             "--end", "3", "--chain", "2", "--seed", "9"]
@@ -221,6 +222,47 @@ def test_exit_code_4_on_livelock(capsys):
                  "--workers", "4"])
     assert code == 4
     assert "livelock" in capsys.readouterr().err
+
+
+def test_exit_code_4_on_livelock_in_mode_none(capsys):
+    # mode none rolls back timestamp ties conservatively, and that can
+    # ping-pong between PEs until the livelock bound trips
+    code = main(["run", "--model", "event-ties", "--mode", "none", "--lps", "12",
+                 "--chain", "4", "--end", "5", "--remote-prob", "0.9", "--seed", "4",
+                 "--workers", "6", "--chaos-seed", "2", "--max-delay", "6"])
+    assert code == 4
+    assert "livelock: PE 5 rolled back 65 times" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("outputs", [(), ("--trace-out",), ("--trace-out", "--summary-out")])
+def test_run_encodes_the_trace_once(tmp_path, capsys, monkeypatch, outputs):
+    passes = []
+    chunks = Trace._chunks
+
+    def counted(self):
+        passes.append(self)
+        return chunks(self)
+
+    monkeypatch.setattr(Trace, "_chunks", counted)
+    flags = [arg for flag in outputs for arg in (flag, str(tmp_path / flag.strip("-")))]
+    assert main(RUN_TIES + flags) == 0
+    assert len(passes) == 1
+    capsys.readouterr()
+
+
+def test_trace_file_body_hashes_to_the_digest_across_chunks(tmp_path, capsys):
+    path = tmp_path / "trail.txt"
+    assert main(["run", "--model", "phold", "--lps", "512", "--end", "10", "--seed", "3",
+                 "--trace-out", str(path)]) == 0
+    digest = digest_from(capsys.readouterr().out)
+    tag, body = path.read_bytes().split(b"\n", 1)
+    assert tag == TRACE_SCHEMA.encode("ascii")
+    lines = read_trace(path)
+    assert sum(not line.startswith("state,") for line in lines) > CHUNK
+    assert hashlib.sha256(body).hexdigest() == digest
+    assert digest_lines(lines) == digest
+    spec = RunSpec(model="phold", n_lps=512, end_time=10.0, seed=3)
+    assert execute(spec)[0].digest() == digest
 
 
 def test_flat_config_file(tmp_path, capsys):

@@ -1,7 +1,12 @@
 """Trace and event plumbing: match keys, digests, canonical lines."""
 
+import hashlib
+import random
+
+import pytest
+
 from tiewarp.timebase import TimeSignature
-from tiewarp.trace import Event, Trace, first_divergence
+from tiewarp.trace import CHUNK, TRACE_SCHEMA, Event, Trace, digest_lines, first_divergence
 
 
 def make_event(serial=0, tb=(5,), payload=7, depth=0, parent=None):
@@ -63,14 +68,19 @@ def test_digest_ignores_creating_pe():
     assert first_divergence(a.canonical_lines(), b.canonical_lines()) is None
 
 
+def only_line(ev):
+    (line,) = Trace(committed=[ev]).canonical_lines()
+    return line
+
+
 def test_canonical_line_format():
-    line = committed(2, 5, 1.0, (255,), parent=(2, 4)).canonical_line(7)
+    line = only_line(committed(2, 5, 1.0, (255,), parent=(2, 4)))
     idx, src, serial, dest, ts, tb, parent = line.split(",")
-    assert (idx, src, serial, dest) == ("7", "2", "5", "2")
+    assert (idx, src, serial, dest) == ("0", "2", "5", "2")
     assert ts == "1.0"
     assert tb == format(255, "032x")
     assert parent == "2#4"
-    assert committed(1, 0, 2.0, ()).canonical_line(0).endswith(",-")
+    assert only_line(committed(1, 0, 2.0, ())).endswith(",-")
 
 
 def test_first_divergence_positions():
@@ -84,3 +94,84 @@ def test_first_divergence_positions():
     # same commits, different final states: the first state line
     richer = Trace(committed=list(base), final_states={0: 2.0}).canonical_lines()
     assert first_divergence(a, richer) == 2
+
+
+def reference_lines(trace):
+    """The canonical lines formatted one event at a time, spelled out here
+    independently of the chunked encoder."""
+    for index, ev in enumerate(trace.committed):
+        parent = f"{ev.parent_key[0]}#{ev.parent_key[1]}" if ev.parent_key else "-"
+        sig = ev.signature
+        tiebreak = ":".join(format(v, "032x") for v in sig.tiebreak)
+        yield (f"{index},{ev.source_lp},{ev.serial},{ev.dest_lp},"
+               f"{repr(float(sig.timestamp))},{tiebreak},{parent}")
+    for lp in sorted(trace.final_states):
+        value = trace.final_states[lp]
+        text = repr(float(value)) if isinstance(value, float) else repr(value)
+        yield f"state,{lp},{text}"
+
+
+def random_trace(n_events, seed):
+    rng = random.Random(seed)
+    events = []
+    for serial in range(n_events):
+        tiebreak = tuple(rng.choice((rng.randrange(2 ** 64), 2 ** 64 + rng.randrange(2 ** 70)))
+                         for _ in range(rng.choice((0, 1, 1, 3))))
+        parent = rng.choice((None, (0, 0), (rng.randrange(50), rng.randrange(10 ** 6))))
+        events.append(Event(rng.randrange(8), rng.randrange(50), serial, rng.randrange(50),
+                            TimeSignature(rng.choice((0.0, 2.0, rng.random() * 1e9)), tiebreak),
+                            parent_key=parent))
+    states = {lp: rng.choice((None, rng.randrange(-5, 10 ** 20), rng.random() * 10, 3.0))
+              for lp in rng.sample(range(50), rng.randrange(4))}
+    return Trace(committed=events, final_states=states)
+
+
+@pytest.mark.parametrize("n_events", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_encoder_matches_a_per_line_reference(tmp_path, n_events):
+    trace = random_trace(n_events, seed=n_events)
+    expected = list(reference_lines(trace))
+    assert list(trace.canonical_lines()) == expected
+    text = "".join(line + "\n" for line in expected).encode("ascii")
+    assert trace.digest() == hashlib.sha256(text).hexdigest()
+    path = tmp_path / "trail.txt"
+    assert trace.write(path) == trace.digest()
+    assert path.read_bytes() == TRACE_SCHEMA.encode("ascii") + b"\n" + text
+    assert digest_lines(expected) == trace.digest()
+
+
+def test_reference_covers_every_shape_the_encoder_formats():
+    # the differential test above is only as good as the cases it draws
+    events = [ev for n in (1, CHUNK - 1, CHUNK, CHUNK + 1) for ev in random_trace(n, n).committed]
+    lengths = {len(ev.signature.tiebreak) for ev in events}
+    assert {0, 1, 3} <= lengths
+    assert any(v >= 2 ** 64 for ev in events for v in ev.signature.tiebreak)
+    parents = [ev.parent_key for ev in events]
+    assert None in parents and (0, 0) in parents
+    states = [v for n in (1, CHUNK - 1, CHUNK, CHUNK + 1)
+              for v in random_trace(n, n).final_states.values()]
+    assert {type(v) for v in states} >= {type(None), int, float}
+
+
+def test_digest_does_the_full_work_on_every_call(monkeypatch):
+    passes = []
+    chunks = Trace._chunks
+
+    def counted(self):
+        passes.append(self)
+        return chunks(self)
+
+    monkeypatch.setattr(Trace, "_chunks", counted)
+    trace = Trace(committed=[committed(0, 0, 1.0, (3,))], final_states={0: 1})
+    fields = set(vars(trace))
+    first = trace.digest()
+    assert trace.digest() == first
+    assert len(passes) == 2
+    trace.committed.append(committed(1, 0, 1.0, (4,)))
+    assert trace.digest() != first
+    trace.committed.pop()
+    assert trace.digest() == first
+    trace.final_states[0] = 2
+    assert trace.digest() != first
+    # nothing is memoised: Trace keeps only its fields and Event has no dict
+    assert set(vars(trace)) == fields
+    assert not hasattr(trace.committed[0], "__dict__")
