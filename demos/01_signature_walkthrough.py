@@ -27,9 +27,11 @@ print("\nadditive commit order:", " ".join(committed_names(trace)))
 trace = run_sequential(ScriptedModel(), OrderingMode.LEX_SEQUENCE, 1)
 print("lex commit order:     ", " ".join(committed_names(trace)))
 
-# the naive alternative draws a fresh independent value for A2 (0.20), which
-# sorts before its own parent A1 (0.40) -- the kernel refuses to proceed
+# mode naive draws a fresh independent value for A2 (0.20), which sorts
+# before its own parent A1 (0.40) -- the kernel refuses to proceed
 try:
-    run_sequential(ScriptedModel(), OrderingMode.UNBIASED_SINGLE, 1, naive=True)
+    run_sequential(ScriptedModel(), OrderingMode.NAIVE, 1)
 except CausalityViolation as exc:
     print("\nnaive independent draws:", exc)
+else:
+    raise AssertionError("mode naive must violate causality on this script")

@@ -123,9 +123,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="processed events between GVT rounds")
     parser.add_argument("--seq-cap", type=int, dest="seq_cap",
                         help="max tie-break draws per signature")
-    parser.add_argument("--naive", action="store_const", const=True,
-                        help="use the broken independent-draw derivation "
-                             "(unbiased-single only; expected to fail)")
     parser.add_argument("--trace-out", dest="trace_out",
                         help="write the trace file (schema tag, then the "
                              "digest's canonical lines) here")

@@ -58,7 +58,6 @@ class RunSpec:
     max_delay: int = DEFAULT_MAX_DELAY
     gvt_interval: int = DEFAULT_GVT_INTERVAL
     seq_cap: int = DEFAULT_SEQUENCE_CAP
-    naive: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -88,24 +87,19 @@ _FIELD_TYPES = {name: _allowed_types(hint)
 
 
 def build_run(spec: RunSpec):
-    model = build_model(spec.model, **spec.model_params())
-    mode = OrderingMode.from_name(spec.mode)
-    if spec.naive and mode is not OrderingMode.UNBIASED_SINGLE:
-        raise ConfigError("the naive derivation is only defined for mode unbiased-single")
-    return model, mode
+    return (build_model(spec.model, **spec.model_params()),
+            OrderingMode.from_name(spec.mode))
 
 
 def execute(spec: RunSpec, force_optimistic: bool = False):
     """Run the spec; returns (trace, metrics or None for sequential runs)."""
     model, mode = build_run(spec)
     if spec.workers == 1 and not force_optimistic:
-        trace = run_sequential(model, mode, spec.seed, seq_cap=spec.seq_cap,
-                               naive=spec.naive)
-        return trace, None
+        return run_sequential(model, mode, spec.seed, seq_cap=spec.seq_cap), None
     kernel = OptimisticKernel(
         model, mode, spec.seed, spec.workers,
         chaos=ChaosConfig(spec.chaos_seed, spec.max_delay),
-        gvt_interval=spec.gvt_interval, seq_cap=spec.seq_cap, naive=spec.naive)
+        gvt_interval=spec.gvt_interval, seq_cap=spec.seq_cap)
     trace = kernel.run()
     return trace, kernel.metrics()
 
@@ -200,8 +194,10 @@ def run_fairness(mode_name: str, depth: int, samples: int,
         raise InsufficientSamples(
             f"{samples} samples cannot resolve the target interval; need >= 100")
     mode = OrderingMode.from_name(mode_name)
-    if not mode.uses_draws:
-        raise ConfigError("fairness estimation needs a draw-based ordering mode")
+    if not mode.uses_draws or mode is OrderingMode.NAIVE:
+        # naive has no closed form, and its chains die of CausalityViolation
+        raise ConfigError("fairness estimation needs mode unbiased-single, "
+                          "additive or lex")
     if mode is OrderingMode.UNBIASED_SINGLE and depth > 0:
         raise ConfigError(
             "unbiased-single cannot order zero-offset chains; depth must be 0")

@@ -7,9 +7,9 @@ in flight. That makes each run exactly reproducible from (seed, workers,
 chaos seed) while still exploring genuinely adversarial interleavings:
 stragglers, late anti-messages, and cascaded rollbacks all occur for real.
 
-Correctness contract: for the draw-based ordering modes the committed trace
-is bit-identical to the sequential kernel's, for every worker count and
-every chaos seed. PEs process optimistically, roll back on stragglers,
+Correctness contract: for the draw-based ordering modes other than naive
+the committed trace is bit-identical to the sequential kernel's, for every
+worker count and every chaos seed. PEs process optimistically, roll back on stragglers,
 cancel speculative sends with anti-messages, and commit only below GVT, the
 global minimum signature still reachable by any pending or in-flight event.
 Rollback is per LP: each LP keeps its own processed history, so a straggler
@@ -97,15 +97,12 @@ class Transport:
         self.inboxes: list[list] = [[] for _ in range(n_pes)]
         self.chaos = chaos
         self.max_delay = max_delay
-        self.seq = 0
-        self.in_flight = 0
         self.total_sent = 0
 
     def send(self, dest_pe: int, msg: Event, now: int) -> None:
         delay = self.chaos.randint(0, self.max_delay) if self.max_delay > 0 else 0
-        heappush(self.inboxes[dest_pe], (now + 1 + delay, self.seq, msg))
-        self.seq += 1
-        self.in_flight += 1
+        # the send count doubles as the tie-breaking sequence number
+        heappush(self.inboxes[dest_pe], (now + 1 + delay, self.total_sent, msg))
         self.total_sent += 1
 
     def deliver_due(self, pe_id: int, now: int) -> list[Event]:
@@ -113,7 +110,6 @@ class Transport:
         out = []
         while box and box[0][0] <= now:
             out.append(heappop(box)[2])
-            self.in_flight -= 1
         return out
 
     def next_due(self) -> int:
@@ -145,10 +141,11 @@ class PeRuntime:
     travels with it through the pending heap (entries ``(key, seq, event,
     match)``) and the processed history. ``pending_counts`` tracks copies of
     each event in the heap, ``kill_marks`` how many of those are condemned;
-    condemned copies are skipped at pop time. ``stash`` holds anti-messages
-    that arrived before their positive twin. These counts, and
-    ``processed_ids`` (the PE's history entries by match key), are plain
-    dicts that never hold a zero.
+    condemned copies are skipped at pop time. ``stash`` maps the match key
+    of each anti-message that arrived before its positive twin to the list
+    of those anti-messages' keys. These are plain dicts that never hold a
+    zero or an empty list. Whether an event has been processed is read off
+    its LP's history, the only record of processed work.
     """
 
     def __init__(self, pe_id: int, kernel: "OptimisticKernel"):
@@ -160,11 +157,8 @@ class PeRuntime:
         self.pending_counts: dict = {}
         self.kill_marks: dict = {}
         self.stash: dict = {}
-        self.stash_keys: dict = {}
         self.histories: dict[int, deque] = {}
-        self.processed_ids: dict = {}
         self.rollback_counts: dict = {}
-        self.total_processed = 0
         self.stragglers = 0
         self.rollbacks = 0
         self.rolled_back_events = 0
@@ -180,9 +174,10 @@ class PeRuntime:
     def enqueue_positive(self, ev: Event, m: tuple) -> None:
         stash = self.stash
         if m in stash:
-            _decrement(stash, m)
-            if m not in stash:
-                del self.stash_keys[m]
+            stashed = stash[m]
+            stashed.pop()
+            if not stashed:
+                del stash[m]
             self.kernel.annihilations += 1
             return
         heappush(self.pending, (ev.key, self.push_seq, ev, m))
@@ -210,13 +205,26 @@ class PeRuntime:
             return True
         return False
 
+    def _processed(self, m: tuple, key) -> bool:
+        """Whether the LP that ``m`` is addressed to holds a processed copy.
+
+        Each LP history ascends by key, so the scan from its top stops at the
+        first entry keyed below ``key``, the key of ``m``'s event.
+        """
+        for entry in reversed(self.histories[m[2]]):
+            if entry.event.key < key:
+                return False
+            if entry.match == m:
+                return True
+        return False
+
     # -- anti-message handling ----------------------------------------------
 
     def receive_anti(self, anti: Event, now: int) -> None:
         m = anti.match_key()
         if self._condemn(m):
             self.kernel.annihilations += 1
-        elif m in self.processed_ids:
+        elif self._processed(m, anti.key):
             # The twin already executed speculatively: rewind through it,
             # which re-enqueues it, then condemn the re-enqueued copy.
             self._count_rollback(anti)
@@ -224,8 +232,7 @@ class PeRuntime:
             self.kill_marks[m] = self.kill_marks.get(m, 0) + 1
             self.kernel.annihilations += 1
         else:
-            self.stash[m] = self.stash.get(m, 0) + 1
-            self.stash_keys[m] = anti.key
+            self.stash.setdefault(m, []).append(anti.key)
 
     # -- rollback -----------------------------------------------------------
 
@@ -257,7 +264,6 @@ class PeRuntime:
         rt.tiebreak_stream.restore(entry.pre_tb_cursor)
         rt.model_stream.restore(entry.pre_model_cursor)
         rt.serial = entry.pre_serial
-        _decrement(self.processed_ids, entry.match)
         self.rolled_back_events += 1
         if entry.fault is not None:
             self.kernel.live_faults -= 1
@@ -266,7 +272,7 @@ class PeRuntime:
             if not killed_in_hand and cm == in_hand:
                 killed_in_hand = True
             elif not self._condemn(cm):
-                if cm not in self.processed_ids:
+                if not self._processed(cm, child.key):
                     raise UnmatchedAntiMessage(
                         f"local child {child!r} vanished before its parent's rollback")
                 killed_in_hand |= self.rollback_through(cm, now, in_hand)
@@ -352,8 +358,8 @@ class PeRuntime:
         try:
             new_state, emits = kernel.model.handle(rt.state, ev, rt.model_stream)
             # every child is built before any is sent, so a fault sends nothing
-            children = [build_event(rt, ev, emit, kernel.mode, kernel.seq_cap,
-                                    kernel.naive) for emit in emits]
+            children = [build_event(rt, ev, emit, kernel.mode, kernel.seq_cap)
+                        for emit in emits]
         except Exception as exc:
             # Speculation may reach states the sequential order never does:
             # keep the fault for commit time and leave the LP untouched.
@@ -377,20 +383,14 @@ class PeRuntime:
                     remote_children.append((dest_pe, child))
         self.histories[ev.dest_lp].append(ProcessedEntry(
             ev, m, *pre, local_children, remote_children, fault))
-        ids = self.processed_ids
-        ids[m] = ids.get(m, 0) + 1
-        self.total_processed += 1
         kernel.global_processed += 1
 
     def collect_fossils(self, gvt_key) -> list[ProcessedEntry]:
         """Detach committed-safe entries (key strictly below GVT), LP by LP."""
         out = []
-        ids = self.processed_ids
         for hist in self.histories.values():
             while hist and (gvt_key is None or hist[0].event.key < gvt_key):
-                entry = hist.popleft()
-                _decrement(ids, entry.match)
-                out.append(entry)
+                out.append(hist.popleft())
         return out
 
 
@@ -400,7 +400,7 @@ class OptimisticKernel:
     def __init__(self, model, mode: OrderingMode, global_seed: int,
                  n_workers: int, chaos: ChaosConfig | None = None,
                  gvt_interval: int = DEFAULT_GVT_INTERVAL,
-                 seq_cap: int = DEFAULT_SEQUENCE_CAP, naive: bool = False):
+                 seq_cap: int = DEFAULT_SEQUENCE_CAP):
         if n_workers < 1:
             raise ConfigError("n_workers must be >= 1")
         if gvt_interval < 1:
@@ -415,7 +415,6 @@ class OptimisticKernel:
         self.chaos_cfg = chaos
         self.gvt_interval = gvt_interval
         self.seq_cap = seq_cap
-        self.naive = naive
         self.end_time = model.end_time
         self.chaos = DrawStream(derive_stream_key(chaos.chaos_seed, _CHAOS_SALT,
                                                   Purpose.MODEL))
@@ -447,15 +446,17 @@ class OptimisticKernel:
     def _compute_gvt(self):
         """Exact minimum over pending, in-flight, and stashed keys.
 
-        Condemned-but-unpopped pending entries are included; that only lowers
-        the estimate, which is safe. Returns None when nothing is reachable,
-        meaning GVT is past the end of the run.
+        A pending heap's minimum is its top. Condemned-but-unpopped pending
+        entries are included; that only lowers the estimate, which is safe.
+        Every anti-message stashed under one match key has the same key.
+        Returns None when nothing is reachable, meaning GVT is past the end
+        of the run.
         """
         keys = self.transport.inflight_keys()
         for pe in self.pes:
-            for entry in pe.pending:
-                keys.append(entry[0])
-            keys.extend(pe.stash_keys.values())
+            if pe.pending:
+                keys.append(pe.pending[0][0])
+            keys.extend(stashed[0] for stashed in pe.stash.values())
         return min(keys) if keys else None
 
     def _commit_epoch(self, committed: list[Event], final: bool) -> None:
@@ -495,8 +496,8 @@ class OptimisticKernel:
             self._last_commit_key = key
             committed.append(ev)
         for pe in self.pes:
-            for m, k in pe.stash_keys.items():
-                if gvt_key is None or k < gvt_key:
+            for m, stashed in pe.stash.items():
+                if gvt_key is None or stashed[0] < gvt_key:
                     raise UnmatchedAntiMessage(
                         f"anti-message for {m} fell below GVT without ever "
                         f"meeting its positive twin")
@@ -513,7 +514,7 @@ class OptimisticKernel:
             runnable = [pe for pe, box in pes_and_inboxes
                         if pe.pending or (box and box[0][0] <= step)]
             if not runnable:
-                if self.transport.in_flight == 0:
+                if not any(self.transport.inboxes):
                     break
                 step = self.transport.next_due()
                 continue
@@ -536,21 +537,21 @@ class OptimisticKernel:
                      net_event_count=len(committed), header=header)
 
     def _check_quiescent(self) -> None:
-        if self.transport.in_flight != 0:
+        if any(self.transport.inboxes):
             raise UnmatchedAntiMessage("transport still holds messages at shutdown")
         for pe in self.pes:
             if pe.pop_live() is not None:
                 raise UnmatchedAntiMessage(
                     f"PE {pe.pe_id} still holds live pending events at shutdown")
-            if sum(pe.kill_marks.values()) != 0:
+            if pe.kill_marks:
                 raise UnmatchedAntiMessage(
                     f"PE {pe.pe_id} holds kill marks with no matching events")
-            if sum(pe.stash.values()) != 0:
+            if pe.stash:
                 raise UnmatchedAntiMessage(
                     f"PE {pe.pe_id} still stashes anti-messages at shutdown")
 
     def metrics(self) -> dict:
-        processed = sum(pe.total_processed for pe in self.pes)
+        processed = self.global_processed
         rolled_back = sum(pe.rolled_back_events for pe in self.pes)
         committed = processed - rolled_back
         return {
@@ -570,9 +571,8 @@ class OptimisticKernel:
 def run_optimistic(model, mode: OrderingMode, global_seed: int, n_workers: int,
                    chaos_seed: int = 0, max_delay: int = DEFAULT_MAX_DELAY,
                    gvt_interval: int = DEFAULT_GVT_INTERVAL,
-                   seq_cap: int = DEFAULT_SEQUENCE_CAP, naive: bool = False) -> Trace:
+                   seq_cap: int = DEFAULT_SEQUENCE_CAP) -> Trace:
     kernel = OptimisticKernel(model, mode, global_seed, n_workers,
                               chaos=ChaosConfig(chaos_seed, max_delay),
-                              gvt_interval=gvt_interval, seq_cap=seq_cap,
-                              naive=naive)
+                              gvt_interval=gvt_interval, seq_cap=seq_cap)
     return kernel.run()

@@ -19,7 +19,6 @@ from .timebase import (
     OrderingMode,
     TimeSignature,
     derive_child_signature,
-    derive_naive_signature,
     format_signature,
     sort_key,
 )
@@ -59,17 +58,14 @@ def build_event(
     emit: Emit,
     mode: OrderingMode,
     seq_cap: int = DEFAULT_SEQUENCE_CAP,
-    naive: bool = False,
 ) -> Event:
     """Create an event from an emit request, deriving its signature and key.
 
     Consumes one tie-break draw in draw-based modes (unless the emit forces
     a replayed value) and one serial from the source LP, in both kernels,
-    whether or not the event survives the horizon check. ``naive`` swaps in
-    the broken independent-draw derivation for zero offsets; it exists only
-    to demonstrate why that derivation is unsafe. Payloads must be hashable,
-    because the optimistic kernel matches anti-messages on event content;
-    both kernels reject an unhashable one here.
+    whether or not the event survives the horizon check. Payloads must be
+    hashable, because the optimistic kernel matches anti-messages on event
+    content; both kernels reject an unhashable one here.
     """
     payload = emit.payload
     try:
@@ -91,10 +87,7 @@ def build_event(
         draw = emit.forced_tiebreak
     else:
         draw = source.tiebreak_stream.draw()
-    if naive and draw is not None:
-        sig = derive_naive_signature(parent_sig, emit.offset, draw)
-    else:
-        sig = derive_child_signature(parent_sig, emit.offset, draw, mode, seq_cap)
+    sig = derive_child_signature(parent_sig, emit.offset, draw, mode, seq_cap)
     key = sort_key(sig, (source.pe_id, source.lp_id, serial), mode)
     return Event(source.pe_id, source.lp_id, serial, emit.dest_lp, sig, key,
                  payload, False, depth, parent_key)
@@ -126,17 +119,15 @@ class SequentialKernel:
     the heap stays totally ordered even in the no-tie-break mode where keys
     are bare timestamps. A pop below the last processed key means the
     signature scheme failed to order a child after its parent and raises
-    immediately; with the safe derivations this cannot happen.
+    immediately; in every mode but naive this cannot happen.
     """
 
     def __init__(self, model, mode: OrderingMode, global_seed: int,
-                 seq_cap: int = DEFAULT_SEQUENCE_CAP, naive: bool = False,
-                 collect_trace: bool = True):
+                 seq_cap: int = DEFAULT_SEQUENCE_CAP, collect_trace: bool = True):
         self.model = model
         self.mode = mode
         self.global_seed = global_seed
         self.seq_cap = seq_cap
-        self.naive = naive
         self.collect_trace = collect_trace
         self.lps = make_lps(model, global_seed)
         self.processed_count = 0
@@ -176,7 +167,7 @@ class SequentialKernel:
                 committed.append(ev)
             self.processed_count += 1
             for emit in emits:
-                self._push(build_event(rt, ev, emit, mode, self.seq_cap, self.naive))
+                self._push(build_event(rt, ev, emit, mode, self.seq_cap))
         finals = {lp.lp_id: model.final_value(lp.state) for lp in lps}
         header = Trace.make_header(model.name, mode.value, self.global_seed,
                                    {"kernel": "sequential"})
@@ -185,8 +176,8 @@ class SequentialKernel:
 
 
 def run_sequential(model, mode: OrderingMode, global_seed: int,
-                   seq_cap: int = DEFAULT_SEQUENCE_CAP, naive: bool = False,
+                   seq_cap: int = DEFAULT_SEQUENCE_CAP,
                    collect_trace: bool = True) -> Trace:
     kernel = SequentialKernel(model, mode, global_seed, seq_cap=seq_cap,
-                              naive=naive, collect_trace=collect_trace)
+                              collect_trace=collect_trace)
     return kernel.run()

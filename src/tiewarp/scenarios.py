@@ -81,17 +81,8 @@ class ScriptedModel:
 
 
 def committed_names(trace) -> tuple:
-    """The scripted events in commit order, read back from LP final states.
-
-    Scripted payloads are not recorded in the trace rows, so recover the
-    global order by commit index instead: each committed row is matched to
-    its name through the per-LP processing order.
-    """
-    per_lp = {lp: list(names) for lp, names in trace.final_states.items()}
-    out = []
-    for ce in trace.committed:
-        out.append(per_lp[ce.dest_lp].pop(0))
-    return tuple(out)
+    """The scripted events' names (their payloads) in commit order."""
+    return tuple(ev.payload for ev in trace.committed)
 
 
 class TiePairModel:

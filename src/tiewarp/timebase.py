@@ -15,12 +15,16 @@ comparable, deterministically, under one of several ordering modes:
 * ``LEX_SEQUENCE``    a zero-offset child appends a fresh draw to its
                       parent's sequence; sequences compare lexicographically
                       with a strict prefix ordering before its extensions
+* ``NAIVE``           one fresh independent draw per event, even at zero
+                      offset, so a child can order before its parent
+                      (negative-control runs only)
 
 Draws are unsigned 64-bit integers rather than floats in (0,1): the mapping
 is order-isomorphic, bit-exact on every platform, and collides with
 probability 2**-64 per pair. When two signatures are fully equal anyway, a
-deterministic identity fallback keeps the order total; activations of that
-fallback are counted so any residual bias is measurable.
+deterministic identity fallback keeps the order total. ``compare_signatures``
+counts its activations when the caller passes a ``ComparatorStats``; the
+kernels compare stored sort keys instead, so a run does not count them.
 """
 
 from __future__ import annotations
@@ -47,11 +51,12 @@ class OrderingMode(enum.Enum):
     UNBIASED_SINGLE = "unbiased-single"
     ADDITIVE = "additive"
     LEX_SEQUENCE = "lex"
+    NAIVE = "naive"
 
     def __init__(self, value: str):
         # whether events in this mode carry tie-break draws; a plain member
         # attribute, fixed once here, because every built event reads it
-        self.uses_draws = value in ("unbiased-single", "additive", "lex")
+        self.uses_draws = value not in ("none", "biased")
 
     @classmethod
     def from_name(cls, name: str) -> "OrderingMode":
@@ -68,8 +73,8 @@ class TimeSignature:
     """Virtual timestamp plus ordered tie-break draws; the total-order key.
 
     ``tiebreak`` is empty in NONE and BIASED_RULESET modes (those modes do
-    not consume draws), holds exactly one value in UNBIASED_SINGLE and
-    ADDITIVE, and one value per zero-offset ancestor plus one in
+    not consume draws), holds exactly one value in UNBIASED_SINGLE, ADDITIVE
+    and NAIVE, and one value per zero-offset ancestor plus one in
     LEX_SEQUENCE.
 
     Signatures are values: they compare and hash by content, and nothing
@@ -112,7 +117,7 @@ def _check_shape(sig: TimeSignature, mode: OrderingMode, cap: int) -> None:
             raise MalformedSignature("empty tie-break sequence in lex mode")
         if n > cap:
             raise MalformedSignature(f"tie-break sequence length {n} exceeds cap {cap}")
-    elif mode in (OrderingMode.UNBIASED_SINGLE, OrderingMode.ADDITIVE):
+    elif mode.uses_draws:
         if n != 1:
             raise MalformedSignature(f"{mode.value} mode requires exactly one tie-break value, got {n}")
 
@@ -130,8 +135,8 @@ def compare_signatures(
 
     Primary key is the timestamp, compared bit-exactly. On a timestamp tie
     LEX_SEQUENCE compares the draw sequences lexicographically (a strict
-    prefix orders before its extensions); ADDITIVE and UNBIASED_SINGLE
-    compare their single draw; BIASED_RULESET compares identities. If the
+    prefix orders before its extensions); the single-value modes compare
+    their one draw; BIASED_RULESET compares identities. If the
     tie-break content is fully equal, distinct identities break the tie
     deterministically, so 0 is returned only for an event compared against
     itself. An identity is the tuple ``(source_pe, source_lp, serial)``.
@@ -181,7 +186,9 @@ def derive_child_signature(
     parent: LEX_SEQUENCE appends the draw, ADDITIVE adds it to the parent's
     single value (Python ints, so deep chains cannot wrap), and
     UNBIASED_SINGLE rejects the creation outright. Either way the result
-    orders strictly after the parent under ``compare_signatures``.
+    orders strictly after the parent under ``compare_signatures``. NAIVE is
+    the broken scheme the others replace: its zero-offset child also stands
+    alone on a fresh draw, which can order it before its parent.
     """
     if offset < 0:
         raise ValueError(f"negative offset {offset}")
@@ -192,7 +199,7 @@ def derive_child_signature(
     if draw is None:
         raise ValueError(f"mode {mode.value} requires a tie-break draw")
 
-    if offset > 0:
+    if offset > 0 or mode is OrderingMode.NAIVE:
         return TimeSignature(parent.timestamp + offset, (draw,))
 
     if mode is OrderingMode.UNBIASED_SINGLE:
@@ -208,19 +215,6 @@ def derive_child_signature(
             f"zero-offset chain would grow the tie-break sequence past cap {cap}"
         )
     return TimeSignature(parent.timestamp, parent.tiebreak + (draw,))
-
-
-def derive_naive_signature(parent: TimeSignature, offset: float, draw: int) -> TimeSignature:
-    """Unsafe derivation: a fresh independent draw even at zero offset.
-
-    This reproduces the broken scheme where a zero-offset child can draw a
-    lower value than already-processed events and order before them. Only
-    the negative-control demos use it; the kernels surface the resulting
-    CausalityViolation (sequential) or rollback livelock (optimistic).
-    """
-    if offset < 0:
-        raise ValueError(f"negative offset {offset}")
-    return TimeSignature(parent.timestamp + offset, (draw,))
 
 
 def is_causal_prefix(a: TimeSignature, b: TimeSignature) -> bool:

@@ -134,8 +134,7 @@ def test_criterion_04_published_tie_break_orders(scripted_traces):
     assert got_additive == SCRIPT_ADDITIVE_ORDER, got_additive
     assert got_lex == SCRIPT_LEX_ORDER, got_lex
     with pytest.raises(CausalityViolation):
-        run_sequential(ScriptedModel(), OrderingMode.UNBIASED_SINGLE, 1,
-                       naive=True)
+        run_sequential(ScriptedModel(), OrderingMode.NAIVE, 1)
     print(f"criterion 4: additive {got_additive}, lex {got_lex}, "
           f"naive derivation refused")
 

@@ -13,6 +13,7 @@ from tiewarp import cli
 from tiewarp.cli import load_config, main
 from tiewarp.errors import ConfigError
 from tiewarp.harness import RunSpec, execute
+from tiewarp.timebase import MODE_NAMES
 from tiewarp.trace import (CHUNK, TRACE_SCHEMA, Event, Trace, digest_lines,
                            first_divergence, read_trace)
 
@@ -210,16 +211,15 @@ def test_exit_code_2_on_file_errors(tmp_path, capsys):
 
 
 def test_exit_code_3_on_causality_violation(capsys):
-    code = main(["run", "--model", "event-ties", "--mode", "unbiased-single",
-                 "--lps", "6", "--end", "4", "--chain", "3", "--naive"])
+    code = main(["run", "--model", "event-ties", "--mode", "naive",
+                 "--lps", "6", "--end", "4", "--chain", "3"])
     assert code == 3
     assert "causality violation" in capsys.readouterr().err
 
 
 def test_exit_code_4_on_livelock(capsys):
-    code = main(["run", "--model", "event-ties", "--mode", "unbiased-single",
-                 "--lps", "6", "--end", "4", "--chain", "3", "--naive",
-                 "--workers", "4"])
+    code = main(["run", "--model", "event-ties", "--mode", "naive",
+                 "--lps", "6", "--end", "4", "--chain", "3", "--workers", "4"])
     assert code == 4
     assert "livelock" in capsys.readouterr().err
 
@@ -309,6 +309,14 @@ def test_config_file_validation(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+def test_naive_config_key_is_unknown(tmp_path, capsys):
+    # the naive derivation is the ordering mode "naive", not a switch
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('mode = "unbiased-single"\nnaive = true\n')
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text,message", (
     ("lps = abc\n", "n_lps must be int, got 'abc'"),
     ("seed = abc\n", "seed must be int, got 'abc'"),
@@ -342,8 +350,7 @@ def test_config_keys_and_flags_cover_the_run_schema():
     assert set(cli.CONFIG_KEYS) == {
         "model", "mode", "lps", "remote_prob", "chain", "height", "arity",
         "coupled", "mean_offset", "end", "seed", "workers", "chaos_seed",
-        "max_delay", "gvt_interval", "seq_cap", "naive", "trace_out",
-        "summary_out"}
+        "max_delay", "gvt_interval", "seq_cap", "trace_out", "summary_out"}
     # every run flag lands on a RunSpec field or an output path, and
     # every RunSpec field has a flag
     parser = argparse.ArgumentParser()
@@ -352,8 +359,11 @@ def test_config_keys_and_flags_cover_the_run_schema():
     assert dests == set(cli.RUN_FIELDS + cli.OUTPUT_KEYS)
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def readme_cli_commands():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
     text = block.replace("\\\n", " ")
     return [shlex.split(line)[1:] for line in text.splitlines()
@@ -365,3 +375,9 @@ def test_readme_cli_commands_parse(argv):
     # parse only, nothing is run: a renamed or removed flag fails here
     args = cli.build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+def test_readme_mode_table_lists_every_mode():
+    section = re.search(r"## Ordering modes\n(.*?)\n## ", README.read_text(), re.S)
+    rows = re.findall(r"^\| `([^`]+)` \|", section.group(1), re.M)
+    assert rows == list(MODE_NAMES)

@@ -28,8 +28,6 @@ def test_build_run_validation():
         build_run(RunSpec(model="not-a-model", mode="lex"))
     with pytest.raises(ConfigError):
         build_run(RunSpec(model="phold", mode="alphabetical"))
-    with pytest.raises(ConfigError):
-        build_run(RunSpec(model="phold", mode="lex", naive=True))
 
 
 def test_execute_returns_metrics_only_for_optimistic_runs():
@@ -119,6 +117,10 @@ def test_run_fairness_input_validation():
         run_fairness("none", 0, 500)
     with pytest.raises(ConfigError):
         run_fairness("unbiased-single", 1, 500)
+    # no closed form, and its chains die of CausalityViolation at depth > 0
+    for depth in (0, 1):
+        with pytest.raises(ConfigError):
+            run_fairness("naive", depth, 500)
 
 
 def test_run_fairness_lex_balanced():

@@ -40,13 +40,13 @@ def test_scripted_orders_differ_between_modes():
 
 def test_naive_derivation_violates_causality():
     with pytest.raises(CausalityViolation):
-        run_sequential(ScriptedModel(), OrderingMode.UNBIASED_SINGLE, 1, naive=True)
+        run_sequential(ScriptedModel(), OrderingMode.NAIVE, 1)
 
 
 def test_naive_violates_on_random_tie_model_too():
     model = build_model("event-ties", n_lps=6, end_time=4.0, chain_length=3)
     with pytest.raises(CausalityViolation):
-        run_sequential(model, OrderingMode.LEX_SEQUENCE, 5, naive=True)
+        run_sequential(model, OrderingMode.NAIVE, 5)
 
 
 def test_single_draw_mode_rejects_zero_offset_models():

@@ -16,7 +16,6 @@ from tiewarp.timebase import (
     TimeSignature,
     compare_signatures,
     derive_child_signature,
-    derive_naive_signature,
     format_signature,
     format_tiebreak,
     format_timestamp,
@@ -55,7 +54,8 @@ def rand_identity(rng):
 
 
 def test_mode_names_round_trip():
-    assert set(MODE_NAMES) == {"none", "biased", "unbiased-single", "additive", "lex"}
+    assert set(MODE_NAMES) == {"none", "biased", "unbiased-single", "additive",
+                               "lex", "naive"}
     for name in MODE_NAMES:
         assert OrderingMode.from_name(name).value == name
 
@@ -257,7 +257,7 @@ def test_sequence_cap_enforced():
 
 def test_naive_derivation_forgets_parent():
     parent = TimeSignature(2.0, (500,))
-    child = derive_naive_signature(parent, 0.0, 3)
+    child = derive_child_signature(parent, 0.0, 3, OrderingMode.NAIVE)
     assert child.timestamp == 2.0
     assert child.tiebreak == (3,)  # fresh draw, parent prefix discarded
 
