@@ -14,13 +14,13 @@ stream = DrawStream.for_lp(global_seed=42, lp_id=7, purpose=Purpose.TIEBREAK)
 first = [stream.draw() for _ in range(4)]
 print("draws 0..3:", [hex(v)[:10] for v in first])
 
-mark = stream.snapshot()            # an int, nothing more
-print("snapshot:", mark)
+mark = stream.cursor                # an int, nothing more
+print("cursor:", mark)
 
 later = [stream.draw() for _ in range(3)]
 print("draws 4..6:", [hex(v)[:10] for v in later])
 
-stream.restore(mark)                # rollback
+stream.cursor = mark                # rollback
 replayed = [stream.draw() for _ in range(3)]
 print("replayed 4..6:", [hex(v)[:10] for v in replayed])
 assert replayed == later, "replay must be bit-identical"

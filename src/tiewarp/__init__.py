@@ -45,7 +45,6 @@ from .rngstream import DrawStream, Purpose, derive_stream_key, draw_at, to_unit_
 from .timebase import (
     DEFAULT_SEQUENCE_CAP,
     MODE_NAMES,
-    ComparatorStats,
     OrderingMode,
     TimeSignature,
     compare_signatures,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CausalityViolation",
     "ChaosConfig",
-    "ComparatorStats",
     "ConfigError",
     "DEFAULT_SEQUENCE_CAP",
     "DrawStream",

@@ -213,17 +213,14 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
                           base_seed=args.base_seed)
     print(f"mode={report.mode} depth={report.depth} samples={report.samples}")
     print(f"p_hat={report.p_hat:.4f} ({report.successes}/{report.samples})")
-    if report.expected is None:
-        print("no closed-form expectation for this configuration")
-    else:
-        print(f"expected={report.expected:.6f} "
-              f"interval=[{report.expected - report.half_width:.4f}, "
-              f"{report.expected + report.half_width:.4f}] "
-              f"within={report.within}")
+    print(f"expected={report.expected:.6f} "
+          f"interval=[{report.expected - report.half_width:.4f}, "
+          f"{report.expected + report.half_width:.4f}] "
+          f"within={report.within}")
     if args.json_out:
         Path(args.json_out).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
         print(f"report written: {args.json_out}")
-    if args.strict and report.within is False:
+    if args.strict and not report.within:
         return 1
     return 0
 
@@ -277,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fair = sub.add_parser("fairness",
                             help="estimate tie-ordering probabilities")
-    p_fair.add_argument("--mode", required=True,
-                        choices=("unbiased-single", "additive", "lex"))
+    p_fair.add_argument("--mode", required=True, choices=MODE_NAMES)
     p_fair.add_argument("--depth", type=int, default=0,
                         help="zero-offset chain depth of the target event")
     p_fair.add_argument("--samples", type=int, default=1000)

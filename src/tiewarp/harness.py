@@ -160,9 +160,9 @@ class FairnessReport:
     samples: int
     successes: int
     p_hat: float
-    expected: float | None
-    half_width: float | None
-    within: bool | None
+    expected: float
+    half_width: float
+    within: bool
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -171,7 +171,8 @@ class FairnessReport:
 
 
 def fairness_expected(mode: OrderingMode | str, depth: int) -> float | None:
-    """Closed-form P(chain tail commits before the rival), where known.
+    """Closed-form P(chain tail commits before the rival), or None where
+    there is none, which is exactly where ``run_fairness`` refuses to run.
 
     Lexicographic sequences inherit the order of their first draw, so any
     depth gives 1/2. Additive compares a sum of depth+1 uniforms against a
@@ -194,13 +195,11 @@ def run_fairness(mode_name: str, depth: int, samples: int,
         raise InsufficientSamples(
             f"{samples} samples cannot resolve the target interval; need >= 100")
     mode = OrderingMode.from_name(mode_name)
-    if not mode.uses_draws or mode is OrderingMode.NAIVE:
-        # naive has no closed form, and its chains die of CausalityViolation
-        raise ConfigError("fairness estimation needs mode unbiased-single, "
-                          "additive or lex")
-    if mode is OrderingMode.UNBIASED_SINGLE and depth > 0:
+    expected = fairness_expected(mode, depth)
+    if expected is None:
         raise ConfigError(
-            "unbiased-single cannot order zero-offset chains; depth must be 0")
+            f"mode {mode.value} has no fairness closed form at depth {depth}; "
+            f"use lex, additive, or unbiased-single at depth 0")
     successes = 0
     for i in range(samples):
         model = TiePairModel(depth)
@@ -210,10 +209,6 @@ def run_fairness(mode_name: str, depth: int, samples: int,
         if index[model.target_identity()] < index[model.rival_identity()]:
             successes += 1
     p_hat = successes / samples
-    expected = fairness_expected(mode, depth)
-    if expected is None:
-        return FairnessReport(mode.value, depth, samples, successes, p_hat,
-                              None, None, None)
     half_width = 3.0 * math.sqrt(expected * (1.0 - expected) / samples)
     within = abs(p_hat - expected) <= half_width
     return FairnessReport(mode.value, depth, samples, successes, p_hat,
@@ -223,8 +218,8 @@ def run_fairness(mode_name: str, depth: int, samples: int,
 def audit_trace(trace: Trace, mode_name: str) -> dict:
     """Causal audit of a committed trace.
 
-    Checks that commit keys never regress (strictly ascending in draw-based
-    and biased modes, non-decreasing timestamps otherwise) and that every
+    Checks that each commit key is ``mode.after`` the one before (strictly
+    ascending, or non-decreasing bare timestamps in mode none) and that every
     event with a recorded parent commits after that parent. Keys are
     recomputed from each event's signature and identity, not read from the
     key the kernel stored, so the audit checks the kernels independently.
@@ -235,14 +230,9 @@ def audit_trace(trace: Trace, mode_name: str) -> dict:
     last_key = None
     for index, ev in enumerate(trace.committed):
         key = sort_key(ev.signature, (ev.source_pe, ev.source_lp, ev.serial), mode)
-        if last_key is not None:
-            if mode is OrderingMode.NONE:
-                ok = key[0] >= last_key[0]
-            else:
-                ok = key > last_key
-            if not ok:
-                violations.append({"kind": "order-regression",
-                                   "commit_index": index})
+        if last_key is not None and not mode.after(key, last_key):
+            violations.append({"kind": "order-regression",
+                               "commit_index": index})
         last_key = key
         if ev.parent_key is not None and ev.parent_key not in seen:
             violations.append({"kind": "parent-not-committed",

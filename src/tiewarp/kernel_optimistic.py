@@ -7,11 +7,12 @@ in flight. That makes each run exactly reproducible from (seed, workers,
 chaos seed) while still exploring genuinely adversarial interleavings:
 stragglers, late anti-messages, and cascaded rollbacks all occur for real.
 
-Correctness contract: for the draw-based ordering modes other than naive
-the committed trace is bit-identical to the sequential kernel's, for every
-worker count and every chaos seed. PEs process optimistically, roll back on stragglers,
-cancel speculative sends with anti-messages, and commit only below GVT, the
-global minimum signature still reachable by any pending or in-flight event.
+Correctness contract: for the draw-based ordering modes the outcome, the
+committed trace bit for bit or the error raised, is the sequential kernel's,
+for every worker count and every chaos seed. PEs process optimistically,
+roll back on stragglers, cancel speculative sends with anti-messages, and
+commit only below GVT, the global minimum signature still reachable by any
+pending or in-flight event.
 Rollback is per LP: each LP keeps its own processed history, so a straggler
 or an anti-message undoes only the work of the LP it is addressed to (plus
 whatever that work caused), never that of the other LPs on its PE. Each GVT
@@ -55,27 +56,23 @@ class ChaosConfig:
 class ProcessedEntry:
     """Everything needed to undo one processed event.
 
-    Pre-images cover every mutation processing makes: the destination LP's
-    state, both stream cursors, and its serial counter (emits are sourced
-    from the LP that handled the event, so all four live on one LP).
+    ``pre`` is the handling LP's ``LpRuntime.snapshot()`` from before the
+    event was processed (emits are sourced from the LP that handled the
+    event, so every mutation processing makes lives on that LP).
     ``match`` is the event's match key, computed when it arrived at the PE.
     ``local_children`` holds ``(child, match key)`` pairs. ``fault`` is the
     exception processing raised, or None; a faulted entry changed nothing
     and sent nothing, and raises its fault when it commits.
     """
 
-    __slots__ = ("event", "match", "pre_state", "pre_tb_cursor",
-                 "pre_model_cursor", "pre_serial", "local_children",
+    __slots__ = ("event", "match", "pre", "local_children",
                  "remote_children", "fault")
 
-    def __init__(self, event, match, pre_state, pre_tb_cursor, pre_model_cursor,
-                 pre_serial, local_children, remote_children, fault=None):
+    def __init__(self, event, match, pre, local_children, remote_children,
+                 fault=None):
         self.event = event
         self.match = match
-        self.pre_state = pre_state
-        self.pre_tb_cursor = pre_tb_cursor
-        self.pre_model_cursor = pre_model_cursor
-        self.pre_serial = pre_serial
+        self.pre = pre
         self.local_children = local_children
         self.remote_children = remote_children
         self.fault = fault
@@ -259,11 +256,7 @@ class PeRuntime:
         its history first.
         """
         ev = entry.event
-        rt = self.lps[ev.dest_lp]
-        rt.state = entry.pre_state
-        rt.tiebreak_stream.restore(entry.pre_tb_cursor)
-        rt.model_stream.restore(entry.pre_model_cursor)
-        rt.serial = entry.pre_serial
+        self.lps[ev.dest_lp].restore(entry.pre)
         self.rolled_back_events += 1
         if entry.fault is not None:
             self.kernel.live_faults -= 1
@@ -287,23 +280,16 @@ class PeRuntime:
     def rollback_past(self, lp_id: int, boundary_key, now: int,
                       in_hand: tuple | None) -> bool:
         """Straggler rollback: undo every entry of the LP that the straggler
-        must precede.
+        must precede, those whose keys are ``mode.after`` its key.
 
-        In draw-based and biased modes that is every entry strictly above the
-        straggler's key. In the no-tie-break mode the boundary is the bare
-        timestamp and entries tying it are rolled back too, conservatively,
-        because without tie-breaks there is no defensible order among them.
+        In mode none that includes entries tying the straggler's timestamp,
+        conservatively, because without tie-breaks there is no defensible
+        order among them.
         """
         hist = self.histories[lp_id]
-        mode_none = self.kernel.mode is OrderingMode.NONE
+        after = self.kernel.mode.after
         killed = False
-        while hist:
-            top = hist[-1].event.key
-            if mode_none:
-                if top[0] < boundary_key[0]:
-                    break
-            elif top <= boundary_key:
-                break
+        while hist and after(hist[-1].event.key, boundary_key):
             killed |= self._undo(hist.pop(), now, in_hand)
         return killed
 
@@ -350,8 +336,7 @@ class PeRuntime:
     def _process(self, ev: Event, m: tuple, now: int) -> None:
         kernel = self.kernel
         rt = self.lps[ev.dest_lp]
-        pre = (rt.state, rt.tiebreak_stream.snapshot(),
-               rt.model_stream.snapshot(), rt.serial)
+        pre = rt.snapshot()
         local_children: list[tuple[Event, tuple]] = []
         remote_children: list[tuple[int, Event]] = []
         fault = None
@@ -365,9 +350,7 @@ class PeRuntime:
             # keep the fault for commit time and leave the LP untouched.
             fault = exc
             kernel.live_faults += 1
-            _, tb_cursor, model_cursor, rt.serial = pre
-            rt.tiebreak_stream.restore(tb_cursor)
-            rt.model_stream.restore(model_cursor)
+            rt.restore(pre)
         else:
             rt.state = new_state
             for child in children:
@@ -382,7 +365,7 @@ class PeRuntime:
                     kernel.transport.send(dest_pe, child, now)
                     remote_children.append((dest_pe, child))
         self.histories[ev.dest_lp].append(ProcessedEntry(
-            ev, m, *pre, local_children, remote_children, fault))
+            ev, m, pre, local_children, remote_children, fault))
         kernel.global_processed += 1
 
     def collect_fossils(self, gvt_key) -> list[ProcessedEntry]:
@@ -444,11 +427,15 @@ class OptimisticKernel:
     # -- GVT and commitment ---------------------------------------------------
 
     def _compute_gvt(self):
-        """Exact minimum over pending, in-flight, and stashed keys.
+        """Exact minimum over pending and in-flight keys.
 
         A pending heap's minimum is its top. Condemned-but-unpopped pending
         entries are included; that only lowers the estimate, which is safe.
-        Every anti-message stashed under one match key has the same key.
+        Stashed anti-messages need no term. One is stashed only when it
+        overtook its positive twin, and that twin cannot have committed: its
+        parent, uncommitted since it is being undone, sorts at or before it
+        (``build_event`` refuses any other child). So the twin is still in
+        transport, with the same key, and counted there.
         Returns None when nothing is reachable, meaning GVT is past the end
         of the run.
         """
@@ -456,7 +443,6 @@ class OptimisticKernel:
         for pe in self.pes:
             if pe.pending:
                 keys.append(pe.pending[0][0])
-            keys.extend(stashed[0] for stashed in pe.stash.values())
         return min(keys) if keys else None
 
     def _commit_epoch(self, committed: list[Event], final: bool) -> None:
@@ -477,19 +463,16 @@ class OptimisticKernel:
         # stable: entries that tie (mode none only) stay in PE, LP, then
         # history order
         batches.sort(key=lambda entry: entry.event.key)
+        after = self.mode.after
         for entry in batches:
             ev = entry.event
             key = ev.key
-            if self._last_commit_key is not None:
-                if self.mode is OrderingMode.NONE:
-                    ok = key[0] >= self._last_commit_key[0]
-                else:
-                    ok = key > self._last_commit_key
-                if not ok:
-                    raise CausalityViolation(
-                        f"commit order regression at "
-                        f"{format_signature(ev.signature)}",
-                        event=repr(ev), frontier=repr(self._last_commit_key))
+            if (self._last_commit_key is not None
+                    and not after(key, self._last_commit_key)):
+                raise CausalityViolation(
+                    f"commit order regression at "
+                    f"{format_signature(ev.signature)}",
+                    event=repr(ev), frontier=repr(self._last_commit_key))
             if entry.fault is not None:
                 # the sequential run raises here too, at the same event
                 raise entry.fault

@@ -51,6 +51,15 @@ class LpRuntime:
         self.serial += 1
         return s
 
+    def snapshot(self) -> tuple:
+        """The undo image of everything processing an event can change."""
+        return (self.state, self.tiebreak_stream.cursor,
+                self.model_stream.cursor, self.serial)
+
+    def restore(self, pre: tuple) -> None:
+        (self.state, self.tiebreak_stream.cursor,
+         self.model_stream.cursor, self.serial) = pre
+
 
 def build_event(
     source: LpRuntime,
@@ -66,6 +75,10 @@ def build_event(
     whether or not the event survives the horizon check. Payloads must be
     hashable, because the optimistic kernel matches anti-messages on event
     content; both kernels reject an unhashable one here.
+
+    A child keyed below its parent raises ``CausalityViolation``: this is
+    both kernels' one causality check, which only modes naive and biased
+    can fail.
     """
     payload = emit.payload
     try:
@@ -89,8 +102,14 @@ def build_event(
         draw = source.tiebreak_stream.draw()
     sig = derive_child_signature(parent_sig, emit.offset, draw, mode, seq_cap)
     key = sort_key(sig, (source.pe_id, source.lp_id, serial), mode)
-    return Event(source.pe_id, source.lp_id, serial, emit.dest_lp, sig, key,
-                 payload, False, depth, parent_key)
+    ev = Event(source.pe_id, source.lp_id, serial, emit.dest_lp, sig, key,
+               payload, False, depth, parent_key)
+    if parent is not None and key < parent.key:
+        raise CausalityViolation(
+            f"event {ev!r} at {format_signature(sig)} sorts "
+            f"before the already-processed frontier",
+            event=repr(ev), frontier=repr(parent.key))
+    return ev
 
 
 def make_lps(model, global_seed: int, pe_of_lp=None) -> list[LpRuntime]:
@@ -117,9 +136,8 @@ class SequentialKernel:
 
     Heap entries carry an insertion sequence number after the sort key, so
     the heap stays totally ordered even in the no-tie-break mode where keys
-    are bare timestamps. A pop below the last processed key means the
-    signature scheme failed to order a child after its parent and raises
-    immediately; in every mode but naive this cannot happen.
+    are bare timestamps. Since ``build_event`` refuses a child keyed below
+    its parent, every pop is at or above the one before it.
     """
 
     def __init__(self, model, mode: OrderingMode, global_seed: int,
@@ -148,18 +166,11 @@ class SequentialKernel:
         for ev in seed_initial_events(model, lps, mode, self.seq_cap):
             self._push(ev)
         committed: list[Event] = []
-        last_key = None
         heap = self._heap
         while heap:
             if len(heap) > self.peak_pending:
                 self.peak_pending = len(heap)
-            key, _, ev = heappop(heap)
-            if last_key is not None and key < last_key:
-                raise CausalityViolation(
-                    f"event {ev!r} at {format_signature(ev.signature)} sorts "
-                    f"before the already-processed frontier",
-                    event=repr(ev), frontier=repr(last_key))
-            last_key = key
+            _, _, ev = heappop(heap)
             rt = lps[ev.dest_lp]
             new_state, emits = model.handle(rt.state, ev, rt.model_stream)
             rt.state = new_state

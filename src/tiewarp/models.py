@@ -48,7 +48,6 @@ class PholdConfig:
     n_lps: int
     remote_prob: float = 0.1
     mean_offset: float = 1.0
-    initial_events_per_lp: int = 1
     end_time: float = 10.0
 
 
@@ -109,8 +108,6 @@ class PholdModel(_ConfiguredModel):
         super().__init__(cfg)
         if cfg.mean_offset <= 0:
             raise ConfigError("mean_offset must be positive")
-        if cfg.initial_events_per_lp < 1:
-            raise ConfigError("initial_events_per_lp must be >= 1")
 
     def initial_state(self, lp_id: int):
         return None
@@ -118,7 +115,7 @@ class PholdModel(_ConfiguredModel):
     def seed_events(self, lp_id: int, stream: DrawStream):
         # Seed emits are measured from the virtual root at time zero, so the
         # offset is the absolute start timestamp.
-        return [Emit(lp_id, 1.0, None)] * self.cfg.initial_events_per_lp
+        return [Emit(lp_id, 1.0, None)]
 
     def handle(self, state, event, stream: DrawStream):
         cfg = self.cfg

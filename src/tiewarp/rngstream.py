@@ -68,8 +68,9 @@ def to_unit_interval(value: int) -> float:
 class DrawStream:
     """One LP-owned stream: a key plus a cursor.
 
-    Snapshots are plain cursor integers and may be copied freely; two
-    streams never share a key, so there is nothing else to synchronize.
+    The cursor is the stream's whole mutable state: rollback saves it and
+    assigns it back. Two streams never share a key, so there is nothing
+    else to synchronize.
     """
 
     __slots__ = ("key", "cursor")
@@ -109,9 +110,3 @@ class DrawStream:
             return self_id
         idx = self.randint(0, n - 2)
         return idx + 1 if idx >= self_id else idx
-
-    def snapshot(self) -> int:
-        return self.cursor
-
-    def restore(self, cursor_snapshot: int) -> None:
-        self.cursor = cursor_snapshot

@@ -38,9 +38,6 @@ TABLE_SCRIPT = (
 SCRIPT_ADDITIVE_ORDER = ("A", "B", "B1", "A1", "A2")
 # Lexicographic: [0.1] < [0.1,0.4] < [0.1,0.4,0.2] < [0.15] < [0.15,0.3].
 SCRIPT_LEX_ORDER = ("A", "A1", "A2", "B", "B1")
-# With independent per-event draws A2 re-draws 0.20 and lands before its
-# already-processed parent A1 (0.40): the sequential kernel must refuse.
-SCRIPT_NAIVE_VIOLATOR = "A2"
 
 
 class ScriptedModel:

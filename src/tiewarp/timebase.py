@@ -22,14 +22,13 @@ comparable, deterministically, under one of several ordering modes:
 Draws are unsigned 64-bit integers rather than floats in (0,1): the mapping
 is order-isomorphic, bit-exact on every platform, and collides with
 probability 2**-64 per pair. When two signatures are fully equal anyway, a
-deterministic identity fallback keeps the order total. ``compare_signatures``
-counts its activations when the caller passes a ``ComparatorStats``; the
-kernels compare stored sort keys instead, so a run does not count them.
+deterministic identity fallback keeps the order total.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 
 from .errors import ConfigError, MalformedSignature, SequenceCapExceeded, ZeroOffsetForbidden
 
@@ -57,6 +56,10 @@ class OrderingMode(enum.Enum):
         # whether events in this mode carry tie-break draws; a plain member
         # attribute, fixed once here, because every built event reads it
         self.uses_draws = value not in ("none", "biased")
+        # after(later, earlier): whether a key may follow another in commit
+        # order, and so whether a straggler at ``earlier`` must undo ``later``.
+        # Keys of mode none are bare timestamps, so ties may commit either way.
+        self.after = operator.ge if value == "none" else operator.gt
 
     @classmethod
     def from_name(cls, name: str) -> "OrderingMode":
@@ -101,15 +104,6 @@ class TimeSignature:
         return f"TimeSignature(timestamp={self.timestamp!r}, tiebreak={self.tiebreak!r})"
 
 
-class ComparatorStats:
-    """Counts identity-fallback activations (expected: zero per run)."""
-
-    __slots__ = ("fallback_activations",)
-
-    def __init__(self):
-        self.fallback_activations = 0
-
-
 def _check_shape(sig: TimeSignature, mode: OrderingMode, cap: int) -> None:
     n = len(sig.tiebreak)
     if mode is OrderingMode.LEX_SEQUENCE:
@@ -129,7 +123,6 @@ def compare_signatures(
     a_identity: tuple | None = None,
     b_identity: tuple | None = None,
     cap: int = DEFAULT_SEQUENCE_CAP,
-    stats: ComparatorStats | None = None,
 ) -> int:
     """Totally order two signatures under ``mode``; returns -1, 0 or 1.
 
@@ -166,8 +159,6 @@ def compare_signatures(
         # it depends on how LPs are partitioned
         ka, kb = a_identity[1:], b_identity[1:]
         if ka != kb:
-            if stats is not None:
-                stats.fallback_activations += 1
             return LESS if ka < kb else GREATER
     return EQUAL
 

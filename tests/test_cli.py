@@ -179,6 +179,14 @@ def test_fairness_subcommand(tmp_path, capsys):
     assert report["samples"] == 200
 
 
+@pytest.mark.parametrize("args", (["--mode", "naive"],
+                                  ["--mode", "unbiased-single", "--depth", "1"]))
+def test_fairness_without_closed_form_is_a_config_error(capsys, args):
+    # --mode offers every mode; run_fairness alone decides which it can run
+    assert main(["fairness", *args, "--samples", "200"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_bench_subcommand(capsys):
     code = main(["bench", "--model", "phold", "--mode", "additive",
                  "--lps", "4", "--end", "4"])
@@ -217,11 +225,22 @@ def test_exit_code_3_on_causality_violation(capsys):
     assert "causality violation" in capsys.readouterr().err
 
 
-def test_exit_code_4_on_livelock(capsys):
+def test_exit_code_3_on_causality_violation_in_parallel(capsys):
     code = main(["run", "--model", "event-ties", "--mode", "naive",
                  "--lps", "6", "--end", "4", "--chain", "3", "--workers", "4"])
-    assert code == 4
-    assert "livelock" in capsys.readouterr().err
+    assert code == 3
+    assert "causality violation" in capsys.readouterr().err
+
+
+def test_biased_zero_offset_child_is_a_causality_violation_in_parallel(capsys):
+    # a zero-offset child whose ruleset identity sorts below its parent's
+    # fails the parallel run as it fails the sequential one
+    code = main(["run", "--model", "event-ties-stress", "--mode", "biased",
+                 "--lps", "12", "--remote-prob", "0.9", "--end", "1",
+                 "--height", "2", "--arity", "2", "--seed", "111", "--workers", "5",
+                 "--chaos-seed", "77", "--max-delay", "4", "--gvt-interval", "1"])
+    assert code == 3
+    assert "causality violation" in capsys.readouterr().err
 
 
 def test_exit_code_4_on_livelock_in_mode_none(capsys):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiewarp import kernel_optimistic
-from tiewarp.errors import ConfigError, LivelockDetected, SequenceCapExceeded
+from tiewarp.errors import (CausalityViolation, ConfigError, LivelockDetected,
+                            SequenceCapExceeded, UnmatchedAntiMessage)
 from tiewarp.harness import audit_trace
 from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel, run_optimistic
 from tiewarp.kernel_seq import run_sequential
@@ -164,17 +165,25 @@ def test_none_mode_counts_are_schedule_independent():
     assert counts == {model.expected_net_events()}
 
 
-def test_naive_derivation_livelocks():
+def test_naive_derivation_raises_the_sequential_causality_violation():
+    # build_event refuses the child in both kernels; the optimistic kernel
+    # raises it when the parent commits
     model = build_model("event-ties", n_lps=6, end_time=4.0, chain_length=3)
-    with pytest.raises(LivelockDetected):
+    with pytest.raises(CausalityViolation) as seq:
+        run_sequential(model, OrderingMode.NAIVE, 5)
+    with pytest.raises(CausalityViolation) as opt:
         run_optimistic(model, OrderingMode.NAIVE, 5, 4)
+    assert str(opt.value) == str(seq.value)
+    assert "sorts before the already-processed frontier" in str(seq.value)
 
 
 def test_livelock_bound_is_configurable(monkeypatch):
+    # the mode none run of test_cli's exit-4 test, which trips the bound of 64
     monkeypatch.setattr(kernel_optimistic, "LIVELOCK_BOUND", 8)
-    model = build_model("event-ties", n_lps=6, end_time=4.0, chain_length=3)
+    model = build_model("event-ties", n_lps=12, chain_length=4, end_time=5.0,
+                        remote_prob=0.9)
     with pytest.raises(LivelockDetected) as info:
-        run_optimistic(model, OrderingMode.NAIVE, 5, 4)
+        run_optimistic(model, OrderingMode.NONE, 4, 6, chaos_seed=2, max_delay=6)
     assert info.value.count == 9
 
 
@@ -216,6 +225,26 @@ def test_heap_top_gvt_equals_the_brute_force_minimum():
         stashed_rounds += kernel.stashed_rounds
     # measured: 3 rounds over these seeds met a stashed anti-message
     assert stashed_rounds > 0
+
+
+class StaleStashKernel(OptimisticKernel):
+    """Starts with an anti-message stashed on PE 0 whose twin never existed,
+    keyed below every event of the run."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.pes[0].stash[("stale",)] = [(0.0, (0,), -1, -1)]
+
+
+def test_stale_stashed_anti_message_raises_at_the_first_gvt_round():
+    # GVT reads pending and in-flight keys only, so the stale key is below
+    # the first round's GVT and that round raises
+    model = build_model("event-ties", n_lps=16, end_time=4.0, chain_length=3)
+    kernel = StaleStashKernel(model, OrderingMode.LEX_SEQUENCE, 1, 4,
+                              gvt_interval=16)
+    with pytest.raises(UnmatchedAntiMessage):
+        kernel.run()
+    assert kernel.gvt_rounds == 1 and kernel.global_processed == 16
 
 
 def test_rollback_counts_are_pruned_below_gvt():
@@ -545,7 +574,7 @@ def outcome(run):
        n_lps=st.integers(1, 16), end_time=st.integers(1, 4),
        remote_prob=st.sampled_from((0.0, 0.3, 0.7, 1.0)),
        mode=st.sampled_from((OrderingMode.UNBIASED_SINGLE, OrderingMode.ADDITIVE,
-                             OrderingMode.LEX_SEQUENCE)),
+                             OrderingMode.LEX_SEQUENCE, OrderingMode.NAIVE)),
        seq_cap=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
        workers=st.integers(2, 8), chaos=st.integers(0, 3))
 def test_differential_outcome_matches_sequential(name, n_lps, end_time, remote_prob,

@@ -145,14 +145,6 @@ def test_none_mode_runs_tie_models_without_draws():
     assert all(ce.signature.tiebreak == () for ce in trace.committed)
 
 
-def test_multiple_initial_events_per_lp():
-    model = build_model("phold", n_lps=3, end_time=2.0,
-                        initial_events_per_lp=4, remote_prob=0.0)
-    trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, 1)
-    seeds = [ce for ce in trace.committed if ce.parent_key is None]
-    assert len(seeds) == 12
-
-
 def test_tie_pair_model_commits_both_lineages():
     model = TiePairModel(depth=2)
     trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, 3)

@@ -54,8 +54,6 @@ def test_phold_config_validation():
         PholdModel(PholdConfig(n_lps=2, remote_prob=1.5))
     with pytest.raises(ConfigError):
         PholdModel(PholdConfig(n_lps=2, mean_offset=0.0))
-    with pytest.raises(ConfigError):
-        PholdModel(PholdConfig(n_lps=2, initial_events_per_lp=0))
 
 
 def test_ties_config_validation():

@@ -70,7 +70,7 @@ def test_snapshot_restore_fuzz():
     rng = random.Random(0xF00D)
     key = derive_stream_key(9, 4, Purpose.TIEBREAK)
     stream = DrawStream(key)
-    snapshots = [stream.snapshot()]
+    snapshots = [stream.cursor]
     for _ in range(5000):
         action = rng.random()
         if action < 0.6:
@@ -78,11 +78,10 @@ def test_snapshot_restore_fuzz():
             assert stream.draw() == draw_at(key, cursor_before)
             assert stream.cursor == cursor_before + 1
         elif action < 0.8:
-            snapshots.append(stream.snapshot())
+            snapshots.append(stream.cursor)
         else:
             target = rng.choice(snapshots)
-            stream.restore(target)
-            assert stream.cursor == target
+            stream.cursor = target
             assert stream.draw() == draw_at(key, target)
 
 
