@@ -15,7 +15,7 @@ spec = RunSpec(model="event-ties", mode="lex", n_lps=64, end_time=6.0,
                chain_length=2, seed=5)
 
 reference, _ = execute(spec)
-print(f"sequential: {reference.net_event_count} events, "
+print(f"sequential: {len(reference.committed)} events, "
       f"digest {reference.digest()[:16]}...")
 
 print("\nlex mode, optimistic:")

@@ -32,11 +32,8 @@ from .kernel_optimistic import ChaosConfig, OptimisticKernel, run_optimistic
 from .kernel_seq import SequentialKernel, run_sequential
 from .models import (
     MODEL_NAMES,
-    EventTiesConfig,
     EventTiesModel,
-    PholdConfig,
     PholdModel,
-    StressConfig,
     StressModel,
     build_model,
     stress_tree_node_count,
@@ -64,7 +61,6 @@ __all__ = [
     "DEFAULT_SEQUENCE_CAP",
     "DrawStream",
     "Event",
-    "EventTiesConfig",
     "EventTiesModel",
     "FairnessReport",
     "InsufficientSamples",
@@ -74,13 +70,11 @@ __all__ = [
     "MalformedSignature",
     "OptimisticKernel",
     "OrderingMode",
-    "PholdConfig",
     "PholdModel",
     "Purpose",
     "RunSpec",
     "SequenceCapExceeded",
     "SequentialKernel",
-    "StressConfig",
     "StressModel",
     "TieWarpError",
     "TimeSignature",

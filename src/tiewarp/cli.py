@@ -154,7 +154,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"model={spec.model} mode={spec.mode} lps={spec.n_lps} "
           f"end={spec.end_time:g} seed={spec.seed} workers={spec.workers} "
           f"chaos-seed={spec.chaos_seed}")
-    print(f"net events: {trace.net_event_count}")
+    print(f"net events: {len(trace.committed)}")
     # one encoder pass: writing the trace file also hashes it
     digest = trace.write(outputs["trace_out"]) if outputs["trace_out"] else trace.digest()
     print(f"trace digest: {digest}")
@@ -166,7 +166,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if outputs["trace_out"]:
         print(f"trace written: {outputs['trace_out']}")
     if outputs["summary_out"]:
-        trace.write_summary(outputs["summary_out"], metrics, digest)
+        trace.write_summary(outputs["summary_out"], spec, metrics, digest)
         print(f"summary written: {outputs['summary_out']}")
     return 0
 

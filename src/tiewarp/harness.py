@@ -22,8 +22,8 @@ from .kernel_optimistic import (
     ChaosConfig,
     OptimisticKernel,
 )
-from .kernel_seq import run_sequential
-from .models import build_model, model_classes
+from .kernel_seq import SequentialKernel, run_sequential
+from .models import build_model, model_class
 from .scenarios import TiePairModel
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
 from .trace import Trace
@@ -37,7 +37,7 @@ class RunSpec:
     """Flat, serializable description of one simulation run.
 
     The single declaration of every run parameter and its default. A model
-    parameter left None takes its default from the model's config class.
+    parameter left None takes its default from the model class.
     Each value must have its field's declared type, or a ConfigError is
     raised: an int is accepted for a float field, a bool never for a number.
     """
@@ -67,9 +67,8 @@ class RunSpec:
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
 
     def model_params(self) -> dict:
-        """This spec's non-None values for the fields the model's config declares."""
-        _, config_class = model_classes(self.model)
-        return {f.name: getattr(self, f.name) for f in fields(config_class)
+        """This spec's non-None values for the fields the model class declares."""
+        return {f.name: getattr(self, f.name) for f in fields(model_class(self.model))
                 if getattr(self, f.name, None) is not None}
 
     def to_dict(self) -> dict:
@@ -194,6 +193,8 @@ def run_fairness(mode_name: str, depth: int, samples: int,
     if samples < 100:
         raise InsufficientSamples(
             f"{samples} samples cannot resolve the target interval; need >= 100")
+    if depth < 0:
+        raise ConfigError(f"depth must be >= 0, got {depth}")
     mode = OrderingMode.from_name(mode_name)
     expected = fairness_expected(mode, depth)
     if expected is None:
@@ -243,12 +244,12 @@ def audit_trace(trace: Trace, mode_name: str) -> dict:
 
 
 def benchmark_sequential(spec: RunSpec) -> dict:
-    """Wall-clock one sequential run without building trace rows."""
+    """Wall-clock one sequential run."""
     model, mode = build_run(spec)
+    kernel = SequentialKernel(model, mode, spec.seed, seq_cap=spec.seq_cap)
     start = time.perf_counter()
-    trace = run_sequential(model, mode, spec.seed, seq_cap=spec.seq_cap,
-                           collect_trace=False)
+    kernel.run()
     elapsed = time.perf_counter() - start
-    return {"mode": mode.value, "events": trace.net_event_count,
-            "seconds": elapsed,
-            "events_per_second": trace.net_event_count / elapsed if elapsed else 0.0}
+    events = kernel.processed_count
+    return {"mode": mode.value, "events": events, "seconds": elapsed,
+            "events_per_second": events / elapsed if elapsed else 0.0}

@@ -388,14 +388,14 @@ class OptimisticKernel:
             raise ConfigError("n_workers must be >= 1")
         if gvt_interval < 1:
             raise ConfigError("gvt_interval must be >= 1")
+        if seq_cap < 1:
+            raise ConfigError("seq_cap must be >= 1")
         chaos = chaos or ChaosConfig()
         if chaos.max_delay < 0:
             raise ConfigError("max_delay must be >= 0")
         self.model = model
         self.mode = mode
-        self.global_seed = global_seed
         self.n_workers = n_workers
-        self.chaos_cfg = chaos
         self.gvt_interval = gvt_interval
         self.seq_cap = seq_cap
         self.end_time = model.end_time
@@ -511,13 +511,7 @@ class OptimisticKernel:
         self._check_quiescent()
         finals = {rt.lp_id: self.model.final_value(rt.state)
                   for rt in self._all_lps}
-        header = Trace.make_header(
-            self.model.name, self.mode.value, self.global_seed,
-            {"kernel": "optimistic", "workers": self.n_workers,
-             "chaos_seed": self.chaos_cfg.chaos_seed,
-             "max_delay": self.chaos_cfg.max_delay})
-        return Trace(committed=committed, final_states=finals,
-                     net_event_count=len(committed), header=header)
+        return Trace(committed=committed, final_states=finals)
 
     def _check_quiescent(self) -> None:
         if any(self.transport.inboxes):

@@ -141,12 +141,12 @@ class SequentialKernel:
     """
 
     def __init__(self, model, mode: OrderingMode, global_seed: int,
-                 seq_cap: int = DEFAULT_SEQUENCE_CAP, collect_trace: bool = True):
+                 seq_cap: int = DEFAULT_SEQUENCE_CAP):
+        if seq_cap < 1:
+            raise ConfigError("seq_cap must be >= 1")
         self.model = model
         self.mode = mode
-        self.global_seed = global_seed
         self.seq_cap = seq_cap
-        self.collect_trace = collect_trace
         self.lps = make_lps(model, global_seed)
         self.processed_count = 0
         self.peak_pending = 0
@@ -174,21 +174,14 @@ class SequentialKernel:
             rt = lps[ev.dest_lp]
             new_state, emits = model.handle(rt.state, ev, rt.model_stream)
             rt.state = new_state
-            if self.collect_trace:
-                committed.append(ev)
+            committed.append(ev)
             self.processed_count += 1
             for emit in emits:
                 self._push(build_event(rt, ev, emit, mode, self.seq_cap))
         finals = {lp.lp_id: model.final_value(lp.state) for lp in lps}
-        header = Trace.make_header(model.name, mode.value, self.global_seed,
-                                   {"kernel": "sequential"})
-        return Trace(committed=committed, final_states=finals,
-                     net_event_count=self.processed_count, header=header)
+        return Trace(committed=committed, final_states=finals)
 
 
 def run_sequential(model, mode: OrderingMode, global_seed: int,
-                   seq_cap: int = DEFAULT_SEQUENCE_CAP,
-                   collect_trace: bool = True) -> Trace:
-    kernel = SequentialKernel(model, mode, global_seed, seq_cap=seq_cap,
-                              collect_trace=collect_trace)
-    return kernel.run()
+                   seq_cap: int = DEFAULT_SEQUENCE_CAP) -> Trace:
+    return SequentialKernel(model, mode, global_seed, seq_cap=seq_cap).run()

@@ -12,6 +12,7 @@ in the order of simultaneous events shows up in the final LP values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -43,32 +44,6 @@ class MeanState:
         return MeanState((self.mean_val + value) / 2.0)
 
 
-@dataclass(frozen=True)
-class PholdConfig:
-    n_lps: int
-    remote_prob: float = 0.1
-    mean_offset: float = 1.0
-    end_time: float = 10.0
-
-
-@dataclass(frozen=True)
-class EventTiesConfig:
-    n_lps: int
-    remote_prob: float = 0.5
-    chain_length: int = 2
-    end_time: float = 10.0
-    coupled: bool = False
-
-
-@dataclass(frozen=True)
-class StressConfig:
-    n_lps: int
-    remote_prob: float = 0.1
-    height: int = 2
-    arity: int = 2
-    end_time: float = 10.0
-
-
 def stress_tree_node_count(height: int, arity: int) -> int:
     """Nodes in one zero-offset tree: levels 0..height, arity children each."""
     if arity == 1:
@@ -76,24 +51,32 @@ def stress_tree_node_count(height: int, arity: int) -> int:
     return (arity ** (height + 1) - 1) // (arity - 1)
 
 
-class _ConfiguredModel:
-    """What the built-in models share: a validated config and the run size.
+@dataclass(frozen=True, kw_only=True)
+class _BuiltinModel:
+    """What the built-in models share: the run size and remote routing.
 
-    Every config class declares ``n_lps``, ``remote_prob`` and ``end_time``;
-    the kernels read the LP count and the end time from the model.
+    Each built-in model is a frozen dataclass whose fields are its
+    parameters, declared once with their defaults; ``build_model`` and
+    ``RunSpec.model_params`` read those fields. The kernels read ``n_lps``
+    and ``end_time`` from the model.
     """
 
-    def __init__(self, cfg):
-        if cfg.n_lps < 1:
+    n_lps: int
+    remote_prob: float = 0.1
+    end_time: float = 10.0
+
+    def __post_init__(self):
+        if self.n_lps < 1:
             raise ConfigError(f"{self.name} needs at least one LP")
-        if not 0.0 <= cfg.remote_prob <= 1.0:
-            raise ConfigError(f"remote_prob {cfg.remote_prob} outside [0,1]")
-        self.cfg = cfg
-        self.n_lps = cfg.n_lps
-        self.end_time = float(cfg.end_time)
+        if not 0.0 <= self.remote_prob <= 1.0:
+            raise ConfigError(f"remote_prob {self.remote_prob} outside [0,1]")
+        # no timestamp compares greater than NaN, so a NaN end never ends
+        if not math.isfinite(self.end_time):
+            raise ConfigError(f"end_time must be finite, got {self.end_time}")
 
 
-class PholdModel(_ConfiguredModel):
+@dataclass(frozen=True, kw_only=True)
+class PholdModel(_BuiltinModel):
     """Classic hold model: every event reschedules exactly one future event.
 
     Destination is self with probability 1 - remote_prob, otherwise a
@@ -103,11 +86,12 @@ class PholdModel(_ConfiguredModel):
     """
 
     name = "phold"
+    mean_offset: float = 1.0
 
-    def __init__(self, cfg: PholdConfig):
-        super().__init__(cfg)
-        if cfg.mean_offset <= 0:
-            raise ConfigError("mean_offset must be positive")
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.mean_offset > 0:
+            raise ConfigError(f"mean_offset must be positive, got {self.mean_offset}")
 
     def initial_state(self, lp_id: int):
         return None
@@ -118,23 +102,20 @@ class PholdModel(_ConfiguredModel):
         return [Emit(lp_id, 1.0, None)]
 
     def handle(self, state, event, stream: DrawStream):
-        cfg = self.cfg
         lp = event.dest_lp
-        if stream.uniform() < cfg.remote_prob:
-            dest = stream.pick_other(cfg.n_lps, lp)
+        if stream.uniform() < self.remote_prob:
+            dest = stream.pick_other(self.n_lps, lp)
         else:
             dest = lp
-        offset = stream.exponential(cfg.mean_offset)
+        offset = stream.exponential(self.mean_offset)
         return state, [Emit(dest, offset, None)]
 
     def final_value(self, state):
         return None
 
-    def expected_net_events(self):
-        return None
 
-
-class EventTiesModel(_ConfiguredModel):
+@dataclass(frozen=True, kw_only=True)
+class EventTiesModel(_BuiltinModel):
     """Zero-offset chain model; every event in the run ties with another.
 
     Each received event folds its value into the LP mean and emits one new
@@ -145,12 +126,15 @@ class EventTiesModel(_ConfiguredModel):
     """
 
     name = "event-ties"
+    remote_prob: float = 0.5
+    chain_length: int = 2
+    coupled: bool = False
 
-    def __init__(self, cfg: EventTiesConfig):
-        super().__init__(cfg)
-        if cfg.chain_length < 1:
+    def __post_init__(self):
+        super().__post_init__()
+        if self.chain_length < 1:
             raise ConfigError("chain_length must be >= 1")
-        if cfg.end_time < 1 or cfg.end_time != int(cfg.end_time):
+        if self.end_time < 1 or self.end_time != int(self.end_time):
             raise ConfigError("event-ties end_time must be a positive integer")
 
     def initial_state(self, lp_id: int):
@@ -160,20 +144,19 @@ class EventTiesModel(_ConfiguredModel):
         return [Emit(lp_id, 1.0, stream.randint(0, 100))]
 
     def handle(self, state: MeanState, event, stream: DrawStream):
-        cfg = self.cfg
         lp = event.dest_lp
         new_state = state.fold(event.payload)
         val = stream.randint(0, 100)
-        if stream.uniform() < cfg.remote_prob:
-            if cfg.coupled:
-                dest = int(new_state.mean_val) % cfg.n_lps
+        if stream.uniform() < self.remote_prob:
+            if self.coupled:
+                dest = int(new_state.mean_val) % self.n_lps
             else:
-                dest = stream.pick_other(cfg.n_lps, lp)
+                dest = stream.pick_other(self.n_lps, lp)
         else:
             dest = lp
         # The chain holds chain_length events per timestep counting the
         # regular-offset head, so the event at depth chain_length-1 breaks it.
-        if event.zero_offset_depth == cfg.chain_length - 1:
+        if event.zero_offset_depth == self.chain_length - 1:
             offset = 1.0
         else:
             offset = 0.0
@@ -183,10 +166,11 @@ class EventTiesModel(_ConfiguredModel):
         return state.mean_val
 
     def expected_net_events(self):
-        return self.cfg.n_lps * int(self.cfg.end_time) * self.cfg.chain_length
+        return self.n_lps * int(self.end_time) * self.chain_length
 
 
-class StressModel(_ConfiguredModel):
+@dataclass(frozen=True, kw_only=True)
+class StressModel(_BuiltinModel):
     """Zero-offset tree model: the worst-case burst of simultaneous events.
 
     Every non-leaf event spawns ``arity`` zero-offset children, child i
@@ -196,14 +180,16 @@ class StressModel(_ConfiguredModel):
     """
 
     name = "event-ties-stress"
+    height: int = 2
+    arity: int = 2
 
-    def __init__(self, cfg: StressConfig):
-        super().__init__(cfg)
-        if cfg.height < 0:
+    def __post_init__(self):
+        super().__post_init__()
+        if self.height < 0:
             raise ConfigError("tree height must be >= 0")
-        if cfg.arity < 1:
+        if self.arity < 1:
             raise ConfigError("tree arity must be >= 1")
-        if cfg.end_time < 1 or cfg.end_time != int(cfg.end_time):
+        if self.end_time < 1 or self.end_time != int(self.end_time):
             raise ConfigError("stress end_time must be a positive integer")
 
     def initial_state(self, lp_id: int):
@@ -214,18 +200,17 @@ class StressModel(_ConfiguredModel):
         return [Emit(lp_id, 1.0, (stream.randint(0, 100), 0, 0))]
 
     def _route(self, stream: DrawStream, lp: int) -> int:
-        if stream.uniform() < self.cfg.remote_prob:
-            return stream.pick_other(self.cfg.n_lps, lp)
+        if stream.uniform() < self.remote_prob:
+            return stream.pick_other(self.n_lps, lp)
         return lp
 
     def handle(self, state: MeanState, event, stream: DrawStream):
-        cfg = self.cfg
         lp = event.dest_lp
         val, level, descendant_sum = event.payload
         new_state = state.fold(val)
         emits = []
-        if level < cfg.height:
-            for i in range(cfg.arity):
+        if level < self.height:
+            for i in range(self.arity):
                 child_val = stream.randint(0, 100)
                 dest = self._route(stream, lp)
                 emits.append(Emit(dest, 0.0, (child_val, level + 1, descendant_sum + i)))
@@ -239,31 +224,26 @@ class StressModel(_ConfiguredModel):
         return state.mean_val
 
     def expected_net_events(self):
-        per_tree = stress_tree_node_count(self.cfg.height, self.cfg.arity)
-        return self.cfg.n_lps * int(self.cfg.end_time) * per_tree
+        per_tree = stress_tree_node_count(self.height, self.arity)
+        return self.n_lps * int(self.end_time) * per_tree
 
 
-MODELS = {
-    "phold": (PholdModel, PholdConfig),
-    "event-ties": (EventTiesModel, EventTiesConfig),
-    "event-ties-stress": (StressModel, StressConfig),
-}
+MODELS = {cls.name: cls for cls in (PholdModel, EventTiesModel, StressModel)}
 MODEL_NAMES = tuple(MODELS)
 
 
-def model_classes(name: str) -> tuple:
-    """The (model class, config class) pair registered under ``name``."""
+def model_class(name: str) -> type:
+    """The model class registered under ``name``."""
     if name not in MODELS:
         raise ConfigError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
     return MODELS[name]
 
 
 def build_model(name: str, **params):
-    """Construct a model from its config class's fields; defaults are the
-    config class's own, and an undeclared or missing parameter is a ConfigError."""
-    model_class, config_class = model_classes(name)
+    """Construct the model ``name`` from its fields; defaults are the class's
+    own, and an undeclared or missing parameter is a ConfigError."""
+    cls = model_class(name)
     try:
-        cfg = config_class(**params)
+        return cls(**params)
     except TypeError as exc:
         raise ConfigError(f"model {name!r}: {exc}") from None
-    return model_class(cfg)

@@ -9,7 +9,7 @@ finalizer over ``key + (i + 1) * GAMMA``; stream keys are derived by hashing
 ``(global_seed, lp_id, purpose)`` through the same mixer, which makes stream
 creation O(1) for any number of LPs.
 
-The generator family and version are recorded in every trace header so a
+The generator family and version are recorded in every run summary so a
 digest can never silently mix outputs of different generators.
 """
 

@@ -73,9 +73,6 @@ class ScriptedModel:
     def final_value(self, state):
         return state
 
-    def expected_net_events(self):
-        return len(TABLE_SCRIPT)
-
 
 def committed_names(trace) -> tuple:
     """The scripted events' names (their payloads) in commit order."""

@@ -23,7 +23,7 @@ from .rngstream import GENERATOR_NAME, GENERATOR_VERSION
 from .timebase import TimeSignature, format_tiebreak, format_timestamp
 
 TRACE_SCHEMA = "tiewarp.trace/2"
-SUMMARY_SCHEMA = "tiewarp.summary/1"
+SUMMARY_SCHEMA = "tiewarp.summary/2"
 
 # Committed events formatted per chunk of canonical text. Encoding, hashing
 # and writing hold one chunk at a time, never the whole text.
@@ -112,7 +112,7 @@ class Event:
 
 @dataclass
 class Trace:
-    """Committed event order plus per-LP final states.
+    """Committed event order plus per-LP final states: what the digest covers.
 
     ``committed`` lists the committed Events; an event's commit index is its
     position in the list.
@@ -120,22 +120,6 @@ class Trace:
 
     committed: list = field(default_factory=list)
     final_states: dict = field(default_factory=dict)
-    net_event_count: int = 0
-    header: dict = field(default_factory=dict)
-
-    @staticmethod
-    def make_header(model: str, mode: str, global_seed: int, extra: dict | None = None) -> dict:
-        header = {
-            "schema": TRACE_SCHEMA,
-            "generator": GENERATOR_NAME,
-            "generator_version": GENERATOR_VERSION,
-            "model": model,
-            "mode": mode,
-            "global_seed": global_seed,
-        }
-        if extra:
-            header.update(extra)
-        return header
 
     def _chunks(self):
         """The canonical lines, one list per chunk: the only place their text
@@ -182,22 +166,22 @@ class Trace:
             fh.write(TRACE_SCHEMA.encode("ascii") + b"\n")
             return _sha256_hex(self._blocks(), fh)
 
-    def summary_dict(self, metrics: dict | None = None, digest: str | None = None) -> dict:
-        """The run summary; ``digest``, if given, is this trace's digest."""
+    def write_summary(self, path, spec, metrics: dict | None, digest: str) -> None:
+        """Write the run summary: the RunSpec that produced this trace, the
+        generator, the committed count, the final states, ``digest`` (this
+        trace's digest) and ``metrics`` (None for a sequential run)."""
         summary = {
             "schema": SUMMARY_SCHEMA,
-            "header": self.header,
-            "net_events": self.net_event_count,
+            "spec": spec.to_dict(),
+            "generator": GENERATOR_NAME,
+            "generator_version": GENERATOR_VERSION,
+            "net_events": len(self.committed),
             "final_states": {str(lp): self.final_states[lp] for lp in sorted(self.final_states)},
-            "digest": self.digest() if digest is None else digest,
+            "digest": digest,
+            "metrics": metrics,
         }
-        if metrics is not None:
-            summary["metrics"] = metrics
-        return summary
-
-    def write_summary(self, path, metrics: dict | None = None, digest: str | None = None) -> None:
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(self.summary_dict(metrics, digest), fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

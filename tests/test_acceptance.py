@@ -191,7 +191,7 @@ def test_criterion_08_event_count_closed_forms():
                             chain_length=chain, remote_prob=rng.random())
         trace = run_sequential(model, OrderingMode.LEX_SEQUENCE,
                                rng.randint(0, 9999))
-        assert trace.net_event_count == n_lps * end * chain
+        assert len(trace.committed) == n_lps * end * chain
 
     def brute_force_nodes(height, arity):
         def walk(level):
@@ -206,7 +206,7 @@ def test_criterion_08_event_count_closed_forms():
         model = build_model("event-ties-stress", n_lps=2, end_time=2.0,
                             height=height, arity=arity, remote_prob=0.3)
         trace = run_sequential(model, OrderingMode.ADDITIVE, 17)
-        assert trace.net_event_count == 2 * 2 * want_nodes
+        assert len(trace.committed) == 2 * 2 * want_nodes
     print("criterion 8: ties counts n_lps*end*chain (10 configs); "
           "stress counts match brute-force trees for (1,2),(2,3),(5,3)")
 

@@ -61,7 +61,21 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     summary = json.loads(summary_path.read_text())
     assert summary["digest"] == digest_from(out)
     assert summary["net_events"] == 30
-    assert summary["header"]["mode"] == "lex"
+    assert summary["spec"]["mode"] == "lex"
+
+
+@pytest.mark.parametrize("workers", ("1", "4"))
+def test_summary_spec_reproduces_the_run(tmp_path, capsys, workers):
+    # a summary is a complete run record: its spec alone reruns the run
+    path = tmp_path / "summary.json"
+    assert main(RUN_TIES + ["--workers", workers, "--chaos-seed", "3",
+                            "--summary-out", str(path)]) == 0
+    summary = json.loads(path.read_text())
+    assert summary["schema"] == "tiewarp.summary/2"
+    assert summary["spec"]["workers"] == int(workers)
+    trace, metrics = execute(RunSpec(**summary["spec"]))
+    assert trace.digest() == summary["digest"] == digest_from(capsys.readouterr().out)
+    assert metrics == summary["metrics"]
 
 
 def test_compare_identical_and_divergent(tmp_path, capsys):
@@ -180,7 +194,10 @@ def test_fairness_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", (["--mode", "naive"],
-                                  ["--mode", "unbiased-single", "--depth", "1"]))
+                                  ["--mode", "unbiased-single", "--depth", "1"],
+                                  ["--mode", "lex", "--depth", "-1"],
+                                  # additive's closed form fails below -2
+                                  ["--mode", "additive", "--depth", "-3"]))
 def test_fairness_without_closed_form_is_a_config_error(capsys, args):
     # --mode offers every mode; run_fairness alone decides which it can run
     assert main(["fairness", *args, "--samples", "200"]) == 2
@@ -206,6 +223,15 @@ def test_exit_code_2_on_config_errors(capsys):
     assert main(["run", "--model", "event-ties-stress", "--mode", "lex",
                  "--lps", "2", "--end", "2", "--height", "3", "--arity", "2",
                  "--seq-cap", "3"]) == 2
+    # non-finite inputs (a NaN end never ends) and caps below one draw,
+    # in both kernels
+    for args in (["--end", "nan"], ["--end", "inf"],
+                 ["--model", "event-ties", "--end", "inf"],
+                 ["--model", "event-ties-stress", "--end", "nan"],
+                 ["--mean-offset", "nan"],
+                 ["--seq-cap", "0"], ["--seq-cap", "-3", "--workers", "2"]):
+        assert main(["run", "--lps", "2", *args]) == 2, args
+        assert "config error" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -1,6 +1,7 @@
 """Harness drivers: determinism sweeps, fairness estimates, trace audits."""
 
 import math
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -16,6 +17,7 @@ from tiewarp.harness import (
     run_fairness,
     verify_determinism,
 )
+from tiewarp.models import MODELS, build_model
 from tiewarp.timebase import OrderingMode, TimeSignature
 from tiewarp.trace import Event, Trace
 
@@ -33,10 +35,8 @@ def test_build_run_validation():
 def test_execute_returns_metrics_only_for_optimistic_runs():
     trace, metrics = execute(TIES_SPEC)
     assert metrics is None
-    assert trace.header["kernel"] == "sequential"
     trace2, metrics2 = execute(RunSpec(**{**TIES_SPEC.to_dict(), "workers": 2}))
     assert metrics2 is not None
-    assert trace2.header["kernel"] == "optimistic"
     assert trace2.digest() == trace.digest()
 
 
@@ -49,6 +49,16 @@ def test_model_params_routing():
     assert spec.model_params()["coupled"] is True
     spec = RunSpec(model="event-ties-stress", mode="lex", height=1, arity=4)
     assert spec.model_params()["arity"] == 4
+
+
+def test_every_model_field_is_a_run_spec_field():
+    # so model_params routes every model parameter, and a flag or a config
+    # key can set it
+    run_fields = {f.name for f in fields(RunSpec)}
+    for name in MODELS:
+        params = asdict(build_model(name, n_lps=3))
+        assert set(params) <= run_fields, name
+        assert RunSpec(model=name, **params).model_params() == params
 
 
 def test_verify_determinism_deterministic_verdict():

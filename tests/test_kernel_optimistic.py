@@ -12,7 +12,7 @@ from tiewarp.errors import (CausalityViolation, ConfigError, LivelockDetected,
 from tiewarp.harness import audit_trace
 from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel, run_optimistic
 from tiewarp.kernel_seq import run_sequential
-from tiewarp.models import Emit, EventTiesConfig, EventTiesModel, build_model
+from tiewarp.models import Emit, EventTiesModel, build_model
 from tiewarp.scenarios import ScriptedModel, committed_names, SCRIPT_LEX_ORDER
 from tiewarp.timebase import OrderingMode
 from tiewarp.trace import Event, first_divergence
@@ -68,7 +68,7 @@ def test_metrics_accounting_is_consistent():
     assert m["rollbacks"] >= m["stragglers"]
     assert 0.0 < m["efficiency"] <= 1.0
     assert m["workers"] == 4
-    assert trace.net_event_count == model.expected_net_events()
+    assert len(trace.committed) == model.expected_net_events()
 
 
 def test_scripted_order_survives_parallel_execution():
@@ -159,8 +159,8 @@ def test_none_mode_is_schedule_dependent_on_ties():
 
 def test_none_mode_counts_are_schedule_independent():
     model = build_model("event-ties", n_lps=6, end_time=4.0, chain_length=2)
-    counts = {run_optimistic(model, OrderingMode.NONE, 1, 3,
-                             chaos_seed=chaos).net_event_count
+    counts = {len(run_optimistic(model, OrderingMode.NONE, 1, 3,
+                                 chaos_seed=chaos).committed)
               for chaos in range(4)}
     assert counts == {model.expected_net_events()}
 
@@ -360,7 +360,7 @@ def test_cascade_can_condemn_the_straggler_in_hand():
     model = build_model("event-ties", n_lps=8, remote_prob=0.7, chain_length=4,
                         end_time=5.0)
     trace = run_optimistic(model, OrderingMode.NONE, 2, 6, chaos_seed=0, max_delay=6)
-    assert trace.net_event_count == model.expected_net_events()
+    assert len(trace.committed) == model.expected_net_events()
 
 
 def test_per_lp_rollback_keeps_efficiency_high():
@@ -443,7 +443,7 @@ def test_unhashable_payloads_are_rejected_in_both_kernels():
     # anti-messages match on content, so the optimistic kernel must hash
     # payloads; both kernels refuse the model at emit rather than one of them
     # running it and the other failing deep in its queues
-    model = ListPayloadTies(EventTiesConfig(n_lps=8, end_time=3))
+    model = ListPayloadTies(n_lps=8, end_time=3)
     with pytest.raises(ConfigError, match=r"LP 0 .*payload of type list"):
         run_sequential(model, OrderingMode.LEX_SEQUENCE, 1)
     with pytest.raises(ConfigError, match=r"LP 0 .*payload of type list"):
@@ -503,7 +503,7 @@ class StateFaultTies(StateZeroOffsetTies):
 
 FAULT_CASES = ((StateZeroOffsetTies, SequenceCapExceeded),
                (StateFaultTies, ModelFault))
-FAULT_CONFIG = EventTiesConfig(n_lps=8, remote_prob=0.7, end_time=4)
+FAULT_PARAMS = {"n_lps": 8, "remote_prob": 0.7, "end_time": 4}
 # the seeds in 0..39 whose sequential run completes with sequence cap 3
 COMPLETING_SEEDS = (0, 14, 17, 24, 27, 29, 35, 39)
 
@@ -512,7 +512,7 @@ COMPLETING_SEEDS = (0, 14, 17, 24, 27, 29, 35, 39)
 def test_speculative_faults_are_contained(model_class):
     # a fault raised by a speculative order that the sequential run never
     # takes is rolled back with its event instead of ending the run
-    model = model_class(FAULT_CONFIG)
+    model = model_class(**FAULT_PARAMS)
     for seed in COMPLETING_SEEDS:
         ref = run_sequential(model, OrderingMode.LEX_SEQUENCE, seed,
                              seq_cap=3).digest()
@@ -524,7 +524,7 @@ def test_speculative_faults_are_contained(model_class):
 
 @pytest.mark.parametrize("model_class,error", FAULT_CASES)
 def test_committed_faults_raise_the_sequential_error(model_class, error):
-    model = model_class(FAULT_CONFIG)
+    model = model_class(**FAULT_PARAMS)
     seed = 1  # not completing: the sequential run raises
     with pytest.raises(error) as seq:
         run_sequential(model, OrderingMode.LEX_SEQUENCE, seed, seq_cap=3)
@@ -539,7 +539,7 @@ def test_committed_faults_raise_the_sequential_error(model_class, error):
 def test_committed_faults_raise_promptly(seed):
     # sequentially these runs raise after 33, 20 and 43 events; the fault
     # must not wait for the next regular GVT round, 4096 events on
-    model = StateFaultTies(EventTiesConfig(n_lps=256, remote_prob=0.7, end_time=10))
+    model = StateFaultTies(n_lps=256, remote_prob=0.7, end_time=10)
     kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, seed, 4, seq_cap=3)
     with pytest.raises(ModelFault):
         kernel.run()
@@ -553,11 +553,10 @@ def build_fuzz_model(name, n_lps, end_time, remote_prob):
     if name == "event-ties-stress":
         return build_model(name, n_lps=n_lps, end_time=end_time, height=2,
                            arity=2, remote_prob=remote_prob)
-    config = EventTiesConfig(n_lps=n_lps, end_time=end_time, chain_length=3,
-                             remote_prob=remote_prob)
     classes = {"event-ties": EventTiesModel, "state-zero-offset": StateZeroOffsetTies,
                "state-fault": StateFaultTies}
-    return classes[name](config)
+    return classes[name](n_lps=n_lps, end_time=end_time, chain_length=3,
+                         remote_prob=remote_prob)
 
 
 def outcome(run):

@@ -1,5 +1,6 @@
 """Sequential kernel: ordering invariants, published tie-break orders."""
 
+import json
 import random
 
 import pytest
@@ -9,8 +10,10 @@ from tiewarp.errors import (
     SequenceCapExceeded,
     ZeroOffsetForbidden,
 )
-from tiewarp.kernel_seq import run_sequential
+from tiewarp.harness import RunSpec, benchmark_sequential, execute
+from tiewarp.kernel_seq import SequentialKernel, run_sequential
 from tiewarp.models import build_model
+from tiewarp.rngstream import GENERATOR_NAME, GENERATOR_VERSION
 from tiewarp.scenarios import (
     SCRIPT_ADDITIVE_ORDER,
     SCRIPT_LEX_ORDER,
@@ -101,7 +104,6 @@ def test_commit_indices_are_dense_and_horizon_respected():
                if not line.startswith("state,")]
     assert indices == list(range(len(trace.committed)))
     assert all(ce.signature.timestamp <= model.end_time for ce in trace.committed)
-    assert trace.net_event_count == len(trace.committed)
 
 
 def test_seed_events_have_no_parent_and_serials_count_sends():
@@ -129,13 +131,14 @@ def test_parents_commit_before_children():
         committed_at[(ce.source_lp, ce.serial)] = ce
 
 
-def test_collect_trace_off_keeps_counts():
+def test_benchmark_counts_the_committed_events():
+    # benchmark_sequential reports the kernel's processed_count
     model = build_model("phold", n_lps=4, end_time=5.0)
-    full = run_sequential(model, OrderingMode.ADDITIVE, 8)
-    bare = run_sequential(model, OrderingMode.ADDITIVE, 8, collect_trace=False)
-    assert bare.committed == []
-    assert bare.net_event_count == full.net_event_count
-    assert bare.final_states == full.final_states
+    kernel = SequentialKernel(model, OrderingMode.ADDITIVE, 8)
+    trace = kernel.run()
+    assert kernel.processed_count == len(trace.committed) > 0
+    spec = RunSpec(model="phold", mode="additive", n_lps=4, end_time=5.0, seed=8)
+    assert benchmark_sequential(spec)["events"] == len(trace.committed)
 
 
 def test_none_mode_runs_tie_models_without_draws():
@@ -169,16 +172,19 @@ def test_trace_file_round_trip(tmp_path):
 
 
 def test_summary_reports_digest_and_finals(tmp_path):
-    import json
-    model = build_model("event-ties", n_lps=3, end_time=2.0, chain_length=2)
-    trace = run_sequential(model, OrderingMode.ADDITIVE, 5)
+    spec = RunSpec(model="event-ties", mode="additive", n_lps=3, end_time=2.0,
+                   chain_length=2, seed=5)
+    trace, _ = execute(spec)
     path = tmp_path / "summary.json"
-    trace.write_summary(path, metrics={"rollbacks": 0})
+    trace.write_summary(path, spec, {"rollbacks": 0}, trace.digest())
     data = json.loads(path.read_text())
+    assert data["schema"] == "tiewarp.summary/2"
+    assert data["spec"] == spec.to_dict()
+    assert (data["generator"], data["generator_version"]) == (GENERATOR_NAME,
+                                                            GENERATOR_VERSION)
     assert data["digest"] == trace.digest()
     assert data["net_events"] == 12
     assert data["metrics"]["rollbacks"] == 0
-    assert data["header"]["kernel"] == "sequential"
     assert len(data["final_states"]) == 3
 
 

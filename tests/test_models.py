@@ -1,5 +1,6 @@
 """Model semantics: handler contracts, closed-form event counts, configs."""
 
+import math
 import random
 
 import pytest
@@ -8,12 +9,10 @@ from tiewarp.errors import ConfigError
 from tiewarp.kernel_seq import run_sequential
 from tiewarp.models import (
     Emit,
-    EventTiesConfig,
     EventTiesModel,
+    MODEL_NAMES,
     MeanState,
-    PholdConfig,
     PholdModel,
-    StressConfig,
     StressModel,
     build_model,
     stress_tree_node_count,
@@ -49,22 +48,33 @@ def test_mean_fold_is_order_sensitive():
 
 def test_phold_config_validation():
     with pytest.raises(ConfigError):
-        PholdModel(PholdConfig(n_lps=0))
+        PholdModel(n_lps=0)
     with pytest.raises(ConfigError):
-        PholdModel(PholdConfig(n_lps=2, remote_prob=1.5))
+        PholdModel(n_lps=2, remote_prob=1.5)
     with pytest.raises(ConfigError):
-        PholdModel(PholdConfig(n_lps=2, mean_offset=0.0))
+        PholdModel(n_lps=2, mean_offset=0.0)
+    with pytest.raises(ConfigError, match="mean_offset"):
+        PholdModel(n_lps=2, mean_offset=math.nan)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("end_time", (math.nan, math.inf))
+def test_non_finite_end_time_is_a_config_error(name, end_time):
+    # no timestamp compares greater than NaN, so a NaN end would never end
+    # the run; the check is made when the model is built
+    with pytest.raises(ConfigError, match="end_time"):
+        build_model(name, n_lps=2, end_time=end_time)
 
 
 def test_ties_config_validation():
     with pytest.raises(ConfigError):
-        EventTiesModel(EventTiesConfig(n_lps=2, chain_length=0))
+        EventTiesModel(n_lps=2, chain_length=0)
     with pytest.raises(ConfigError):
-        EventTiesModel(EventTiesConfig(n_lps=2, end_time=2.5))
+        EventTiesModel(n_lps=2, end_time=2.5)
     with pytest.raises(ConfigError):
-        StressModel(StressConfig(n_lps=2, height=-1))
+        StressModel(n_lps=2, height=-1)
     with pytest.raises(ConfigError):
-        StressModel(StressConfig(n_lps=2, arity=0))
+        StressModel(n_lps=2, arity=0)
     with pytest.raises(ConfigError):
         build_model("no-such-model", n_lps=2)
 
@@ -77,7 +87,7 @@ def test_build_model_rejects_undeclared_and_missing_parameters():
 
 
 def test_phold_handler_contract():
-    model = PholdModel(PholdConfig(n_lps=8, remote_prob=0.3))
+    model = PholdModel(n_lps=8, remote_prob=0.3)
     stream = DrawStream.for_lp(3, 2, Purpose.MODEL)
     remote = 0
     n = 20_000
@@ -93,7 +103,7 @@ def test_phold_handler_contract():
 
 
 def test_phold_never_emits_remote_at_prob_zero():
-    model = PholdModel(PholdConfig(n_lps=8, remote_prob=0.0))
+    model = PholdModel(n_lps=8, remote_prob=0.0)
     stream = DrawStream.for_lp(3, 5, Purpose.MODEL)
     for _ in range(500):
         _, emits = model.handle(None, make_event(5, None), stream)
@@ -101,7 +111,7 @@ def test_phold_never_emits_remote_at_prob_zero():
 
 
 def test_ties_chain_offsets():
-    model = EventTiesModel(EventTiesConfig(n_lps=4, remote_prob=0.0, chain_length=3))
+    model = EventTiesModel(n_lps=4, remote_prob=0.0, chain_length=3)
     stream = DrawStream.for_lp(9, 1, Purpose.MODEL)
     # depths 0 and 1 continue the chain at zero offset; depth 2 breaks it
     for depth, want_offset in ((0, 0.0), (1, 0.0), (2, 1.0)):
@@ -111,7 +121,7 @@ def test_ties_chain_offsets():
 
 
 def test_ties_chain_length_one_never_zero_offset():
-    model = EventTiesModel(EventTiesConfig(n_lps=4, chain_length=1))
+    model = EventTiesModel(n_lps=4, chain_length=1)
     stream = DrawStream.for_lp(9, 0, Purpose.MODEL)
     for _ in range(200):
         _, emits = model.handle(MeanState(), make_event(0, 10, depth=0), stream)
@@ -119,14 +129,14 @@ def test_ties_chain_length_one_never_zero_offset():
 
 
 def test_ties_folds_payload_into_state():
-    model = EventTiesModel(EventTiesConfig(n_lps=4))
+    model = EventTiesModel(n_lps=4)
     stream = DrawStream.for_lp(9, 2, Purpose.MODEL)
     state, _ = model.handle(MeanState(40.0), make_event(2, 60), stream)
     assert state.mean_val == 50.0
 
 
 def test_ties_coupled_routing_follows_state():
-    model = EventTiesModel(EventTiesConfig(n_lps=5, remote_prob=1.0, coupled=True))
+    model = EventTiesModel(n_lps=5, remote_prob=1.0, coupled=True)
     stream = DrawStream.for_lp(9, 3, Purpose.MODEL)
     state, emits = model.handle(MeanState(24.0), make_event(3, 40), stream)
     # new mean is 32.0; destination is floor(32) mod 5 = 2
@@ -142,7 +152,7 @@ def test_stress_node_count_formula_matches_brute_force():
 
 
 def test_stress_handler_fanout_and_leaf_rule():
-    model = StressModel(StressConfig(n_lps=4, remote_prob=0.0, height=2, arity=3))
+    model = StressModel(n_lps=4, remote_prob=0.0, height=2, arity=3)
     stream = DrawStream.for_lp(9, 1, Purpose.MODEL)
     # interior node: arity children, zero offset, descendant sums +0..+2
     _, emits = model.handle(MeanState(), make_event(1, (50, 1, 4)), stream)
@@ -166,9 +176,9 @@ def test_ties_net_event_count_closed_form():
         n_lps = rng.randint(1, 8)
         end = rng.randint(1, 6)
         chain = rng.randint(1, 4)
-        model = EventTiesModel(EventTiesConfig(
+        model = EventTiesModel(
             n_lps=n_lps, remote_prob=rng.random(), chain_length=chain,
-            end_time=float(end)))
+            end_time=float(end))
         trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, rng.randint(0, 999))
         want = n_lps * end * chain
         assert model.expected_net_events() == want
@@ -180,9 +190,9 @@ def test_stress_net_event_count_closed_form():
     for height, arity in ((0, 2), (1, 2), (2, 3), (3, 1)):
         n_lps = rng.randint(1, 4)
         end = rng.randint(1, 3)
-        model = StressModel(StressConfig(
+        model = StressModel(
             n_lps=n_lps, remote_prob=rng.random(), height=height, arity=arity,
-            end_time=float(end)))
+            end_time=float(end))
         trace = run_sequential(model, OrderingMode.ADDITIVE, rng.randint(0, 999))
         want = n_lps * end * count_tree_nodes_brute_force(height, arity)
         assert model.expected_net_events() == want
@@ -203,8 +213,8 @@ def test_phold_population_is_constant():
 
 def test_build_model_applies_defaults():
     model = build_model("event-ties", n_lps=3)
-    assert model.cfg.chain_length == 2
-    assert model.cfg.remote_prob == 0.5
+    assert model.chain_length == 2
+    assert model.remote_prob == 0.5
     model = build_model("event-ties-stress", n_lps=3, height=1, arity=4)
     assert model.expected_net_events() == 3 * 10 * 5
 
