@@ -2,12 +2,13 @@
 
 Subcommands:
   run                  execute one simulation, optionally writing trace/summary
-  verify-determinism   sweep workers x chaos seeds and compare digests
+  verify-determinism   sweep workers x chaos seeds and compare run outcomes
   fairness             estimate tie-ordering probabilities against closed forms
   compare              check two trace files for digest identity
 
 Exit codes: 0 success, 2 configuration error, 3 causality violation,
-4 rollback livelock. A config file (JSON or flat "key = value" lines) can
+4 rollback livelock; verify-determinism reports an error raised while running
+as an outcome instead. A config file (JSON or flat "key = value" lines) can
 supply any run option; explicit flags override it.
 """
 
@@ -189,10 +190,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("--repeats must be >= 1")
     report = verify_determinism(spec, workers=workers,
                                 chaos_seeds=chaos_seeds, repeats=args.repeats)
-    print(f"reference (sequential): {report['reference_digest']}")
+    [reference] = report["reference"].values()  # the digest or the error
+    print(f"reference (sequential): {reference}")
     for cell in report["cells"]:
-        outcome = cell.get("digest") or cell.get("error")
-        mark = "ok" if cell.get("digest") == report["reference_digest"] else "!!"
+        outcome = cell.get("digest") or cell["error"]
+        mark = "ok" if outcome == reference else "!!"
         print(f"  [{mark}] workers={cell['workers']} "
               f"chaos={cell['chaos_seed']} repeat={cell['repeat']}: {outcome}")
     print(f"verdict: {report['verdict']} "
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_ver = sub.add_parser("verify-determinism",
-                           help="compare digests across workers and chaos seeds")
+                           help="compare run outcomes across workers and chaos seeds")
     _add_run_options(p_ver)
     p_ver.add_argument("--workers-list", default="1,2,4,8", dest="workers_list")
     p_ver.add_argument("--chaos-seeds", default="0,1,2", dest="chaos_seeds")

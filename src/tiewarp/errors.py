@@ -24,18 +24,12 @@ class SequenceCapExceeded(TieWarpError):
 class CausalityViolation(TieWarpError):
     """An event was created that orders before already-committed history."""
 
-    def __init__(self, message, event=None, frontier=None):
-        super().__init__(message)
-        self.event = event
-        self.frontier = frontier
-
 
 class LivelockDetected(TieWarpError):
     """The optimistic kernel rolled back the same signature too many times."""
 
-    def __init__(self, message, signature=None, count=0):
+    def __init__(self, message, count=0):
         super().__init__(message)
-        self.signature = signature
         self.count = count
 
 

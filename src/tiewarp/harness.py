@@ -1,9 +1,10 @@
 """Experiment orchestration on top of the two kernels.
 
-Three reusable drivers live here. ``execute`` turns a flat RunSpec into a
-trace. ``verify_determinism`` sweeps worker counts, chaos seeds, and repeats,
-and reports whether every committed trace digest agrees with the sequential
-reference. ``run_fairness`` estimates the probability that the deep end of a
+``build_kernel`` turns a flat RunSpec into a kernel, and running it has one
+``outcome``: its trace digest, or the error it raised. ``execute`` runs a
+spec into a trace. ``verify_determinism`` sweeps worker counts, chaos seeds,
+and repeats, and reports whether every outcome agrees with the sequential
+reference's. ``run_fairness`` estimates the probability that the deep end of a
 zero-offset chain commits before an independent rival event, which has a
 known closed form for the unbiased modes.
 """
@@ -12,10 +13,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import get_args, get_type_hints
 
-from .errors import CausalityViolation, ConfigError, InsufficientSamples, LivelockDetected
+from .errors import ConfigError, InsufficientSamples
 from .kernel_optimistic import (
     DEFAULT_GVT_INTERVAL,
     DEFAULT_MAX_DELAY,
@@ -23,12 +24,12 @@ from .kernel_optimistic import (
     OptimisticKernel,
 )
 from .kernel_seq import SequentialKernel, run_sequential
-from .models import build_model, model_class
+from .models import MODELS, build_model, model_class
 from .scenarios import TiePairModel
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
 from .trace import Trace
 
-DETERMINISM_SCHEMA = "tiewarp.determinism/1"
+DETERMINISM_SCHEMA = "tiewarp.determinism/2"
 FAIRNESS_SCHEMA = "tiewarp.fairness/1"
 
 
@@ -67,9 +68,17 @@ class RunSpec:
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
 
     def model_params(self) -> dict:
-        """This spec's non-None values for the fields the model class declares."""
-        return {f.name: getattr(self, f.name) for f in fields(model_class(self.model))
-                if getattr(self, f.name, None) is not None}
+        """This spec's non-None values for the fields the model class declares.
+
+        A parameter of another model must keep its default, or two specs
+        would describe the same run."""
+        declared = [f.name for f in fields(model_class(self.model))]
+        for name, default in _MODEL_PARAM_DEFAULTS.items():
+            if name not in declared and getattr(self, name) != default:
+                raise ConfigError(f"model {self.model!r} takes no {name}, "
+                                  f"got {getattr(self, name)!r}")
+        return {name: getattr(self, name) for name in declared
+                if getattr(self, name) is not None}
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -83,6 +92,9 @@ def _allowed_types(hint) -> tuple:
 
 _FIELD_TYPES = {name: _allowed_types(hint)
                 for name, hint in get_type_hints(RunSpec).items()}
+# every model's parameters, with their RunSpec defaults
+_MODEL_PARAM_DEFAULTS = {f.name: getattr(RunSpec, f.name)
+                         for model in MODELS.values() for f in fields(model)}
 
 
 def build_run(spec: RunSpec):
@@ -90,61 +102,59 @@ def build_run(spec: RunSpec):
             OrderingMode.from_name(spec.mode))
 
 
-def execute(spec: RunSpec, force_optimistic: bool = False):
-    """Run the spec; returns (trace, metrics or None for sequential runs)."""
+def build_kernel(spec: RunSpec, optimistic: bool):
+    """The spec's kernel, built but not run: optimistic or sequential."""
     model, mode = build_run(spec)
-    if spec.workers == 1 and not force_optimistic:
-        return run_sequential(model, mode, spec.seed, seq_cap=spec.seq_cap), None
-    kernel = OptimisticKernel(
+    if not optimistic:
+        return SequentialKernel(model, mode, spec.seed, seq_cap=spec.seq_cap)
+    return OptimisticKernel(
         model, mode, spec.seed, spec.workers,
         chaos=ChaosConfig(spec.chaos_seed, spec.max_delay),
         gvt_interval=spec.gvt_interval, seq_cap=spec.seq_cap)
-    trace = kernel.run()
-    return trace, kernel.metrics()
+
+
+def execute(spec: RunSpec):
+    """Run the spec; returns (trace, metrics or None for sequential runs)."""
+    optimistic = spec.workers != 1
+    kernel = build_kernel(spec, optimistic)
+    return kernel.run(), kernel.metrics() if optimistic else None
+
+
+def outcome(kernel) -> dict:
+    """Run a built kernel: ``{"digest": ...}``, or ``{"error": "Class: text"}`` if it raised."""
+    try:
+        return {"digest": kernel.run().digest()}
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 def verify_determinism(spec: RunSpec, workers=(1, 2, 4, 8),
                        chaos_seeds=(0, 1, 2), repeats: int = 2) -> dict:
-    """Sweep (workers, chaos seed, repeat) and compare trace digests.
+    """Sweep (workers, chaos seed, repeat) and compare each optimistic run's
+    outcome with the sequential reference's, whatever ``spec.workers`` says.
 
-    The sequential run is the reference. Verdicts: "deterministic" when every
-    cell reproduced the reference digest, "nondeterministic" when at least
-    two digests differ, "faulted" when any cell raised a causality or
-    livelock error (recorded per cell, not propagated).
+    Verdicts: "deterministic" when every outcome equals the reference's,
+    errors included; "faulted" when a cell raised an error the reference did
+    not; "nondeterministic" otherwise. A kernel that cannot be built raises.
     """
-    model, mode = build_run(spec)
-    reference = run_sequential(model, mode, spec.seed,
-                               seq_cap=spec.seq_cap).digest()
-    cells = []
-    digests = {reference}
-    faults = 0
+    reference = outcome(build_kernel(spec, optimistic=False))
+    cells, outcomes = [], []
     for w in workers:
         for cs in chaos_seeds:
+            cell_spec = replace(spec, workers=w, chaos_seed=cs)
             for rep in range(repeats):
-                cell = {"workers": w, "chaos_seed": cs, "repeat": rep}
-                cell_spec = RunSpec(**{**spec.to_dict(),
-                                       "workers": w, "chaos_seed": cs})
-                try:
-                    trace, _ = execute(cell_spec, force_optimistic=True)
-                    cell["digest"] = trace.digest()
-                    digests.add(cell["digest"])
-                except CausalityViolation as exc:
-                    cell["error"] = f"causality: {exc}"
-                    faults += 1
-                except LivelockDetected as exc:
-                    cell["error"] = f"livelock: {exc}"
-                    faults += 1
-                cells.append(cell)
-    if faults:
-        verdict = "faulted"
-    elif len(digests) == 1:
-        verdict = "deterministic"
-    else:
-        verdict = "nondeterministic"
+                result = outcome(build_kernel(cell_spec, optimistic=True))
+                outcomes.append(result)
+                cells.append({"workers": w, "chaos_seed": cs, "repeat": rep, **result})
+    mismatches = [result for result in outcomes if result != reference]
+    faults = sum("error" in result for result in mismatches)
+    verdict = ("faulted" if faults else
+               "nondeterministic" if mismatches else "deterministic")
+    digests = {result["digest"] for result in [reference, *outcomes] if "digest" in result}
     return {
         "schema": DETERMINISM_SCHEMA,
         "spec": spec.to_dict(),
-        "reference_digest": reference,
+        "reference": reference,
         "cells": cells,
         "distinct_digests": sorted(digests),
         "faults": faults,
@@ -245,11 +255,10 @@ def audit_trace(trace: Trace, mode_name: str) -> dict:
 
 def benchmark_sequential(spec: RunSpec) -> dict:
     """Wall-clock one sequential run."""
-    model, mode = build_run(spec)
-    kernel = SequentialKernel(model, mode, spec.seed, seq_cap=spec.seq_cap)
+    kernel = build_kernel(spec, optimistic=False)
     start = time.perf_counter()
     kernel.run()
     elapsed = time.perf_counter() - start
     events = kernel.processed_count
-    return {"mode": mode.value, "events": events, "seconds": elapsed,
+    return {"mode": kernel.mode.value, "events": events, "seconds": elapsed,
             "events_per_second": events / elapsed if elapsed else 0.0}

@@ -246,7 +246,7 @@ class PeRuntime:
             raise LivelockDetected(
                 f"PE {self.pe_id} rolled back {count} times "
                 f"for the same event {tag}; the ordering scheme is not making "
-                f"progress", signature=tag, count=count)
+                f"progress", count=count)
 
     def _undo(self, entry: ProcessedEntry, now: int, in_hand: tuple | None) -> bool:
         """Reverse one processed event; True if it condemned the in-hand event.
@@ -470,9 +470,7 @@ class OptimisticKernel:
             if (self._last_commit_key is not None
                     and not after(key, self._last_commit_key)):
                 raise CausalityViolation(
-                    f"commit order regression at "
-                    f"{format_signature(ev.signature)}",
-                    event=repr(ev), frontier=repr(self._last_commit_key))
+                    f"commit order regression at {format_signature(ev.signature)}")
             if entry.fault is not None:
                 # the sequential run raises here too, at the same event
                 raise entry.fault

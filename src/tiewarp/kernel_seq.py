@@ -107,8 +107,7 @@ def build_event(
     if parent is not None and key < parent.key:
         raise CausalityViolation(
             f"event {ev!r} at {format_signature(sig)} sorts "
-            f"before the already-processed frontier",
-            event=repr(ev), frontier=repr(parent.key))
+            f"before the already-processed frontier")
     return ev
 
 

@@ -73,6 +73,9 @@ class _BuiltinModel:
         # no timestamp compares greater than NaN, so a NaN end never ends
         if not math.isfinite(self.end_time):
             raise ConfigError(f"end_time must be finite, got {self.end_time}")
+        # every built-in model seeds its events at t = 1
+        if self.end_time < 1:
+            raise ConfigError(f"end_time must be >= 1, got {self.end_time}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -134,7 +137,7 @@ class EventTiesModel(_BuiltinModel):
         super().__post_init__()
         if self.chain_length < 1:
             raise ConfigError("chain_length must be >= 1")
-        if self.end_time < 1 or self.end_time != int(self.end_time):
+        if self.end_time != int(self.end_time):
             raise ConfigError("event-ties end_time must be a positive integer")
 
     def initial_state(self, lp_id: int):
@@ -189,7 +192,7 @@ class StressModel(_BuiltinModel):
             raise ConfigError("tree height must be >= 0")
         if self.arity < 1:
             raise ConfigError("tree arity must be >= 1")
-        if self.end_time < 1 or self.end_time != int(self.end_time):
+        if self.end_time != int(self.end_time):
             raise ConfigError("stress end_time must be a positive integer")
 
     def initial_state(self, lp_id: int):

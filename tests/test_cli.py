@@ -180,6 +180,34 @@ def test_verify_determinism_detects_none_mode(tmp_path, capsys):
     assert len(report["cells"]) == 6
 
 
+@pytest.mark.parametrize("args,error", (
+    # sequentially, each of these runs raises; so does every parallel cell
+    (["--mode", "naive", "--chain", "3"], "CausalityViolation: event "),
+    (["--mode", "lex", "--chain", "4", "--seq-cap", "2"], "SequenceCapExceeded: "),
+    (["--mode", "unbiased-single"], "ZeroOffsetForbidden: "),
+), ids=("naive", "seq-cap", "unbiased-single"))
+def test_verify_determinism_judges_errors_as_outcomes(tmp_path, capsys, args, error):
+    report_path = tmp_path / "report.json"
+    code = main(["verify-determinism", "--model", "event-ties", "--lps", "6",
+                 "--end", "4", *args, "--expect", "deterministic",
+                 "--json-out", str(report_path)])
+    assert code == 0
+    assert "verdict: deterministic (0 distinct digest(s), 0 fault(s))" in capsys.readouterr().out
+    report = json.loads(report_path.read_text())
+    assert report["schema"] == "tiewarp.determinism/2"
+    assert report["reference"]["error"].startswith(error)
+    assert len(report["cells"]) == 24
+    assert all(cell["error"] == report["reference"]["error"] for cell in report["cells"])
+
+
+@pytest.mark.parametrize("args", (["--workers-list", "0,2"], ["--max-delay", "-1"],
+                                  ["--gvt-interval", "0"], ["--seq-cap", "0"]))
+def test_verify_determinism_sweep_that_cannot_be_built_is_a_config_error(capsys, args):
+    # building a kernel is configuration, not part of a run's outcome
+    assert main(["verify-determinism", "--lps", "2", "--end", "2", *args]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_fairness_subcommand(tmp_path, capsys):
     report_path = tmp_path / "fairness.json"
     code = main(["fairness", "--mode", "lex", "--depth", "1",
@@ -233,6 +261,30 @@ def test_exit_code_2_on_config_errors(capsys):
         assert main(["run", "--lps", "2", *args]) == 2, args
         assert "config error" in capsys.readouterr().err
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", (["--model", "phold", "--chain", "3"],
+                                  ["--model", "event-ties", "--height", "2"]))
+def test_run_rejects_a_parameter_its_model_ignores(capsys, args):
+    # or two specs, and two summaries, would describe the same run
+    assert main(["run", "--lps", "2", "--end", "2", *args]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_file_cannot_couple_phold(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = phold\ncoupled = true\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "config error: model 'phold' takes no coupled" in capsys.readouterr().err
+
+
+def test_phold_rejects_an_end_before_its_seed_events(capsys):
+    for end in ("-5", "0.5"):
+        assert main(["run", "--model", "phold", "--lps", "3", "--end", end]) == 2
+        assert "config error: end_time must be >= 1" in capsys.readouterr().err
+    # the seed events at t = 1 commit at end 1
+    assert main(["run", "--model", "phold", "--lps", "3", "--end", "1"]) == 0
+    assert "net events: 3" in capsys.readouterr().out
 
 
 def test_exit_code_2_on_file_errors(tmp_path, capsys):

@@ -1,12 +1,12 @@
 """Harness drivers: determinism sweeps, fairness estimates, trace audits."""
 
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import pytest
 
 from tiewarp import harness
-from tiewarp.errors import ConfigError, InsufficientSamples
+from tiewarp.errors import ConfigError, InsufficientSamples, LivelockDetected
 from tiewarp.harness import (
     RunSpec,
     audit_trace,
@@ -17,12 +17,32 @@ from tiewarp.harness import (
     run_fairness,
     verify_determinism,
 )
+from tiewarp.kernel_optimistic import OptimisticKernel
+from tiewarp.kernel_seq import SequentialKernel
 from tiewarp.models import MODELS, build_model
 from tiewarp.timebase import OrderingMode, TimeSignature
 from tiewarp.trace import Event, Trace
 
 TIES_SPEC = RunSpec(model="event-ties", mode="lex", n_lps=6, end_time=4.0,
                     chain_length=2, seed=3)
+# sequentially, this run raises a CausalityViolation
+NAIVE_SPEC = RunSpec(model="event-ties", mode="naive", n_lps=6, end_time=4.0,
+                     chain_length=3)
+
+
+def raising(error, when):
+    """A build_kernel whose kernels raise ``error`` when run, for the
+    (spec, optimistic) pairs that ``when`` accepts."""
+    build_kernel = harness.build_kernel
+
+    def build(spec, optimistic):
+        kernel = build_kernel(spec, optimistic)
+        if when(spec, optimistic):
+            def run():
+                raise error
+            kernel.run = run
+        return kernel
+    return build
 
 
 def test_build_run_validation():
@@ -49,6 +69,13 @@ def test_model_params_routing():
     assert spec.model_params()["coupled"] is True
     spec = RunSpec(model="event-ties-stress", mode="lex", height=1, arity=4)
     assert spec.model_params()["arity"] == 4
+    # a parameter the model does not declare must keep its RunSpec default
+    assert "coupled" not in RunSpec(model="phold", coupled=False).model_params()
+    for model, bad in (("phold", {"chain_length": 3}), ("phold", {"coupled": True}),
+                       ("event-ties", {"mean_offset": 2.0}),
+                       ("event-ties-stress", {"chain_length": 2})):
+        with pytest.raises(ConfigError):
+            RunSpec(model=model, **bad).model_params()
 
 
 def test_every_model_field_is_a_run_spec_field():
@@ -67,8 +94,8 @@ def test_verify_determinism_deterministic_verdict():
     assert report["verdict"] == "deterministic"
     assert report["faults"] == 0
     assert len(report["cells"]) == 3 * 2 * 2
-    assert report["distinct_digests"] == [report["reference_digest"]]
-    assert all(cell["digest"] == report["reference_digest"]
+    assert report["distinct_digests"] == [report["reference"]["digest"]]
+    assert all(cell["digest"] == report["reference"]["digest"]
                for cell in report["cells"])
 
 
@@ -83,21 +110,52 @@ def test_verify_determinism_flags_schedule_dependence():
 
 def test_verify_determinism_records_faults(monkeypatch):
     # a cell that faults must be recorded, not propagated
-    real_execute = harness.execute
-
-    def flaky(spec, force_optimistic=False):
-        if spec.workers == 4:
-            from tiewarp.errors import LivelockDetected
-            raise LivelockDetected("injected", count=99)
-        return real_execute(spec, force_optimistic)
-
-    monkeypatch.setattr(harness, "execute", flaky)
+    monkeypatch.setattr(harness, "build_kernel", raising(
+        LivelockDetected("injected"), lambda spec, optimistic: spec.workers == 4))
     report = verify_determinism(TIES_SPEC, workers=(2, 4), chaos_seeds=(0,),
                                 repeats=1)
     assert report["verdict"] == "faulted"
     assert report["faults"] == 1
     errors = [c["error"] for c in report["cells"] if "error" in c]
-    assert errors == ["livelock: injected"]
+    assert errors == ["LivelockDetected: injected"]
+
+
+def test_verify_determinism_an_error_other_than_the_reference_is_a_fault(monkeypatch):
+    monkeypatch.setattr(harness, "build_kernel", raising(
+        LivelockDetected("injected"), lambda spec, optimistic: spec.workers == 4))
+    report = verify_determinism(NAIVE_SPEC, workers=(2, 4), chaos_seeds=(0,),
+                                repeats=1)
+    assert report["verdict"] == "faulted"
+    assert report["faults"] == 1
+    assert report["cells"][0]["error"] == report["reference"]["error"]
+    assert report["cells"][1]["error"] == "LivelockDetected: injected"
+
+
+def test_verify_determinism_a_digest_where_the_reference_raised_disagrees(monkeypatch):
+    monkeypatch.setattr(harness, "build_kernel", raising(
+        LivelockDetected("injected"), lambda spec, optimistic: not optimistic))
+    report = verify_determinism(TIES_SPEC, workers=(2,), chaos_seeds=(0, 1),
+                                repeats=1)
+    assert report["reference"] == {"error": "LivelockDetected: injected"}
+    assert report["verdict"] == "nondeterministic"
+    assert report["faults"] == 0
+    assert len(report["distinct_digests"]) == 1
+
+
+def test_verify_determinism_reference_is_sequential_whatever_the_spec_says(monkeypatch):
+    kernels = []
+    outcome = harness.outcome
+
+    def recorded(kernel):
+        kernels.append(type(kernel))
+        return outcome(kernel)
+
+    monkeypatch.setattr(harness, "outcome", recorded)
+    report = verify_determinism(replace(TIES_SPEC, workers=4), workers=(2,),
+                                chaos_seeds=(0,), repeats=1)
+    assert kernels == [SequentialKernel, OptimisticKernel]
+    assert report["spec"]["workers"] == 4
+    assert report["verdict"] == "deterministic"
 
 
 def test_fairness_expected_closed_forms():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from tiewarp import kernel_optimistic
 from tiewarp.errors import (CausalityViolation, ConfigError, LivelockDetected,
                             SequenceCapExceeded, UnmatchedAntiMessage)
-from tiewarp.harness import audit_trace
+from tiewarp.harness import audit_trace, outcome
 from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel, run_optimistic
-from tiewarp.kernel_seq import run_sequential
+from tiewarp.kernel_seq import SequentialKernel, run_sequential
 from tiewarp.models import Emit, EventTiesModel, build_model
 from tiewarp.scenarios import ScriptedModel, committed_names, SCRIPT_LEX_ORDER
 from tiewarp.timebase import OrderingMode
@@ -559,14 +559,6 @@ def build_fuzz_model(name, n_lps, end_time, remote_prob):
                          remote_prob=remote_prob)
 
 
-def outcome(run):
-    """A run's digest, or the type and text of the error it raised."""
-    try:
-        return run().digest()
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-
-
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(("phold", "event-ties", "event-ties-stress",
                              "state-zero-offset", "state-fault")),
@@ -579,7 +571,7 @@ def outcome(run):
 def test_differential_outcome_matches_sequential(name, n_lps, end_time, remote_prob,
                                                  mode, seq_cap, seed, workers, chaos):
     model = build_fuzz_model(name, n_lps, end_time, remote_prob)
-    ref = outcome(lambda: run_sequential(model, mode, seed, seq_cap=seq_cap))
-    opt = outcome(lambda: run_optimistic(model, mode, seed, workers,
-                                         chaos_seed=chaos, seq_cap=seq_cap))
+    ref = outcome(SequentialKernel(model, mode, seed, seq_cap=seq_cap))
+    opt = outcome(OptimisticKernel(model, mode, seed, workers,
+                                   chaos=ChaosConfig(chaos), seq_cap=seq_cap))
     assert opt == ref
