@@ -28,7 +28,7 @@ from .harness import (
     run_fairness,
     verify_determinism,
 )
-from .kernel_optimistic import ChaosConfig, OptimisticKernel, run_optimistic
+from .kernel_optimistic import ChaosConfig, OptimisticKernel
 from .kernel_seq import SequentialKernel, run_sequential
 from .models import (
     MODEL_NAMES,
@@ -44,10 +44,8 @@ from .timebase import (
     MODE_NAMES,
     OrderingMode,
     TimeSignature,
-    compare_signatures,
     derive_child_signature,
     format_signature,
-    is_causal_prefix,
     sort_key,
 )
 from .trace import Event, Trace, first_divergence, read_trace
@@ -84,7 +82,6 @@ __all__ = [
     "audit_trace",
     "benchmark_sequential",
     "build_model",
-    "compare_signatures",
     "derive_child_signature",
     "derive_stream_key",
     "draw_at",
@@ -92,10 +89,8 @@ __all__ = [
     "fairness_expected",
     "first_divergence",
     "format_signature",
-    "is_causal_prefix",
     "read_trace",
     "run_fairness",
-    "run_optimistic",
     "run_sequential",
     "sort_key",
     "stress_tree_node_count",

@@ -232,15 +232,15 @@ def audit_trace(trace: Trace, mode_name: str) -> dict:
     Checks that each commit key is ``mode.after`` the one before (strictly
     ascending, or non-decreasing bare timestamps in mode none) and that every
     event with a recorded parent commits after that parent. Keys are
-    recomputed from each event's signature and identity, not read from the
-    key the kernel stored, so the audit checks the kernels independently.
+    recomputed from each event's own fields, not read from the key the
+    kernel stored, so the audit checks the kernels independently.
     """
     mode = OrderingMode.from_name(mode_name)
     violations = []
     seen = set()
     last_key = None
     for index, ev in enumerate(trace.committed):
-        key = sort_key(ev.signature, (ev.source_pe, ev.source_lp, ev.serial), mode)
+        key = sort_key(ev, (ev.source_pe, ev.source_lp, ev.serial), mode)
         if last_key is not None and not mode.after(key, last_key):
             violations.append({"kind": "order-regression",
                                "commit_index": index})

@@ -235,14 +235,13 @@ class PeRuntime:
 
     def _count_rollback(self, cause: Event) -> None:
         self.rollbacks += 1
-        sig = cause.signature
         # not cause.key: in mode NONE that is the bare timestamp, which would
         # merge distinct events into one count
-        cause_id = (sig.timestamp, sig.tiebreak, cause.source_lp, cause.serial)
+        cause_id = (cause.timestamp, cause.tiebreak, cause.source_lp, cause.serial)
         count = self.rollback_counts.get(cause_id, 0) + 1
         self.rollback_counts[cause_id] = count
         if count > LIVELOCK_BOUND:
-            tag = f"{format_signature(sig)}/{cause.source_lp}#{cause.serial}"
+            tag = f"{format_signature(cause)}/{cause.source_lp}#{cause.serial}"
             raise LivelockDetected(
                 f"PE {self.pe_id} rolled back {count} times "
                 f"for the same event {tag}; the ordering scheme is not making "
@@ -354,7 +353,7 @@ class PeRuntime:
         else:
             rt.state = new_state
             for child in children:
-                if child.signature.timestamp > kernel.end_time:
+                if child.timestamp > kernel.end_time:
                     continue
                 dest_pe = kernel.pe_of_lp(child.dest_lp)
                 if dest_pe == self.pe_id:
@@ -417,7 +416,7 @@ class OptimisticKernel:
         self._last_gvt_mark = 0
         self._last_commit_key = None
         for ev in seed_initial_events(model, lps, mode, seq_cap):
-            if ev.signature.timestamp > self.end_time:
+            if ev.timestamp > self.end_time:
                 continue
             self.pes[self.pe_of_lp(ev.dest_lp)].enqueue_positive(ev, ev.match_key())
 
@@ -470,7 +469,7 @@ class OptimisticKernel:
             if (self._last_commit_key is not None
                     and not after(key, self._last_commit_key)):
                 raise CausalityViolation(
-                    f"commit order regression at {format_signature(ev.signature)}")
+                    f"commit order regression at {format_signature(ev)}")
             if entry.fault is not None:
                 # the sequential run raises here too, at the same event
                 raise entry.fault
@@ -541,13 +540,3 @@ class OptimisticKernel:
             "gvt_rounds": self.gvt_rounds,
             "efficiency": committed / processed if processed else 1.0,
         }
-
-
-def run_optimistic(model, mode: OrderingMode, global_seed: int, n_workers: int,
-                   chaos_seed: int = 0, max_delay: int = DEFAULT_MAX_DELAY,
-                   gvt_interval: int = DEFAULT_GVT_INTERVAL,
-                   seq_cap: int = DEFAULT_SEQUENCE_CAP) -> Trace:
-    kernel = OptimisticKernel(model, mode, global_seed, n_workers,
-                              chaos=ChaosConfig(chaos_seed, max_delay),
-                              gvt_interval=gvt_interval, seq_cap=seq_cap)
-    return kernel.run()

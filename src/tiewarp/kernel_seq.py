@@ -89,9 +89,8 @@ def build_event(
             f"{type(payload).__name__}; event payloads must be hashable") from None
     serial = source.next_serial()
     if parent is None:
-        parent_sig, depth, parent_key = _ROOT_SIGNATURE, 0, None
+        depth, parent_key = 0, None
     else:
-        parent_sig = parent.signature
         depth = parent.zero_offset_depth + 1 if emit.offset == 0.0 else 0
         parent_key = (parent.source_lp, parent.serial)
     if not mode.uses_draws:
@@ -100,13 +99,14 @@ def build_event(
         draw = emit.forced_tiebreak
     else:
         draw = source.tiebreak_stream.draw()
-    sig = derive_child_signature(parent_sig, emit.offset, draw, mode, seq_cap)
+    sig = derive_child_signature(parent or _ROOT_SIGNATURE, emit.offset, draw,
+                                 mode, seq_cap)
     key = sort_key(sig, (source.pe_id, source.lp_id, serial), mode)
-    ev = Event(source.pe_id, source.lp_id, serial, emit.dest_lp, sig, key,
-               payload, False, depth, parent_key)
+    ev = Event(source.pe_id, source.lp_id, serial, emit.dest_lp, sig.timestamp,
+               sig.tiebreak, key, payload, False, depth, parent_key)
     if parent is not None and key < parent.key:
         raise CausalityViolation(
-            f"event {ev!r} at {format_signature(sig)} sorts "
+            f"event {ev!r} at {format_signature(ev)} sorts "
             f"before the already-processed frontier")
     return ev
 
@@ -153,7 +153,7 @@ class SequentialKernel:
         self._push_seq = 0
 
     def _push(self, ev: Event) -> None:
-        if ev.signature.timestamp > self.model.end_time:
+        if ev.timestamp > self.model.end_time:
             return
         heappush(self._heap, (ev.key, self._push_seq, ev))
         self._push_seq += 1

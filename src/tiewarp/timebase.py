@@ -1,4 +1,4 @@
-"""Extended virtual time: signatures, tie-break draws, and total-order comparators.
+"""Extended virtual time: signatures, tie-break draws, and the total-order key.
 
 A plain virtual timestamp only partially orders a simulation: simultaneous
 events are incomparable. This module extends each event's key with an ordered
@@ -23,6 +23,12 @@ Draws are unsigned 64-bit integers rather than floats in (0,1): the mapping
 is order-isomorphic, bit-exact on every platform, and collides with
 probability 2**-64 per pair. When two signatures are fully equal anyway, a
 deterministic identity fallback keeps the order total.
+
+An event carries its signature as its own ``timestamp`` and ``tiebreak``
+fields, so every function here that reads a signature also takes an event.
+The runtime order is ``sort_key``'s tuple under native comparison; the
+paper's pairwise comparator lives in ``tests/signature_oracle.py``, the
+specification the tests check ``sort_key`` against.
 """
 
 from __future__ import annotations
@@ -31,10 +37,6 @@ import enum
 import operator
 
 from .errors import ConfigError, MalformedSignature, SequenceCapExceeded, ZeroOffsetForbidden
-
-LESS = -1
-EQUAL = 0
-GREATER = 1
 
 DEFAULT_SEQUENCE_CAP = 64
 
@@ -73,7 +75,7 @@ MODE_NAMES = tuple(mode.value for mode in OrderingMode)
 
 
 class TimeSignature:
-    """Virtual timestamp plus ordered tie-break draws; the total-order key.
+    """Virtual timestamp plus ordered tie-break draws.
 
     ``tiebreak`` is empty in NONE and BIASED_RULESET modes (those modes do
     not consume draws), holds exactly one value in UNBIASED_SINGLE, ADDITIVE
@@ -81,7 +83,7 @@ class TimeSignature:
     LEX_SEQUENCE.
 
     Signatures are values: they compare and hash by content, and nothing
-    assigns to one after it is built (events, keys and match keys share it).
+    assigns to one after it is built; an event copies its two fields.
     """
 
     __slots__ = ("timestamp", "tiebreak")
@@ -104,67 +106,8 @@ class TimeSignature:
         return f"TimeSignature(timestamp={self.timestamp!r}, tiebreak={self.tiebreak!r})"
 
 
-def _check_shape(sig: TimeSignature, mode: OrderingMode, cap: int) -> None:
-    n = len(sig.tiebreak)
-    if mode is OrderingMode.LEX_SEQUENCE:
-        if n == 0:
-            raise MalformedSignature("empty tie-break sequence in lex mode")
-        if n > cap:
-            raise MalformedSignature(f"tie-break sequence length {n} exceeds cap {cap}")
-    elif mode.uses_draws:
-        if n != 1:
-            raise MalformedSignature(f"{mode.value} mode requires exactly one tie-break value, got {n}")
-
-
-def compare_signatures(
-    a: TimeSignature,
-    b: TimeSignature,
-    mode: OrderingMode,
-    a_identity: tuple | None = None,
-    b_identity: tuple | None = None,
-    cap: int = DEFAULT_SEQUENCE_CAP,
-) -> int:
-    """Totally order two signatures under ``mode``; returns -1, 0 or 1.
-
-    Primary key is the timestamp, compared bit-exactly. On a timestamp tie
-    LEX_SEQUENCE compares the draw sequences lexicographically (a strict
-    prefix orders before its extensions); the single-value modes compare
-    their one draw; BIASED_RULESET compares identities. If the
-    tie-break content is fully equal, distinct identities break the tie
-    deterministically, so 0 is returned only for an event compared against
-    itself. An identity is the tuple ``(source_pe, source_lp, serial)``.
-    """
-    if mode is OrderingMode.NONE:
-        raise ValueError("mode NONE forbids comparison of tied events")
-    _check_shape(a, mode, cap)
-    _check_shape(b, mode, cap)
-
-    if a.timestamp != b.timestamp:
-        return LESS if a.timestamp < b.timestamp else GREATER
-
-    if mode is OrderingMode.BIASED_RULESET:
-        if a_identity is None or b_identity is None:
-            raise ValueError("biased ruleset comparison requires identities")
-        if a_identity != b_identity:
-            return LESS if a_identity < b_identity else GREATER
-        return EQUAL
-
-    if a.tiebreak != b.tiebreak:
-        # Native tuple comparison is lexicographic with shorter-prefix-first,
-        # exactly the sequence rule; single-value modes have length-1 tuples.
-        return LESS if a.tiebreak < b.tiebreak else GREATER
-
-    if a_identity is not None and b_identity is not None:
-        # (source_lp, serial) is globally unique; the PE is left out because
-        # it depends on how LPs are partitioned
-        ka, kb = a_identity[1:], b_identity[1:]
-        if ka != kb:
-            return LESS if ka < kb else GREATER
-    return EQUAL
-
-
 def derive_child_signature(
-    parent: TimeSignature,
+    parent,
     offset: float,
     draw: int | None,
     mode: OrderingMode,
@@ -177,7 +120,7 @@ def derive_child_signature(
     parent: LEX_SEQUENCE appends the draw, ADDITIVE adds it to the parent's
     single value (Python ints, so deep chains cannot wrap), and
     UNBIASED_SINGLE rejects the creation outright. Either way the result
-    orders strictly after the parent under ``compare_signatures``. NAIVE is
+    orders strictly after the parent under ``sort_key``. NAIVE is
     the broken scheme the others replace: its zero-offset child also stands
     alone on a fresh draw, which can order it before its parent.
     """
@@ -208,20 +151,8 @@ def derive_child_signature(
     return TimeSignature(parent.timestamp, parent.tiebreak + (draw,))
 
 
-def is_causal_prefix(a: TimeSignature, b: TimeSignature) -> bool:
-    """True iff ``a`` is a same-timestamp strict prefix of ``b``.
-
-    In lex mode this holds exactly when the event owning ``a`` is a
-    zero-offset ancestor of the event owning ``b``.
-    """
-    if a.timestamp != b.timestamp:
-        return False
-    na, nb = len(a.tiebreak), len(b.tiebreak)
-    return na < nb and b.tiebreak[:na] == a.tiebreak
-
-
-def sort_key(signature: TimeSignature, identity: tuple, mode: OrderingMode) -> tuple:
-    """Tuple that native comparison orders identically to compare_signatures.
+def sort_key(signature, identity: tuple, mode: OrderingMode) -> tuple:
+    """Tuple whose native comparison is the total order of ``mode``.
 
     ``identity`` is ``(source_pe, source_lp, serial)``. The kernels compute
     this key once per event, when it is built. In the draw-based modes the
@@ -252,6 +183,6 @@ def format_tiebreak(tiebreak: tuple) -> str:
     return ":".join([TIEBREAK_HEX % v for v in tiebreak])
 
 
-def format_signature(signature: TimeSignature) -> str:
+def format_signature(signature) -> str:
     return f"{format_timestamp(signature.timestamp)}@{format_tiebreak(signature.tiebreak)}"
 

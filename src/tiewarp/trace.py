@@ -20,7 +20,7 @@ from itertools import islice, zip_longest
 
 from .errors import ConfigError
 from .rngstream import GENERATOR_NAME, GENERATOR_VERSION
-from .timebase import TimeSignature, format_tiebreak, format_timestamp
+from .timebase import format_tiebreak, format_timestamp
 
 TRACE_SCHEMA = "tiewarp.trace/2"
 SUMMARY_SCHEMA = "tiewarp.summary/2"
@@ -36,11 +36,11 @@ class Event:
     One record serves the queues, the anti-messages and the committed trace.
     ``(source_lp, serial)`` is globally unique; ``source_pe``, the creating
     PE, exists for the explicit-bias ruleset and depends on how LPs are
-    partitioned. ``key`` is the event's total-order sort key, computed once
-    when the event is built. ``parent_key`` is the (source_lp, serial) of the
-    causal parent event, or None for seed events; the causality audits walk
-    these back-pointers. ``zero_offset_depth`` counts consecutive
-    zero-offset ancestors.
+    partitioned. ``timestamp`` and ``tiebreak`` are the event's signature and
+    ``key`` its total-order sort key, all set once when the event is built.
+    ``parent_key`` is the (source_lp, serial) of the causal parent event, or
+    None for seed events; the causality audits walk these back-pointers.
+    ``zero_offset_depth`` counts consecutive zero-offset ancestors.
     """
 
     __slots__ = (
@@ -48,7 +48,8 @@ class Event:
         "source_lp",
         "serial",
         "dest_lp",
-        "signature",
+        "timestamp",
+        "tiebreak",
         "key",
         "payload",
         "anti",
@@ -62,7 +63,8 @@ class Event:
         source_lp: int,
         serial: int,
         dest_lp: int,
-        signature: TimeSignature,
+        timestamp: float,
+        tiebreak: tuple = (),
         key: tuple | None = None,
         payload=None,
         anti: bool = False,
@@ -73,7 +75,8 @@ class Event:
         self.source_lp = source_lp
         self.serial = serial
         self.dest_lp = dest_lp
-        self.signature = signature
+        self.timestamp = timestamp
+        self.tiebreak = tiebreak
         self.key = key
         self.payload = payload
         self.anti = anti
@@ -92,21 +95,20 @@ class Event:
         drive the same state transition, and spawn the same children.
         Payloads must therefore be hashable values.
         """
-        sig = self.signature
-        return (self.source_lp, self.serial, self.dest_lp, sig.timestamp,
-                sig.tiebreak, self.payload, self.zero_offset_depth,
+        return (self.source_lp, self.serial, self.dest_lp, self.timestamp,
+                self.tiebreak, self.payload, self.zero_offset_depth,
                 self.parent_key)
 
     def as_anti(self) -> "Event":
         return Event(self.source_pe, self.source_lp, self.serial, self.dest_lp,
-                     self.signature, self.key, self.payload, True,
+                     self.timestamp, self.tiebreak, self.key, self.payload, True,
                      self.zero_offset_depth, self.parent_key)
 
     def __repr__(self):
         kind = "anti" if self.anti else "event"
         return (
             f"<{kind} lp{self.source_lp}#{self.serial}"
-            f" -> lp{self.dest_lp} @ {self.signature.timestamp}>"
+            f" -> lp{self.dest_lp} @ {self.timestamp}>"
         )
 
 
@@ -134,10 +136,9 @@ class Trace:
             lines = []
             append = lines.append
             for index, ev in enumerate(committed[start:start + CHUNK], start):
-                sig = ev.signature
                 parent = ev.parent_key
                 append(f"{index},{ev.source_lp},{ev.serial},{ev.dest_lp},"
-                       f"{sig.timestamp!r},{tiebreak(sig.tiebreak)},"
+                       f"{ev.timestamp!r},{tiebreak(ev.tiebreak)},"
                        f"{f'{parent[0]}#{parent[1]}' if parent else '-'}")
             yield lines
         yield [f"state,{lp},"

@@ -29,14 +29,9 @@ from tiewarp.scenarios import (
     ScriptedModel,
     committed_names,
 )
-from tiewarp.timebase import (
-    EQUAL,
-    OrderingMode,
-    TimeSignature,
-    compare_signatures,
-    derive_child_signature,
-    is_causal_prefix,
-)
+from tiewarp.timebase import OrderingMode, TimeSignature, derive_child_signature
+
+from signature_oracle import EQUAL, compare_signatures, is_causal_prefix
 
 # shared reference configuration: 256 LPs, every event part of a tie chain
 REFERENCE_TIES = dict(model="event-ties", mode="lex", n_lps=256, end_time=10.0,

@@ -20,7 +20,7 @@ from tiewarp.harness import (
 from tiewarp.kernel_optimistic import OptimisticKernel
 from tiewarp.kernel_seq import SequentialKernel
 from tiewarp.models import MODELS, build_model
-from tiewarp.timebase import OrderingMode, TimeSignature
+from tiewarp.timebase import OrderingMode
 from tiewarp.trace import Event, Trace
 
 TIES_SPEC = RunSpec(model="event-ties", mode="lex", n_lps=6, end_time=4.0,
@@ -217,7 +217,7 @@ def test_run_fairness_is_seeded():
 
 def synthetic_trace(entries):
     return Trace(committed=[
-        Event(0, lp, serial, lp, TimeSignature(ts, tb), parent_key=parent)
+        Event(0, lp, serial, lp, ts, tb, parent_key=parent)
         for lp, serial, ts, tb, parent in entries
     ])
 

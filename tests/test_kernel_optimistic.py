@@ -10,16 +10,26 @@ from tiewarp import kernel_optimistic
 from tiewarp.errors import (CausalityViolation, ConfigError, LivelockDetected,
                             SequenceCapExceeded, UnmatchedAntiMessage)
 from tiewarp.harness import audit_trace, outcome
-from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel, run_optimistic
+from tiewarp.kernel_optimistic import (DEFAULT_GVT_INTERVAL, DEFAULT_MAX_DELAY,
+                                       ChaosConfig, OptimisticKernel)
 from tiewarp.kernel_seq import SequentialKernel, run_sequential
 from tiewarp.models import Emit, EventTiesModel, build_model
 from tiewarp.scenarios import ScriptedModel, committed_names, SCRIPT_LEX_ORDER
-from tiewarp.timebase import OrderingMode
+from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode
 from tiewarp.trace import Event, first_divergence
 
 # tie-heavy configuration that provokes hundreds of rollbacks (measured:
 # >50 rollbacks and >60 annihilations at 4 workers, chaos seed 0)
 TIES = dict(n_lps=8, end_time=5.0, chain_length=3, remote_prob=0.7)
+
+
+def run_optimistic(model, mode, global_seed, n_workers, chaos_seed=0,
+                   max_delay=DEFAULT_MAX_DELAY, gvt_interval=DEFAULT_GVT_INTERVAL,
+                   seq_cap=DEFAULT_SEQUENCE_CAP):
+    kernel = OptimisticKernel(model, mode, global_seed, n_workers,
+                              chaos=ChaosConfig(chaos_seed, max_delay),
+                              gvt_interval=gvt_interval, seq_cap=seq_cap)
+    return kernel.run()
 
 
 def run_pair(model, mode, seed, workers, chaos_seed=0, **kw):
@@ -302,7 +312,7 @@ def lp_snapshot(pe, lp_id):
 
 
 def timestamps(entries):
-    return [entry.event.signature.timestamp for entry in entries]
+    return [entry.event.timestamp for entry in entries]
 
 
 def run_with_late_straggler(poke: bool):
@@ -315,7 +325,7 @@ def run_with_late_straggler(poke: bool):
                               chaos=ChaosConfig(0, 0))
     pe0, pe1 = kernel.pes
     now = 0
-    while pe0.pending[0][2].signature.timestamp <= 3.5:
+    while pe0.pending[0][2].timestamp <= 3.5:
         pe0.step(now)
         now += 1
     pe1.step(now)  # sends "late", due at now + 1
@@ -448,6 +458,49 @@ def test_unhashable_payloads_are_rejected_in_both_kernels():
         run_sequential(model, OrderingMode.LEX_SEQUENCE, 1)
     with pytest.raises(ConfigError, match=r"LP 0 .*payload of type list"):
         run_optimistic(model, OrderingMode.LEX_SEQUENCE, 1, 4)
+
+
+class Hops:
+    """Two LPs pass a counter back and forth, one or two time units per hop,
+    and each hop also sends its own LP a zero-offset echo. Every offset is of
+    ``offset_type``, int or float."""
+
+    name = "hops"
+    n_lps = 2
+    end_time = 6.0
+
+    def __init__(self, offset_type):
+        self.offset_type = offset_type
+
+    def initial_state(self, lp_id):
+        return 0
+
+    def seed_events(self, lp_id, stream):
+        return [Emit(lp_id, self.offset_type(1), lp_id)]
+
+    def handle(self, state, event, stream):
+        if event.zero_offset_depth:
+            return state, []
+        n, step = event.payload, self.offset_type
+        return state + 1, [Emit(1 - event.dest_lp, step(1 + n % 2), n + 1),
+                           Emit(event.dest_lp, step(0), n)]
+
+    def final_value(self, state):
+        return state
+
+
+def test_integer_offsets_commit_the_float_offset_run():
+    # timestamps are floats however a model spells its offsets, so an int
+    # offset never changes a canonical line ("2.0", not "2")
+    lex = OrderingMode.LEX_SEQUENCE
+    reference = run_sequential(Hops(float), lex, 3)
+    seq = run_sequential(Hops(int), lex, 3)
+    stamps = [line.split(",")[4] for line in seq.canonical_lines()
+              if not line.startswith("state,")]
+    assert stamps[0] == "1.0" and {"2.0", "3.0"} <= set(stamps)
+    assert all(type(ev.timestamp) is float for ev in seq.committed)
+    assert seq.digest() == reference.digest()
+    assert run_optimistic(Hops(int), lex, 3, 2).digest() == reference.digest()
 
 
 def test_match_key_is_computed_once_per_arrival(monkeypatch):

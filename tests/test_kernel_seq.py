@@ -91,7 +91,7 @@ def test_same_seed_reproduces_digest_different_seed_does_not():
 def test_commit_keys_strictly_ascend(mode):
     model = build_model("phold", n_lps=6, end_time=8.0, remote_prob=0.5)
     trace = run_sequential(model, mode, 21)
-    keys = [sort_key(ce.signature, (ce.source_pe, ce.source_lp, ce.serial), mode)
+    keys = [sort_key(ce, (ce.source_pe, ce.source_lp, ce.serial), mode)
             for ce in trace.committed]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert keys[0][0] == 1.0  # seeds arrive at the first timestep
@@ -103,7 +103,7 @@ def test_commit_indices_are_dense_and_horizon_respected():
     indices = [int(line.split(",")[0]) for line in trace.canonical_lines()
                if not line.startswith("state,")]
     assert indices == list(range(len(trace.committed)))
-    assert all(ce.signature.timestamp <= model.end_time for ce in trace.committed)
+    assert all(ce.timestamp <= model.end_time for ce in trace.committed)
 
 
 def test_seed_events_have_no_parent_and_serials_count_sends():
@@ -111,7 +111,7 @@ def test_seed_events_have_no_parent_and_serials_count_sends():
     trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, 2)
     seeds = [ce for ce in trace.committed if ce.parent_key is None]
     assert len(seeds) == 4
-    assert all(ce.signature.timestamp == 1.0 for ce in seeds)
+    assert all(ce.timestamp == 1.0 for ce in seeds)
     # serials are unique per source LP
     seen = set()
     for ce in trace.committed:
@@ -145,7 +145,7 @@ def test_none_mode_runs_tie_models_without_draws():
     model = build_model("event-ties", n_lps=4, end_time=3.0, chain_length=2)
     trace = run_sequential(model, OrderingMode.NONE, 6)
     assert len(trace.committed) == model.expected_net_events()
-    assert all(ce.signature.tiebreak == () for ce in trace.committed)
+    assert all(ce.tiebreak == () for ce in trace.committed)
 
 
 def test_tie_pair_model_commits_both_lineages():

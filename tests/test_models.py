@@ -18,12 +18,12 @@ from tiewarp.models import (
     stress_tree_node_count,
 )
 from tiewarp.rngstream import DrawStream, Purpose
-from tiewarp.timebase import OrderingMode, TimeSignature
+from tiewarp.timebase import OrderingMode
 from tiewarp.trace import Event
 
 
 def make_event(dest_lp, payload, depth=0, ts=1.0):
-    return Event(0, dest_lp, 0, dest_lp, TimeSignature(ts),
+    return Event(0, dest_lp, 0, dest_lp, ts,
                  payload=payload, zero_offset_depth=depth)
 
 

@@ -7,20 +7,17 @@ import pytest
 from tiewarp.errors import MalformedSignature, SequenceCapExceeded, ZeroOffsetForbidden
 from tiewarp.timebase import (
     DEFAULT_SEQUENCE_CAP,
-    EQUAL,
-    GREATER,
-    LESS,
     MODE_NAMES,
     OrderingMode,
     TimeSignature,
-    compare_signatures,
     derive_child_signature,
     format_signature,
     format_tiebreak,
     format_timestamp,
-    is_causal_prefix,
     sort_key,
 )
+
+from signature_oracle import EQUAL, GREATER, LESS, compare_signatures, is_causal_prefix
 
 DRAW_MODES = (OrderingMode.UNBIASED_SINGLE, OrderingMode.ADDITIVE, OrderingMode.LEX_SEQUENCE)
 

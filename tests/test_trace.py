@@ -6,17 +6,16 @@ from dataclasses import fields
 
 import pytest
 
-from tiewarp.timebase import TimeSignature
 from tiewarp.trace import CHUNK, TRACE_SCHEMA, Event, Trace, digest_lines, first_divergence
 
 
 def make_event(serial=0, tb=(5,), payload=7, depth=0, parent=None):
-    return Event(0, 2, serial, 3, TimeSignature(1.0, tb),
+    return Event(0, 2, serial, 3, 1.0, tb,
                  payload=payload, zero_offset_depth=depth, parent_key=parent)
 
 
 def test_match_key_is_content_not_creation_identity():
-    # same (lp, serial) but different signatures: a stale child and its
+    # same (lp, serial) but different tie-breaks: a stale child and its
     # corrected re-issue after a rollback; they must never annihilate each
     # other's messages
     stale = make_event(serial=4, tb=(0x662B, 0xF0F5))
@@ -46,7 +45,7 @@ def test_equal_match_keys_hash_equal():
 
 
 def committed(lp, serial, ts, tb, pe=0, parent=None):
-    return Event(pe, lp, serial, lp, TimeSignature(ts, tb), parent_key=parent)
+    return Event(pe, lp, serial, lp, ts, tb, parent_key=parent)
 
 
 def test_trace_is_what_the_digest_covers():
@@ -101,10 +100,9 @@ def reference_lines(trace):
     independently of the chunked encoder."""
     for index, ev in enumerate(trace.committed):
         parent = f"{ev.parent_key[0]}#{ev.parent_key[1]}" if ev.parent_key else "-"
-        sig = ev.signature
-        tiebreak = ":".join(format(v, "032x") for v in sig.tiebreak)
+        tiebreak = ":".join(format(v, "032x") for v in ev.tiebreak)
         yield (f"{index},{ev.source_lp},{ev.serial},{ev.dest_lp},"
-               f"{repr(float(sig.timestamp))},{tiebreak},{parent}")
+               f"{repr(float(ev.timestamp))},{tiebreak},{parent}")
     for lp in sorted(trace.final_states):
         value = trace.final_states[lp]
         text = repr(float(value)) if isinstance(value, float) else repr(value)
@@ -119,7 +117,7 @@ def random_trace(n_events, seed):
                          for _ in range(rng.choice((0, 1, 1, 3))))
         parent = rng.choice((None, (0, 0), (rng.randrange(50), rng.randrange(10 ** 6))))
         events.append(Event(rng.randrange(8), rng.randrange(50), serial, rng.randrange(50),
-                            TimeSignature(rng.choice((0.0, 2.0, rng.random() * 1e9)), tiebreak),
+                            rng.choice((0.0, 2.0, rng.random() * 1e9)), tiebreak,
                             parent_key=parent))
     states = {lp: rng.choice((None, rng.randrange(-5, 10 ** 20), rng.random() * 10, 3.0))
               for lp in rng.sample(range(50), rng.randrange(4))}
@@ -142,9 +140,9 @@ def test_encoder_matches_a_per_line_reference(tmp_path, n_events):
 def test_reference_covers_every_shape_the_encoder_formats():
     # the differential test above is only as good as the cases it draws
     events = [ev for n in (1, CHUNK - 1, CHUNK, CHUNK + 1) for ev in random_trace(n, n).committed]
-    lengths = {len(ev.signature.tiebreak) for ev in events}
+    lengths = {len(ev.tiebreak) for ev in events}
     assert {0, 1, 3} <= lengths
-    assert any(v >= 2 ** 64 for ev in events for v in ev.signature.tiebreak)
+    assert any(v >= 2 ** 64 for ev in events for v in ev.tiebreak)
     parents = [ev.parent_key for ev in events]
     assert None in parents and (0, 0) in parents
     states = [v for n in (1, CHUNK - 1, CHUNK, CHUNK + 1)
