@@ -24,7 +24,6 @@ from .harness import (
     audit_trace,
     benchmark_sequential,
     execute,
-    fairness_expected,
     run_fairness,
     verify_determinism,
 )
@@ -36,19 +35,10 @@ from .models import (
     PholdModel,
     StressModel,
     build_model,
-    stress_tree_node_count,
 )
-from .rngstream import DrawStream, Purpose, derive_stream_key, draw_at, to_unit_interval
-from .timebase import (
-    DEFAULT_SEQUENCE_CAP,
-    MODE_NAMES,
-    OrderingMode,
-    TimeSignature,
-    derive_child_signature,
-    format_signature,
-    sort_key,
-)
-from .trace import Event, Trace, first_divergence, read_trace
+from .rngstream import DrawStream, Purpose
+from .timebase import DEFAULT_SEQUENCE_CAP, MODE_NAMES, OrderingMode
+from .trace import Event, Trace
 
 __version__ = "0.1.0"
 
@@ -75,26 +65,15 @@ __all__ = [
     "SequentialKernel",
     "StressModel",
     "TieWarpError",
-    "TimeSignature",
     "Trace",
     "UnmatchedAntiMessage",
     "ZeroOffsetForbidden",
     "audit_trace",
     "benchmark_sequential",
     "build_model",
-    "derive_child_signature",
-    "derive_stream_key",
-    "draw_at",
     "execute",
-    "fairness_expected",
-    "first_divergence",
-    "format_signature",
-    "read_trace",
     "run_fairness",
     "run_sequential",
-    "sort_key",
-    "stress_tree_node_count",
-    "to_unit_interval",
     "verify_determinism",
     "__version__",
 ]

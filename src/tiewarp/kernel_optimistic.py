@@ -15,8 +15,11 @@ commit only below GVT, the global minimum signature still reachable by any
 pending or in-flight event.
 Rollback is per LP: each LP keeps its own processed history, so a straggler
 or an anti-message undoes only the work of the LP it is addressed to (plus
-whatever that work caused), never that of the other LPs on its PE. Each GVT
-round detaches every LP's entries below GVT and merges them by key.
+whatever that work caused), never that of the other LPs on its PE. One
+primitive cancels a copy of an event, for anti-messages and rollback
+cascades alike, and a straggler waits in pending while its LP rolls back.
+Both kernels seed in ``run()``. Each GVT round detaches every LP's entries
+below GVT and merges them by key.
 An error raised while an event is processed speculatively (by the model's
 handler or by building a child) is recorded on that event's history entry
 and raised only when the entry commits, so the run fails exactly when and
@@ -126,12 +129,12 @@ class PeRuntime:
     twin's LP. The pending heap, the counts, the stash and the transport are
     shared by the PE's LPs.
 
-    Undoing an entry condemns its local children in the pending heap. A
-    local child that another LP of this PE has already processed is first
-    rolled back out of that LP's history, as an anti-message would be, and
-    that rollback may cascade further. Everything a cascade undoes was
-    processed after the entry that started it, so it never reaches below an
-    entry an outer rollback is still undoing.
+    ``_cancel`` cancels one copy of an event, for an anti-message and for
+    each local child of an undone entry alike, so a rollback may cascade
+    through the PE's other LPs. Everything a cascade undoes was processed
+    after the entry that started it, so it never reaches below an entry an
+    outer rollback is still undoing. A straggler stays atop the pending heap
+    while its LP rolls back, so a cascade condemns it like any other copy.
 
     Annihilation is count-based and lazy, keyed by match key. Each event's
     match key is computed once, when the event arrives at this PE, and
@@ -183,50 +186,37 @@ class PeRuntime:
         counts[m] = counts.get(m, 0) + 1
 
     def pop_live(self) -> tuple | None:
-        """The next live pending ``(event, match key)``, or None."""
+        """Pop the next live pending entry ``(key, seq, event, match)``, or None."""
         pending, kill_marks = self.pending, self.kill_marks
         while pending:
-            _, _, ev, m = heappop(pending)
+            top = heappop(pending)
+            m = top[3]
             _decrement(self.pending_counts, m)
             if m in kill_marks:
                 _decrement(kill_marks, m)
                 continue
-            return ev, m
+            return top
         return None
 
-    def _condemn(self, m: tuple) -> bool:
-        """Mark one live pending copy of ``m`` dead; False if there is none."""
-        kills = self.kill_marks.get(m, 0)
-        if self.pending_counts.get(m, 0) > kills:
-            self.kill_marks[m] = kills + 1
-            return True
-        return False
+    # -- cancellation --------------------------------------------------------
 
-    def _processed(self, m: tuple, key) -> bool:
-        """Whether the LP that ``m`` is addressed to holds a processed copy.
+    def _cancel(self, m: tuple, key, now: int, cause: Event | None = None) -> bool:
+        """Cancel one copy of the event with match key ``m`` and sort key ``key``.
 
-        Each LP history ascends by key, so the scan from its top stops at the
-        first entry keyed below ``key``, the key of ``m``'s event.
+        A live pending copy is condemned. Failing that, the LP ``m`` is
+        addressed to is rolled back through its processed copy, which
+        re-enqueues it, and that copy is condemned. False if neither exists.
         """
-        for entry in reversed(self.histories[m[2]]):
-            if entry.event.key < key:
-                return False
-            if entry.match == m:
-                return True
-        return False
-
-    # -- anti-message handling ----------------------------------------------
+        kill_marks = self.kill_marks
+        if (self.pending_counts.get(m, 0) <= kill_marks.get(m, 0)
+                and not self.rollback_through(m, key, now, cause)):
+            return False
+        kill_marks[m] = kill_marks.get(m, 0) + 1
+        return True
 
     def receive_anti(self, anti: Event, now: int) -> None:
         m = anti.match_key()
-        if self._condemn(m):
-            self.kernel.annihilations += 1
-        elif self._processed(m, anti.key):
-            # The twin already executed speculatively: rewind through it,
-            # which re-enqueues it, then condemn the re-enqueued copy.
-            self._count_rollback(anti)
-            self.rollback_through(m, now)
-            self.kill_marks[m] = self.kill_marks.get(m, 0) + 1
+        if self._cancel(m, anti.key, now, anti):
             self.kernel.annihilations += 1
         else:
             self.stash.setdefault(m, []).append(anti.key)
@@ -247,37 +237,24 @@ class PeRuntime:
                 f"for the same event {tag}; the ordering scheme is not making "
                 f"progress", count=count)
 
-    def _undo(self, entry: ProcessedEntry, now: int, in_hand: tuple | None) -> bool:
-        """Reverse one processed event; True if it condemned the in-hand event.
-
-        ``in_hand`` is the match key of the popped event being processed, or
-        None. Local children processed by another LP are rolled back out of
-        its history first.
-        """
+    def _undo(self, entry: ProcessedEntry, now: int) -> None:
+        """Reverse one processed event and cancel each of its local children."""
         ev = entry.event
         self.lps[ev.dest_lp].restore(entry.pre)
         self.rolled_back_events += 1
         if entry.fault is not None:
             self.kernel.live_faults -= 1
-        killed_in_hand = False
         for child, cm in entry.local_children:
-            if not killed_in_hand and cm == in_hand:
-                killed_in_hand = True
-            elif not self._condemn(cm):
-                if not self._processed(cm, child.key):
-                    raise UnmatchedAntiMessage(
-                        f"local child {child!r} vanished before its parent's rollback")
-                killed_in_hand |= self.rollback_through(cm, now, in_hand)
-                self.kill_marks[cm] = self.kill_marks.get(cm, 0) + 1
+            if not self._cancel(cm, child.key, now):
+                raise UnmatchedAntiMessage(
+                    f"local child {child!r} vanished before its parent's rollback")
         for dest_pe, child in entry.remote_children:
             self.kernel.transport.send(dest_pe, child.as_anti(), now)
             self.antis_sent += 1
         # the undone event itself goes back to pending for re-execution
         self.enqueue_positive(ev, entry.match)
-        return killed_in_hand
 
-    def rollback_past(self, lp_id: int, boundary_key, now: int,
-                      in_hand: tuple | None) -> bool:
+    def rollback_past(self, lp_id: int, boundary_key, now: int) -> None:
         """Straggler rollback: undo every entry of the LP that the straggler
         must precede, those whose keys are ``mode.after`` its key.
 
@@ -287,26 +264,28 @@ class PeRuntime:
         """
         hist = self.histories[lp_id]
         after = self.kernel.mode.after
-        killed = False
         while hist and after(hist[-1].event.key, boundary_key):
-            killed |= self._undo(hist.pop(), now, in_hand)
-        return killed
+            self._undo(hist.pop(), now)
 
-    def rollback_through(self, match_key, now: int,
-                         in_hand: tuple | None = None) -> bool:
-        """Undo the twin's LP back through its latest processed copy.
+    def rollback_through(self, m: tuple, key, now: int,
+                         cause: Event | None = None) -> bool:
+        """Undo ``m``'s LP back through its latest processed copy of ``m``,
+        first counting ``cause``, if any, as a rollback; False if there is none.
 
-        The LP is the match key's destination. Returns True if the rollback
-        condemned the in-hand event.
+        The LP's history ascends by key, so the scan from its top stops at
+        the first entry keyed below ``key``, the key of ``m``'s event.
         """
-        hist = self.histories[match_key[2]]
-        killed = False
-        while hist:
-            entry = hist.pop()
-            killed |= self._undo(entry, now, in_hand)
-            if entry.match == match_key:
+        hist = self.histories[m[2]]
+        for depth, entry in enumerate(reversed(hist), 1):
+            if entry.event.key < key:
                 break
-        return killed
+            if entry.match == m:
+                if cause is not None:
+                    self._count_rollback(cause)
+                for _ in range(depth):
+                    self._undo(hist.pop(), now)
+                return True
+        return False
 
     # -- forward progress ---------------------------------------------------
 
@@ -317,18 +296,23 @@ class PeRuntime:
                 self.receive_anti(msg, now)
             else:
                 self.enqueue_positive(msg, msg.match_key())
-        popped = self.pop_live()
-        if popped is None:
+        top = self.pop_live()
+        if top is None:
             return bool(delivered)
-        ev, m = popped
+        _, _, ev, m = top
         hist = self.histories[ev.dest_lp]
         # mode NONE keys are 1-tuples, so this is the bare timestamp test
         if hist and ev.key < hist[-1].event.key:
             self.stragglers += 1
             self._count_rollback(ev)
-            if self.rollback_past(ev.dest_lp, ev.key, now, m):
-                # the straggler was a speculative child of an undone event
+            # the straggler waits atop pending while its LP rolls back, where
+            # a cascade that undoes its parent condemns it like any other copy
+            heappush(self.pending, top)
+            self.pending_counts[m] = self.pending_counts.get(m, 0) + 1
+            self.rollback_past(ev.dest_lp, ev.key, now)
+            if m in self.kill_marks:
                 return True
+            self.pop_live()
         self._process(ev, m, now)
         return True
 
@@ -415,10 +399,6 @@ class OptimisticKernel:
         self.live_faults = 0
         self._last_gvt_mark = 0
         self._last_commit_key = None
-        for ev in seed_initial_events(model, lps, mode, seq_cap):
-            if ev.timestamp > self.end_time:
-                continue
-            self.pes[self.pe_of_lp(ev.dest_lp)].enqueue_positive(ev, ev.match_key())
 
     def pe_of_lp(self, lp_id: int) -> int:
         return lp_id % self.n_workers
@@ -429,7 +409,8 @@ class OptimisticKernel:
         """Exact minimum over pending and in-flight keys.
 
         A pending heap's minimum is its top. Condemned-but-unpopped pending
-        entries are included; that only lowers the estimate, which is safe.
+        entries, a condemned straggler among them, are included; that only
+        lowers the estimate, which is safe.
         Stashed anti-messages need no term. One is stashed only when it
         overtook its positive twin, and that twin cannot have committed: its
         parent, uncommitted since it is being undone, sorts at or before it
@@ -485,6 +466,17 @@ class OptimisticKernel:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> Trace:
+        self._seed()
+        return self._drive()
+
+    def _seed(self) -> None:
+        for ev in seed_initial_events(self.model, self._all_lps, self.mode,
+                                      self.seq_cap):
+            if ev.timestamp > self.end_time:
+                continue
+            self.pes[self.pe_of_lp(ev.dest_lp)].enqueue_positive(ev, ev.match_key())
+
+    def _drive(self) -> Trace:
         committed: list[Event] = []
         step = 0
         pes_and_inboxes = list(zip(self.pes, self.transport.inboxes))
@@ -511,18 +503,12 @@ class OptimisticKernel:
         return Trace(committed=committed, final_states=finals)
 
     def _check_quiescent(self) -> None:
-        if any(self.transport.inboxes):
-            raise UnmatchedAntiMessage("transport still holds messages at shutdown")
+        # the loop ends with every inbox and pending heap empty, and the final
+        # commit raises for any stashed anti-message: only kill marks are left
         for pe in self.pes:
-            if pe.pop_live() is not None:
-                raise UnmatchedAntiMessage(
-                    f"PE {pe.pe_id} still holds live pending events at shutdown")
             if pe.kill_marks:
                 raise UnmatchedAntiMessage(
                     f"PE {pe.pe_id} holds kill marks with no matching events")
-            if pe.stash:
-                raise UnmatchedAntiMessage(
-                    f"PE {pe.pe_id} still stashes anti-messages at shutdown")
 
     def metrics(self) -> dict:
         processed = self.global_processed

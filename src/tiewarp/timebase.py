@@ -124,8 +124,8 @@ def derive_child_signature(
     the broken scheme the others replace: its zero-offset child also stands
     alone on a fresh draw, which can order it before its parent.
     """
-    if offset < 0:
-        raise ValueError(f"negative offset {offset}")
+    if not offset >= 0:  # NaN fails every comparison
+        raise ValueError(f"offset {offset} is negative or NaN")
     if not mode.uses_draws:
         # No draw content; ordering falls to timestamps (and, for the biased
         # ruleset, identities). Useful only for those modes' kernels.

@@ -11,9 +11,9 @@ from tiewarp.errors import (CausalityViolation, ConfigError, LivelockDetected,
                             SequenceCapExceeded, UnmatchedAntiMessage)
 from tiewarp.harness import audit_trace, outcome
 from tiewarp.kernel_optimistic import (DEFAULT_GVT_INTERVAL, DEFAULT_MAX_DELAY,
-                                       ChaosConfig, OptimisticKernel)
+                                       ChaosConfig, OptimisticKernel, PeRuntime)
 from tiewarp.kernel_seq import SequentialKernel, run_sequential
-from tiewarp.models import Emit, EventTiesModel, build_model
+from tiewarp.models import Emit, EventTiesModel, PholdModel, build_model
 from tiewarp.scenarios import ScriptedModel, committed_names, SCRIPT_LEX_ORDER
 from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode
 from tiewarp.trace import Event, first_divergence
@@ -323,6 +323,7 @@ def run_with_late_straggler(poke: bool):
     model = Clockwork(poke)
     kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 2,
                               chaos=ChaosConfig(0, 0))
+    kernel._seed()
     pe0, pe1 = kernel.pes
     now = 0
     while pe0.pending[0][2].timestamp <= 3.5:
@@ -334,7 +335,7 @@ def run_with_late_straggler(poke: bool):
     after = lp_snapshot(pe0, 2)
     condemned = sorted(m[3] for m in pe0.kill_marks)
     assert pe0.stragglers == 1 and timestamps(pe0.histories[0]) == [1.0, 2.0, 2.2]
-    trace = kernel.run()
+    trace = kernel._drive()
     assert trace.digest() == run_sequential(model, OrderingMode.LEX_SEQUENCE, 1).digest()
     return kernel, before, after, condemned
 
@@ -362,15 +363,27 @@ def test_undone_local_child_is_rolled_back_out_of_its_lp():
     assert condemned == [3.25, 4.0]
 
 
-def test_cascade_can_condemn_the_straggler_in_hand():
+def test_cascade_can_condemn_the_straggler_in_hand(monkeypatch):
     # mode none also undoes entries tying the straggler's timestamp, so a
     # zero-offset ancestor of the straggler, on another LP of its PE, can be
-    # undone by the local-child cascade; the straggler is then dropped, not
-    # looked for in the pending heap (measured: one such kill in this run)
+    # undone by the local-child cascade; the straggler, waiting atop the
+    # pending heap, is then condemned there (measured: once in this run)
+    original = PeRuntime.rollback_past
+    condemned = 0
+
+    def counting(pe, lp_id, boundary_key, now):
+        nonlocal condemned
+        straggler = pe.pending[0][3]
+        assert straggler not in pe.kill_marks
+        original(pe, lp_id, boundary_key, now)
+        condemned += straggler in pe.kill_marks
+
+    monkeypatch.setattr(PeRuntime, "rollback_past", counting)
     model = build_model("event-ties", n_lps=8, remote_prob=0.7, chain_length=4,
                         end_time=5.0)
     trace = run_optimistic(model, OrderingMode.NONE, 2, 6, chaos_seed=0, max_delay=6)
     assert len(trace.committed) == model.expected_net_events()
+    assert condemned >= 1
 
 
 def test_per_lp_rollback_keeps_efficiency_high():
@@ -447,6 +460,54 @@ class ListPayloadTies(EventTiesModel):
     def handle(self, state, event, stream):
         emit = Emit(event.dest_lp, 1.0, [stream.randint(0, 100)])
         return state.fold(event.payload[0]), [emit]
+
+
+class ListSeedPhold(PholdModel):
+    """phold whose seed events carry a one-element list, which cannot be hashed."""
+
+    def seed_events(self, lp_id, stream):
+        return [Emit(lp_id, 1.0, [lp_id])]
+
+
+def test_seed_time_errors_are_run_outcomes_in_both_kernels():
+    # both kernels build their seed events in run(), so a seed the model
+    # gets wrong is the run's error, not the optimistic constructor's
+    model = ListSeedPhold(n_lps=4, end_time=3.0)
+    seq = outcome(SequentialKernel(model, OrderingMode.LEX_SEQUENCE, 1))
+    opt = outcome(OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 2))
+    assert opt == seq
+    assert seq["error"].startswith("ConfigError: LP 0 emitted an unhashable payload")
+
+
+class NanOffset:
+    """One LP whose seed event schedules a child at a NaN offset."""
+
+    name = "nan-offset"
+    n_lps = 1
+    end_time = 4.0
+
+    def initial_state(self, lp_id):
+        return 0
+
+    def seed_events(self, lp_id, stream):
+        return [Emit(0, 1.0, "seed")]
+
+    def handle(self, state, event, stream):
+        emits = [Emit(0, float("nan"), "child")] if event.payload == "seed" else []
+        return state + 1, emits
+
+    def final_value(self, state):
+        return state
+
+
+@pytest.mark.parametrize("mode", list(OrderingMode))
+def test_nan_offsets_raise_in_both_kernels(mode):
+    # a NaN offset is neither negative nor positive; it is refused like a
+    # negative one, rather than read as zero or committed at a NaN time
+    seq = outcome(SequentialKernel(NanOffset(), mode, 1))
+    opt = outcome(OptimisticKernel(NanOffset(), mode, 1, 2))
+    assert opt == seq
+    assert seq["error"].startswith("ValueError: ")
 
 
 def test_unhashable_payloads_are_rejected_in_both_kernels():
