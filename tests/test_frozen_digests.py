@@ -8,9 +8,13 @@ the pinned digest optimistically at 2 and 8 PEs, with the pinned metrics:
 the same processed, rolled-back and message work under the same schedule.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from tiewarp import errors
+from tiewarp.harness import RunSpec, build_kernel, outcome
 from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel
 from tiewarp.kernel_seq import run_sequential
 from tiewarp.models import build_model
@@ -127,3 +131,45 @@ def test_optimistic_digest_is_frozen(model, mode, workers):
     efficiency = (processed - counts["rolled_back"]) / processed
     assert kernel.metrics() == {"workers": workers, **counts,
                                 "efficiency": efficiency}
+
+
+# The optimistic sweep: every (model, mode, PEs, chaos seed) cell's outcome
+# and metrics(), as JSON rows, pinned by one SHA-256. 27 of the 144 cells
+# end in an error, which is pinned like a digest.
+SWEEP_MODELS = {
+    "ties-c4": ("event-ties", dict(n_lps=8, remote_prob=0.7, chain_length=4,
+                                   end_time=5.0)),
+    "ties-c2": ("event-ties", dict(n_lps=16, remote_prob=0.5, chain_length=2,
+                                   end_time=6.0)),
+    "stress": ("event-ties-stress", dict(n_lps=8, height=2, arity=2,
+                                         remote_prob=0.7, end_time=4.0)),
+    "phold": ("phold", dict(n_lps=16, remote_prob=0.5, end_time=6.0)),
+}
+SWEEP_MODES = ("none", "lex", "additive", "naive")
+SWEEP_PES = (2, 5, 8)
+SWEEP_CHAOS_SEEDS = (0, 1, 2)
+SWEEP_DIGEST = "cfaf6b7100d74b15b3220ca68028a3c8e8072e5d0db71b564d4b9b7fb08fd78e"
+
+
+def sweep_rows():
+    rows = []
+    for cell, (model, params) in SWEEP_MODELS.items():
+        for mode in SWEEP_MODES:
+            for pes in SWEEP_PES:
+                for chaos_seed in SWEEP_CHAOS_SEEDS:
+                    spec = RunSpec(model=model, mode=mode, seed=1, workers=pes,
+                                   chaos_seed=chaos_seed, max_delay=6,
+                                   gvt_interval=32, **params)
+                    kernel = build_kernel(spec, optimistic=True)
+                    result = outcome(kernel)
+                    rows.append([[cell, mode, pes, chaos_seed], result,
+                                 kernel.metrics()])
+    return rows
+
+
+def test_optimistic_sweep_is_frozen():
+    rows = sweep_rows()
+    assert len(rows) == 144
+    assert sum("error" in result for _, result, _ in rows) == 27
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == SWEEP_DIGEST
