@@ -24,7 +24,6 @@ from .errors import (
     CausalityViolation,
     ConfigError,
     LivelockDetected,
-    SequenceCapExceeded,
 )
 from .harness import (
     RunSpec,
@@ -303,7 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SequenceCapExceeded) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CausalityViolation as exc:

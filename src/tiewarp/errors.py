@@ -17,7 +17,7 @@ class ZeroOffsetForbidden(ConfigError):
     """Zero-offset event creation attempted in a mode that rejects it."""
 
 
-class SequenceCapExceeded(TieWarpError):
+class SequenceCapExceeded(ConfigError):
     """A zero-offset chain grew past the configured tie-break sequence cap."""
 
 

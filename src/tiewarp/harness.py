@@ -40,7 +40,8 @@ class RunSpec:
     The single declaration of every run parameter and its default. A model
     parameter left None takes its default from the model class.
     Each value must have its field's declared type, or a ConfigError is
-    raised: an int is accepted for a float field, a bool never for a number.
+    raised: an int is accepted for a float field, and stored as a float, so
+    ``3`` and ``3.0`` describe one run; a bool is never a number.
     """
 
     model: str = "phold"
@@ -66,6 +67,11 @@ class RunSpec:
             if (isinstance(value, bool) != (bool in allowed)
                     or not isinstance(value, allowed)):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if float in allowed and isinstance(value, int):
+                try:
+                    setattr(self, f.name, float(value))
+                except OverflowError:
+                    raise ConfigError(f"{f.name} is out of float range") from None
 
     def model_params(self) -> dict:
         """This spec's non-None values for the fields the model class declares.
@@ -257,8 +263,7 @@ def benchmark_sequential(spec: RunSpec) -> dict:
     """Wall-clock one sequential run."""
     kernel = build_kernel(spec, optimistic=False)
     start = time.perf_counter()
-    kernel.run()
+    events = len(kernel.run().committed)
     elapsed = time.perf_counter() - start
-    events = kernel.processed_count
     return {"mode": kernel.mode.value, "events": events, "seconds": elapsed,
             "events_per_second": events / elapsed if elapsed else 0.0}

@@ -62,19 +62,16 @@ class ProcessedEntry:
     ``pre`` is the handling LP's ``LpRuntime.snapshot()`` from before the
     event was processed (emits are sourced from the LP that handled the
     event, so every mutation processing makes lives on that LP).
-    ``match`` is the event's match key, computed when it arrived at the PE.
-    ``local_children`` holds ``(child, match key)`` pairs. ``fault`` is the
+    ``local_children`` lists the children enqueued on this PE and
+    ``remote_children`` holds ``(dest PE, child)`` pairs. ``fault`` is the
     exception processing raised, or None; a faulted entry changed nothing
     and sent nothing, and raises its fault when it commits.
     """
 
-    __slots__ = ("event", "match", "pre", "local_children",
-                 "remote_children", "fault")
+    __slots__ = ("event", "pre", "local_children", "remote_children", "fault")
 
-    def __init__(self, event, match, pre, local_children, remote_children,
-                 fault=None):
+    def __init__(self, event, pre, local_children, remote_children, fault=None):
         self.event = event
-        self.match = match
         self.pre = pre
         self.local_children = local_children
         self.remote_children = remote_children
@@ -91,7 +88,9 @@ def _decrement(counts: dict, key) -> None:
 
 
 class Transport:
-    """Per-PE inboxes; every send is delayed 1..1+max_delay scheduler steps."""
+    """Per-PE inboxes of ``(due step, send seq, event, anti)`` entries, an
+    anti-message being the event itself; every send is delayed
+    1..1+max_delay scheduler steps."""
 
     def __init__(self, n_pes: int, chaos: DrawStream, max_delay: int):
         self.inboxes: list[list] = [[] for _ in range(n_pes)]
@@ -99,24 +98,24 @@ class Transport:
         self.max_delay = max_delay
         self.total_sent = 0
 
-    def send(self, dest_pe: int, msg: Event, now: int) -> None:
+    def send(self, dest_pe: int, ev: Event, now: int, anti: bool = False) -> None:
         delay = self.chaos.randint(0, self.max_delay) if self.max_delay > 0 else 0
         # the send count doubles as the tie-breaking sequence number
-        heappush(self.inboxes[dest_pe], (now + 1 + delay, self.total_sent, msg))
+        heappush(self.inboxes[dest_pe], (now + 1 + delay, self.total_sent, ev, anti))
         self.total_sent += 1
 
-    def deliver_due(self, pe_id: int, now: int) -> list[Event]:
+    def deliver_due(self, pe_id: int, now: int) -> list[tuple]:
         box = self.inboxes[pe_id]
         out = []
         while box and box[0][0] <= now:
-            out.append(heappop(box)[2])
+            out.append(heappop(box))
         return out
 
     def next_due(self) -> int:
         return min(box[0][0] for box in self.inboxes if box)
 
     def inflight_keys(self) -> list:
-        return [msg.key for box in self.inboxes for _, _, msg in box]
+        return [ev.key for box in self.inboxes for _, _, ev, _ in box]
 
 
 class PeRuntime:
@@ -136,10 +135,9 @@ class PeRuntime:
     outer rollback is still undoing. A straggler stays atop the pending heap
     while its LP rolls back, so a cascade condemns it like any other copy.
 
-    Annihilation is count-based and lazy, keyed by match key. Each event's
-    match key is computed once, when the event arrives at this PE, and
-    travels with it through the pending heap (entries ``(key, seq, event,
-    match)``) and the processed history. ``pending_counts`` tracks copies of
+    Annihilation is count-based and lazy, keyed by match key, which each
+    event carries as ``Event.match`` from its creation; pending heap entries
+    are ``(key, seq, event)``. ``pending_counts`` tracks copies of
     each event in the heap, ``kill_marks`` how many of those are condemned;
     condemned copies are skipped at pop time. ``stash`` maps the match key
     of each anti-message that arrived before its positive twin to the list
@@ -171,7 +169,8 @@ class PeRuntime:
 
     # -- queue plumbing ----------------------------------------------------
 
-    def enqueue_positive(self, ev: Event, m: tuple) -> None:
+    def enqueue_positive(self, ev: Event) -> None:
+        m = ev.match
         stash = self.stash
         if m in stash:
             stashed = stash[m]
@@ -180,17 +179,17 @@ class PeRuntime:
                 del stash[m]
             self.kernel.annihilations += 1
             return
-        heappush(self.pending, (ev.key, self.push_seq, ev, m))
+        heappush(self.pending, (ev.key, self.push_seq, ev))
         self.push_seq += 1
         counts = self.pending_counts
         counts[m] = counts.get(m, 0) + 1
 
     def pop_live(self) -> tuple | None:
-        """Pop the next live pending entry ``(key, seq, event, match)``, or None."""
+        """Pop the next live pending entry ``(key, seq, event)``, or None."""
         pending, kill_marks = self.pending, self.kill_marks
         while pending:
             top = heappop(pending)
-            m = top[3]
+            m = top[2].match
             _decrement(self.pending_counts, m)
             if m in kill_marks:
                 _decrement(kill_marks, m)
@@ -200,26 +199,26 @@ class PeRuntime:
 
     # -- cancellation --------------------------------------------------------
 
-    def _cancel(self, m: tuple, key, now: int, cause: Event | None = None) -> bool:
-        """Cancel one copy of the event with match key ``m`` and sort key ``key``.
+    def _cancel(self, ev: Event, now: int, cause: Event | None = None) -> bool:
+        """Cancel one copy of ``ev``, that is, of an event with its match key.
 
-        A live pending copy is condemned. Failing that, the LP ``m`` is
-        addressed to is rolled back through its processed copy, which
-        re-enqueues it, and that copy is condemned. False if neither exists.
+        A live pending copy is condemned. Failing that, ``ev``'s LP is rolled
+        back through its processed copy, which re-enqueues it, and that copy
+        is condemned. False if neither exists.
         """
+        m = ev.match
         kill_marks = self.kill_marks
         if (self.pending_counts.get(m, 0) <= kill_marks.get(m, 0)
-                and not self.rollback_through(m, key, now, cause)):
+                and not self.rollback_through(ev, now, cause)):
             return False
         kill_marks[m] = kill_marks.get(m, 0) + 1
         return True
 
-    def receive_anti(self, anti: Event, now: int) -> None:
-        m = anti.match_key()
-        if self._cancel(m, anti.key, now, anti):
+    def receive_anti(self, ev: Event, now: int) -> None:
+        if self._cancel(ev, now, ev):
             self.kernel.annihilations += 1
         else:
-            self.stash.setdefault(m, []).append(anti.key)
+            self.stash.setdefault(ev.match, []).append(ev.key)
 
     # -- rollback -----------------------------------------------------------
 
@@ -244,15 +243,15 @@ class PeRuntime:
         self.rolled_back_events += 1
         if entry.fault is not None:
             self.kernel.live_faults -= 1
-        for child, cm in entry.local_children:
-            if not self._cancel(cm, child.key, now):
+        for child in entry.local_children:
+            if not self._cancel(child, now):
                 raise UnmatchedAntiMessage(
                     f"local child {child!r} vanished before its parent's rollback")
         for dest_pe, child in entry.remote_children:
-            self.kernel.transport.send(dest_pe, child.as_anti(), now)
+            self.kernel.transport.send(dest_pe, child, now, anti=True)
             self.antis_sent += 1
         # the undone event itself goes back to pending for re-execution
-        self.enqueue_positive(ev, entry.match)
+        self.enqueue_positive(ev)
 
     def rollback_past(self, lp_id: int, boundary_key, now: int) -> None:
         """Straggler rollback: undo every entry of the LP that the straggler
@@ -267,19 +266,20 @@ class PeRuntime:
         while hist and after(hist[-1].event.key, boundary_key):
             self._undo(hist.pop(), now)
 
-    def rollback_through(self, m: tuple, key, now: int,
+    def rollback_through(self, ev: Event, now: int,
                          cause: Event | None = None) -> bool:
-        """Undo ``m``'s LP back through its latest processed copy of ``m``,
+        """Undo ``ev``'s LP back through its latest processed copy of ``ev``,
         first counting ``cause``, if any, as a rollback; False if there is none.
 
         The LP's history ascends by key, so the scan from its top stops at
-        the first entry keyed below ``key``, the key of ``m``'s event.
+        the first entry keyed below ``ev``'s.
         """
-        hist = self.histories[m[2]]
+        hist = self.histories[ev.dest_lp]
+        key, m = ev.key, ev.match
         for depth, entry in enumerate(reversed(hist), 1):
             if entry.event.key < key:
                 break
-            if entry.match == m:
+            if entry.event.match == m:
                 if cause is not None:
                     self._count_rollback(cause)
                 for _ in range(depth):
@@ -291,15 +291,16 @@ class PeRuntime:
 
     def step(self, now: int) -> bool:
         delivered = self.kernel.transport.deliver_due(self.pe_id, now)
-        for msg in delivered:
-            if msg.anti:
-                self.receive_anti(msg, now)
+        for _, _, ev, anti in delivered:
+            if anti:
+                self.receive_anti(ev, now)
             else:
-                self.enqueue_positive(msg, msg.match_key())
+                self.enqueue_positive(ev)
         top = self.pop_live()
         if top is None:
             return bool(delivered)
-        _, _, ev, m = top
+        ev = top[2]
+        m = ev.match
         hist = self.histories[ev.dest_lp]
         # mode NONE keys are 1-tuples, so this is the bare timestamp test
         if hist and ev.key < hist[-1].event.key:
@@ -313,14 +314,14 @@ class PeRuntime:
             if m in self.kill_marks:
                 return True
             self.pop_live()
-        self._process(ev, m, now)
+        self._process(ev, now)
         return True
 
-    def _process(self, ev: Event, m: tuple, now: int) -> None:
+    def _process(self, ev: Event, now: int) -> None:
         kernel = self.kernel
         rt = self.lps[ev.dest_lp]
         pre = rt.snapshot()
-        local_children: list[tuple[Event, tuple]] = []
+        local_children: list[Event] = []
         remote_children: list[tuple[int, Event]] = []
         fault = None
         try:
@@ -339,16 +340,16 @@ class PeRuntime:
             for child in children:
                 if child.timestamp > kernel.end_time:
                     continue
+                child.match = child.match_key()
                 dest_pe = kernel.pe_of_lp(child.dest_lp)
                 if dest_pe == self.pe_id:
-                    cm = child.match_key()
-                    self.enqueue_positive(child, cm)
-                    local_children.append((child, cm))
+                    self.enqueue_positive(child)
+                    local_children.append(child)
                 else:
                     kernel.transport.send(dest_pe, child, now)
                     remote_children.append((dest_pe, child))
         self.histories[ev.dest_lp].append(ProcessedEntry(
-            ev, m, pre, local_children, remote_children, fault))
+            ev, pre, local_children, remote_children, fault))
         kernel.global_processed += 1
 
     def collect_fossils(self, gvt_key) -> list[ProcessedEntry]:
@@ -425,12 +426,11 @@ class OptimisticKernel:
                 keys.append(pe.pending[0][0])
         return min(keys) if keys else None
 
-    def _commit_epoch(self, committed: list[Event], final: bool) -> None:
+    def _commit_epoch(self, committed: list[Event]) -> None:
+        """Commit every history entry below GVT; all of them when GVT is None."""
         self.gvt_rounds += 1
         self._last_gvt_mark = self.global_processed
-        gvt_key = None if final else self._compute_gvt()
-        if not final and gvt_key is None:
-            return
+        gvt_key = self._compute_gvt()
         batches = []
         for pe in self.pes:
             batches.extend(pe.collect_fossils(gvt_key))
@@ -474,7 +474,8 @@ class OptimisticKernel:
                                       self.seq_cap):
             if ev.timestamp > self.end_time:
                 continue
-            self.pes[self.pe_of_lp(ev.dest_lp)].enqueue_positive(ev, ev.match_key())
+            ev.match = ev.match_key()
+            self.pes[self.pe_of_lp(ev.dest_lp)].enqueue_positive(ev)
 
     def _drive(self) -> Trace:
         committed: list[Event] = []
@@ -495,8 +496,8 @@ class OptimisticKernel:
             step += 1
             if (self.live_faults
                     or self.global_processed - self._last_gvt_mark >= self.gvt_interval):
-                self._commit_epoch(committed, final=False)
-        self._commit_epoch(committed, final=True)
+                self._commit_epoch(committed)
+        self._commit_epoch(committed)
         self._check_quiescent()
         finals = {rt.lp_id: self.model.final_value(rt.state)
                   for rt in self._all_lps}

@@ -103,7 +103,7 @@ def build_event(
                                  mode, seq_cap)
     key = sort_key(sig, (source.pe_id, source.lp_id, serial), mode)
     ev = Event(source.pe_id, source.lp_id, serial, emit.dest_lp, sig.timestamp,
-               sig.tiebreak, key, payload, False, depth, parent_key)
+               sig.tiebreak, key, payload, depth, parent_key)
     if parent is not None and key < parent.key:
         raise CausalityViolation(
             f"event {ev!r} at {format_signature(ev)} sorts "
@@ -147,7 +147,6 @@ class SequentialKernel:
         self.mode = mode
         self.seq_cap = seq_cap
         self.lps = make_lps(model, global_seed)
-        self.processed_count = 0
         self.peak_pending = 0
         self._heap: list = []
         self._push_seq = 0
@@ -174,7 +173,6 @@ class SequentialKernel:
             new_state, emits = model.handle(rt.state, ev, rt.model_stream)
             rt.state = new_state
             committed.append(ev)
-            self.processed_count += 1
             for emit in emits:
                 self._push(build_event(rt, ev, emit, mode, self.seq_cap))
         finals = {lp.lp_id: model.final_value(lp.state) for lp in lps}

@@ -93,8 +93,8 @@ class PholdModel(_BuiltinModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.mean_offset > 0:
-            raise ConfigError(f"mean_offset must be positive, got {self.mean_offset}")
+        if not 0 < self.mean_offset < math.inf:
+            raise ConfigError(f"mean_offset must be positive and finite, got {self.mean_offset}")
 
     def initial_state(self, lp_id: int):
         return None

@@ -33,14 +33,17 @@ CHUNK = 4096
 class Event:
     """An addressed, signed message: the only mechanism for state change.
 
-    One record serves the queues, the anti-messages and the committed trace.
+    One record serves the queues, the anti-messages and the committed trace:
+    an anti-message is the event itself, sent with a negative sign.
     ``(source_lp, serial)`` is globally unique; ``source_pe``, the creating
     PE, exists for the explicit-bias ruleset and depends on how LPs are
     partitioned. ``timestamp`` and ``tiebreak`` are the event's signature and
     ``key`` its total-order sort key, all set once when the event is built.
     ``parent_key`` is the (source_lp, serial) of the causal parent event, or
     None for seed events; the causality audits walk these back-pointers.
-    ``zero_offset_depth`` counts consecutive zero-offset ancestors.
+    ``zero_offset_depth`` counts consecutive zero-offset ancestors. ``match``
+    is ``match_key()``, stored by the optimistic kernel when it creates the
+    event and None in sequential runs.
     """
 
     __slots__ = (
@@ -52,9 +55,9 @@ class Event:
         "tiebreak",
         "key",
         "payload",
-        "anti",
         "zero_offset_depth",
         "parent_key",
+        "match",
     )
 
     def __init__(
@@ -67,9 +70,9 @@ class Event:
         tiebreak: tuple = (),
         key: tuple | None = None,
         payload=None,
-        anti: bool = False,
         zero_offset_depth: int = 0,
         parent_key=None,
+        match: tuple | None = None,
     ):
         self.source_pe = source_pe
         self.source_lp = source_lp
@@ -79,9 +82,9 @@ class Event:
         self.tiebreak = tiebreak
         self.key = key
         self.payload = payload
-        self.anti = anti
         self.zero_offset_depth = zero_offset_depth
         self.parent_key = parent_key
+        self.match = match
 
     def match_key(self) -> tuple:
         """Anti-message matching key: the event's full content.
@@ -89,25 +92,18 @@ class Event:
         Creation identity alone is not enough: after a rollback corrects an
         LP's history, a re-issued event can reuse a serial with different
         content, and an annihilation aimed at the stale copy must never hit
-        the corrected one. An anti-message is an exact copy of its positive
-        (only the sign differs), so matching on content makes equal-key
-        copies interchangeable by construction: they commit the same line,
-        drive the same state transition, and spawn the same children.
+        the corrected one. Matching on content makes equal-key copies
+        interchangeable by construction: they commit the same line, drive the
+        same state transition, and spawn the same children.
         Payloads must therefore be hashable values.
         """
         return (self.source_lp, self.serial, self.dest_lp, self.timestamp,
                 self.tiebreak, self.payload, self.zero_offset_depth,
                 self.parent_key)
 
-    def as_anti(self) -> "Event":
-        return Event(self.source_pe, self.source_lp, self.serial, self.dest_lp,
-                     self.timestamp, self.tiebreak, self.key, self.payload, True,
-                     self.zero_offset_depth, self.parent_key)
-
     def __repr__(self):
-        kind = "anti" if self.anti else "event"
         return (
-            f"<{kind} lp{self.source_lp}#{self.serial}"
+            f"<event lp{self.source_lp}#{self.serial}"
             f" -> lp{self.dest_lp} @ {self.timestamp}>"
         )
 

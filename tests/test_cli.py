@@ -256,7 +256,7 @@ def test_exit_code_2_on_config_errors(capsys):
     for args in (["--end", "nan"], ["--end", "inf"],
                  ["--model", "event-ties", "--end", "inf"],
                  ["--model", "event-ties-stress", "--end", "nan"],
-                 ["--mean-offset", "nan"],
+                 ["--mean-offset", "nan"], ["--mean-offset", "inf"],
                  ["--seq-cap", "0"], ["--seq-cap", "-3", "--workers", "2"]):
         assert main(["run", "--lps", "2", *args]) == 2, args
         assert "config error" in capsys.readouterr().err
@@ -389,6 +389,26 @@ def test_json_config_file_and_flag_override(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--seed", "10"]) == 0
     overridden = digest_from(capsys.readouterr().out)
     assert base != overridden
+
+
+def test_int_and_float_spellings_give_one_spec(tmp_path, capsys):
+    # an int given for a float field is stored as a float, whichever way it
+    # was spelled, so the summaries of one run record one spec
+    flat = tmp_path / "run.cfg"
+    flat.write_text("end = 3\nmean_offset = 2\n")
+    as_json = tmp_path / "run.json"
+    as_json.write_text(json.dumps({"end": 3, "mean_offset": 2}))
+    specs = []
+    for options in (["--config", str(flat)], ["--config", str(as_json)],
+                    ["--end", "3", "--mean-offset", "2"]):
+        out = tmp_path / "summary.json"
+        assert main(["run", *options, "--summary-out", str(out)]) == 0
+        specs.append(json.dumps(json.loads(out.read_text())["spec"], sort_keys=True))
+    capsys.readouterr()
+    direct = RunSpec(end_time=3, mean_offset=2).to_dict()
+    assert specs == [json.dumps(direct, sort_keys=True)] * 3
+    assert direct["end_time"] == 3.0 and type(direct["end_time"]) is float
+    assert type(direct["mean_offset"]) is float
 
 
 def test_config_file_validation(tmp_path):

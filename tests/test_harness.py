@@ -50,6 +50,9 @@ def test_build_run_validation():
         build_run(RunSpec(model="not-a-model", mode="lex"))
     with pytest.raises(ConfigError):
         build_run(RunSpec(model="phold", mode="alphabetical"))
+    # an int for a float field is stored as a float, which it must fit
+    with pytest.raises(ConfigError, match="end_time is out of float range"):
+        RunSpec(end_time=10 ** 400)
 
 
 def test_execute_returns_metrics_only_for_optimistic_runs():

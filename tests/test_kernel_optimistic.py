@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiewarp import kernel_optimistic
+from tiewarp import kernel_optimistic, kernel_seq
 from tiewarp.errors import (CausalityViolation, ConfigError, LivelockDetected,
                             SequenceCapExceeded, UnmatchedAntiMessage)
 from tiewarp.harness import audit_trace, outcome
@@ -213,7 +213,7 @@ class GvtCheckingKernel(OptimisticKernel):
 
     def _compute_gvt(self):
         gvt = super()._compute_gvt()
-        keys = [msg.key for box in self.transport.inboxes for _, _, msg in box]
+        keys = [ev.key for box in self.transport.inboxes for _, _, ev, _ in box]
         for pe in self.pes:
             keys += [entry[0] for entry in pe.pending]
             keys += [key for stashed in pe.stash.values() for key in stashed]
@@ -373,7 +373,7 @@ def test_cascade_can_condemn_the_straggler_in_hand(monkeypatch):
 
     def counting(pe, lp_id, boundary_key, now):
         nonlocal condemned
-        straggler = pe.pending[0][3]
+        straggler = pe.pending[0][2].match
         assert straggler not in pe.kill_marks
         original(pe, lp_id, boundary_key, now)
         condemned += straggler in pe.kill_marks
@@ -564,24 +564,55 @@ def test_integer_offsets_commit_the_float_offset_run():
     assert run_optimistic(Hops(int), lex, 3, 2).digest() == reference.digest()
 
 
-def test_match_key_is_computed_once_per_arrival(monkeypatch):
-    # an event's match key is built where it enters a PE (seed, delivered
-    # message, local child) and then travels with it
-    calls = 0
-    original = Event.match_key
+def record_calls(monkeypatch, results, owner, attr):
+    """Append what each call of ``owner.attr`` returns to ``results``, for
+    this test only."""
+    original = getattr(owner, attr)
 
-    def counting(self):
-        nonlocal calls
-        calls += 1
-        return original(self)
+    def recording(*args, **kw):
+        result = original(*args, **kw)
+        results.append(result)
+        return result
 
-    monkeypatch.setattr(Event, "match_key", counting)
+    monkeypatch.setattr(owner, attr, recording)
+
+
+def record_built_events(monkeypatch):
+    # seeds are built through kernel_seq's binding, children through the
+    # optimistic kernel's own
+    built = []
+    record_calls(monkeypatch, built, kernel_seq, "build_event")
+    record_calls(monkeypatch, built, kernel_optimistic, "build_event")
+    return built
+
+
+def test_anti_messages_are_the_events_themselves(monkeypatch):
+    # cancelling a speculative send re-sends the child itself, so every
+    # Event the run constructs is one that build_event built
+    built = record_built_events(monkeypatch)
+    constructed = []
+    record_calls(monkeypatch, constructed, Event, "__init__")
+    model = build_model("event-ties", **TIES)
+    kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 4,
+                              chaos=ChaosConfig(0, 4))
+    kernel.run()
+    assert kernel.metrics()["antis_sent"] > 10
+    assert len(constructed) == len(built) > 0
+
+
+def test_match_key_is_computed_once_per_event_built(monkeypatch):
+    # an event's match key is stored on it when the kernel creates it (seed
+    # or child within the horizon): no arrival or anti-message recomputes it
+    built = record_built_events(monkeypatch)
+    keys = []
+    record_calls(monkeypatch, keys, Event, "match_key")
     model = build_model("event-ties", n_lps=32, end_time=4.0, chain_length=2)
     kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 8)
     kernel.run()
     m = kernel.metrics()
-    assert m["rollbacks"] > 10
-    assert 0 < calls <= m["processed"] + m["messages_sent"] + model.n_lps
+    assert m["rollbacks"] > 10 and m["antis_sent"] > 0
+    kept = [ev for ev in built if ev.timestamp <= model.end_time]
+    assert 0 < len(keys) == len(kept) < len(built)
 
 
 class StateZeroOffsetTies(EventTiesModel):

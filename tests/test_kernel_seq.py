@@ -11,7 +11,7 @@ from tiewarp.errors import (
     ZeroOffsetForbidden,
 )
 from tiewarp.harness import RunSpec, benchmark_sequential, execute
-from tiewarp.kernel_seq import SequentialKernel, run_sequential
+from tiewarp.kernel_seq import run_sequential
 from tiewarp.models import build_model
 from tiewarp.rngstream import GENERATOR_NAME, GENERATOR_VERSION
 from tiewarp.scenarios import (
@@ -132,11 +132,9 @@ def test_parents_commit_before_children():
 
 
 def test_benchmark_counts_the_committed_events():
-    # benchmark_sequential reports the kernel's processed_count
     model = build_model("phold", n_lps=4, end_time=5.0)
-    kernel = SequentialKernel(model, OrderingMode.ADDITIVE, 8)
-    trace = kernel.run()
-    assert kernel.processed_count == len(trace.committed) > 0
+    trace = run_sequential(model, OrderingMode.ADDITIVE, 8)
+    assert len(trace.committed) > 0
     spec = RunSpec(model="phold", mode="additive", n_lps=4, end_time=5.0, seed=8)
     assert benchmark_sequential(spec)["events"] == len(trace.committed)
 

@@ -55,6 +55,8 @@ def test_phold_config_validation():
         PholdModel(n_lps=2, mean_offset=0.0)
     with pytest.raises(ConfigError, match="mean_offset"):
         PholdModel(n_lps=2, mean_offset=math.nan)
+    with pytest.raises(ConfigError, match="mean_offset"):
+        PholdModel(n_lps=2, mean_offset=math.inf)
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

@@ -28,15 +28,6 @@ def test_match_key_is_content_not_creation_identity():
     assert make_event(parent=(1, 1)).match_key() != make_event(parent=(1, 2)).match_key()
 
 
-def test_anti_message_matches_its_positive_exactly():
-    ev = make_event(parent=(1, 9))
-    anti = ev.as_anti()
-    assert anti.anti and not ev.anti
-    assert anti.match_key() == ev.match_key()
-    assert anti.payload == ev.payload
-    assert anti.parent_key == ev.parent_key
-
-
 def test_equal_match_keys_hash_equal():
     a = make_event(parent=(1, 9))
     b = make_event(parent=(1, 9))
