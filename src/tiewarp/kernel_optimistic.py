@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import CausalityViolation, ConfigError, LivelockDetected, UnmatchedAntiMessage
-from .kernel_seq import build_event, make_lps, seed_initial_events
+from .kernel_seq import LpRuntime, build_event, make_lps, seed_initial_events
 from .rngstream import DrawStream, Purpose, derive_stream_key
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, format_signature
 from .timebase import sort_key  # noqa: F401  (looked up by perfbench's layer tracer)
@@ -57,25 +57,37 @@ class ChaosConfig:
 
 
 class ProcessedEntry:
-    """Everything needed to undo one processed event.
+    """One processed event and everything needed to undo it.
 
-    ``pre`` is the handling LP's ``LpRuntime.snapshot()`` from before the
-    event was processed (emits are sourced from the LP that handled the
-    event, so every mutation processing makes lives on that LP).
-    ``local_children`` lists the children enqueued on this PE and
-    ``remote_children`` holds ``(dest PE, child)`` pairs. ``fault`` is the
-    exception processing raised, or None; a faulted entry changed nothing
-    and sent nothing, and raises its fault when it commits.
+    ``state``, ``tiebreak_cursor``, ``model_cursor`` and ``serial`` are the
+    undo image: the handling LP's values, from before the event was
+    processed, of everything processing can change (emits are sourced from
+    the LP that handled the event, so every mutation lives on that LP).
+    ``children`` lists the events built from the handler's emits, in emit
+    order, those past the end time included; a child's PE says whether it
+    was enqueued here, matched by identity, or sent, matched by content.
+    ``fault`` is the exception processing raised, or None; a faulted entry
+    changed nothing and sent nothing, and raises its fault when it commits.
     """
 
-    __slots__ = ("event", "pre", "local_children", "remote_children", "fault")
+    __slots__ = ("event", "state", "tiebreak_cursor", "model_cursor", "serial",
+                 "children", "fault")
 
-    def __init__(self, event, pre, local_children, remote_children, fault=None):
+    def __init__(self, event: Event, rt: LpRuntime):
         self.event = event
-        self.pre = pre
-        self.local_children = local_children
-        self.remote_children = remote_children
-        self.fault = fault
+        self.state = rt.state
+        self.tiebreak_cursor = rt.tiebreak_stream.cursor
+        self.model_cursor = rt.model_stream.cursor
+        self.serial = rt.serial
+        self.children = ()
+        self.fault = None
+
+    def restore(self, rt: LpRuntime) -> None:
+        """Put the undo image back on ``rt``, the LP that handled the event."""
+        rt.state = self.state
+        rt.tiebreak_stream.cursor = self.tiebreak_cursor
+        rt.model_stream.cursor = self.model_cursor
+        rt.serial = self.serial
 
 
 def _decrement(counts: dict, key) -> None:
@@ -135,20 +147,28 @@ class PeRuntime:
     outer rollback is still undoing. A straggler stays atop the pending heap
     while its LP rolls back, so a cascade condemns it like any other copy.
 
-    Annihilation is count-based and lazy, keyed by match key, which each
-    event carries as ``Event.match`` from its creation; pending heap entries
-    are ``(key, seq, event)``. ``pending_counts`` tracks copies of
-    each event in the heap, ``kill_marks`` how many of those are condemned;
-    condemned copies are skipped at pop time. ``stash`` maps the match key
-    of each anti-message that arrived before its positive twin to the list
-    of those anti-messages' keys. These are plain dicts that never hold a
-    zero or an empty list. Whether an event has been processed is read off
-    its LP's history, the only record of processed work.
+    Annihilation is count-based and lazy, keyed by the match each event
+    carries as ``Event.match`` from its creation; pending heap entries are
+    ``(key, seq, event)``. An event that never leaves its PE, a seed or a
+    local child, is matched by identity: its match is ``id(event)``, and only
+    the very object can cancel it. An event sent through the transport is
+    matched by content, ``Event.match_key()``, because its anti-message may
+    overtake it and wait in the stash. ``pending_counts`` tracks copies of
+    each match in the heap, ``kill_marks`` how many of those are condemned;
+    condemned copies are skipped at pop time. A kill mark never outnumbers
+    its heap copies, so every id keyed here belongs to an object the heap or
+    a history still holds, and cannot be reused by another. ``stash`` maps
+    the match key of each anti-message that arrived before its positive twin
+    to the list of those anti-messages' keys. These are plain dicts that
+    never hold a zero or an empty list. Whether an event has been processed
+    is read off its LP's history, the only record of processed work.
     """
 
     def __init__(self, pe_id: int, kernel: "OptimisticKernel"):
         self.pe_id = pe_id
         self.kernel = kernel
+        # this PE's transport inbox: step delivers only when its top is due
+        self.inbox = kernel.transport.inboxes[pe_id]
         self.lps = {}
         self.pending: list = []
         self.push_seq = 0
@@ -186,11 +206,15 @@ class PeRuntime:
 
     def pop_live(self) -> tuple | None:
         """Pop the next live pending entry ``(key, seq, event)``, or None."""
-        pending, kill_marks = self.pending, self.kill_marks
+        pending, counts, kill_marks = self.pending, self.pending_counts, self.kill_marks
         while pending:
             top = heappop(pending)
             m = top[2].match
-            _decrement(self.pending_counts, m)
+            n = counts[m] - 1
+            if n:
+                counts[m] = n
+            else:
+                del counts[m]
             if m in kill_marks:
                 _decrement(kill_marks, m)
                 continue
@@ -237,19 +261,27 @@ class PeRuntime:
                 f"progress", count=count)
 
     def _undo(self, entry: ProcessedEntry, now: int) -> None:
-        """Reverse one processed event and cancel each of its local children."""
+        """Reverse one processed event: cancel each of its local children,
+        then send each remote child's anti-message, in emit order."""
+        kernel = self.kernel
         ev = entry.event
-        self.lps[ev.dest_lp].restore(entry.pre)
+        entry.restore(self.lps[ev.dest_lp])
         self.rolled_back_events += 1
         if entry.fault is not None:
-            self.kernel.live_faults -= 1
-        for child in entry.local_children:
-            if not self._cancel(child, now):
+            kernel.live_faults -= 1
+        end_time, pe_of_lp, pe_id = kernel.end_time, kernel.pe_of_lp, self.pe_id
+        # children past the end time were never enqueued or sent
+        for child in entry.children:
+            if (child.timestamp <= end_time and pe_of_lp(child.dest_lp) == pe_id
+                    and not self._cancel(child, now)):
                 raise UnmatchedAntiMessage(
                     f"local child {child!r} vanished before its parent's rollback")
-        for dest_pe, child in entry.remote_children:
-            self.kernel.transport.send(dest_pe, child, now, anti=True)
-            self.antis_sent += 1
+        for child in entry.children:
+            if child.timestamp <= end_time:
+                dest_pe = pe_of_lp(child.dest_lp)
+                if dest_pe != pe_id:
+                    kernel.transport.send(dest_pe, child, now, anti=True)
+                    self.antis_sent += 1
         # the undone event itself goes back to pending for re-execution
         self.enqueue_positive(ev)
 
@@ -290,15 +322,17 @@ class PeRuntime:
     # -- forward progress ---------------------------------------------------
 
     def step(self, now: int) -> bool:
-        delivered = self.kernel.transport.deliver_due(self.pe_id, now)
-        for _, _, ev, anti in delivered:
-            if anti:
-                self.receive_anti(ev, now)
-            else:
-                self.enqueue_positive(ev)
+        box = self.inbox
+        delivered = bool(box) and box[0][0] <= now
+        if delivered:
+            for _, _, ev, anti in self.kernel.transport.deliver_due(self.pe_id, now):
+                if anti:
+                    self.receive_anti(ev, now)
+                else:
+                    self.enqueue_positive(ev)
         top = self.pop_live()
         if top is None:
-            return bool(delivered)
+            return delivered
         ev = top[2]
         m = ev.match
         hist = self.histories[ev.dest_lp]
@@ -320,36 +354,34 @@ class PeRuntime:
     def _process(self, ev: Event, now: int) -> None:
         kernel = self.kernel
         rt = self.lps[ev.dest_lp]
-        pre = rt.snapshot()
-        local_children: list[Event] = []
-        remote_children: list[tuple[int, Event]] = []
-        fault = None
+        entry = ProcessedEntry(ev, rt)
         try:
             new_state, emits = kernel.model.handle(rt.state, ev, rt.model_stream)
             # every child is built before any is sent, so a fault sends nothing
-            children = [build_event(rt, ev, emit, kernel.mode, kernel.seq_cap)
+            children = [build_event(rt, ev, emit, kernel.mode, kernel.seq_cap,
+                                    kernel.n_lps)
                         for emit in emits]
         except Exception as exc:
             # Speculation may reach states the sequential order never does:
             # keep the fault for commit time and leave the LP untouched.
-            fault = exc
+            entry.fault = exc
             kernel.live_faults += 1
-            rt.restore(pre)
+            entry.restore(rt)
         else:
             rt.state = new_state
+            entry.children = children
+            end_time, pe_id = kernel.end_time, self.pe_id
             for child in children:
-                if child.timestamp > kernel.end_time:
+                if child.timestamp > end_time:
                     continue
-                child.match = child.match_key()
                 dest_pe = kernel.pe_of_lp(child.dest_lp)
-                if dest_pe == self.pe_id:
+                if dest_pe == pe_id:
+                    child.match = id(child)
                     self.enqueue_positive(child)
-                    local_children.append(child)
                 else:
+                    child.match = child.match_key()
                     kernel.transport.send(dest_pe, child, now)
-                    remote_children.append((dest_pe, child))
-        self.histories[ev.dest_lp].append(ProcessedEntry(
-            ev, pre, local_children, remote_children, fault))
+        self.histories[ev.dest_lp].append(entry)
         kernel.global_processed += 1
 
     def collect_fossils(self, gvt_key) -> list[ProcessedEntry]:
@@ -383,6 +415,7 @@ class OptimisticKernel:
         self.gvt_interval = gvt_interval
         self.seq_cap = seq_cap
         self.end_time = model.end_time
+        self.n_lps = model.n_lps
         self.chaos = DrawStream(derive_stream_key(chaos.chaos_seed, _CHAOS_SALT,
                                                   Purpose.MODEL))
         self.transport = Transport(n_workers, self.chaos, chaos.max_delay)
@@ -474,7 +507,8 @@ class OptimisticKernel:
                                       self.seq_cap):
             if ev.timestamp > self.end_time:
                 continue
-            ev.match = ev.match_key()
+            # a seed is enqueued on its PE directly, never sent
+            ev.match = id(ev)
             self.pes[self.pe_of_lp(ev.dest_lp)].enqueue_positive(ev)
 
     def _drive(self) -> Trace:

@@ -10,6 +10,7 @@ two kernels' draw accounting and serial numbering identical by construction.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import index
 
 from .errors import CausalityViolation, ConfigError
 from .models import Emit
@@ -32,8 +33,10 @@ class LpRuntime:
     """Per-LP mutable state: model state, both draw streams, serial counter.
 
     The serial counter numbers events *sent* by this LP and is part of event
-    identity, so it must be restored on rollback along with the stream
-    cursors. ``pe_id`` is 0 in sequential runs and the owning PE otherwise.
+    identity, so it must be restored on rollback along with the state and
+    the stream cursors, from the undo image that the optimistic kernel's
+    ``ProcessedEntry`` takes. ``pe_id`` is 0 in sequential runs and the
+    owning PE otherwise.
     """
 
     __slots__ = ("lp_id", "pe_id", "state", "tiebreak_stream", "model_stream", "serial")
@@ -51,35 +54,36 @@ class LpRuntime:
         self.serial += 1
         return s
 
-    def snapshot(self) -> tuple:
-        """The undo image of everything processing an event can change."""
-        return (self.state, self.tiebreak_stream.cursor,
-                self.model_stream.cursor, self.serial)
-
-    def restore(self, pre: tuple) -> None:
-        (self.state, self.tiebreak_stream.cursor,
-         self.model_stream.cursor, self.serial) = pre
-
 
 def build_event(
     source: LpRuntime,
     parent: Event | None,
     emit: Emit,
     mode: OrderingMode,
-    seq_cap: int = DEFAULT_SEQUENCE_CAP,
+    seq_cap: int,
+    n_lps: int,
 ) -> Event:
     """Create an event from an emit request, deriving its signature and key.
 
     Consumes one tie-break draw in draw-based modes (unless the emit forces
     a replayed value) and one serial from the source LP, in both kernels,
     whether or not the event survives the horizon check. Payloads must be
-    hashable, because the optimistic kernel matches anti-messages on event
-    content; both kernels reject an unhashable one here.
+    hashable, because the optimistic kernel matches the events it sends
+    between PEs on their content; both kernels reject an unhashable one
+    here, and a destination that is not an LP id in ``[0, n_lps)``.
 
     A child keyed below its parent raises ``CausalityViolation``: this is
     both kernels' one causality check, which only modes naive and biased
     can fail.
     """
+    try:
+        dest = index(emit.dest_lp)
+    except TypeError:
+        dest = None
+    if dest is None or not 0 <= dest < n_lps:
+        raise ConfigError(
+            f"LP {source.lp_id} emitted an event to LP {emit.dest_lp!r}; "
+            f"destinations must be integers in [0, {n_lps})")
     payload = emit.payload
     try:
         hash(payload)
@@ -102,7 +106,7 @@ def build_event(
     sig = derive_child_signature(parent or _ROOT_SIGNATURE, emit.offset, draw,
                                  mode, seq_cap)
     key = sort_key(sig, (source.pe_id, source.lp_id, serial), mode)
-    ev = Event(source.pe_id, source.lp_id, serial, emit.dest_lp, sig.timestamp,
+    ev = Event(source.pe_id, source.lp_id, serial, dest, sig.timestamp,
                sig.tiebreak, key, payload, depth, parent_key)
     if parent is not None and key < parent.key:
         raise CausalityViolation(
@@ -126,7 +130,7 @@ def seed_initial_events(model, lps: list[LpRuntime], mode: OrderingMode,
     events = []
     for rt in lps:
         for emit in model.seed_events(rt.lp_id, rt.model_stream):
-            events.append(build_event(rt, None, emit, mode, seq_cap))
+            events.append(build_event(rt, None, emit, mode, seq_cap, model.n_lps))
     return events
 
 
@@ -161,6 +165,7 @@ class SequentialKernel:
         mode = self.mode
         model = self.model
         lps = self.lps
+        n_lps = model.n_lps
         for ev in seed_initial_events(model, lps, mode, self.seq_cap):
             self._push(ev)
         committed: list[Event] = []
@@ -174,7 +179,7 @@ class SequentialKernel:
             rt.state = new_state
             committed.append(ev)
             for emit in emits:
-                self._push(build_event(rt, ev, emit, mode, self.seq_cap))
+                self._push(build_event(rt, ev, emit, mode, self.seq_cap, n_lps))
         finals = {lp.lp_id: model.final_value(lp.state) for lp in lps}
         return Trace(committed=committed, final_states=finals)
 

@@ -14,18 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .rngstream import DrawStream
 
 
-@dataclass(frozen=True)
-class Emit:
+class Emit(NamedTuple):
     """One event requested by a handler: destination, time offset, payload.
 
     ``forced_tiebreak`` overrides the kernel's tie-break draw and exists for
     scripted scenarios that replay fixed published values; real models leave
-    it None.
+    it None. A NamedTuple, not a frozen dataclass: handlers build one per
+    emitted event, and a tuple is the cheaper record to build.
     """
 
     dest_lp: int
@@ -34,8 +35,7 @@ class Emit:
     forced_tiebreak: int | None = None
 
 
-@dataclass(frozen=True)
-class MeanState:
+class MeanState(NamedTuple):
     """Running mean of means; stays inside the hull of everything folded in."""
 
     mean_val: float = 0.0

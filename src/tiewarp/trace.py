@@ -42,8 +42,10 @@ class Event:
     ``parent_key`` is the (source_lp, serial) of the causal parent event, or
     None for seed events; the causality audits walk these back-pointers.
     ``zero_offset_depth`` counts consecutive zero-offset ancestors. ``match``
-    is ``match_key()``, stored by the optimistic kernel when it creates the
-    event and None in sequential runs.
+    is what the optimistic kernel's annihilation counts are keyed by, stored
+    once when it creates the event, and None in sequential runs: ``id(self)``
+    for an event that never leaves its PE (a seed or a local child), and
+    ``match_key()`` for one sent through the transport.
     """
 
     __slots__ = (
@@ -87,15 +89,18 @@ class Event:
         self.match = match
 
     def match_key(self) -> tuple:
-        """Anti-message matching key: the event's full content.
+        """Anti-message matching key of an event sent between PEs: its full
+        content.
 
         Creation identity alone is not enough: after a rollback corrects an
         LP's history, a re-issued event can reuse a serial with different
         content, and an annihilation aimed at the stale copy must never hit
-        the corrected one. Matching on content makes equal-key copies
+        the corrected one, even when its anti-message overtakes it and waits
+        in the stash. Matching on content makes equal-key copies
         interchangeable by construction: they commit the same line, drive the
         same state transition, and spawn the same children.
-        Payloads must therefore be hashable values.
+        Payloads must therefore be hashable values. Events that never leave
+        their PE are matched by identity instead, and never call this.
         """
         return (self.source_lp, self.serial, self.dest_lp, self.timestamp,
                 self.tiebreak, self.payload, self.zero_offset_depth,

@@ -1,6 +1,7 @@
 """Optimistic kernel: bit-exact equivalence with the sequential reference."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,44 @@ def test_heap_top_gvt_equals_the_brute_force_minimum():
     assert stashed_rounds > 0
 
 
+class MatchCheckingKernel(OptimisticKernel):
+    """Checks each PE's annihilation counts against its pending heap at
+    every GVT round."""
+
+    rounds = 0
+    condemned_by_id = 0
+
+    def _compute_gvt(self):
+        for pe in self.pes:
+            recount = Counter(ev.match for _, _, ev in pe.pending)
+            assert pe.pending_counts == recount
+            # every kill mark is backed by as many copies in the heap
+            assert all(0 < n <= recount[m] for m, n in pe.kill_marks.items())
+            # an identity match is the id of the very object the heap holds
+            by_id = [ev for _, _, ev in pe.pending if type(ev.match) is int]
+            assert all(ev.match == id(ev) for ev in by_id)
+            self.condemned_by_id += sum(ev.match in pe.kill_marks for ev in by_id)
+        self.rounds += 1
+        return super()._compute_gvt()
+
+
+@pytest.mark.parametrize("mode", (OrderingMode.LEX_SEQUENCE, OrderingMode.NONE))
+@pytest.mark.parametrize("workers", (2, 8))
+def test_kill_marks_are_backed_by_pending_copies(mode, workers):
+    # measured: 30-5,236 rollbacks and 105-3,041 condemned copies matched by
+    # identity, over 40-778 rounds
+    model = build_model("event-ties", n_lps=16, end_time=8.0, chain_length=4,
+                        remote_prob=0.9)
+    kernel = MatchCheckingKernel(model, mode, 1, workers,
+                                 chaos=ChaosConfig(0, 8), gvt_interval=16)
+    trace = kernel.run()
+    assert kernel.metrics()["rollbacks"] > 10 and kernel.rounds > 10
+    assert kernel.condemned_by_id > 0
+    assert len(trace.committed) == model.expected_net_events()
+    if mode is OrderingMode.LEX_SEQUENCE:
+        assert trace.digest() == run_sequential(model, mode, 1).digest()
+
+
 class StaleStashKernel(OptimisticKernel):
     """Starts with an anti-message stashed on PE 0 whose twin never existed,
     keyed below every event of the run."""
@@ -333,7 +372,8 @@ def run_with_late_straggler(poke: bool):
     before = lp_snapshot(pe0, 2)
     pe0.step(now + 1)
     after = lp_snapshot(pe0, 2)
-    condemned = sorted(m[3] for m in pe0.kill_marks)
+    condemned = sorted(ev.timestamp for _, _, ev in pe0.pending
+                       if ev.match in pe0.kill_marks)
     assert pe0.stragglers == 1 and timestamps(pe0.histories[0]) == [1.0, 2.0, 2.2]
     trace = kernel._drive()
     assert trace.digest() == run_sequential(model, OrderingMode.LEX_SEQUENCE, 1).digest()
@@ -600,10 +640,10 @@ def test_anti_messages_are_the_events_themselves(monkeypatch):
     assert len(constructed) == len(built) > 0
 
 
-def test_match_key_is_computed_once_per_event_built(monkeypatch):
-    # an event's match key is stored on it when the kernel creates it (seed
-    # or child within the horizon): no arrival or anti-message recomputes it
-    built = record_built_events(monkeypatch)
+def test_match_key_is_computed_once_per_event_sent(monkeypatch):
+    # a content key is computed only for a child sent to another PE, once,
+    # when it is built; seeds and local children are matched by identity,
+    # and no arrival or anti-message recomputes a key
     keys = []
     record_calls(monkeypatch, keys, Event, "match_key")
     model = build_model("event-ties", n_lps=32, end_time=4.0, chain_length=2)
@@ -611,8 +651,7 @@ def test_match_key_is_computed_once_per_event_built(monkeypatch):
     kernel.run()
     m = kernel.metrics()
     assert m["rollbacks"] > 10 and m["antis_sent"] > 0
-    kept = [ev for ev in built if ev.timestamp <= model.end_time]
-    assert 0 < len(keys) == len(kept) < len(built)
+    assert 0 < len(keys) == m["messages_sent"] - m["antis_sent"]
 
 
 class StateZeroOffsetTies(EventTiesModel):
@@ -646,14 +685,27 @@ class StateFaultTies(StateZeroOffsetTies):
         return new_state, emits
 
 
+class StateBadDestinationTies(StateZeroOffsetTies):
+    """The same chains, but where StateFaultTies raises, the handler emits
+    to an LP that does not exist, which building the child refuses."""
+
+    def handle(self, state, event, stream):
+        new_state, emits = super().handle(state, event, stream)
+        if event.zero_offset_depth >= 2 and emits[0].offset == 0.0:
+            emits = [Emit(self.n_lps, 0.0, emits[0].payload)]
+        return new_state, emits
+
+
 FAULT_CASES = ((StateZeroOffsetTies, SequenceCapExceeded),
-               (StateFaultTies, ModelFault))
+               (StateFaultTies, ModelFault),
+               (StateBadDestinationTies, ConfigError))
 FAULT_PARAMS = {"n_lps": 8, "remote_prob": 0.7, "end_time": 4}
 # the seeds in 0..39 whose sequential run completes with sequence cap 3
 COMPLETING_SEEDS = (0, 14, 17, 24, 27, 29, 35, 39)
 
 
-@pytest.mark.parametrize("model_class", (StateZeroOffsetTies, StateFaultTies))
+@pytest.mark.parametrize("model_class", (StateZeroOffsetTies, StateFaultTies,
+                                         StateBadDestinationTies))
 def test_speculative_faults_are_contained(model_class):
     # a fault raised by a speculative order that the sequential run never
     # takes is rolled back with its event instead of ending the run
@@ -689,6 +741,55 @@ def test_committed_faults_raise_promptly(seed):
     with pytest.raises(ModelFault):
         kernel.run()
     assert kernel.global_processed < 200
+
+
+class BadDestination:
+    """Four LPs tick at 1, 2 and 3; LP 1's tick at 2 also emits to ``dest``."""
+
+    name = "bad-destination"
+    n_lps = 4
+    end_time = 3.0
+
+    def __init__(self, dest):
+        self.dest = dest
+
+    def initial_state(self, lp_id):
+        return 0
+
+    def seed_events(self, lp_id, stream):
+        return [Emit(lp_id, 1.0)]
+
+    def handle(self, state, event, stream):
+        emits = [Emit(event.dest_lp, 1.0)]
+        if event.dest_lp == 1 and event.timestamp == 2.0:
+            emits.append(Emit(self.dest, 0.5))
+        return state + 1, emits
+
+    def final_value(self, state):
+        return state
+
+
+@pytest.mark.parametrize("dest", (-1, 4, 2.0))
+def test_bad_destination_is_the_same_error_in_both_kernels(dest):
+    # a negative index Python lists would accept, one past the last LP, and
+    # a float are each one ConfigError, raised at the same event in both
+    model = BadDestination(dest)
+    ref = outcome(SequentialKernel(model, OrderingMode.LEX_SEQUENCE, 1))
+    assert ref == {"error": f"ConfigError: LP 1 emitted an event to LP {dest!r}; "
+                            f"destinations must be integers in [0, 4)"}
+    for chaos in range(3):
+        opt = outcome(OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 2,
+                                       chaos=ChaosConfig(chaos)))
+        assert opt == ref, chaos
+
+
+def test_integral_destinations_are_normalised():
+    # any integral type names an LP; the event carries a plain int
+    model = build_model("event-ties", n_lps=4, end_time=2.0)
+    rt = kernel_seq.make_lps(model, 1)[0]
+    ev = kernel_seq.build_event(rt, None, Emit(True, 1.0), OrderingMode.LEX_SEQUENCE,
+                                DEFAULT_SEQUENCE_CAP, model.n_lps)
+    assert ev.dest_lp == 1 and type(ev.dest_lp) is int
 
 
 def build_fuzz_model(name, n_lps, end_time, remote_prob):

@@ -1,5 +1,6 @@
 """Model semantics: handler contracts, closed-form event counts, configs."""
 
+import inspect
 import math
 import random
 
@@ -224,3 +225,32 @@ def test_build_model_applies_defaults():
 def test_emit_defaults():
     e = Emit(2, 0.5)
     assert e.payload is None and e.forced_tiebreak is None
+
+
+@pytest.mark.parametrize("record,field", ((Emit(2, 0.5), "dest_lp"),
+                                          (Emit(2, 0.5), "payload"),
+                                          (MeanState(), "mean_val")))
+def test_records_reject_attribute_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 1)
+
+
+def test_equal_records_hash_equal():
+    a = Emit(1, 0.0, (3, 4), 7)
+    b = Emit(dest_lp=1, offset=0.0, payload=(3, 4), forced_tiebreak=7)
+    assert a == b and hash(a) == hash(b)
+    assert a != Emit(1, 0.0, (3, 5), 7)
+    assert MeanState(2.5) == MeanState(mean_val=2.5)
+    assert hash(MeanState(2.5)) == hash(MeanState(mean_val=2.5))
+    assert MeanState().fold(5) == MeanState(2.5)
+
+
+def test_record_fields_and_defaults():
+    def params(cls):
+        return [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+
+    empty = inspect.Parameter.empty
+    assert params(Emit) == [("dest_lp", empty), ("offset", empty),
+                            ("payload", None), ("forced_tiebreak", None)]
+    assert params(MeanState) == [("mean_val", 0.0)]
+    assert MeanState().mean_val == 0.0
