@@ -11,7 +11,6 @@ from .errors import (
     CausalityViolation,
     ConfigError,
     InsufficientSamples,
-    LivelockDetected,
     MalformedSignature,
     SequenceCapExceeded,
     TieWarpError,
@@ -52,7 +51,6 @@ __all__ = [
     "EventTiesModel",
     "FairnessReport",
     "InsufficientSamples",
-    "LivelockDetected",
     "MODE_NAMES",
     "MODEL_NAMES",
     "MalformedSignature",

@@ -6,9 +6,9 @@ Subcommands:
   fairness             estimate tie-ordering probabilities against closed forms
   compare              check two trace files for digest identity
 
-Exit codes: 0 success, 2 configuration error, 3 causality violation,
-4 rollback livelock; verify-determinism reports an error raised while running
-as an outcome instead. A config file (JSON or flat "key = value" lines) can
+Exit codes: 0 success, 2 configuration error, 3 causality violation;
+verify-determinism reports an error raised while running as an outcome
+instead. A config file (JSON or flat "key = value" lines) can
 supply any run option; explicit flags override it.
 """
 
@@ -20,11 +20,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import (
-    CausalityViolation,
-    ConfigError,
-    LivelockDetected,
-)
+from .errors import CausalityViolation, ConfigError
 from .harness import (
     RunSpec,
     benchmark_sequential,
@@ -308,9 +304,6 @@ def main(argv=None) -> int:
     except CausalityViolation as exc:
         print(f"causality violation: {exc}", file=sys.stderr)
         return 3
-    except LivelockDetected as exc:
-        print(f"livelock: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         # missing trace inputs, unwritable --*-out paths; keep exit 1 for
         # "traces differ" so scripts can tell the two apart

@@ -25,14 +25,6 @@ class CausalityViolation(TieWarpError):
     """An event was created that orders before already-committed history."""
 
 
-class LivelockDetected(TieWarpError):
-    """The optimistic kernel rolled back the same signature too many times."""
-
-    def __init__(self, message, count=0):
-        super().__init__(message)
-        self.count = count
-
-
 class UnmatchedAntiMessage(TieWarpError):
     """An anti-message can no longer meet its positive twin; kernel bug."""
 

@@ -17,7 +17,9 @@ Rollback is per LP: each LP keeps its own processed history, so a straggler
 or an anti-message undoes only the work of the LP it is addressed to (plus
 whatever that work caused), never that of the other LPs on its PE. One
 primitive cancels a copy of an event, for anti-messages and rollback
-cascades alike, and a straggler waits in pending while its LP rolls back.
+cascades alike. Rollback undoes strictly greater keys in every mode, so a
+straggler's rollback never reaches its parent, and the run terminates
+without a bound on rollbacks (see ``PeRuntime.rollback_past``).
 Both kernels seed in ``run()``. Each GVT round detaches every LP's entries
 below GVT and merges them by key.
 An error raised while an event is processed speculatively (by the model's
@@ -32,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import CausalityViolation, ConfigError, LivelockDetected, UnmatchedAntiMessage
+from .errors import CausalityViolation, ConfigError, UnmatchedAntiMessage
 from .kernel_seq import LpRuntime, build_event, make_lps, seed_initial_events
 from .rngstream import DrawStream, Purpose, derive_stream_key
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, format_signature
@@ -41,8 +43,6 @@ from .trace import Event, Trace
 
 DEFAULT_GVT_INTERVAL = 4096
 DEFAULT_MAX_DELAY = 4
-# rollbacks one PE may take for the same cause before LivelockDetected
-LIVELOCK_BOUND = 64
 
 # lp-id salt so the chaos stream can never collide with a simulation stream
 _CHAOS_SALT = 0x51ED0C4A05
@@ -144,8 +144,7 @@ class PeRuntime:
     each local child of an undone entry alike, so a rollback may cascade
     through the PE's other LPs. Everything a cascade undoes was processed
     after the entry that started it, so it never reaches below an entry an
-    outer rollback is still undoing. A straggler stays atop the pending heap
-    while its LP rolls back, so a cascade condemns it like any other copy.
+    outer rollback is still undoing.
 
     Annihilation is count-based and lazy, keyed by the match each event
     carries as ``Event.match`` from its creation; pending heap entries are
@@ -176,7 +175,6 @@ class PeRuntime:
         self.kill_marks: dict = {}
         self.stash: dict = {}
         self.histories: dict[int, deque] = {}
-        self.rollback_counts: dict = {}
         self.stragglers = 0
         self.rollbacks = 0
         self.rolled_back_events = 0
@@ -223,7 +221,7 @@ class PeRuntime:
 
     # -- cancellation --------------------------------------------------------
 
-    def _cancel(self, ev: Event, now: int, cause: Event | None = None) -> bool:
+    def _cancel(self, ev: Event, now: int, anti: bool = False) -> bool:
         """Cancel one copy of ``ev``, that is, of an event with its match key.
 
         A live pending copy is condemned. Failing that, ``ev``'s LP is rolled
@@ -233,32 +231,18 @@ class PeRuntime:
         m = ev.match
         kill_marks = self.kill_marks
         if (self.pending_counts.get(m, 0) <= kill_marks.get(m, 0)
-                and not self.rollback_through(ev, now, cause)):
+                and not self.rollback_through(ev, now, anti)):
             return False
         kill_marks[m] = kill_marks.get(m, 0) + 1
         return True
 
     def receive_anti(self, ev: Event, now: int) -> None:
-        if self._cancel(ev, now, ev):
+        if self._cancel(ev, now, anti=True):
             self.kernel.annihilations += 1
         else:
             self.stash.setdefault(ev.match, []).append(ev.key)
 
     # -- rollback -----------------------------------------------------------
-
-    def _count_rollback(self, cause: Event) -> None:
-        self.rollbacks += 1
-        # not cause.key: in mode NONE that is the bare timestamp, which would
-        # merge distinct events into one count
-        cause_id = (cause.timestamp, cause.tiebreak, cause.source_lp, cause.serial)
-        count = self.rollback_counts.get(cause_id, 0) + 1
-        self.rollback_counts[cause_id] = count
-        if count > LIVELOCK_BOUND:
-            tag = f"{format_signature(cause)}/{cause.source_lp}#{cause.serial}"
-            raise LivelockDetected(
-                f"PE {self.pe_id} rolled back {count} times "
-                f"for the same event {tag}; the ordering scheme is not making "
-                f"progress", count=count)
 
     def _undo(self, entry: ProcessedEntry, now: int) -> None:
         """Reverse one processed event: cancel each of its local children,
@@ -286,22 +270,36 @@ class PeRuntime:
         self.enqueue_positive(ev)
 
     def rollback_past(self, lp_id: int, boundary_key, now: int) -> None:
-        """Straggler rollback: undo every entry of the LP that the straggler
-        must precede, those whose keys are ``mode.after`` its key.
+        """Straggler rollback: undo every entry of the LP keyed strictly
+        above the straggler's key, in every mode.
 
-        In mode none that includes entries tying the straggler's timestamp,
-        conservatively, because without tie-breaks there is no defensible
-        order among them.
+        Undoing an entry cancels only its descendants, keyed at or above it,
+        so the straggler's parent, keyed at or below the straggler, is never
+        undone, and the straggler in hand is never cancelled by its own
+        rollback. In mode none, whose keys are bare timestamps, entries tying
+        the straggler stay: ties need no order there.
+
+        This is why a run terminates with no bound on rollbacks (Jefferson,
+        "Virtual Time", 1985). In every mode but none keys are unique. A
+        straggler's rollback undoes keys above the straggler's, an
+        anti-message's undoes the twin it cancels and keys above it, and a
+        cascade undoes descendants of undone entries, keyed at or above them.
+        Every cause is pending or in flight, so keyed at or above GVT. So a
+        live event processed at the GVT minimum is never undone, GVT only
+        rises, and a run whose sequential trace is finite ends. Mode none
+        leaves one gap: an anti-message at a tied key also undoes the entries
+        tying it that were processed after its twin, at GVT itself.
+        Termination there rests on measurement: the mode-none rows of the
+        optimistic sweep and the straggler fuzz in ``tests/``.
         """
         hist = self.histories[lp_id]
-        after = self.kernel.mode.after
-        while hist and after(hist[-1].event.key, boundary_key):
+        while hist and hist[-1].event.key > boundary_key:
             self._undo(hist.pop(), now)
 
-    def rollback_through(self, ev: Event, now: int,
-                         cause: Event | None = None) -> bool:
+    def rollback_through(self, ev: Event, now: int, anti: bool = False) -> bool:
         """Undo ``ev``'s LP back through its latest processed copy of ``ev``,
-        first counting ``cause``, if any, as a rollback; False if there is none.
+        counting a rollback if ``anti`` says an anti-message caused it; False
+        if there is no such copy.
 
         The LP's history ascends by key, so the scan from its top stops at
         the first entry keyed below ``ev``'s.
@@ -312,8 +310,8 @@ class PeRuntime:
             if entry.event.key < key:
                 break
             if entry.event.match == m:
-                if cause is not None:
-                    self._count_rollback(cause)
+                if anti:
+                    self.rollbacks += 1
                 for _ in range(depth):
                     self._undo(hist.pop(), now)
                 return True
@@ -334,20 +332,13 @@ class PeRuntime:
         if top is None:
             return delivered
         ev = top[2]
-        m = ev.match
         hist = self.histories[ev.dest_lp]
         # mode NONE keys are 1-tuples, so this is the bare timestamp test
         if hist and ev.key < hist[-1].event.key:
             self.stragglers += 1
-            self._count_rollback(ev)
-            # the straggler waits atop pending while its LP rolls back, where
-            # a cascade that undoes its parent condemns it like any other copy
-            heappush(self.pending, top)
-            self.pending_counts[m] = self.pending_counts.get(m, 0) + 1
+            self.rollbacks += 1
+            # undoes only keys above the straggler's, never the straggler
             self.rollback_past(ev.dest_lp, ev.key, now)
-            if m in self.kill_marks:
-                return True
-            self.pop_live()
         self._process(ev, now)
         return True
 
@@ -467,15 +458,8 @@ class OptimisticKernel:
         batches = []
         for pe in self.pes:
             batches.extend(pe.collect_fossils(gvt_key))
-            if gvt_key is not None:
-                # every later rollback cause has a key at or above GVT, so a
-                # cause stamped below its timestamp can never count again
-                pe.rollback_counts = {cause: n for cause, n
-                                      in pe.rollback_counts.items()
-                                      if cause[0] >= gvt_key[0]}
-        # stable: entries that tie (mode none only) stay in PE, LP, then
-        # history order
-        batches.sort(key=lambda entry: entry.event.key)
+        order = self.mode.commit_order
+        batches.sort(key=lambda entry: order(entry.event))
         after = self.mode.after
         for entry in batches:
             ev = entry.event

@@ -59,9 +59,18 @@ class OrderingMode(enum.Enum):
         # attribute, fixed once here, because every built event reads it
         self.uses_draws = value not in ("none", "biased")
         # after(later, earlier): whether a key may follow another in commit
-        # order, and so whether a straggler at ``earlier`` must undo ``later``.
-        # Keys of mode none are bare timestamps, so ties may commit either way.
+        # order, for the commit check and the audit. Keys of mode none are
+        # bare timestamps, so ties may commit either way.
         self.after = operator.ge if value == "none" else operator.gt
+        # commit_order(event): what a GVT round sorts its commits by. Only
+        # mode none's keys tie, and there a tie commits the shallower
+        # zero-offset depth first, so a parent precedes its zero-offset
+        # children; the other modes sort by the key alone, at half the cost.
+        # A positive offset that float rounding absorbs (t + 1e-20 == t)
+        # gives a child depth 0 at its parent's timestamp, which this order
+        # may commit before a deeper parent.
+        self.commit_order = (operator.attrgetter("key", "zero_offset_depth")
+                             if value == "none" else operator.attrgetter("key"))
 
     @classmethod
     def from_name(cls, name: str) -> "OrderingMode":

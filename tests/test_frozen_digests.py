@@ -134,8 +134,11 @@ def test_optimistic_digest_is_frozen(model, mode, workers):
 
 
 # The optimistic sweep: every (model, mode, PEs, chaos seed) cell's outcome
-# and metrics(), as JSON rows, pinned by one SHA-256. 27 of the 144 cells
-# end in an error, which is pinned like a digest.
+# and metrics(), as JSON rows, pinned by one SHA-256 per group of modes. The
+# 108 draw-mode rows (lex, additive, naive) keep the value computed before
+# rollback became strict in mode none; 27 of them, all naive, end in an
+# error, which is pinned like a digest. The 36 mode-none rows, which strict
+# rollback and the parent-first commit of ties changed, end in a digest.
 SWEEP_MODELS = {
     "ties-c4": ("event-ties", dict(n_lps=8, remote_prob=0.7, chain_length=4,
                                    end_time=5.0)),
@@ -145,16 +148,16 @@ SWEEP_MODELS = {
                                          remote_prob=0.7, end_time=4.0)),
     "phold": ("phold", dict(n_lps=16, remote_prob=0.5, end_time=6.0)),
 }
-SWEEP_MODES = ("none", "lex", "additive", "naive")
 SWEEP_PES = (2, 5, 8)
 SWEEP_CHAOS_SEEDS = (0, 1, 2)
-SWEEP_DIGEST = "cfaf6b7100d74b15b3220ca68028a3c8e8072e5d0db71b564d4b9b7fb08fd78e"
+SWEEP_DRAW_DIGEST = "a1915100d72655b0119adfa538bd01cfb3a9e58b45e7f682a94d38ef8c2927a9"
+SWEEP_NONE_DIGEST = "b722c38c955934734f6ec35d8e3f07009e8a710f9f550bfd3ec90ca74c21313d"
 
 
-def sweep_rows():
+def sweep_rows(modes):
     rows = []
     for cell, (model, params) in SWEEP_MODELS.items():
-        for mode in SWEEP_MODES:
+        for mode in modes:
             for pes in SWEEP_PES:
                 for chaos_seed in SWEEP_CHAOS_SEEDS:
                     spec = RunSpec(model=model, mode=mode, seed=1, workers=pes,
@@ -167,9 +170,22 @@ def sweep_rows():
     return rows
 
 
-def test_optimistic_sweep_is_frozen():
-    rows = sweep_rows()
-    assert len(rows) == 144
-    assert sum("error" in result for _, result, _ in rows) == 27
+def sweep_digest(rows):
     text = json.dumps(rows, sort_keys=True)
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == SWEEP_DIGEST
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_optimistic_sweep_is_frozen_in_draw_modes():
+    # the rows come in the order of the earlier 144-row sweep, less its
+    # mode-none rows, so this is the hash of those 108 rows as they were
+    rows = sweep_rows(("lex", "additive", "naive"))
+    assert len(rows) == 108
+    assert sum("error" in result for _, result, _ in rows) == 27
+    assert sweep_digest(rows) == SWEEP_DRAW_DIGEST
+
+
+def test_optimistic_sweep_is_frozen_in_mode_none():
+    rows = sweep_rows(("none",))
+    assert len(rows) == 36
+    assert sum("error" in result for _, result, _ in rows) == 0
+    assert sweep_digest(rows) == SWEEP_NONE_DIGEST

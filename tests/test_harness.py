@@ -6,7 +6,7 @@ from dataclasses import asdict, fields, replace
 import pytest
 
 from tiewarp import harness
-from tiewarp.errors import ConfigError, InsufficientSamples, LivelockDetected
+from tiewarp.errors import ConfigError, InsufficientSamples, UnmatchedAntiMessage
 from tiewarp.harness import (
     RunSpec,
     audit_trace,
@@ -114,32 +114,32 @@ def test_verify_determinism_flags_schedule_dependence():
 def test_verify_determinism_records_faults(monkeypatch):
     # a cell that faults must be recorded, not propagated
     monkeypatch.setattr(harness, "build_kernel", raising(
-        LivelockDetected("injected"), lambda spec, optimistic: spec.workers == 4))
+        UnmatchedAntiMessage("injected"), lambda spec, optimistic: spec.workers == 4))
     report = verify_determinism(TIES_SPEC, workers=(2, 4), chaos_seeds=(0,),
                                 repeats=1)
     assert report["verdict"] == "faulted"
     assert report["faults"] == 1
     errors = [c["error"] for c in report["cells"] if "error" in c]
-    assert errors == ["LivelockDetected: injected"]
+    assert errors == ["UnmatchedAntiMessage: injected"]
 
 
 def test_verify_determinism_an_error_other_than_the_reference_is_a_fault(monkeypatch):
     monkeypatch.setattr(harness, "build_kernel", raising(
-        LivelockDetected("injected"), lambda spec, optimistic: spec.workers == 4))
+        UnmatchedAntiMessage("injected"), lambda spec, optimistic: spec.workers == 4))
     report = verify_determinism(NAIVE_SPEC, workers=(2, 4), chaos_seeds=(0,),
                                 repeats=1)
     assert report["verdict"] == "faulted"
     assert report["faults"] == 1
     assert report["cells"][0]["error"] == report["reference"]["error"]
-    assert report["cells"][1]["error"] == "LivelockDetected: injected"
+    assert report["cells"][1]["error"] == "UnmatchedAntiMessage: injected"
 
 
 def test_verify_determinism_a_digest_where_the_reference_raised_disagrees(monkeypatch):
     monkeypatch.setattr(harness, "build_kernel", raising(
-        LivelockDetected("injected"), lambda spec, optimistic: not optimistic))
+        UnmatchedAntiMessage("injected"), lambda spec, optimistic: not optimistic))
     report = verify_determinism(TIES_SPEC, workers=(2,), chaos_seeds=(0, 1),
                                 repeats=1)
-    assert report["reference"] == {"error": "LivelockDetected: injected"}
+    assert report["reference"] == {"error": "UnmatchedAntiMessage: injected"}
     assert report["verdict"] == "nondeterministic"
     assert report["faults"] == 0
     assert len(report["distinct_digests"]) == 1
