@@ -59,10 +59,11 @@ class ChaosConfig:
 class ProcessedEntry:
     """One processed event and everything needed to undo it.
 
-    ``state``, ``tiebreak_cursor``, ``model_cursor`` and ``serial`` are the
-    undo image: the handling LP's values, from before the event was
-    processed, of everything processing can change (emits are sourced from
-    the LP that handled the event, so every mutation lives on that LP).
+    ``state``, ``model_cursor`` and ``serial`` are the undo image: the
+    handling LP's values, from before the event was processed, of everything
+    processing can change (emits are sourced from the LP that handled the
+    event, so every mutation lives on that LP, and tie-breaks are keyed by
+    its serial).
     ``children`` lists the events built from the handler's emits, in emit
     order, those past the end time included; a child's PE says whether it
     was enqueued here, matched by identity, or sent, matched by content.
@@ -70,13 +71,11 @@ class ProcessedEntry:
     changed nothing and sent nothing, and raises its fault when it commits.
     """
 
-    __slots__ = ("event", "state", "tiebreak_cursor", "model_cursor", "serial",
-                 "children", "fault")
+    __slots__ = ("event", "state", "model_cursor", "serial", "children", "fault")
 
     def __init__(self, event: Event, rt: LpRuntime):
         self.event = event
         self.state = rt.state
-        self.tiebreak_cursor = rt.tiebreak_stream.cursor
         self.model_cursor = rt.model_stream.cursor
         self.serial = rt.serial
         self.children = ()
@@ -85,7 +84,6 @@ class ProcessedEntry:
     def restore(self, rt: LpRuntime) -> None:
         """Put the undo image back on ``rt``, the LP that handled the event."""
         rt.state = self.state
-        rt.tiebreak_stream.cursor = self.tiebreak_cursor
         rt.model_stream.cursor = self.model_cursor
         rt.serial = self.serial
 

@@ -4,7 +4,7 @@ This kernel is the ground truth. It processes every event in strictly
 ascending signature order, so an optimistic run is correct exactly when its
 committed trace matches this one bit for bit. The LP runtime and the event
 factory live here and are shared with the optimistic kernel, which keeps the
-two kernels' draw accounting and serial numbering identical by construction.
+two kernels' serials, and so their identity-keyed tie-break draws, identical.
 """
 
 from __future__ import annotations
@@ -14,45 +14,37 @@ from operator import index
 
 from .errors import CausalityViolation, ConfigError
 from .models import Emit
-from .rngstream import DrawStream, Purpose
+from .rngstream import DrawStream, Purpose, derive_stream_key, draw_at
 from .timebase import (
     DEFAULT_SEQUENCE_CAP,
     OrderingMode,
-    TimeSignature,
     derive_child_signature,
     format_signature,
     sort_key,
 )
 from .trace import Event, Trace
 
-# Virtual parent of seed events: time zero, empty tie-break.
-_ROOT_SIGNATURE = TimeSignature(0.0)
-
 
 class LpRuntime:
-    """Per-LP mutable state: model state, both draw streams, serial counter.
+    """Per-LP mutable state: model state, model stream, serial counter.
 
     The serial counter numbers events *sent* by this LP and is part of event
     identity, so it must be restored on rollback along with the state and
-    the stream cursors, from the undo image that the optimistic kernel's
-    ``ProcessedEntry`` takes. ``pe_id`` is 0 in sequential runs and the
-    owning PE otherwise.
+    the model stream's cursor, from the undo image that the optimistic
+    kernel's ``ProcessedEntry`` takes. The tie-break of the LP's event with
+    serial ``s`` is ``draw_at(tiebreak_key, s)``. ``pe_id`` is 0 in
+    sequential runs and the owning PE otherwise.
     """
 
-    __slots__ = ("lp_id", "pe_id", "state", "tiebreak_stream", "model_stream", "serial")
+    __slots__ = ("lp_id", "pe_id", "state", "tiebreak_key", "model_stream", "serial")
 
     def __init__(self, lp_id: int, pe_id: int, state, global_seed: int):
         self.lp_id = lp_id
         self.pe_id = pe_id
         self.state = state
-        self.tiebreak_stream = DrawStream.for_lp(global_seed, lp_id, Purpose.TIEBREAK)
+        self.tiebreak_key = derive_stream_key(global_seed, lp_id, Purpose.TIEBREAK)
         self.model_stream = DrawStream.for_lp(global_seed, lp_id, Purpose.MODEL)
         self.serial = 0
-
-    def next_serial(self) -> int:
-        s = self.serial
-        self.serial += 1
-        return s
 
 
 def build_event(
@@ -65,9 +57,10 @@ def build_event(
 ) -> Event:
     """Create an event from an emit request, deriving its signature and key.
 
-    Consumes one tie-break draw in draw-based modes (unless the emit forces
-    a replayed value) and one serial from the source LP, in both kernels,
-    whether or not the event survives the horizon check. Payloads must be
+    Consumes one serial from the source LP, in both kernels, whether or not
+    the event survives the horizon check. In draw-based modes the tie-break
+    draw is ``draw_at(source.tiebreak_key, serial)``, unless the emit forces
+    a replayed value; ``parent`` is None for a seed. Payloads must be
     hashable, because the optimistic kernel matches the events it sends
     between PEs on their content; both kernels reject an unhashable one
     here, and a destination that is not an LP id in ``[0, n_lps)``.
@@ -91,20 +84,21 @@ def build_event(
         raise ConfigError(
             f"LP {source.lp_id} emitted an unhashable payload of type "
             f"{type(payload).__name__}; event payloads must be hashable") from None
-    serial = source.next_serial()
+    serial = source.serial
+    source.serial = serial + 1
     if parent is None:
         depth, parent_key = 0, None
     else:
-        depth = parent.zero_offset_depth + 1 if emit.offset == 0.0 else 0
+        t = parent.timestamp  # the simultaneity test derive uses
+        depth = parent.zero_offset_depth + 1 if t + emit.offset == t else 0
         parent_key = (parent.source_lp, parent.serial)
     if not mode.uses_draws:
         draw = None
     elif emit.forced_tiebreak is not None:
         draw = emit.forced_tiebreak
     else:
-        draw = source.tiebreak_stream.draw()
-    sig = derive_child_signature(parent or _ROOT_SIGNATURE, emit.offset, draw,
-                                 mode, seq_cap)
+        draw = draw_at(source.tiebreak_key, serial)
+    sig = derive_child_signature(parent, emit.offset, draw, mode, seq_cap)
     key = sort_key(sig, (source.pe_id, source.lp_id, serial), mode)
     ev = Event(source.pe_id, source.lp_id, serial, dest, sig.timestamp,
                sig.tiebreak, key, payload, depth, parent_key)
@@ -126,7 +120,7 @@ def make_lps(model, global_seed: int, pe_of_lp=None) -> list[LpRuntime]:
 
 def seed_initial_events(model, lps: list[LpRuntime], mode: OrderingMode,
                         seq_cap: int) -> list[Event]:
-    """Build every LP's seed events; seed emits hang off the virtual root."""
+    """Build every LP's seed events, each at its offset from time zero."""
     events = []
     for rt in lps:
         for emit in model.seed_events(rt.lp_id, rt.model_stream):

@@ -100,8 +100,8 @@ class PholdModel(_BuiltinModel):
         return None
 
     def seed_events(self, lp_id: int, stream: DrawStream):
-        # Seed emits are measured from the virtual root at time zero, so the
-        # offset is the absolute start timestamp.
+        # A seed's offset is measured from time zero, so it is the absolute
+        # start timestamp.
         return [Emit(lp_id, 1.0, None)]
 
     def handle(self, state, event, stream: DrawStream):

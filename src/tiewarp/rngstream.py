@@ -1,13 +1,13 @@
 """Deterministic, rollback-safe uniform draw streams.
 
-Each LP owns two independent streams, one dedicated to tie-break values and
-one for model randomness. A stream is a counter-mode construction: the value
-at cursor index ``i`` is a pure function of ``(key, i)``, so rolling a
-stream back is nothing more than restoring the cursor, and any draw can be
-recomputed at random access cost O(1). The mixing function is the splitmix64
-finalizer over ``key + (i + 1) * GAMMA``; stream keys are derived by hashing
-``(global_seed, lp_id, purpose)`` through the same mixer, which makes stream
-creation O(1) for any number of LPs.
+Each LP has two independent keys, one for tie-breaks and one for model
+randomness. Draws are counter-based (Salmon et al., SC 2011): the value at
+index ``i`` is a pure function of ``(key, i)``, so any draw can be recomputed
+at random access cost O(1). A tie-break is ``draw_at(key, serial)``, keyed by
+its event's identity, so rollback restores nothing for it; the model stream
+is a key plus a cursor, and rolling it back restores the cursor. The mixing
+function is the splitmix64 finalizer over ``key + (i + 1) * GAMMA``; keys
+are hashed from ``(global_seed, lp_id, purpose)`` through the same mixer.
 
 The generator family and version are recorded in every run summary so a
 digest can never silently mix outputs of different generators.

@@ -66,9 +66,6 @@ class OrderingMode(enum.Enum):
         # mode none's keys tie, and there a tie commits the shallower
         # zero-offset depth first, so a parent precedes its zero-offset
         # children; the other modes sort by the key alone, at half the cost.
-        # A positive offset that float rounding absorbs (t + 1e-20 == t)
-        # gives a child depth 0 at its parent's timestamp, which this order
-        # may commit before a deeper parent.
         self.commit_order = (operator.attrgetter("key", "zero_offset_depth")
                              if value == "none" else operator.attrgetter("key"))
 
@@ -124,26 +121,28 @@ def derive_child_signature(
 ) -> TimeSignature:
     """Signature for an event created ``offset`` after ``parent``.
 
-    A regular offset (> 0) starts a fresh signature: the inherited sequence
-    is discarded and the new draw stands alone. A zero offset extends the
-    parent: LEX_SEQUENCE appends the draw, ADDITIVE adds it to the parent's
+    A child at a new timestamp starts a fresh signature, its draw alone; so
+    does a seed (``parent`` None) at time ``offset``. A child simultaneous
+    with its parent (a zero offset, or one float rounding absorbs) extends
+    it: LEX_SEQUENCE appends the draw, ADDITIVE adds it to the parent's
     single value (Python ints, so deep chains cannot wrap), and
     UNBIASED_SINGLE rejects the creation outright. Either way the result
-    orders strictly after the parent under ``sort_key``. NAIVE is
-    the broken scheme the others replace: its zero-offset child also stands
-    alone on a fresh draw, which can order it before its parent.
+    orders strictly after the parent under ``sort_key``. NAIVE is the broken
+    scheme the others replace: its simultaneous child also stands alone on a
+    fresh draw, which can order it before its parent.
     """
     if not offset >= 0:  # NaN fails every comparison
         raise ValueError(f"offset {offset} is negative or NaN")
+    timestamp = offset if parent is None else parent.timestamp + offset
     if not mode.uses_draws:
         # No draw content; ordering falls to timestamps (and, for the biased
         # ruleset, identities). Useful only for those modes' kernels.
-        return TimeSignature(parent.timestamp + offset)
+        return TimeSignature(timestamp)
     if draw is None:
         raise ValueError(f"mode {mode.value} requires a tie-break draw")
 
-    if offset > 0 or mode is OrderingMode.NAIVE:
-        return TimeSignature(parent.timestamp + offset, (draw,))
+    if parent is None or timestamp != parent.timestamp or mode is OrderingMode.NAIVE:
+        return TimeSignature(timestamp, (draw,))
 
     if mode is OrderingMode.UNBIASED_SINGLE:
         raise ZeroOffsetForbidden(
@@ -151,13 +150,13 @@ def derive_child_signature(
             "use additive or lex mode for models that emit zero-offset events"
         )
     if mode is OrderingMode.ADDITIVE:
-        return TimeSignature(parent.timestamp, (parent.tiebreak[0] + draw,))
+        return TimeSignature(timestamp, (parent.tiebreak[0] + draw,))
     # LEX_SEQUENCE
     if len(parent.tiebreak) + 1 > cap:
         raise SequenceCapExceeded(
             f"zero-offset chain would grow the tie-break sequence past cap {cap}"
         )
-    return TimeSignature(parent.timestamp, parent.tiebreak + (draw,))
+    return TimeSignature(timestamp, parent.tiebreak + (draw,))
 
 
 def sort_key(signature, identity: tuple, mode: OrderingMode) -> tuple:

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from tiewarp import kernel_optimistic, kernel_seq
 from tiewarp.errors import (CausalityViolation, ConfigError, SequenceCapExceeded,
-                            UnmatchedAntiMessage)
+                            UnmatchedAntiMessage, ZeroOffsetForbidden)
 from tiewarp.harness import audit_trace, outcome
 from tiewarp.kernel_optimistic import (DEFAULT_GVT_INTERVAL, DEFAULT_MAX_DELAY,
                                        ChaosConfig, OptimisticKernel, PeRuntime)
 from tiewarp.kernel_seq import SequentialKernel, run_sequential
 from tiewarp.models import Emit, EventTiesModel, PholdModel, build_model
+from tiewarp.rngstream import Purpose, derive_stream_key, draw_at
 from tiewarp.scenarios import ScriptedModel, committed_names, SCRIPT_LEX_ORDER
 from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode
 from tiewarp.trace import Event, first_divergence
@@ -314,8 +315,7 @@ class Clockwork:
 
 def lp_snapshot(pe, lp_id):
     rt = pe.lps[lp_id]
-    return (list(pe.histories[lp_id]), rt.state, rt.tiebreak_stream.cursor,
-            rt.model_stream.cursor, rt.serial)
+    return (list(pe.histories[lp_id]), rt.state, rt.model_stream.cursor, rt.serial)
 
 
 def timestamps(entries):
@@ -539,12 +539,15 @@ def test_seed_time_errors_are_run_outcomes_in_both_kernels():
     assert seq["error"].startswith("ConfigError: LP 0 emitted an unhashable payload")
 
 
-class NanOffset:
-    """One LP whose seed event schedules a child at a NaN offset."""
+class SeedThenChild:
+    """One LP whose seed event at t = 1 schedules one child ``offset`` later."""
 
-    name = "nan-offset"
+    name = "seed-then-child"
     n_lps = 1
     end_time = 4.0
+
+    def __init__(self, offset):
+        self.offset = offset
 
     def initial_state(self, lp_id):
         return 0
@@ -553,7 +556,7 @@ class NanOffset:
         return [Emit(0, 1.0, "seed")]
 
     def handle(self, state, event, stream):
-        emits = [Emit(0, float("nan"), "child")] if event.payload == "seed" else []
+        emits = [Emit(0, self.offset, "child")] if event.payload == "seed" else []
         return state + 1, emits
 
     def final_value(self, state):
@@ -564,10 +567,74 @@ class NanOffset:
 def test_nan_offsets_raise_in_both_kernels(mode):
     # a NaN offset is neither negative nor positive; it is refused like a
     # negative one, rather than read as zero or committed at a NaN time
-    seq = outcome(SequentialKernel(NanOffset(), mode, 1))
-    opt = outcome(OptimisticKernel(NanOffset(), mode, 1, 2))
+    seq = outcome(SequentialKernel(SeedThenChild(float("nan")), mode, 1))
+    opt = outcome(OptimisticKernel(SeedThenChild(float("nan")), mode, 1, 2))
     assert opt == seq
     assert seq["error"].startswith("ValueError: ")
+
+
+def test_an_offset_that_rounding_absorbs_is_simultaneous():
+    # 1.0 + 1e-20 == 1.0: the child shares its parent's timestamp, so it
+    # extends the parent's tie-break at depth 1, as a zero-offset child does,
+    # and cannot sort before it
+    for seed in range(20):
+        parent, child = run_sequential(SeedThenChild(1e-20),
+                                       OrderingMode.LEX_SEQUENCE, seed).committed
+        assert child.timestamp == parent.timestamp == 1.0
+        assert child.tiebreak[:-1] == parent.tiebreak and len(child.tiebreak) == 2
+        assert child.zero_offset_depth == 1
+        with pytest.raises(ZeroOffsetForbidden):
+            run_sequential(SeedThenChild(1e-20), OrderingMode.UNBIASED_SINGLE, seed)
+
+
+class ZeroTimeSeeds:
+    """Two LPs, each seeding one event at t = 0."""
+
+    name = "zero-time-seeds"
+    n_lps = 2
+    end_time = 1.0
+
+    def initial_state(self, lp_id):
+        return 0
+
+    def seed_events(self, lp_id, stream):
+        return [Emit(lp_id, 0.0, lp_id)]
+
+    def handle(self, state, event, stream):
+        return state + 1, []
+
+    def final_value(self, state):
+        return state
+
+
+@pytest.mark.parametrize("mode", list(OrderingMode))
+def test_seeds_at_time_zero_commit_in_both_kernels(mode):
+    # a seed has no parent to be simultaneous with: it starts a fresh
+    # signature at its offset, even a zero one
+    for trace in (run_sequential(ZeroTimeSeeds(), mode, 1),
+                  run_optimistic(ZeroTimeSeeds(), mode, 1, 2)):
+        assert [ev.timestamp for ev in trace.committed] == [0.0, 0.0]
+        assert sorted(ev.source_lp for ev in trace.committed) == [0, 1]
+        assert all(ev.zero_offset_depth == 0 for ev in trace.committed)
+
+
+@pytest.mark.parametrize("mode, chain_length",
+                         [(OrderingMode.LEX_SEQUENCE, 3), (OrderingMode.NAIVE, 1)])
+def test_tiebreaks_are_keyed_by_event_identity(mode, chain_length):
+    # an event's last draw is its source LP's tie-break key at its serial,
+    # however often the optimistic kernel rolled its source back and re-sent
+    # it (naive fails on zero-offset chains, so it runs chains of one)
+    seed = 7
+    model = build_model("event-ties", n_lps=16, end_time=4.0,
+                        chain_length=chain_length, remote_prob=0.7)
+    kernel = OptimisticKernel(model, mode, seed, 8, chaos=ChaosConfig(0, 32))
+    opt = kernel.run()
+    assert kernel.metrics()["rolled_back"] > 10
+    seq = run_sequential(model, mode, seed)
+    for ev in seq.committed + opt.committed:
+        key = derive_stream_key(seed, ev.source_lp, Purpose.TIEBREAK)
+        assert ev.tiebreak[-1] == draw_at(key, ev.serial)
+    assert opt.digest() == seq.digest()
 
 
 def test_unhashable_payloads_are_rejected_in_both_kernels():
