@@ -2,8 +2,10 @@
 """What do the tie-break draws cost when nothing ever ties?
 
 PHOLD schedules strictly positive exponential offsets, so signatures never
-collide and the draws are pure overhead: one extra stream call plus a wider
-comparison key per event. This times the sequential kernel in mode "none"
+collide and the draws are pure overhead: one tie-break draw and a longer key
+to build per event. The sequential heap compares timestamps first, so the
+wider key is read only on a timestamp tie, which PHOLD never has. This
+times the sequential kernel in mode "none"
 (bare float timestamps) against the draw-carrying modes on the same workload.
 A scaled-down version of the acceptance gate, which demands lex <= 2x none
 at a million events.

@@ -69,15 +69,15 @@ def build_event(
     both kernels' one causality check, which only modes naive and biased
     can fail.
     """
+    dest_lp, offset, payload, forced = emit
     try:
-        dest = index(emit.dest_lp)
+        dest = index(dest_lp)
     except TypeError:
         dest = None
     if dest is None or not 0 <= dest < n_lps:
         raise ConfigError(
-            f"LP {source.lp_id} emitted an event to LP {emit.dest_lp!r}; "
+            f"LP {source.lp_id} emitted an event to LP {dest_lp!r}; "
             f"destinations must be integers in [0, {n_lps})")
-    payload = emit.payload
     try:
         hash(payload)
     except TypeError:
@@ -86,22 +86,23 @@ def build_event(
             f"{type(payload).__name__}; event payloads must be hashable") from None
     serial = source.serial
     source.serial = serial + 1
+    if not mode.uses_draws:
+        draw = None
+    elif forced is not None:
+        draw = forced
+    else:
+        draw = draw_at(source.tiebreak_key, serial)
+    timestamp, tiebreak = derive_child_signature(parent, offset, draw, mode, seq_cap)
     if parent is None:
         depth, parent_key = 0, None
     else:
-        t = parent.timestamp  # the simultaneity test derive uses
-        depth = parent.zero_offset_depth + 1 if t + emit.offset == t else 0
+        # simultaneous exactly when derive extended the parent's signature
+        depth = parent.zero_offset_depth + 1 if timestamp == parent.timestamp else 0
         parent_key = (parent.source_lp, parent.serial)
-    if not mode.uses_draws:
-        draw = None
-    elif emit.forced_tiebreak is not None:
-        draw = emit.forced_tiebreak
-    else:
-        draw = draw_at(source.tiebreak_key, serial)
-    sig = derive_child_signature(parent, emit.offset, draw, mode, seq_cap)
-    key = sort_key(sig, (source.pe_id, source.lp_id, serial), mode)
-    ev = Event(source.pe_id, source.lp_id, serial, dest, sig.timestamp,
-               sig.tiebreak, key, payload, depth, parent_key)
+    pe_id = source.pe_id
+    ev = Event(pe_id, source.lp_id, serial, dest, timestamp, tiebreak, None,
+               payload, depth, parent_key)
+    ev.key = key = sort_key(ev, (pe_id, source.lp_id, serial), mode)
     if parent is not None and key < parent.key:
         raise CausalityViolation(
             f"event {ev!r} at {format_signature(ev)} sorts "
@@ -131,10 +132,13 @@ def seed_initial_events(model, lps: list[LpRuntime], mode: OrderingMode,
 class SequentialKernel:
     """Processes every event in ascending signature order on one heap.
 
-    Heap entries carry an insertion sequence number after the sort key, so
-    the heap stays totally ordered even in the no-tie-break mode where keys
-    are bare timestamps. Since ``build_event`` refuses a child keyed below
-    its parent, every pop is at or above the one before it.
+    Heap entries are ``(timestamp, key, insertion seq, event)``. Every
+    mode's key starts with the timestamp, so the order is the keys' order,
+    but a comparison between events at different times settles on one float.
+    The sequence number keeps the heap totally ordered even in the
+    no-tie-break mode, where keys are bare timestamps. Since ``build_event``
+    refuses a child keyed below its parent, every pop is at or above the
+    one before it.
     """
 
     def __init__(self, model, mode: OrderingMode, global_seed: int,
@@ -146,34 +150,36 @@ class SequentialKernel:
         self.seq_cap = seq_cap
         self.lps = make_lps(model, global_seed)
         self.peak_pending = 0
-        self._heap: list = []
-        self._push_seq = 0
-
-    def _push(self, ev: Event) -> None:
-        if ev.timestamp > self.model.end_time:
-            return
-        heappush(self._heap, (ev.key, self._push_seq, ev))
-        self._push_seq += 1
 
     def run(self) -> Trace:
         mode = self.mode
         model = self.model
         lps = self.lps
         n_lps = model.n_lps
-        for ev in seed_initial_events(model, lps, mode, self.seq_cap):
-            self._push(ev)
+        seq_cap = self.seq_cap
+        end_time = model.end_time
+        handle = model.handle
+        heap: list = []
+        seq = 0
         committed: list[Event] = []
-        heap = self._heap
-        while heap:
+        # seeds first, then each popped event's children, through one push
+        built = seed_initial_events(model, lps, mode, seq_cap)
+        while True:
+            for ev in built:
+                timestamp = ev.timestamp
+                if timestamp <= end_time:
+                    heappush(heap, (timestamp, ev.key, seq, ev))
+                    seq += 1
+            if not heap:
+                break
             if len(heap) > self.peak_pending:
                 self.peak_pending = len(heap)
-            _, _, ev = heappop(heap)
+            ev = heappop(heap)[3]
             rt = lps[ev.dest_lp]
-            new_state, emits = model.handle(rt.state, ev, rt.model_stream)
+            new_state, emits = handle(rt.state, ev, rt.model_stream)
             rt.state = new_state
             committed.append(ev)
-            for emit in emits:
-                self._push(build_event(rt, ev, emit, mode, self.seq_cap, n_lps))
+            built = [build_event(rt, ev, emit, mode, seq_cap, n_lps) for emit in emits]
         finals = {lp.lp_id: model.final_value(lp.state) for lp in lps}
         return Trace(committed=committed, final_states=finals)
 

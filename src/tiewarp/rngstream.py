@@ -49,8 +49,15 @@ def derive_stream_key(global_seed: int, lp_id: int, purpose: Purpose) -> int:
 
 
 def draw_at(key: int, index: int) -> int:
-    """The stream's value at cursor ``index``; pure in (key, index)."""
-    return mix64(key + (index + 1) * _GAMMA)
+    """The stream's value at cursor ``index``; pure in (key, index).
+
+    ``mix64(key + (index + 1) * GAMMA)`` with ``mix64`` inlined: every built
+    event in a draw-based mode takes one tie-break here, in one frame.
+    """
+    z = (key + (index + 1) * _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
 def to_unit_interval(value: int) -> float:
@@ -92,7 +99,8 @@ class DrawStream:
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
-        return to_unit_interval(self.draw())
+        # to_unit_interval(self.draw()), inlined
+        return (self.draw() >> 12) * 2.0**-52 + 2.0**-53
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high]; modulo bias is ~2**-64 here."""
@@ -102,7 +110,8 @@ class DrawStream:
         """Inverse-CDF exponential offset; strictly positive by construction."""
         if mean <= 0:
             raise ValueError(f"mean must be positive, got {mean}")
-        return -mean * math.log1p(-self.uniform())
+        # -mean * log1p(-to_unit_interval(self.draw())), inlined
+        return -mean * math.log1p(-((self.draw() >> 12) * 2.0**-52 + 2.0**-53))
 
     def pick_other(self, n: int, self_id: int) -> int:
         """Uniform LP id other than ``self_id`` (or self if it is alone)."""

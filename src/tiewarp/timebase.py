@@ -118,31 +118,36 @@ def derive_child_signature(
     draw: int | None,
     mode: OrderingMode,
     cap: int = DEFAULT_SEQUENCE_CAP,
-) -> TimeSignature:
-    """Signature for an event created ``offset`` after ``parent``.
+) -> tuple[float, tuple]:
+    """``(timestamp, tiebreak)`` of an event created ``offset`` after ``parent``.
 
-    A child at a new timestamp starts a fresh signature, its draw alone; so
-    does a seed (``parent`` None) at time ``offset``. A child simultaneous
-    with its parent (a zero offset, or one float rounding absorbs) extends
-    it: LEX_SEQUENCE appends the draw, ADDITIVE adds it to the parent's
-    single value (Python ints, so deep chains cannot wrap), and
-    UNBIASED_SINGLE rejects the creation outright. Either way the result
-    orders strictly after the parent under ``sort_key``. NAIVE is the broken
-    scheme the others replace: its simultaneous child also stands alone on a
-    fresh draw, which can order it before its parent.
+    Returns the plain pair, not a ``TimeSignature``: the kernels derive one
+    per built event and copy both fields into the ``Event``. A child at a
+    new timestamp starts a fresh signature, its draw alone; so does a seed
+    (``parent`` None) at time ``offset``. A child simultaneous with its
+    parent (a zero offset, or one float rounding absorbs) extends it:
+    LEX_SEQUENCE appends the draw, ADDITIVE adds it to the parent's single
+    value (Python ints, so deep chains cannot wrap), and UNBIASED_SINGLE
+    rejects the creation outright. Either way the result orders strictly
+    after the parent under ``sort_key``. NAIVE is the broken scheme the
+    others replace: its simultaneous child also stands alone on a fresh
+    draw, which can order it before its parent.
     """
     if not offset >= 0:  # NaN fails every comparison
         raise ValueError(f"offset {offset} is negative or NaN")
-    timestamp = offset if parent is None else parent.timestamp + offset
+    if parent is None:
+        timestamp = float(offset)
+    else:
+        timestamp = float(parent.timestamp + offset)
     if not mode.uses_draws:
         # No draw content; ordering falls to timestamps (and, for the biased
         # ruleset, identities). Useful only for those modes' kernels.
-        return TimeSignature(timestamp)
+        return timestamp, ()
     if draw is None:
         raise ValueError(f"mode {mode.value} requires a tie-break draw")
 
     if parent is None or timestamp != parent.timestamp or mode is OrderingMode.NAIVE:
-        return TimeSignature(timestamp, (draw,))
+        return timestamp, (draw,)
 
     if mode is OrderingMode.UNBIASED_SINGLE:
         raise ZeroOffsetForbidden(
@@ -150,29 +155,30 @@ def derive_child_signature(
             "use additive or lex mode for models that emit zero-offset events"
         )
     if mode is OrderingMode.ADDITIVE:
-        return TimeSignature(timestamp, (parent.tiebreak[0] + draw,))
+        return timestamp, (parent.tiebreak[0] + draw,)
     # LEX_SEQUENCE
     if len(parent.tiebreak) + 1 > cap:
         raise SequenceCapExceeded(
             f"zero-offset chain would grow the tie-break sequence past cap {cap}"
         )
-    return TimeSignature(timestamp, parent.tiebreak + (draw,))
+    return timestamp, parent.tiebreak + (draw,)
 
 
 def sort_key(signature, identity: tuple, mode: OrderingMode) -> tuple:
     """Tuple whose native comparison is the total order of ``mode``.
 
+    ``signature`` is anything with ``timestamp`` and ``tiebreak`` fields;
     ``identity`` is ``(source_pe, source_lp, serial)``. The kernels compute
-    this key once per event, when it is built. In the draw-based modes the
+    this key once per event, from the event itself, when it is built. In the draw-based modes the
     identity suffix uses (source_lp, serial), never the PE id, so keys do not
     depend on how LPs are partitioned across workers.
     """
-    if mode is OrderingMode.BIASED_RULESET:
-        return (signature.timestamp,) + identity
+    if mode.uses_draws:
+        _, source_lp, serial = identity
+        return (signature.timestamp, signature.tiebreak, source_lp, serial)
     if mode is OrderingMode.NONE:
         return (signature.timestamp,)
-    _, source_lp, serial = identity
-    return (signature.timestamp, signature.tiebreak, source_lp, serial)
+    return (signature.timestamp,) + identity
 
 
 def format_timestamp(timestamp: float) -> str:

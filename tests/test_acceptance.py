@@ -260,8 +260,8 @@ def test_criterion_10_comparator_laws_at_scale():
     for _ in range(10_000):
         parent = TimeSignature(1.0, tuple(rng.randrange(2 ** 64)
                                           for _ in range(1 + rng.randrange(3))))
-        child = derive_child_signature(parent, 0.0, rng.randrange(2 ** 64),
-                                       OrderingMode.LEX_SEQUENCE)
+        child = TimeSignature(*derive_child_signature(
+            parent, 0.0, rng.randrange(2 ** 64), OrderingMode.LEX_SEQUENCE))
         assert is_causal_prefix(parent, child)
         assert compare_signatures(parent, child, OrderingMode.LEX_SEQUENCE) < 0
         prefix_checked += 1

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -877,6 +878,25 @@ def test_integral_destinations_are_normalised():
     ev = kernel_seq.build_event(rt, None, Emit(True, 1.0), OrderingMode.LEX_SEQUENCE,
                                 DEFAULT_SEQUENCE_CAP, model.n_lps)
     assert ev.dest_lp == 1 and type(ev.dest_lp) is int
+
+
+class IntSubclass(int):
+    pass
+
+
+@pytest.mark.parametrize("dest", (np.int64(2), IntSubclass(2)),
+                         ids=("numpy-int64", "int-subclass"))
+def test_integral_destinations_name_the_same_lp_in_both_kernels(dest):
+    # LP 1's extra event at 2.5 goes to LP 2 whatever integral type names it
+    want = SequentialKernel(BadDestination(2), OrderingMode.LEX_SEQUENCE, 1).run()
+    model = BadDestination(dest)
+    for kernel in (SequentialKernel(model, OrderingMode.LEX_SEQUENCE, 1),
+                   OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 2)):
+        trace = kernel.run()
+        assert trace.digest() == want.digest()
+        extra = [ev for ev in trace.committed if ev.timestamp == 2.5]
+        assert [ev.dest_lp for ev in extra] == [2]
+        assert type(extra[0].dest_lp) is int
 
 
 def build_fuzz_model(name, n_lps, end_time, remote_prob):

@@ -10,7 +10,7 @@ from tiewarp.errors import (
     SequenceCapExceeded,
     ZeroOffsetForbidden,
 )
-from tiewarp.harness import RunSpec, benchmark_sequential, execute
+from tiewarp.harness import RunSpec, audit_trace, benchmark_sequential, execute
 from tiewarp.kernel_seq import run_sequential
 from tiewarp.models import build_model
 from tiewarp.rngstream import GENERATOR_NAME, GENERATOR_VERSION
@@ -95,6 +95,26 @@ def test_commit_keys_strictly_ascend(mode):
             for ce in trace.committed]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert keys[0][0] == 1.0  # seeds arrive at the first timestep
+
+
+TIE_MODELS = (("event-ties", {"chain_length": 3}),
+              ("event-ties-stress", {"height": 3, "arity": 2}))
+
+
+@pytest.mark.parametrize("name,params", TIE_MODELS, ids=[n for n, _ in TIE_MODELS])
+def test_tie_heavy_commit_keys_strictly_ascend(name, params):
+    # every heap comparison here falls through an equal timestamp to the key
+    model = build_model(name, n_lps=8, end_time=3.0, remote_prob=0.5, **params)
+    for mode in (OrderingMode.ADDITIVE, OrderingMode.LEX_SEQUENCE):
+        trace = run_sequential(model, mode, 21)
+        keys = [sort_key(ce, (ce.source_pe, ce.source_lp, ce.serial), mode)
+                for ce in trace.committed]
+        assert [ce.key for ce in trace.committed] == keys
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len({ce.timestamp for ce in trace.committed}) * 10 < len(keys)
+    trace = run_sequential(model, OrderingMode.NONE, 21)
+    assert audit_trace(trace, "none") == {"events": len(trace.committed),
+                                          "violations": []}
 
 
 def test_commit_indices_are_dense_and_horizon_respected():

@@ -170,6 +170,25 @@ def test_functional_exponential_matches_stream():
     assert stream.cursor == 100
 
 
+def test_functional_uniform_matches_stream():
+    # uniform() is to_unit_interval of the indexed draw, bit for bit
+    key = derive_stream_key(77, 2, Purpose.MODEL)
+    stream = DrawStream(key)
+    for i in range(100):
+        assert stream.uniform() == to_unit_interval(draw_at(key, i))
+    assert stream.cursor == 100
+
+
+def test_draw_at_matches_stream_at_extreme_keys_and_indices():
+    # the two inlined finalizers agree with each other and with mix64
+    # where the counter sum wraps past 2**64
+    for key in (0, 1, 2 ** 63, 2 ** 64 - _GAMMA, 2 ** 64 - 2, 2 ** 64 - 1):
+        for index in (0, 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 2, 2 ** 64 - 1, 10 ** 30):
+            want = mix64(key + (index + 1) * _GAMMA)
+            assert draw_at(key, index) == want
+            assert DrawStream(key, index).draw() == want
+
+
 def test_pick_other_excludes_self_and_covers_rest():
     stream = DrawStream.for_lp(13, 5, Purpose.MODEL)
     n_lps = 8

@@ -212,9 +212,10 @@ def test_sort_key_ignores_pe_for_draw_modes():
 def test_derive_regular_offset_all_draw_modes():
     parent = TimeSignature(2.0, (11, 22))
     for mode in DRAW_MODES:
-        child = derive_child_signature(parent, 1.5, 77, mode, DEFAULT_SEQUENCE_CAP)
-        assert child.timestamp == 3.5
-        assert child.tiebreak == (77,)
+        timestamp, tiebreak = derive_child_signature(parent, 1.5, 77, mode,
+                                                     DEFAULT_SEQUENCE_CAP)
+        assert timestamp == 3.5
+        assert tiebreak == (77,)
 
 
 def test_derive_zero_offset_per_mode():
@@ -222,12 +223,12 @@ def test_derive_zero_offset_per_mode():
     with pytest.raises(ZeroOffsetForbidden):
         derive_child_signature(parent, 0.0, 5, OrderingMode.UNBIASED_SINGLE,
                                DEFAULT_SEQUENCE_CAP)
-    child = derive_child_signature(parent, 0.0, 5, OrderingMode.ADDITIVE,
-                                   DEFAULT_SEQUENCE_CAP)
-    assert child.timestamp == 2.0 and child.tiebreak == (105,)
-    child = derive_child_signature(parent, 0.0, 5, OrderingMode.LEX_SEQUENCE,
-                                   DEFAULT_SEQUENCE_CAP)
-    assert child.timestamp == 2.0 and child.tiebreak == (100, 5)
+    timestamp, tiebreak = derive_child_signature(parent, 0.0, 5, OrderingMode.ADDITIVE,
+                                                 DEFAULT_SEQUENCE_CAP)
+    assert timestamp == 2.0 and tiebreak == (105,)
+    timestamp, tiebreak = derive_child_signature(parent, 0.0, 5, OrderingMode.LEX_SEQUENCE,
+                                                 DEFAULT_SEQUENCE_CAP)
+    assert timestamp == 2.0 and tiebreak == (100, 5)
 
 
 def test_additive_child_never_sorts_before_parent():
@@ -235,31 +236,31 @@ def test_additive_child_never_sorts_before_parent():
     for _ in range(2000):
         parent = TimeSignature(1.0, (rng.randrange(2 ** 64),))
         draw = rng.randrange(2 ** 64)
-        child = derive_child_signature(parent, 0.0, draw, OrderingMode.ADDITIVE,
-                                       DEFAULT_SEQUENCE_CAP)
-        assert child.tiebreak[0] >= parent.tiebreak[0]
+        _, tiebreak = derive_child_signature(parent, 0.0, draw, OrderingMode.ADDITIVE,
+                                             DEFAULT_SEQUENCE_CAP)
+        assert tiebreak[0] >= parent.tiebreak[0]
 
 
 def test_sequence_cap_enforced():
     sig = TimeSignature(1.0, tuple(range(4)))
     with pytest.raises(SequenceCapExceeded):
         derive_child_signature(sig, 0.0, 9, OrderingMode.LEX_SEQUENCE, 4)
-    grown = derive_child_signature(sig, 0.0, 9, OrderingMode.LEX_SEQUENCE, 5)
-    assert len(grown.tiebreak) == 5
+    _, grown = derive_child_signature(sig, 0.0, 9, OrderingMode.LEX_SEQUENCE, 5)
+    assert len(grown) == 5
 
 
 def test_naive_derivation_forgets_parent():
     parent = TimeSignature(2.0, (500,))
-    child = derive_child_signature(parent, 0.0, 3, OrderingMode.NAIVE)
-    assert child.timestamp == 2.0
-    assert child.tiebreak == (3,)  # fresh draw, parent prefix discarded
+    timestamp, tiebreak = derive_child_signature(parent, 0.0, 3, OrderingMode.NAIVE)
+    assert timestamp == 2.0
+    assert tiebreak == (3,)  # fresh draw, parent prefix discarded
 
 
 def test_non_draw_modes_carry_empty_tiebreak():
     parent = TimeSignature(2.0, ())
     for mode in (OrderingMode.NONE, OrderingMode.BIASED_RULESET):
-        child = derive_child_signature(parent, 1.0, 123, mode, DEFAULT_SEQUENCE_CAP)
-        assert child.tiebreak == ()
+        _, tiebreak = derive_child_signature(parent, 1.0, 123, mode, DEFAULT_SEQUENCE_CAP)
+        assert tiebreak == ()
 
 
 def parse_signature(text):
