@@ -1,5 +1,6 @@
 """Optimistic kernel: bit-exact equivalence with the sequential reference."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -160,6 +161,57 @@ def test_same_knobs_reproduce_run_exactly():
     ta, tb = a.run(), b.run()
     assert ta.digest() == tb.digest()
     assert a.metrics() == b.metrics()  # the whole run replays, not just commits
+
+
+# (model, params, mode, seed, workers, chaos seed, max delay): one cell per
+# scheduler branch; the test asserts that each branch is taken
+SCHEDULE_GRID = (
+    ("event-ties", dict(n_lps=32, end_time=4.0, chain_length=2), "lex", 1, 4, 0, 4),
+    ("phold", dict(n_lps=6, end_time=6.0, remote_prob=0.8), "lex", 2, 3, 1, 0),
+    ("phold", dict(n_lps=2, end_time=8.0, remote_prob=1.0), "additive", 3, 2, 2, 64),
+    ("event-ties", dict(n_lps=3, end_time=3.0, chain_length=2), "lex", 4, 8, 3, 4),
+    ("event-ties-stress", dict(n_lps=6, end_time=2.0, height=2, arity=2,
+                               remote_prob=0.6), "lex", 5, 1, 4, 64),
+    ("event-ties", dict(n_lps=8, end_time=3.0, chain_length=3, remote_prob=0.7),
+     "none", 6, 3, 5, 64),
+)
+
+
+def test_scheduler_choices_are_frozen(monkeypatch):
+    # The metrics() pins see the schedule only through its counts; this pins
+    # the schedule itself: every step's (now, PE), every send's due step, and
+    # how many chaos draws each run took.
+    original_step, original_send = PeRuntime.step, kernel_optimistic.Transport.send
+    records, branches = [], Counter()
+    last_now = None
+
+    def step(pe, now):
+        nonlocal last_now
+        busy = sum(1 for other in pe.kernel.pes if other.pending)
+        branches["all busy" if busy == len(pe.kernel.pes) else "some idle"] += 1
+        branches["idle with a due inbox"] += not pe.pending
+        branches["next_due jump"] += last_now is not None and now > last_now + 1
+        last_now = now
+        records.append(("step", now, pe.pe_id))
+        return original_step(pe, now)
+
+    def send(transport, dest_pe, ev, now, anti=False):
+        seq = transport.total_sent
+        original_send(transport, dest_pe, ev, now, anti)
+        due = next(entry[0] for entry in transport.inboxes[dest_pe] if entry[1] == seq)
+        records.append(("send", now, dest_pe, due, anti))
+
+    monkeypatch.setattr(PeRuntime, "step", step)
+    monkeypatch.setattr(kernel_optimistic.Transport, "send", send)
+    for name, params, mode, seed, workers, chaos, delay in SCHEDULE_GRID:
+        last_now = None
+        kernel = OptimisticKernel(build_model(name, **params), OrderingMode.from_name(mode),
+                                  seed, workers, chaos=ChaosConfig(chaos, delay))
+        kernel.run()
+        records.append(("draws", kernel.chaos.cursor))
+    assert min(branches.values()) > 0 and len(branches) == 4, branches
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "38bea8e34298b3b9dd18ee08e53c4683ad6dac52b2622b74add1ccf0e52ceffd"
 
 
 def test_none_mode_is_schedule_dependent_on_ties():
