@@ -33,9 +33,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 
-from .errors import CausalityViolation, ConfigError, UnmatchedAntiMessage
-from .kernel_seq import LpRuntime, build_event, make_lps, seed_initial_events
+from .errors import CausalityViolation, UnmatchedAntiMessage
+from .kernel_seq import LpRuntime, build_event, check_count, make_lps, seed_initial_events
 from .rngstream import DrawStream, Purpose, derive_stream_key
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, format_signature
 from .timebase import sort_key  # noqa: F401  (looked up by perfbench's layer tracer)
@@ -109,9 +110,12 @@ class Transport:
         self.total_sent = 0
 
     def send(self, dest_pe: int, ev: Event, now: int, anti: bool = False) -> None:
-        delay = self.chaos.randint(0, self.max_delay) if self.max_delay > 0 else 0
+        due = now + 1
+        if self.max_delay:
+            # randint(0, max_delay), without its frame
+            due += self.chaos.draw() % (self.max_delay + 1)
         # the send count doubles as the tie-breaking sequence number
-        heappush(self.inboxes[dest_pe], (now + 1 + delay, self.total_sent, ev, anti))
+        heappush(self.inboxes[dest_pe], (due, self.total_sent, ev, anti))
         self.total_sent += 1
 
     def deliver_due(self, pe_id: int, now: int) -> list[tuple]:
@@ -251,16 +255,16 @@ class PeRuntime:
         self.rolled_back_events += 1
         if entry.fault is not None:
             kernel.live_faults -= 1
-        end_time, pe_of_lp, pe_id = kernel.end_time, kernel.pe_of_lp, self.pe_id
+        end_time, lp_pe, pe_id = kernel.end_time, kernel.lp_pe, self.pe_id
         # children past the end time were never enqueued or sent
         for child in entry.children:
-            if (child.timestamp <= end_time and pe_of_lp(child.dest_lp) == pe_id
+            if (child.timestamp <= end_time and lp_pe[child.dest_lp] == pe_id
                     and not self._cancel(child, now)):
                 raise UnmatchedAntiMessage(
                     f"local child {child!r} vanished before its parent's rollback")
         for child in entry.children:
             if child.timestamp <= end_time:
-                dest_pe = pe_of_lp(child.dest_lp)
+                dest_pe = lp_pe[child.dest_lp]
                 if dest_pe != pe_id:
                     kernel.transport.send(dest_pe, child, now, anti=True)
                     self.antis_sent += 1
@@ -318,10 +322,14 @@ class PeRuntime:
     # -- forward progress ---------------------------------------------------
 
     def step(self, now: int) -> bool:
+        """Deliver this PE's due inbox, then process its lowest live pending
+        event, rolling its LP back first if the event is a straggler. False
+        if there was nothing to deliver or process."""
+        kernel = self.kernel
         box = self.inbox
         delivered = bool(box) and box[0][0] <= now
         if delivered:
-            for _, _, ev, anti in self.kernel.transport.deliver_due(self.pe_id, now):
+            for _, _, ev, anti in kernel.transport.deliver_due(self.pe_id, now):
                 if anti:
                     self.receive_anti(ev, now)
                 else:
@@ -330,26 +338,25 @@ class PeRuntime:
         if top is None:
             return delivered
         ev = top[2]
-        hist = self.histories[ev.dest_lp]
+        lp_id = ev.dest_lp
+        hist = self.histories[lp_id]
         # mode NONE keys are 1-tuples, so this is the bare timestamp test
         if hist and ev.key < hist[-1].event.key:
             self.stragglers += 1
             self.rollbacks += 1
             # undoes only keys above the straggler's, never the straggler
-            self.rollback_past(ev.dest_lp, ev.key, now)
-        self._process(ev, now)
-        return True
-
-    def _process(self, ev: Event, now: int) -> None:
-        kernel = self.kernel
-        rt = self.lps[ev.dest_lp]
+            self.rollback_past(lp_id, ev.key, now)
+        rt = self.lps[lp_id]
         entry = ProcessedEntry(ev, rt)
         try:
             new_state, emits = kernel.model.handle(rt.state, ev, rt.model_stream)
-            # every child is built before any is sent, so a fault sends nothing
-            children = [build_event(rt, ev, emit, kernel.mode, kernel.seq_cap,
-                                    kernel.n_lps)
-                        for emit in emits]
+            # every child is built before any is sent, so a fault sends
+            # nothing; a loop, since before Python 3.12 a comprehension is
+            # a frame of its own
+            children = []
+            mode, seq_cap, n_lps = kernel.mode, kernel.seq_cap, kernel.n_lps
+            for emit in emits:
+                children.append(build_event(rt, ev, emit, mode, seq_cap, n_lps))
         except Exception as exc:
             # Speculation may reach states the sequential order never does:
             # keep the fault for commit time and leave the LP untouched.
@@ -359,19 +366,20 @@ class PeRuntime:
         else:
             rt.state = new_state
             entry.children = children
-            end_time, pe_id = kernel.end_time, self.pe_id
+            end_time, lp_pe, pe_id = kernel.end_time, kernel.lp_pe, self.pe_id
             for child in children:
                 if child.timestamp > end_time:
                     continue
-                dest_pe = kernel.pe_of_lp(child.dest_lp)
+                dest_pe = lp_pe[child.dest_lp]
                 if dest_pe == pe_id:
                     child.match = id(child)
                     self.enqueue_positive(child)
                 else:
                     child.match = child.match_key()
                     kernel.transport.send(dest_pe, child, now)
-        self.histories[ev.dest_lp].append(entry)
+        hist.append(entry)
         kernel.global_processed += 1
+        return True
 
     def collect_fossils(self, gvt_key) -> list[ProcessedEntry]:
         """Detach committed-safe entries (key strictly below GVT), LP by LP."""
@@ -389,15 +397,11 @@ class OptimisticKernel:
                  n_workers: int, chaos: ChaosConfig | None = None,
                  gvt_interval: int = DEFAULT_GVT_INTERVAL,
                  seq_cap: int = DEFAULT_SEQUENCE_CAP):
-        if n_workers < 1:
-            raise ConfigError("n_workers must be >= 1")
-        if gvt_interval < 1:
-            raise ConfigError("gvt_interval must be >= 1")
-        if seq_cap < 1:
-            raise ConfigError("seq_cap must be >= 1")
         chaos = chaos or ChaosConfig()
-        if chaos.max_delay < 0:
-            raise ConfigError("max_delay must be >= 0")
+        check_count("n_workers", n_workers, 1)
+        check_count("gvt_interval", gvt_interval, 1)
+        check_count("seq_cap", seq_cap, 1)
+        check_count("max_delay", chaos.max_delay, 0)
         self.model = model
         self.mode = mode
         self.n_workers = n_workers
@@ -409,7 +413,9 @@ class OptimisticKernel:
                                                   Purpose.MODEL))
         self.transport = Transport(n_workers, self.chaos, chaos.max_delay)
         self.pes = [PeRuntime(i, self) for i in range(n_workers)]
-        lps = make_lps(model, global_seed, self.pe_of_lp)
+        # the owning PE of each LP id: the one statement of the partition
+        self.lp_pe = [lp_id % n_workers for lp_id in range(self.n_lps)]
+        lps = make_lps(model, global_seed, self.lp_pe)
         for rt in lps:
             self.pes[rt.pe_id].lps[rt.lp_id] = rt
             self.pes[rt.pe_id].histories[rt.lp_id] = deque()
@@ -422,9 +428,8 @@ class OptimisticKernel:
         self.live_faults = 0
         self._last_gvt_mark = 0
         self._last_commit_key = None
-
-    def pe_of_lp(self, lp_id: int) -> int:
-        return lp_id % self.n_workers
+        # a GVT round sorts its entries by their events' commit order
+        self._commit_order = attrgetter(*[f"event.{name}" for name in mode.commit_order])
 
     # -- GVT and commitment ---------------------------------------------------
 
@@ -453,24 +458,26 @@ class OptimisticKernel:
         self.gvt_rounds += 1
         self._last_gvt_mark = self.global_processed
         gvt_key = self._compute_gvt()
-        batches = []
+        batch = []
         for pe in self.pes:
-            batches.extend(pe.collect_fossils(gvt_key))
-        order = self.mode.commit_order
-        batches.sort(key=lambda entry: order(entry.event))
+            batch.extend(pe.collect_fossils(gvt_key))
+        batch.sort(key=self._commit_order)
         after = self.mode.after
-        for entry in batches:
-            ev = entry.event
-            key = ev.key
-            if (self._last_commit_key is not None
-                    and not after(key, self._last_commit_key)):
-                raise CausalityViolation(
-                    f"commit order regression at {format_signature(ev)}")
-            if entry.fault is not None:
-                # the sequential run raises here too, at the same event
-                raise entry.fault
-            self._last_commit_key = key
-            committed.append(ev)
+        last = self._last_commit_key
+        try:
+            for entry in batch:
+                ev = entry.event
+                key = ev.key
+                if last is not None and not after(key, last):
+                    raise CausalityViolation(
+                        f"commit order regression at {format_signature(ev)}")
+                if entry.fault is not None:
+                    # the sequential run raises here too, at the same event
+                    raise entry.fault
+                last = key
+                committed.append(ev)
+        finally:
+            self._last_commit_key = last
         for pe in self.pes:
             for m, stashed in pe.stash.items():
                 if gvt_key is None or stashed[0] < gvt_key:
@@ -491,27 +498,50 @@ class OptimisticKernel:
                 continue
             # a seed is enqueued on its PE directly, never sent
             ev.match = id(ev)
-            self.pes[self.pe_of_lp(ev.dest_lp)].enqueue_positive(ev)
+            self.pes[self.lp_pe[ev.dest_lp]].enqueue_positive(ev)
 
     def _drive(self) -> Trace:
+        """Step PEs until every pending heap and inbox is empty, then commit.
+
+        Each step, a PE is runnable if its pending heap is non-empty or its
+        inbox holds a due message. The chaos stream picks one of the
+        runnable PEs, in PE order, with ``draw() % len(runnable)``; when none
+        is runnable, the clock jumps to the next due message. ``busy`` counts
+        the PEs whose pending heap is non-empty. When it counts them all,
+        every PE is runnable, so ``self.pes`` itself is the runnable list:
+        the same PEs in the same order, so the same chaos draws pick the
+        same PEs. The count stays exact because a step changes only its own
+        PE's pending heap (its sends go to the inboxes), and it is taken
+        here because a caller may have stepped PEs before.
+        """
         committed: list[Event] = []
         step = 0
-        pes_and_inboxes = list(zip(self.pes, self.transport.inboxes))
+        pes, transport = self.pes, self.transport
+        n_pes, gvt_interval = len(pes), self.gvt_interval
+        pes_and_inboxes = list(zip(pes, transport.inboxes))
+        busy = sum(1 for pe in pes if pe.pending)
         # one PE leaves the scheduler nothing to choose, so it draws nothing
-        pick = self.chaos.randint if self.n_workers > 1 else None
+        draw = self.chaos.draw if n_pes > 1 else None
         while True:
-            runnable = [pe for pe, box in pes_and_inboxes
-                        if pe.pending or (box and box[0][0] <= step)]
-            if not runnable:
-                if not any(self.transport.inboxes):
-                    break
-                step = self.transport.next_due()
-                continue
-            pe = runnable[pick(0, len(runnable) - 1)] if pick else runnable[0]
+            if busy == n_pes:
+                runnable = pes
+            else:
+                runnable = [pe for pe, box in pes_and_inboxes
+                            if pe.pending or (box and box[0][0] <= step)]
+                if not runnable:
+                    if not any(transport.inboxes):
+                        break
+                    step = transport.next_due()
+                    continue
+            pe = runnable[draw() % len(runnable)] if draw else runnable[0]
+            if pe.pending:
+                busy -= 1
             pe.step(step)
+            if pe.pending:
+                busy += 1
             step += 1
             if (self.live_faults
-                    or self.global_processed - self._last_gvt_mark >= self.gvt_interval):
+                    or self.global_processed - self._last_gvt_mark >= gvt_interval):
                 self._commit_epoch(committed)
         self._commit_epoch(committed)
         self._check_quiescent()

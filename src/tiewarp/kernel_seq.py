@@ -110,11 +110,20 @@ def build_event(
     return ev
 
 
-def make_lps(model, global_seed: int, pe_of_lp=None) -> list[LpRuntime]:
-    """Instantiate all LP runtimes; ``pe_of_lp`` maps LP id to owning PE."""
+def check_count(name: str, value, minimum: int) -> None:
+    """Refuse a kernel argument that is not an int of at least ``minimum``;
+    a bool is not a count, as in ``RunSpec``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+
+
+def make_lps(model, global_seed: int, lp_pe=None) -> list[LpRuntime]:
+    """Instantiate all LP runtimes; ``lp_pe[lp_id]`` is the LP's owning PE."""
     lps = []
     for lp_id in range(model.n_lps):
-        pe = 0 if pe_of_lp is None else pe_of_lp(lp_id)
+        pe = 0 if lp_pe is None else lp_pe[lp_id]
         lps.append(LpRuntime(lp_id, pe, model.initial_state(lp_id), global_seed))
     return lps
 
@@ -143,8 +152,7 @@ class SequentialKernel:
 
     def __init__(self, model, mode: OrderingMode, global_seed: int,
                  seq_cap: int = DEFAULT_SEQUENCE_CAP):
-        if seq_cap < 1:
-            raise ConfigError("seq_cap must be >= 1")
+        check_count("seq_cap", seq_cap, 1)
         self.model = model
         self.mode = mode
         self.seq_cap = seq_cap
