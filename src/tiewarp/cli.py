@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .errors import CausalityViolation, ConfigError
 from .harness import (
+    FIELD_TYPES,
     RunSpec,
     benchmark_sequential,
     execute,
@@ -39,6 +40,7 @@ _KEY_OF_FIELD = {field: key for key, field in FIELD_OF_KEY.items()}
 # run options that are output paths, not part of the spec
 OUTPUT_KEYS = ("trace_out", "summary_out")
 CONFIG_KEYS = tuple(_KEY_OF_FIELD.get(name, name) for name in RUN_FIELDS) + OUTPUT_KEYS
+_CHOICES = {"model": MODEL_NAMES, "mode": MODE_NAMES}
 
 
 def _parse_scalar(text: str):
@@ -92,33 +94,20 @@ def load_config(path: str) -> dict:
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    # Defaults stay None so config-file values are only overridden by flags
-    # the user actually typed.
+    """One flag per RunSpec field, named after its config key, plus --config
+    and the output paths; defaults stay None, so only typed flags override a config."""
     parser.add_argument("--config", help="config file (JSON or key = value)")
-    parser.add_argument("--model", choices=MODEL_NAMES)
-    parser.add_argument("--mode", choices=MODE_NAMES)
-    parser.add_argument("--lps", type=int, dest="n_lps", help="number of LPs")
-    parser.add_argument("--remote-prob", type=float, dest="remote_prob")
-    parser.add_argument("--chain", type=int, dest="chain_length",
-                        help="event-ties chain length")
-    parser.add_argument("--height", type=int, help="stress tree height")
-    parser.add_argument("--arity", type=int, help="stress tree arity")
-    parser.add_argument("--coupled", action="store_const", const=True,
-                        help="route event-ties remotes by LP state")
-    parser.add_argument("--mean-offset", type=float, dest="mean_offset",
-                        help="phold mean exponential offset")
-    parser.add_argument("--end", type=float, dest="end_time",
-                        help="simulation end time")
-    parser.add_argument("--seed", type=int, help="global seed")
-    parser.add_argument("--workers", type=int, help="PE count; 1 = sequential")
-    parser.add_argument("--chaos-seed", type=int, dest="chaos_seed",
-                        help="scheduling adversary seed")
-    parser.add_argument("--max-delay", type=int, dest="max_delay",
-                        help="max extra in-flight steps per remote message")
-    parser.add_argument("--gvt-interval", type=int, dest="gvt_interval",
-                        help="processed events between GVT rounds")
-    parser.add_argument("--seq-cap", type=int, dest="seq_cap",
-                        help="max tie-break draws per signature")
+    for f in fields(RunSpec):
+        allowed = FIELD_TYPES[f.name]
+        if bool in allowed:
+            kind = {"action": "store_const", "const": True}
+        else:
+            kind = {"type": float if float in allowed else int if int in allowed else str,
+                    "choices": _CHOICES.get(f.name)}
+        default = "the model's" if f.default is None else f.default
+        parser.add_argument("--" + _KEY_OF_FIELD.get(f.name, f.name).replace("_", "-"),
+                            dest=f.name, help=f"{f.metadata['help']} (default: {default})",
+                            **kind)
     parser.add_argument("--trace-out", dest="trace_out",
                         help="write the trace file (schema tag, then the "
                              "digest's canonical lines) here")
@@ -141,6 +130,9 @@ def _run_options(args: argparse.Namespace) -> tuple[RunSpec, dict]:
         if value is not None:
             opts[name] = value
     outputs = {key: opts.pop(key, None) for key in OUTPUT_KEYS}
+    for key, path in outputs.items():
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"{key} must be a path string, got {path!r}")
     return RunSpec(**opts), outputs
 
 
@@ -169,20 +161,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _parse_int_list(text: str, flag: str) -> tuple:
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"{flag} expects comma-separated integers") from exc
-    if not values:
-        raise ConfigError(f"{flag} must list at least one integer")
-    return values
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec, _ = _run_options(args)
     workers = _parse_int_list(args.workers_list, "--workers-list")
     chaos_seeds = _parse_int_list(args.chaos_seeds, "--chaos-seeds")
-    if args.repeats < 1:
-        raise ConfigError("--repeats must be >= 1")
     report = verify_determinism(spec, workers=workers,
                                 chaos_seeds=chaos_seeds, repeats=args.repeats)
     [reference] = report["reference"].values()  # the digest or the error

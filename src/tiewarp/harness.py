@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
 from .errors import ConfigError, InsufficientSamples
@@ -23,7 +23,7 @@ from .kernel_optimistic import (
     ChaosConfig,
     OptimisticKernel,
 )
-from .kernel_seq import SequentialKernel, run_sequential
+from .kernel_seq import SEED_LIMIT, SequentialKernel, check_count, run_sequential
 from .models import MODELS, build_model, model_class
 from .scenarios import TiePairModel
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
@@ -33,37 +33,43 @@ DETERMINISM_SCHEMA = "tiewarp.determinism/2"
 FAIRNESS_SCHEMA = "tiewarp.fairness/1"
 
 
+def _field(default, help_text: str):
+    """A RunSpec field: its default and the one-line help of its CLI flag."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass
 class RunSpec:
     """Flat, serializable description of one simulation run.
 
-    The single declaration of every run parameter and its default. A model
-    parameter left None takes its default from the model class.
+    The single declaration of every run parameter, its default and its CLI
+    help. A model parameter left None takes its default from the model class.
     Each value must have its field's declared type, or a ConfigError is
     raised: an int is accepted for a float field, and stored as a float, so
-    ``3`` and ``3.0`` describe one run; a bool is never a number.
+    ``3`` and ``3.0`` describe one run; a bool is never a number. Seeds lie
+    in [0, 2**64), so no two seeds alias one draw key.
     """
 
-    model: str = "phold"
-    mode: str = "lex"
-    n_lps: int = 4
-    end_time: float = 10.0
-    seed: int = 1
-    remote_prob: float | None = None
-    chain_length: int | None = None
-    height: int | None = None
-    arity: int | None = None
-    coupled: bool = False
-    mean_offset: float | None = None
-    workers: int = 1
-    chaos_seed: int = 0
-    max_delay: int = DEFAULT_MAX_DELAY
-    gvt_interval: int = DEFAULT_GVT_INTERVAL
-    seq_cap: int = DEFAULT_SEQUENCE_CAP
+    model: str = _field("phold", "simulation model")
+    mode: str = _field("lex", "tie-breaking ordering mode")
+    n_lps: int = _field(4, "number of LPs")
+    end_time: float = _field(10.0, "simulation end time")
+    seed: int = _field(1, "global seed, in [0, 2**64)")
+    remote_prob: float | None = _field(None, "probability that an event goes to another LP")
+    chain_length: int | None = _field(None, "event-ties chain length")
+    height: int | None = _field(None, "stress tree height")
+    arity: int | None = _field(None, "stress tree arity")
+    coupled: bool = _field(False, "route event-ties remotes by LP state")
+    mean_offset: float | None = _field(None, "phold mean exponential offset")
+    workers: int = _field(1, "PE count; 1 = sequential")
+    chaos_seed: int = _field(0, "scheduling adversary seed, in [0, 2**64)")
+    max_delay: int = _field(DEFAULT_MAX_DELAY, "max extra in-flight steps per remote message")
+    gvt_interval: int = _field(DEFAULT_GVT_INTERVAL, "processed events between GVT rounds")
+    seq_cap: int = _field(DEFAULT_SEQUENCE_CAP, "max tie-break draws per signature")
 
     def __post_init__(self):
         for f in fields(self):
-            value, allowed = getattr(self, f.name), _FIELD_TYPES[f.name]
+            value, allowed = getattr(self, f.name), FIELD_TYPES[f.name]
             if (isinstance(value, bool) != (bool in allowed)
                     or not isinstance(value, allowed)):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
@@ -72,6 +78,8 @@ class RunSpec:
                     setattr(self, f.name, float(value))
                 except OverflowError:
                     raise ConfigError(f"{f.name} is out of float range") from None
+        for name in ("seed", "chaos_seed"):
+            check_count(name, getattr(self, name), 0, SEED_LIMIT)
 
     def model_params(self) -> dict:
         """This spec's non-None values for the fields the model class declares.
@@ -96,8 +104,8 @@ def _allowed_types(hint) -> tuple:
     return allowed + (int,) if float in allowed else allowed
 
 
-_FIELD_TYPES = {name: _allowed_types(hint)
-                for name, hint in get_type_hints(RunSpec).items()}
+FIELD_TYPES = {name: _allowed_types(hint)
+               for name, hint in get_type_hints(RunSpec).items()}
 # every model's parameters, with their RunSpec defaults
 _MODEL_PARAM_DEFAULTS = {f.name: getattr(RunSpec, f.name)
                          for model in MODELS.values() for f in fields(model)}
@@ -141,8 +149,12 @@ def verify_determinism(spec: RunSpec, workers=(1, 2, 4, 8),
 
     Verdicts: "deterministic" when every outcome equals the reference's,
     errors included; "faulted" when a cell raised an error the reference did
-    not; "nondeterministic" otherwise. A kernel that cannot be built raises.
+    not; "nondeterministic" otherwise. An empty sweep, or a kernel that
+    cannot be built, raises a ConfigError.
     """
+    if not workers or not chaos_seeds:
+        raise ConfigError("a sweep needs at least one worker count and one chaos seed")
+    check_count("repeats", repeats, 1)
     reference = outcome(build_kernel(spec, optimistic=False))
     cells, outcomes = [], []
     for w in workers:
@@ -246,7 +258,7 @@ def audit_trace(trace: Trace, mode_name: str) -> dict:
     seen = set()
     last_key = None
     for index, ev in enumerate(trace.committed):
-        key = sort_key(ev, (ev.source_pe, ev.source_lp, ev.serial), mode)
+        key = sort_key(ev, mode)
         if last_key is not None and not mode.after(key, last_key):
             violations.append({"kind": "order-regression",
                                "commit_index": index})

@@ -36,7 +36,8 @@ from heapq import heappop, heappush
 from operator import attrgetter
 
 from .errors import CausalityViolation, UnmatchedAntiMessage
-from .kernel_seq import LpRuntime, build_event, check_count, make_lps, seed_initial_events
+from .kernel_seq import (SEED_LIMIT, LpRuntime, build_event, check_count, make_lps,
+                         seed_initial_events)
 from .rngstream import DrawStream, Purpose, derive_stream_key
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, format_signature
 from .timebase import sort_key  # noqa: F401  (looked up by perfbench's layer tracer)
@@ -402,6 +403,7 @@ class OptimisticKernel:
         check_count("gvt_interval", gvt_interval, 1)
         check_count("seq_cap", seq_cap, 1)
         check_count("max_delay", chaos.max_delay, 0)
+        check_count("chaos_seed", chaos.chaos_seed, 0, SEED_LIMIT)
         self.model = model
         self.mode = mode
         self.n_workers = n_workers

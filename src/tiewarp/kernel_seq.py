@@ -99,10 +99,9 @@ def build_event(
         # simultaneous exactly when derive extended the parent's signature
         depth = parent.zero_offset_depth + 1 if timestamp == parent.timestamp else 0
         parent_key = (parent.source_lp, parent.serial)
-    pe_id = source.pe_id
-    ev = Event(pe_id, source.lp_id, serial, dest, timestamp, tiebreak, None,
+    ev = Event(source.pe_id, source.lp_id, serial, dest, timestamp, tiebreak, None,
                payload, depth, parent_key)
-    ev.key = key = sort_key(ev, (pe_id, source.lp_id, serial), mode)
+    ev.key = key = sort_key(ev, mode)
     if parent is not None and key < parent.key:
         raise CausalityViolation(
             f"event {ev!r} at {format_signature(ev)} sorts "
@@ -110,17 +109,27 @@ def build_event(
     return ev
 
 
-def check_count(name: str, value, minimum: int) -> None:
-    """Refuse a kernel argument that is not an int of at least ``minimum``;
+# Seeds are hashed as 64-bit words, so a seed outside [0, SEED_LIMIT)
+# would run as the seed it equals modulo 2**64.
+SEED_LIMIT = 2 ** 64
+
+
+def check_count(name: str, value, minimum: int, limit: int | None = None) -> None:
+    """Refuse a kernel argument that is not an int in ``[minimum, limit)``;
     a bool is not a count, as in ``RunSpec``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}")
+    if limit is not None and value >= limit:
+        raise ConfigError(f"{name} must be < {limit}")
 
 
 def make_lps(model, global_seed: int, lp_pe=None) -> list[LpRuntime]:
-    """Instantiate all LP runtimes; ``lp_pe[lp_id]`` is the LP's owning PE."""
+    """Instantiate all LP runtimes; ``lp_pe[lp_id]`` is the LP's owning PE.
+
+    Both kernels build their LPs here, so this checks their seed."""
+    check_count("global_seed", global_seed, 0, SEED_LIMIT)
     lps = []
     for lp_id in range(model.n_lps):
         pe = 0 if lp_pe is None else lp_pe[lp_id]

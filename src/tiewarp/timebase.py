@@ -164,21 +164,20 @@ def derive_child_signature(
     return timestamp, parent.tiebreak + (draw,)
 
 
-def sort_key(signature, identity: tuple, mode: OrderingMode) -> tuple:
+def sort_key(ev, mode: OrderingMode) -> tuple:
     """Tuple whose native comparison is the total order of ``mode``.
 
-    ``signature`` is anything with ``timestamp`` and ``tiebreak`` fields;
-    ``identity`` is ``(source_pe, source_lp, serial)``. The kernels compute
-    this key once per event, from the event itself, when it is built. In the draw-based modes the
-    identity suffix uses (source_lp, serial), never the PE id, so keys do not
+    ``ev`` is an ``Event``, or anything with its ``timestamp``, ``tiebreak``,
+    ``source_pe``, ``source_lp`` and ``serial`` fields. The kernels compute
+    this key once per event, when it is built. In the draw-based modes the
+    identity suffix is (source_lp, serial), never the PE id, so keys do not
     depend on how LPs are partitioned across workers.
     """
     if mode.uses_draws:
-        _, source_lp, serial = identity
-        return (signature.timestamp, signature.tiebreak, source_lp, serial)
+        return (ev.timestamp, ev.tiebreak, ev.source_lp, ev.serial)
     if mode is OrderingMode.NONE:
-        return (signature.timestamp,)
-    return (signature.timestamp,) + identity
+        return (ev.timestamp,)
+    return (ev.timestamp, ev.source_pe, ev.source_lp, ev.serial)
 
 
 def format_timestamp(timestamp: float) -> str:

@@ -3,8 +3,12 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -204,6 +208,15 @@ def test_verify_determinism_judges_errors_as_outcomes(tmp_path, capsys, args, er
                                   ["--gvt-interval", "0"], ["--seq-cap", "0"]))
 def test_verify_determinism_sweep_that_cannot_be_built_is_a_config_error(capsys, args):
     # building a kernel is configuration, not part of a run's outcome
+    assert main(["verify-determinism", "--lps", "2", "--end", "2", *args]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", (["--repeats", "0"], ["--chaos-seeds", ","],
+                                  ["--workers-list", ""], ["--chaos-seeds", "0,-1"],
+                                  ["--seed", str(2 ** 64)]))
+def test_verify_determinism_refuses_an_empty_or_aliased_sweep(capsys, args):
+    # no cells to compare, or a seed that would run as another seed
     assert main(["verify-determinism", "--lps", "2", "--end", "2", *args]) == 2
     assert "config error" in capsys.readouterr().err
 
@@ -492,6 +505,78 @@ def test_config_keys_and_flags_cover_the_run_schema():
     cli._add_run_options(parser)
     dests = {action.dest for action in parser._actions} - {"help", "config"}
     assert dests == set(cli.RUN_FIELDS + cli.OUTPUT_KEYS)
+
+
+# for each RunSpec field: the flag and its text, and the typed value they
+# give; no value is the field's default
+FIELD_FLAGS = {
+    "model": (["--model", "event-ties-stress"], "event-ties-stress"),
+    "mode": (["--mode", "additive"], "additive"),
+    "n_lps": (["--lps", "7"], 7),
+    "end_time": (["--end", "3"], 3.0),
+    "seed": (["--seed", str(2 ** 64 - 1)], 2 ** 64 - 1),
+    "remote_prob": (["--remote-prob", "0.25"], 0.25),
+    "chain_length": (["--chain", "3"], 3),
+    "height": (["--height", "2"], 2),
+    "arity": (["--arity", "5"], 5),
+    "coupled": (["--coupled"], True),
+    "mean_offset": (["--mean-offset", "2"], 2.0),
+    "workers": (["--workers", "3"], 3),
+    "chaos_seed": (["--chaos-seed", "11"], 11),
+    "max_delay": (["--max-delay", "0"], 0),
+    "gvt_interval": (["--gvt-interval", "16"], 16),
+    "seq_cap": (["--seq-cap", "5"], 5),
+}
+
+
+@pytest.mark.parametrize("name", cli.RUN_FIELDS)
+def test_every_run_spec_field_has_a_typed_flag(name):
+    argv, value = FIELD_FLAGS[name]
+    assert value != getattr(RunSpec(), name)
+    args = cli.build_parser().parse_args(["run", *argv])
+    assert type(getattr(args, name)) is type(value)
+    spec, outputs = cli._run_options(args)
+    assert spec == replace(RunSpec(), **{name: value})
+    assert type(getattr(spec, name)) is type(value)
+    assert outputs == {"trace_out": None, "summary_out": None}
+
+
+def subcommands():
+    [sub] = [action for action in cli.build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    return sorted(sub.choices)
+
+
+@pytest.mark.parametrize("command", subcommands())
+def test_every_subcommand_help_names_every_run_flag(capsys, command):
+    # argparse %-formats each help string only when --help prints it
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    if command in ("run", "verify-determinism", "bench"):
+        for argv, _ in FIELD_FLAGS.values():
+            assert argv[0] in out
+        assert out.count("(default:") == len(cli.RUN_FIELDS)
+
+
+@pytest.mark.parametrize("name,text", (
+    ("run.json", '{"trace_out": 1}'),  # once wrote the trace to stdout's fd
+    ("run.cfg", "trace_out = 1\n"),
+    ("run.json", '{"summary_out": ["x"]}'),  # once failed after the run
+), ids=("json-fd", "flat-fd", "json-list"))
+def test_config_output_paths_must_be_strings(tmp_path, name, text):
+    # in a child process: a trace written to fd 1 would close the caller's stdout
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-m", "tiewarp", "run", "--lps", "2",
+                             "--end", "2", "--config", str(cfg)],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert "config error: " in result.stderr and "must be a path string" in result.stderr
+    assert "net events" not in result.stdout
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

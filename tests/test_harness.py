@@ -55,6 +55,16 @@ def test_build_run_validation():
         RunSpec(end_time=10 ** 400)
 
 
+@pytest.mark.parametrize("name", ("seed", "chaos_seed"))
+def test_run_spec_seeds_lie_in_64_bits(name):
+    # seeds are hashed as 64-bit words: 2**64 would run as 0 and -1 as
+    # 2**64 - 1, under a spec that records another seed
+    assert getattr(RunSpec(**{name: 2 ** 64 - 1}), name) == 2 ** 64 - 1
+    for value in (-1, 2 ** 64):
+        with pytest.raises(ConfigError, match=name):
+            RunSpec(**{name: value})
+
+
 def test_execute_returns_metrics_only_for_optimistic_runs():
     trace, metrics = execute(TIES_SPEC)
     assert metrics is None
@@ -159,6 +169,17 @@ def test_verify_determinism_reference_is_sequential_whatever_the_spec_says(monke
     assert kernels == [SequentialKernel, OptimisticKernel]
     assert report["spec"]["workers"] == 4
     assert report["verdict"] == "deterministic"
+
+
+@pytest.mark.parametrize("sweep", ({"workers": ()}, {"chaos_seeds": ()},
+                                   {"repeats": 0}, {"repeats": -3}, {"repeats": 1.5}),
+                         ids=("no-workers", "no-chaos-seeds", "repeats-0",
+                              "repeats-negative", "repeats-fraction"))
+def test_an_empty_sweep_is_a_config_error(sweep):
+    # a sweep of no cells would be "deterministic" having compared nothing
+    with pytest.raises(ConfigError):
+        verify_determinism(TIES_SPEC, **{"workers": (1, 2), "chaos_seeds": (0,),
+                                         "repeats": 1, **sweep})
 
 
 def test_fairness_expected_closed_forms():

@@ -567,6 +567,26 @@ def test_kernels_refuse_non_integer_counts(argument, value):
         KERNEL_COUNTS[argument](model, value)
 
 
+# each seed of the kernels' Python API, given a value
+KERNEL_SEEDS = {
+    "sequential global_seed": lambda model, v: SequentialKernel(model, LEX, v),
+    "optimistic global_seed": lambda model, v: OptimisticKernel(model, LEX, v, 2),
+    "chaos_seed": lambda model, v: OptimisticKernel(model, LEX, 1, 2,
+                                                    chaos=ChaosConfig(v)),
+}
+
+
+@pytest.mark.parametrize("value", (2.5, True, "2", -1, 2 ** 64))
+@pytest.mark.parametrize("argument", sorted(KERNEL_SEEDS))
+def test_kernels_refuse_seeds_outside_64_bits(argument, value):
+    # a seed is a 64-bit word: a bool or a fraction is not one, and -1 or
+    # 2**64 would alias the seed it equals modulo 2**64
+    model = build_model("phold", n_lps=2, end_time=2.0)
+    with pytest.raises(ConfigError, match=argument.split()[-1]):
+        KERNEL_SEEDS[argument](model, value)
+    KERNEL_SEEDS[argument](model, 2 ** 64 - 1)
+
+
 def test_more_workers_than_lps():
     model = build_model("event-ties", n_lps=3, end_time=3.0, chain_length=2)
     seq, opt = run_pair(model, OrderingMode.LEX_SEQUENCE, 8, workers=8,

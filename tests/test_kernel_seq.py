@@ -91,8 +91,7 @@ def test_same_seed_reproduces_digest_different_seed_does_not():
 def test_commit_keys_strictly_ascend(mode):
     model = build_model("phold", n_lps=6, end_time=8.0, remote_prob=0.5)
     trace = run_sequential(model, mode, 21)
-    keys = [sort_key(ce, (ce.source_pe, ce.source_lp, ce.serial), mode)
-            for ce in trace.committed]
+    keys = [sort_key(ce, mode) for ce in trace.committed]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert keys[0][0] == 1.0  # seeds arrive at the first timestep
 
@@ -107,8 +106,7 @@ def test_tie_heavy_commit_keys_strictly_ascend(name, params):
     model = build_model(name, n_lps=8, end_time=3.0, remote_prob=0.5, **params)
     for mode in (OrderingMode.ADDITIVE, OrderingMode.LEX_SEQUENCE):
         trace = run_sequential(model, mode, 21)
-        keys = [sort_key(ce, (ce.source_pe, ce.source_lp, ce.serial), mode)
-                for ce in trace.committed]
+        keys = [sort_key(ce, mode) for ce in trace.committed]
         assert [ce.key for ce in trace.committed] == keys
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert len({ce.timestamp for ce in trace.committed}) * 10 < len(keys)

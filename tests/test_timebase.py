@@ -16,6 +16,7 @@ from tiewarp.timebase import (
     format_timestamp,
     sort_key,
 )
+from tiewarp.trace import Event
 
 from signature_oracle import EQUAL, GREATER, LESS, compare_signatures, is_causal_prefix
 
@@ -186,11 +187,11 @@ def test_sort_key_agrees_with_comparator(mode):
             ta, tb = rand_tiebreak(rng), rand_tiebreak(rng)
         else:
             ta, tb = (rng.randrange(2 ** 64),), (rng.randrange(2 ** 64),)
-        a = TimeSignature(float(rng.randrange(2)), ta)
-        b = TimeSignature(float(rng.randrange(2)), tb)
+        sa, sb = float(rng.randrange(2)), float(rng.randrange(2))
         ia, ib = rand_identity(rng), rand_identity(rng)
+        a, b = Event(*ia, 0, sa, ta), Event(*ib, 0, sb, tb)
         cmp_result = compare_signatures(a, b, mode, a_identity=ia, b_identity=ib)
-        ka, kb = sort_key(a, ia, mode), sort_key(b, ib, mode)
+        ka, kb = sort_key(a, mode), sort_key(b, mode)
         if cmp_result == LESS:
             assert ka < kb
         elif cmp_result == GREATER:
@@ -200,13 +201,12 @@ def test_sort_key_agrees_with_comparator(mode):
 
 
 def test_sort_key_ignores_pe_for_draw_modes():
-    sig = TimeSignature(1.0, (9,))
-    a = (0, 3, 1)
-    b = (7, 3, 1)  # same LP and serial, different PE
+    a = Event(0, 3, 1, 0, 1.0, (9,))
+    b = Event(7, 3, 1, 0, 1.0, (9,))  # same LP and serial, different PE
     for mode in DRAW_MODES:
-        assert sort_key(sig, a, mode) == sort_key(sig, b, mode)
-    assert sort_key(sig, a, OrderingMode.BIASED_RULESET) != sort_key(
-        sig, b, OrderingMode.BIASED_RULESET)
+        assert sort_key(a, mode) == sort_key(b, mode)
+    assert sort_key(a, OrderingMode.BIASED_RULESET) != sort_key(
+        b, OrderingMode.BIASED_RULESET)
 
 
 def test_derive_regular_offset_all_draw_modes():
