@@ -12,7 +12,7 @@ the optimistic kernel roll an LP back without keeping draw logs.
 from tiewarp import EventTiesModel, OrderingMode, run_sequential
 from tiewarp.rngstream import DrawStream, Purpose, derive_stream_key, draw_at
 
-stream = DrawStream.for_lp(global_seed=42, lp_id=7, purpose=Purpose.MODEL)
+stream = DrawStream(derive_stream_key(42, 7, Purpose.MODEL))
 
 first = [stream.draw() for _ in range(4)]
 print("model draws 0..3:", [hex(v)[:10] for v in first])

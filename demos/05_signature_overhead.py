@@ -11,13 +11,13 @@ A scaled-down version of the acceptance gate, which demands lex <= 2x none
 at a million events.
 """
 
-from tiewarp.harness import RunSpec, benchmark_sequential
+from tiewarp.harness import RunSpec, benchmark
 
 base = dict(model="phold", n_lps=256, end_time=200.0, seed=1, remote_prob=0.1)
 
 results = {}
 for mode in ("none", "biased", "unbiased-single", "additive", "lex"):
-    r = benchmark_sequential(RunSpec(mode=mode, **base))
+    r = benchmark(RunSpec(mode=mode, **base))
     results[mode] = r
     print(f"{mode:<16} {r['events']:>7} events  {r['seconds']:.2f}s  "
           f"{r['events_per_second']:>8.0f} ev/s")

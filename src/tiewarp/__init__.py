@@ -21,7 +21,7 @@ from .harness import (
     FairnessReport,
     RunSpec,
     audit_trace,
-    benchmark_sequential,
+    benchmark,
     execute,
     run_fairness,
     verify_determinism,
@@ -67,7 +67,7 @@ __all__ = [
     "UnmatchedAntiMessage",
     "ZeroOffsetForbidden",
     "audit_trace",
-    "benchmark_sequential",
+    "benchmark",
     "build_model",
     "execute",
     "run_fairness",

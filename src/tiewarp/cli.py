@@ -4,6 +4,7 @@ Subcommands:
   run                  execute one simulation, optionally writing trace/summary
   verify-determinism   sweep workers x chaos seeds and compare run outcomes
   fairness             estimate tie-ordering probabilities against closed forms
+  bench                time one run of the kernel the run options describe
   compare              check two trace files for digest identity
 
 Exit codes: 0 success, 2 configuration error, 3 causality violation;
@@ -24,7 +25,7 @@ from .errors import CausalityViolation, ConfigError
 from .harness import (
     FIELD_TYPES,
     RunSpec,
-    benchmark_sequential,
+    benchmark,
     execute,
     run_fairness,
     verify_determinism,
@@ -93,9 +94,10 @@ def load_config(path: str) -> dict:
     return data
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
+def _add_run_options(parser: argparse.ArgumentParser, outputs: bool = True) -> None:
     """One flag per RunSpec field, named after its config key, plus --config
-    and the output paths; defaults stay None, so only typed flags override a config."""
+    and, with ``outputs``, the output paths; defaults stay None, so only
+    typed flags override a config."""
     parser.add_argument("--config", help="config file (JSON or key = value)")
     for f in fields(RunSpec):
         allowed = FIELD_TYPES[f.name]
@@ -108,6 +110,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--" + _KEY_OF_FIELD.get(f.name, f.name).replace("_", "-"),
                             dest=f.name, help=f"{f.metadata['help']} (default: {default})",
                             **kind)
+    if not outputs:
+        return
     parser.add_argument("--trace-out", dest="trace_out",
                         help="write the trace file (schema tag, then the "
                              "digest's canonical lines) here")
@@ -134,6 +138,16 @@ def _run_options(args: argparse.Namespace) -> tuple[RunSpec, dict]:
         if path is not None and not isinstance(path, str):
             raise ConfigError(f"{key} must be a path string, got {path!r}")
     return RunSpec(**opts), outputs
+
+
+def _spec(args: argparse.Namespace) -> RunSpec:
+    """The spec of a subcommand that writes no outputs; a config naming one is refused."""
+    spec, outputs = _run_options(args)
+    named = [key for key, path in outputs.items() if path is not None]
+    if named:
+        raise ConfigError(f"{args.command} writes no run outputs; "
+                          f"remove {', '.join(named)} from the config")
+    return spec
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -167,7 +181,7 @@ def _parse_int_list(text: str, flag: str) -> tuple:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec, _ = _run_options(args)
+    spec = _spec(args)
     workers = _parse_int_list(args.workers_list, "--workers-list")
     chaos_seeds = _parse_int_list(args.chaos_seeds, "--chaos-seeds")
     report = verify_determinism(spec, workers=workers,
@@ -210,9 +224,8 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    spec, _ = _run_options(args)
-    result = benchmark_sequential(spec)
-    print(f"mode={result['mode']} events={result['events']} "
+    result = benchmark(_spec(args))
+    print(f"mode={result['mode']} workers={result['workers']} events={result['events']} "
           f"seconds={result['seconds']:.3f} "
           f"events/s={result['events_per_second']:.0f}")
     return 0
@@ -247,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify-determinism",
                            help="compare run outcomes across workers and chaos seeds")
-    _add_run_options(p_ver)
+    _add_run_options(p_ver, outputs=False)
     p_ver.add_argument("--workers-list", default="1,2,4,8", dest="workers_list")
     p_ver.add_argument("--chaos-seeds", default="0,1,2", dest="chaos_seeds")
     p_ver.add_argument("--repeats", type=int, default=2)
@@ -268,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit 1 if outside the expected interval")
     p_fair.set_defaults(func=_cmd_fairness)
 
-    p_bench = sub.add_parser("bench", help="time one sequential run")
-    _add_run_options(p_bench)
+    p_bench = sub.add_parser("bench", help="time one run")
+    _add_run_options(p_bench, outputs=False)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_cmp = sub.add_parser("compare", help="check two trace files for digest identity")

@@ -271,11 +271,11 @@ def audit_trace(trace: Trace, mode_name: str) -> dict:
     return {"events": len(trace.committed), "violations": violations}
 
 
-def benchmark_sequential(spec: RunSpec) -> dict:
-    """Wall-clock one sequential run."""
-    kernel = build_kernel(spec, optimistic=False)
+def benchmark(spec: RunSpec) -> dict:
+    """Wall-clock one run of the spec's kernel, chosen as ``execute`` does."""
+    kernel = build_kernel(spec, spec.workers != 1)
     start = time.perf_counter()
     events = len(kernel.run().committed)
     elapsed = time.perf_counter() - start
-    return {"mode": kernel.mode.value, "events": events, "seconds": elapsed,
-            "events_per_second": events / elapsed if elapsed else 0.0}
+    return {"mode": kernel.mode.value, "workers": spec.workers, "events": events,
+            "seconds": elapsed, "events_per_second": events / elapsed if elapsed else 0.0}

@@ -14,7 +14,7 @@ from operator import index
 
 from .errors import CausalityViolation, ConfigError
 from .models import Emit
-from .rngstream import DrawStream, Purpose, derive_stream_key, draw_at
+from .rngstream import DrawStream, draw_at, lp_keys, mix64
 from .timebase import (
     DEFAULT_SEQUENCE_CAP,
     OrderingMode,
@@ -33,17 +33,18 @@ class LpRuntime:
     the model stream's cursor, from the undo image that the optimistic
     kernel's ``ProcessedEntry`` takes. The tie-break of the LP's event with
     serial ``s`` is ``draw_at(tiebreak_key, s)``. ``pe_id`` is 0 in
-    sequential runs and the owning PE otherwise.
+    sequential runs and the owning PE otherwise. The two keys are
+    ``rngstream.lp_keys`` of the run's seed and the LP id.
     """
 
     __slots__ = ("lp_id", "pe_id", "state", "tiebreak_key", "model_stream", "serial")
 
-    def __init__(self, lp_id: int, pe_id: int, state, global_seed: int):
+    def __init__(self, lp_id: int, pe_id: int, state, tiebreak_key: int, model_key: int):
         self.lp_id = lp_id
         self.pe_id = pe_id
         self.state = state
-        self.tiebreak_key = derive_stream_key(global_seed, lp_id, Purpose.TIEBREAK)
-        self.model_stream = DrawStream.for_lp(global_seed, lp_id, Purpose.MODEL)
+        self.tiebreak_key = tiebreak_key
+        self.model_stream = DrawStream(model_key)
         self.serial = 0
 
 
@@ -128,12 +129,15 @@ def check_count(name: str, value, minimum: int, limit: int | None = None) -> Non
 def make_lps(model, global_seed: int, lp_pe=None) -> list[LpRuntime]:
     """Instantiate all LP runtimes; ``lp_pe[lp_id]`` is the LP's owning PE.
 
-    Both kernels build their LPs here, so this checks their seed."""
+    Both kernels build their LPs here, so this checks their seed, and
+    hashes it once for all the LPs' keys."""
     check_count("global_seed", global_seed, 0, SEED_LIMIT)
+    seed_hash = mix64(global_seed)
     lps = []
     for lp_id in range(model.n_lps):
         pe = 0 if lp_pe is None else lp_pe[lp_id]
-        lps.append(LpRuntime(lp_id, pe, model.initial_state(lp_id), global_seed))
+        lps.append(LpRuntime(lp_id, pe, model.initial_state(lp_id),
+                             *lp_keys(seed_hash, lp_id)))
     return lps
 
 

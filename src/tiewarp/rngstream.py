@@ -7,7 +7,9 @@ at random access cost O(1). A tie-break is ``draw_at(key, serial)``, keyed by
 its event's identity, so rollback restores nothing for it; the model stream
 is a key plus a cursor, and rolling it back restores the cursor. The mixing
 function is the splitmix64 finalizer over ``key + (i + 1) * GAMMA``; keys
-are hashed from ``(global_seed, lp_id, purpose)`` through the same mixer.
+are hashed from ``(global_seed, lp_id, purpose)`` through the same mixer,
+along one chain: a kernel hashes its seed once and each LP id once, mixes
+the pair once, then mixes in each purpose's constant hash.
 
 The generator family and version are recorded in every run summary so a
 digest can never silently mix outputs of different generators.
@@ -25,6 +27,8 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_LP_SALT = 0x632BE59BD9B4E019
+_PURPOSE_SALT = 0xD6E8FEB86659FD93
 
 
 class Purpose(enum.IntEnum):
@@ -40,12 +44,22 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# each purpose's hash, mixed into an LP's (seed, LP) hash to give its key
+_TIEBREAK_HASH = mix64(Purpose.TIEBREAK * _PURPOSE_SALT)
+_MODEL_HASH = mix64(Purpose.MODEL * _PURPOSE_SALT)
+
+
+def lp_keys(seed_hash: int, lp_id: int) -> tuple[int, int]:
+    """An LP's ``(tiebreak, model)`` keys, where ``seed_hash = mix64(global_seed)``:
+    four finalizers, for the LP id, the (seed, LP) pair and each purpose."""
+    k = mix64(seed_hash ^ mix64(lp_id + _LP_SALT))
+    return mix64(k ^ _TIEBREAK_HASH), mix64(k ^ _MODEL_HASH)
+
+
 def derive_stream_key(global_seed: int, lp_id: int, purpose: Purpose) -> int:
     """Hash (global_seed, lp_id, purpose) into an independent stream key."""
-    k = mix64(global_seed)
-    k = mix64(k ^ mix64(lp_id + 0x632BE59BD9B4E019))
-    k = mix64(k ^ mix64(int(purpose) * 0xD6E8FEB86659FD93))
-    return k
+    tiebreak, model = lp_keys(mix64(global_seed), lp_id)
+    return tiebreak if Purpose(purpose) is Purpose.TIEBREAK else model
 
 
 def draw_at(key: int, index: int) -> int:
@@ -58,18 +72,6 @@ def draw_at(key: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
-
-
-def to_unit_interval(value: int) -> float:
-    """Map a 64-bit draw into the open interval (0,1).
-
-    Keeps the top 52 bits and centers the lattice: every result is the
-    exactly representable (2k+1) * 2**-53, so the endpoints are 2**-53 and
-    1 - 2**-53 and no rounding can reach 0.0 or 1.0. (With 53 bits the top
-    value 1 - 2**-54 would round-to-even up to exactly 1.0 and the
-    exponential sampler would return inf.)
-    """
-    return (value >> 12) * 2.0**-52 + 2.0**-53
 
 
 class DrawStream:
@@ -86,10 +88,6 @@ class DrawStream:
         self.key = key
         self.cursor = cursor
 
-    @classmethod
-    def for_lp(cls, global_seed: int, lp_id: int, purpose: Purpose) -> "DrawStream":
-        return cls(derive_stream_key(global_seed, lp_id, purpose))
-
     def draw(self) -> int:
         # draw_at(self.key, self.cursor), with mix64 inlined: one frame per draw
         z = (self.key + (self.cursor + 1) * _GAMMA) & _MASK64
@@ -99,7 +97,8 @@ class DrawStream:
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
-        # to_unit_interval(self.draw()), inlined
+        """The draw's top 52 bits as (2k+1) * 2**-53: exact, so never 0.0 or
+        1.0 (53 bits would round 1 - 2**-54 up to 1.0, and exponential to inf)."""
         return (self.draw() >> 12) * 2.0**-52 + 2.0**-53
 
     def randint(self, low: int, high: int) -> int:
@@ -110,7 +109,7 @@ class DrawStream:
         """Inverse-CDF exponential offset; strictly positive by construction."""
         if mean <= 0:
             raise ValueError(f"mean must be positive, got {mean}")
-        # -mean * log1p(-to_unit_interval(self.draw())), inlined
+        # -mean * log1p(-u), for the same u as uniform()
         return -mean * math.log1p(-((self.draw() >> 12) * 2.0**-52 + 2.0**-53))
 
     def pick_other(self, n: int, self_id: int) -> int:

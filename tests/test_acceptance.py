@@ -16,7 +16,7 @@ from tiewarp.errors import CausalityViolation
 from tiewarp.harness import (
     RunSpec,
     audit_trace,
-    benchmark_sequential,
+    benchmark,
     execute,
     run_fairness,
     verify_determinism,
@@ -211,8 +211,8 @@ def test_criterion_09_signature_overhead_within_2x():
     # must cost at most 2x the bare-timestamp mode (soft gate on wall time)
     base = dict(model="phold", mode="none", n_lps=1024, end_time=1000.0,
                 seed=1, remote_prob=0.1)
-    none_result = benchmark_sequential(RunSpec(**base))
-    lex_result = benchmark_sequential(RunSpec(**{**base, "mode": "lex"}))
+    none_result = benchmark(RunSpec(**base))
+    lex_result = benchmark(RunSpec(**{**base, "mode": "lex"}))
     assert none_result["events"] >= 1_000_000
     assert lex_result["events"] == none_result["events"]
     ratio = lex_result["seconds"] / none_result["seconds"]

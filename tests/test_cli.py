@@ -17,6 +17,8 @@ from tiewarp import cli
 from tiewarp.cli import load_config, main
 from tiewarp.errors import ConfigError
 from tiewarp.harness import RunSpec, audit_trace, execute
+from tiewarp.kernel_optimistic import OptimisticKernel
+from tiewarp.kernel_seq import SequentialKernel
 from tiewarp.timebase import MODE_NAMES
 from tiewarp.trace import (CHUNK, TRACE_SCHEMA, Event, Trace, digest_lines,
                            first_divergence, read_trace)
@@ -250,6 +252,41 @@ def test_bench_subcommand(capsys):
                  "--lps", "4", "--end", "4"])
     assert code == 0
     assert "events/s=" in capsys.readouterr().out
+
+
+def test_bench_times_the_kernel_the_spec_describes(capsys, monkeypatch):
+    ran = []
+    for kernel in (SequentialKernel, OptimisticKernel):
+        def timed_run(self, run=kernel.run):
+            ran.append(type(self).__name__)
+            return run(self)
+        monkeypatch.setattr(kernel, "run", timed_run)
+    bench = ["bench", "--model", "phold", "--lps", "4", "--end", "4"]
+    assert main(bench + ["--workers", "2", "--chaos-seed", "3"]) == 0
+    assert ran == ["OptimisticKernel"]
+    assert "workers=2 " in capsys.readouterr().out
+    assert main(bench) == 0
+    assert ran == ["OptimisticKernel", "SequentialKernel"]
+    # the optimistic kernel's own arguments act: this one is refused
+    assert main(bench + ["--workers", "2", "--max-delay", "-1"]) == 2
+    assert "max_delay must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("verify-determinism", "bench"))
+def test_only_run_takes_output_flags(tmp_path, capsys, command):
+    args = [command, "--lps", "2", "--end", "2"]
+    for flag in ("--trace-out", "--summary-out"):
+        with pytest.raises(SystemExit) as stop:
+            main(args + [flag, str(tmp_path / "out")])
+        assert stop.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for key in ("trace_out", "summary_out"):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: str(tmp_path / "out")}))
+        assert main(args + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{command} writes no run outputs; remove {key}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_2_on_config_errors(capsys):

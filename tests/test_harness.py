@@ -10,7 +10,7 @@ from tiewarp.errors import ConfigError, InsufficientSamples, UnmatchedAntiMessag
 from tiewarp.harness import (
     RunSpec,
     audit_trace,
-    benchmark_sequential,
+    benchmark,
     build_run,
     execute,
     fairness_expected,
@@ -285,8 +285,8 @@ def test_audit_none_mode_allows_equal_timestamps():
 
 
 def test_benchmark_reports_throughput():
-    result = benchmark_sequential(RunSpec(model="phold", mode="lex", n_lps=4,
-                                          end_time=4.0, seed=1))
+    result = benchmark(RunSpec(model="phold", mode="lex", n_lps=4,
+                               end_time=4.0, seed=1))
     assert result["mode"] == "lex"
     assert result["events"] > 0
     assert result["seconds"] >= 0.0

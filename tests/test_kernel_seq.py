@@ -10,7 +10,7 @@ from tiewarp.errors import (
     SequenceCapExceeded,
     ZeroOffsetForbidden,
 )
-from tiewarp.harness import RunSpec, audit_trace, benchmark_sequential, execute
+from tiewarp.harness import RunSpec, audit_trace, benchmark, execute
 from tiewarp.kernel_seq import run_sequential
 from tiewarp.models import build_model
 from tiewarp.rngstream import GENERATOR_NAME, GENERATOR_VERSION
@@ -154,7 +154,7 @@ def test_benchmark_counts_the_committed_events():
     trace = run_sequential(model, OrderingMode.ADDITIVE, 8)
     assert len(trace.committed) > 0
     spec = RunSpec(model="phold", mode="additive", n_lps=4, end_time=5.0, seed=8)
-    assert benchmark_sequential(spec)["events"] == len(trace.committed)
+    assert benchmark(spec)["events"] == len(trace.committed)
 
 
 def test_none_mode_runs_tie_models_without_draws():

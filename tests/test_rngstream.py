@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel
+from tiewarp.kernel_seq import SequentialKernel
+from tiewarp.models import build_model
 from tiewarp.rngstream import (
     _GAMMA,
     _MASK64,
@@ -16,9 +19,32 @@ from tiewarp.rngstream import (
     Purpose,
     derive_stream_key,
     draw_at,
+    lp_keys,
     mix64,
-    to_unit_interval,
 )
+from tiewarp.timebase import OrderingMode
+
+
+def to_unit_interval(value: int) -> float:
+    """Oracle of ``DrawStream.uniform`` and ``exponential``, which inline it:
+    a 64-bit draw mapped into the open interval (0,1).
+
+    Keeps the top 52 bits and centers the lattice: every result is the
+    exactly representable (2k+1) * 2**-53, so the endpoints are 2**-53 and
+    1 - 2**-53 and no rounding can reach 0.0 or 1.0. (With 53 bits the top
+    value 1 - 2**-54 would round-to-even up to exactly 1.0 and the
+    exponential sampler would return inf.)
+    """
+    return (value >> 12) * 2.0**-52 + 2.0**-53
+
+
+def oracle_stream_key(global_seed: int, lp_id: int, purpose: int) -> int:
+    """Oracle of ``derive_stream_key``: the key of one (seed, LP, purpose),
+    hashed along its own chain, with no hash shared between keys."""
+    k = mix64(global_seed)
+    k = mix64(k ^ mix64(lp_id + 0x632BE59BD9B4E019))
+    k = mix64(k ^ mix64(int(purpose) * 0xD6E8FEB86659FD93))
+    return k
 
 
 def draws_array(key: int, start: int, count: int) -> np.ndarray:
@@ -94,6 +120,65 @@ def test_stream_keys_distinct_across_lps_seeds_purposes():
     assert len(keys) == 8 * 64 * 2
 
 
+_RNG = random.Random(0x5EED)
+KEY_SEEDS = (0, 1, 2 ** 63, 2 ** 64 - 1, _RNG.randrange(2 ** 64), _RNG.randrange(2 ** 64))
+KEY_LPS = (0, 1, 1023, 2 ** 20)
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_derived_keys_match_the_oracle(seed):
+    # the shared chain gives every key its unshared derivation, bit for bit
+    for lp in KEY_LPS:
+        tiebreak, model = lp_keys(mix64(seed), lp)
+        assert tiebreak == derive_stream_key(seed, lp, Purpose.TIEBREAK) \
+            == oracle_stream_key(seed, lp, Purpose.TIEBREAK)
+        assert model == derive_stream_key(seed, lp, Purpose.MODEL) \
+            == oracle_stream_key(seed, lp, Purpose.MODEL)
+    with pytest.raises(ValueError):
+        derive_stream_key(seed, 0, 3)
+
+
+def kernel_lps(seed: int) -> dict:
+    """Each kernel's LPs, in id order, for a 1024-LP model under ``seed``."""
+    model = build_model("phold", n_lps=1024, end_time=1.0)
+    mode = OrderingMode.LEX_SEQUENCE
+    return {"sequential": SequentialKernel(model, mode, seed).lps,
+            "optimistic": OptimisticKernel(model, mode, seed, 3)._all_lps}
+
+
+def lp_key_pairs(lps) -> list:
+    return [(rt.tiebreak_key, rt.model_stream.key) for rt in lps]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_kernels_give_every_lp_its_derived_keys(seed):
+    # LPs 0, 1 and 1023 among them; LP 2**20 is pinned through lp_keys above
+    want = [(derive_stream_key(seed, lp, Purpose.TIEBREAK),
+             derive_stream_key(seed, lp, Purpose.MODEL)) for lp in range(1024)]
+    for name, lps in kernel_lps(seed).items():
+        assert [rt.lp_id for rt in lps] == list(range(1024)), name
+        assert lp_key_pairs(lps) == want, name
+        assert all(rt.model_stream.cursor == 0 for rt in lps), name
+
+
+@pytest.mark.parametrize("chaos_seed", KEY_SEEDS)
+def test_chaos_key_is_unchanged(chaos_seed):
+    model = build_model("phold", n_lps=4, end_time=1.0)
+    kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 2,
+                              chaos=ChaosConfig(chaos_seed))
+    assert kernel.chaos.key == oracle_stream_key(chaos_seed, 0x51ED0C4A05, Purpose.MODEL)
+    assert kernel.chaos.cursor == 0
+
+
+def test_kernels_built_back_to_back_get_their_own_seeds_keys():
+    # nothing of one construction's seed may carry over into the next
+    first, second, again = kernel_lps(5), kernel_lps(6), kernel_lps(5)
+    for name in first:
+        a, b = lp_key_pairs(first[name]), lp_key_pairs(second[name])
+        assert all(ka != kb and ma != mb for (ka, ma), (kb, mb) in zip(a, b)), name
+        assert lp_key_pairs(again[name]) == a, name
+
+
 def test_unit_interval_is_open_and_monotone():
     assert 0.0 < to_unit_interval(0) < 1.0
     assert 0.0 < to_unit_interval(2 ** 64 - 1) < 1.0
@@ -137,18 +222,18 @@ def test_cross_stream_correlation_negligible():
 
 
 def test_randint_bounds_and_coverage():
-    stream = DrawStream.for_lp(11, 2, Purpose.MODEL)
+    stream = DrawStream(derive_stream_key(11, 2, Purpose.MODEL))
     seen = set()
     for _ in range(2000):
         v = stream.randint(3, 9)
         assert 3 <= v <= 9
         seen.add(v)
     assert seen == set(range(3, 10))
-    assert DrawStream.for_lp(11, 3, Purpose.MODEL).randint(5, 5) == 5
+    assert DrawStream(derive_stream_key(11, 3, Purpose.MODEL)).randint(5, 5) == 5
 
 
 def test_exponential_positive_with_correct_mean():
-    stream = DrawStream.for_lp(77, 0, Purpose.MODEL)
+    stream = DrawStream(derive_stream_key(77, 0, Purpose.MODEL))
     n = 100_000
     mean = 2.5
     values = [stream.exponential(mean) for _ in range(n)]
@@ -190,7 +275,7 @@ def test_draw_at_matches_stream_at_extreme_keys_and_indices():
 
 
 def test_pick_other_excludes_self_and_covers_rest():
-    stream = DrawStream.for_lp(13, 5, Purpose.MODEL)
+    stream = DrawStream(derive_stream_key(13, 5, Purpose.MODEL))
     n_lps = 8
     counts = {i: 0 for i in range(n_lps) if i != 5}
     for _ in range(7000):
@@ -200,10 +285,10 @@ def test_pick_other_excludes_self_and_covers_rest():
     # each of the 7 others expects 1000 hits; demand rough balance
     assert min(counts.values()) > 800
     assert max(counts.values()) < 1200
-    assert DrawStream.for_lp(13, 0, Purpose.MODEL).pick_other(1, 0) == 0
+    assert DrawStream(derive_stream_key(13, 0, Purpose.MODEL)).pick_other(1, 0) == 0
 
 
 def test_same_key_means_same_sequence():
-    a = DrawStream.for_lp(21, 4, Purpose.TIEBREAK)
-    b = DrawStream.for_lp(21, 4, Purpose.TIEBREAK)
+    a = DrawStream(derive_stream_key(21, 4, Purpose.TIEBREAK))
+    b = DrawStream(derive_stream_key(21, 4, Purpose.TIEBREAK))
     assert [a.draw() for _ in range(64)] == [b.draw() for _ in range(64)]
