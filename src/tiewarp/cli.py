@@ -150,12 +150,16 @@ def _spec(args: argparse.Namespace) -> RunSpec:
     return spec
 
 
+def _spec_line(spec: RunSpec) -> str:
+    """Every set field of the spec, named as its flag: what the command ran."""
+    return " ".join(f"{_KEY_OF_FIELD.get(name, name).replace('_', '-')}={value}"
+                    for name, value in spec.to_dict().items() if value is not None)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec, outputs = _run_options(args)
     trace, metrics = execute(spec)
-    print(f"model={spec.model} mode={spec.mode} lps={spec.n_lps} "
-          f"end={spec.end_time:g} seed={spec.seed} workers={spec.workers} "
-          f"chaos-seed={spec.chaos_seed}")
+    print(_spec_line(spec))
     print(f"net events: {len(trace.committed)}")
     # one encoder pass: writing the trace file also hashes it
     digest = trace.write(outputs["trace_out"]) if outputs["trace_out"] else trace.digest()
@@ -182,6 +186,11 @@ def _parse_int_list(text: str, flag: str) -> tuple:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec(args)
+    swept = [name for name in ("workers", "chaos_seed")
+             if getattr(spec, name) != getattr(RunSpec, name)]
+    if swept:
+        raise ConfigError(f"verify-determinism sweeps --workers-list and --chaos-seeds; "
+                          f"remove {', '.join(swept)}")
     workers = _parse_int_list(args.workers_list, "--workers-list")
     chaos_seeds = _parse_int_list(args.chaos_seeds, "--chaos-seeds")
     report = verify_determinism(spec, workers=workers,
@@ -224,9 +233,10 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    result = benchmark(_spec(args))
-    print(f"mode={result['mode']} workers={result['workers']} events={result['events']} "
-          f"seconds={result['seconds']:.3f} "
+    spec = _spec(args)
+    result = benchmark(spec)
+    print(_spec_line(spec))
+    print(f"events={result['events']} seconds={result['seconds']:.3f} "
           f"events/s={result['events_per_second']:.0f}")
     return 0
 

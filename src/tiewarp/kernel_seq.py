@@ -160,7 +160,8 @@ class SequentialKernel:
     The sequence number keeps the heap totally ordered even in the
     no-tie-break mode, where keys are bare timestamps. Since ``build_event``
     refuses a child keyed below its parent, every pop is at or above the
-    one before it.
+    one before it. ``peak_pending``, the heap's largest size before a pop,
+    is set when ``run`` returns.
     """
 
     def __init__(self, model, mode: OrderingMode, global_seed: int,
@@ -183,24 +184,27 @@ class SequentialKernel:
         heap: list = []
         seq = 0
         committed: list[Event] = []
-        # seeds first, then each popped event's children, through one push
-        built = seed_initial_events(model, lps, mode, seq_cap)
-        while True:
-            for ev in built:
+        for ev in seed_initial_events(model, lps, mode, seq_cap):
+            timestamp = ev.timestamp
+            if timestamp <= end_time:
+                heappush(heap, (timestamp, ev.key, seq, ev))
+                seq += 1
+        peak_pending = 0
+        while heap:
+            if len(heap) > peak_pending:
+                peak_pending = len(heap)
+            parent = heappop(heap)[3]
+            rt = lps[parent.dest_lp]
+            new_state, emits = handle(rt.state, parent, rt.model_stream)
+            rt.state = new_state
+            committed.append(parent)
+            for emit in emits:
+                ev = build_event(rt, parent, emit, mode, seq_cap, n_lps)
                 timestamp = ev.timestamp
                 if timestamp <= end_time:
                     heappush(heap, (timestamp, ev.key, seq, ev))
                     seq += 1
-            if not heap:
-                break
-            if len(heap) > self.peak_pending:
-                self.peak_pending = len(heap)
-            ev = heappop(heap)[3]
-            rt = lps[ev.dest_lp]
-            new_state, emits = handle(rt.state, ev, rt.model_stream)
-            rt.state = new_state
-            committed.append(ev)
-            built = [build_event(rt, ev, emit, mode, seq_cap, n_lps) for emit in emits]
+        self.peak_pending = peak_pending
         finals = {lp.lp_id: model.final_value(lp.state) for lp in lps}
         return Trace(committed=committed, final_states=finals)
 

@@ -578,10 +578,14 @@ def test_every_run_spec_field_has_a_typed_flag(name):
     assert outputs == {"trace_out": None, "summary_out": None}
 
 
-def subcommands():
+def subparsers() -> dict:
     [sub] = [action for action in cli.build_parser()._actions
              if isinstance(action, argparse._SubParsersAction)]
-    return sorted(sub.choices)
+    return sub.choices
+
+
+def subcommands():
+    return sorted(subparsers())
 
 
 @pytest.mark.parametrize("command", subcommands())
@@ -595,6 +599,67 @@ def test_every_subcommand_help_names_every_run_flag(capsys, command):
         for argv, _ in FIELD_FLAGS.values():
             assert argv[0] in out
         assert out.count("(default:") == len(cli.RUN_FIELDS)
+
+
+# The walk below sets each option of each subcommand on top of that
+# subcommand's base arguments. The base fairness estimate, 66 of 100, lies
+# outside its 3-sigma interval, so --strict acts on it.
+GUARD_BASE = {
+    "run": [],
+    "bench": [],
+    "verify-determinism": ["--lps", "2", "--end", "2", "--workers-list", "2",
+                           "--chaos-seeds", "0", "--repeats", "1", "--json-out", "report.json"],
+    "fairness": ["--mode", "lex", "--samples", "100", "--base-seed", "1100"],
+}
+# a non-default value for each option that is not a RunSpec field
+OPTION_FLAGS = {
+    "config": ["--config", "run.json"],
+    "trace_out": ["--trace-out", "trace.txt"],
+    "summary_out": ["--summary-out", "summary.json"],
+    "workers_list": ["--workers-list", "2,3"],
+    "chaos_seeds": ["--chaos-seeds", "0,1"],
+    "repeats": ["--repeats", "2"],
+    "json_out": ["--json-out", "other.json"],
+    "expect": ["--expect", "nondeterministic"],
+    "depth": ["--depth", "1"],
+    "samples": ["--samples", "101"],
+    "base_seed": ["--base-seed", "1101"],
+    "strict": ["--strict"],
+}
+
+
+# (subcommand, dest) of every option but --help
+OPTIONS = [(command, action.dest) for command, parser in sorted(subparsers().items())
+           for action in parser._actions if action.option_strings and action.dest != "help"]
+
+
+def observe(argv, capsys):
+    """What a command shows: its exit code, its output without the timing
+    figures, and the files it leaves in the working directory."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:  # argparse refuses with exit 2
+        code = stop.code
+    out, err = capsys.readouterr()
+    files = {}
+    for path in sorted(Path.cwd().iterdir()):
+        if path.name != "run.json":
+            files[path.name] = path.read_bytes()
+            path.unlink()
+    return code, re.sub(r"seconds=\S+ events/s=\S+", "", out), err, files
+
+
+@pytest.mark.parametrize("command,dest", OPTIONS, ids=[" ".join(o) for o in OPTIONS])
+def test_every_option_is_refused_or_acts(tmp_path, monkeypatch, capsys, command, dest):
+    # each option a subcommand accepts is refused with exit 2, or changes
+    # the spec it records, its report or a file it writes
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text('{"seed": 5}')
+    flag = FIELD_FLAGS[dest][0] if dest in FIELD_FLAGS else OPTION_FLAGS[dest]
+    base = observe([command, *GUARD_BASE[command]], capsys)
+    assert base[0] == 0
+    changed = observe([command, *GUARD_BASE[command], *flag], capsys)
+    assert (changed[0] == 2 and "error" in changed[2]) or changed != base
 
 
 @pytest.mark.parametrize("name,text", (

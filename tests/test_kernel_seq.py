@@ -10,7 +10,8 @@ from tiewarp.errors import (
     SequenceCapExceeded,
     ZeroOffsetForbidden,
 )
-from tiewarp.harness import RunSpec, audit_trace, benchmark, execute
+from tiewarp import kernel_seq
+from tiewarp.harness import RunSpec, audit_trace, benchmark, build_kernel, execute
 from tiewarp.kernel_seq import run_sequential
 from tiewarp.models import build_model
 from tiewarp.rngstream import GENERATOR_NAME, GENERATOR_VERSION
@@ -155,6 +156,45 @@ def test_benchmark_counts_the_committed_events():
     assert len(trace.committed) > 0
     spec = RunSpec(model="phold", mode="additive", n_lps=4, end_time=5.0, seed=8)
     assert benchmark(spec)["events"] == len(trace.committed)
+
+
+# (RunSpec fields, committed events, peak_pending), which the benchmark
+# reports as kernel_seq.peak_pending: the heap's largest size before a pop
+PEAK_PENDING = (
+    ({"model": "phold", "n_lps": 1024, "end_time": 10.0, "seed": 1}, 10370, 1024),
+    ({"model": "phold", "n_lps": 64, "end_time": 5.0, "seed": 7}, 354, 64),
+    ({"model": "event-ties", "n_lps": 256, "end_time": 10.0, "chain_length": 2,
+      "seed": 1}, 5120, 256),
+    ({"model": "event-ties-stress", "n_lps": 64, "end_time": 1.0, "height": 6,
+      "arity": 2, "seed": 1}, 8128, 70),
+    ({"model": "event-ties-stress", "n_lps": 16, "end_time": 2.0, "height": 3,
+      "arity": 4, "seed": 2}, 2720, 25),
+    # mode none pops a burst of ties breadth-first, so its heap grows wider
+    ({"model": "event-ties", "n_lps": 256, "end_time": 10.0, "chain_length": 2,
+      "seed": 1, "mode": "none"}, 5120, 256),
+    ({"model": "event-ties-stress", "n_lps": 64, "end_time": 1.0, "height": 6,
+      "arity": 2, "seed": 1, "mode": "none"}, 8128, 4096),
+    ({"model": "event-ties-stress", "n_lps": 16, "end_time": 2.0, "height": 3,
+      "arity": 4, "seed": 2, "mode": "none"}, 2720, 1024),
+)
+
+
+@pytest.mark.parametrize("fields,events,peak", PEAK_PENDING,
+                         ids=[f"{f['model']}-{f.get('mode', 'lex')}-{f['n_lps']}"
+                              for f, _, _ in PEAK_PENDING])
+def test_peak_pending_is_the_largest_heap_before_a_pop(monkeypatch, fields, events, peak):
+    sizes = []
+
+    def heappop(heap, pop=kernel_seq.heappop):
+        sizes.append(len(heap))
+        return pop(heap)
+
+    monkeypatch.setattr(kernel_seq, "heappop", heappop)
+    kernel = build_kernel(RunSpec(**fields), optimistic=False)
+    assert kernel.peak_pending == 0
+    trace = kernel.run()
+    assert len(sizes) == len(trace.committed) == events
+    assert kernel.peak_pending == max(sizes) == peak
 
 
 def test_none_mode_runs_tie_models_without_draws():

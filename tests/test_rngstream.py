@@ -19,6 +19,7 @@ from tiewarp.rngstream import (
     Purpose,
     derive_stream_key,
     draw_at,
+    draw_block,
     lp_keys,
     mix64,
 )
@@ -265,13 +266,19 @@ def test_functional_uniform_matches_stream():
 
 
 def test_draw_at_matches_stream_at_extreme_keys_and_indices():
-    # the two inlined finalizers agree with each other and with mix64
-    # where the counter sum wraps past 2**64
+    # draw_at, draw_block's lanes and the stream agree with mix64 where the
+    # counter sum wraps past 2**64, inside a block and across blocks
     for key in (0, 1, 2 ** 63, 2 ** 64 - _GAMMA, 2 ** 64 - 2, 2 ** 64 - 1):
         for index in (0, 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 2, 2 ** 64 - 1, 10 ** 30):
-            want = mix64(key + (index + 1) * _GAMMA)
-            assert draw_at(key, index) == want
-            assert DrawStream(key, index).draw() == want
+            want = [mix64(key + (index + 1 + j) * _GAMMA) for j in range(17)]
+            assert [draw_at(key, index + j) for j in range(17)] == want
+            assert list(draw_block(key, index)) == want[:8]
+            stream = DrawStream(key, index)
+            assert [stream.draw() for _ in range(17)] == want
+            # rollback assigns a cursor into the middle of an earlier block
+            for back in (((index + 9) & -8) + 4 - index, 1):
+                stream.cursor = index + back
+                assert [stream.draw() for _ in range(17 - back)] == want[back:]
 
 
 def test_pick_other_excludes_self_and_covers_rest():
