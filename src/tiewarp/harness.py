@@ -23,7 +23,7 @@ from .kernel_optimistic import (
     ChaosConfig,
     OptimisticKernel,
 )
-from .kernel_seq import SEED_LIMIT, SequentialKernel, check_count, run_sequential
+from .kernel_seq import WORD_LIMIT, SequentialKernel, check_count, run_sequential
 from .models import MODELS, build_model, model_class
 from .scenarios import TiePairModel
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
@@ -79,7 +79,7 @@ class RunSpec:
                 except OverflowError:
                     raise ConfigError(f"{f.name} is out of float range") from None
         for name in ("seed", "chaos_seed"):
-            check_count(name, getattr(self, name), 0, SEED_LIMIT)
+            check_count(name, getattr(self, name), 0, WORD_LIMIT)
 
     def model_params(self) -> dict:
         """This spec's non-None values for the fields the model class declares.

@@ -36,8 +36,8 @@ from heapq import heappop, heappush
 from operator import attrgetter
 
 from .errors import CausalityViolation, UnmatchedAntiMessage
-from .kernel_seq import (SEED_LIMIT, LpRuntime, build_event, check_count, make_lps,
-                         seed_initial_events)
+from .kernel_seq import (WORD_LIMIT, LpRuntime, build_event, check_count,
+                         collector_paused, make_lps, seed_initial_events)
 from .rngstream import DrawStream, Purpose, derive_stream_key
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, format_signature
 from .timebase import sort_key  # noqa: F401  (looked up by perfbench's layer tracer)
@@ -403,7 +403,7 @@ class OptimisticKernel:
         check_count("gvt_interval", gvt_interval, 1)
         check_count("seq_cap", seq_cap, 1)
         check_count("max_delay", chaos.max_delay, 0)
-        check_count("chaos_seed", chaos.chaos_seed, 0, SEED_LIMIT)
+        check_count("chaos_seed", chaos.chaos_seed, 0, WORD_LIMIT)
         self.model = model
         self.mode = mode
         self.n_workers = n_workers
@@ -489,7 +489,19 @@ class OptimisticKernel:
 
     # -- main loop ------------------------------------------------------------
 
+    @collector_paused
     def run(self) -> Trace:
+        """Seed, then drive the PEs to the end; the committed trace.
+
+        As in the sequential kernel, the run pauses the cyclic garbage
+        collector and restores its state on return or raise
+        (``kernel_seq.collector_paused``): on input 0:0 of the ``ties-opt``
+        benchmark it made 52 gen-0 and 4 gen-1 passes, 7% of the run's
+        time, and freed nothing. Cyclic garbage waits until ``run``
+        returns: that of a handler that builds reference cycles, and each
+        faulted speculative entry, whose exception reaches back to it
+        through its traceback.
+        """
         self._seed()
         return self._drive()
 

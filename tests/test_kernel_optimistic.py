@@ -1,5 +1,6 @@
 """Optimistic kernel: bit-exact equivalence with the sequential reference."""
 
+import gc
 import hashlib
 import random
 import re
@@ -19,7 +20,7 @@ from tiewarp.kernel_optimistic import (DEFAULT_GVT_INTERVAL, DEFAULT_MAX_DELAY,
 from tiewarp.kernel_seq import SequentialKernel, run_sequential
 from tiewarp.models import Emit, EventTiesModel, PholdModel, build_model
 from tiewarp.rngstream import Purpose, derive_stream_key, draw_at
-from tiewarp.scenarios import ScriptedModel, committed_names, SCRIPT_LEX_ORDER
+from tiewarp.scenarios import ScriptedModel, TiePairModel, committed_names, SCRIPT_LEX_ORDER
 from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode
 from tiewarp.trace import Event, first_divergence
 
@@ -926,14 +927,16 @@ def test_committed_faults_raise_promptly(seed):
 
 
 class BadDestination:
-    """Four LPs tick at 1, 2 and 3; LP 1's tick at 2 also emits to ``dest``."""
+    """Four LPs tick at 1, 2 and 3; LP 1's tick at 2 also emits to ``dest``,
+    with the forced tie-break ``forced`` unless it is None."""
 
     name = "bad-destination"
     n_lps = 4
     end_time = 3.0
 
-    def __init__(self, dest):
+    def __init__(self, dest, forced=None):
         self.dest = dest
+        self.forced = forced
 
     def initial_state(self, lp_id):
         return 0
@@ -944,7 +947,7 @@ class BadDestination:
     def handle(self, state, event, stream):
         emits = [Emit(event.dest_lp, 1.0)]
         if event.dest_lp == 1 and event.timestamp == 2.0:
-            emits.append(Emit(self.dest, 0.5))
+            emits.append(Emit(self.dest, 0.5, None, self.forced))
         return state + 1, emits
 
     def final_value(self, state):
@@ -993,6 +996,41 @@ def test_integral_destinations_name_the_same_lp_in_both_kernels(dest):
         assert type(extra[0].dest_lp) is int
 
 
+@pytest.mark.parametrize("forced,problem", (
+    (0.4, "must be an integer, got 0.4"),
+    ("x", "must be an integer, got 'x'"),
+    (True, "must be an integer, got True"),
+    (-5, "must be >= 0"),
+    (2**64, f"must be < {2**64}"),
+), ids=("float", "str", "bool", "negative", "too-wide"))
+def test_bad_forced_tiebreak_is_the_same_error_in_both_kernels(forced, problem):
+    # a forced tie-break is a 64-bit draw: anything else would be digested
+    # as a malformed field, or fail only in the digest, after the run
+    model = BadDestination(2, forced)
+    seq = SequentialKernel(model, OrderingMode.LEX_SEQUENCE, 1)
+    ref = outcome(seq)
+    assert ref == {"error": f"ConfigError: LP 1's forced tie-break {problem}"}
+    # raised while LP 1 builds the children of its tick at 2, before the
+    # refused one took a serial, and before any LP handled its tick at 3
+    assert (seq.lps[1].state, seq.lps[1].serial) == (2, 3)
+    assert max(rt.state for rt in seq.lps) <= 2
+    for workers in (2, 4):
+        for chaos in range(3):
+            opt = outcome(OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1,
+                                           workers, chaos=ChaosConfig(chaos)))
+            assert opt == ref, (workers, chaos)
+
+
+@pytest.mark.parametrize("forced", (0, 2**64 - 1))
+def test_forced_tiebreaks_span_the_draw_range(forced):
+    model = BadDestination(2, forced)
+    want = SequentialKernel(model, OrderingMode.LEX_SEQUENCE, 1).run()
+    extra = [ev for ev in want.committed if ev.timestamp == 2.5]
+    assert [ev.tiebreak for ev in extra] == [(forced,)]
+    opt = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 2).run()
+    assert opt.digest() == want.digest()
+
+
 def build_fuzz_model(name, n_lps, end_time, remote_prob):
     if name == "phold":
         return build_model(name, n_lps=n_lps, end_time=float(end_time),
@@ -1029,3 +1067,92 @@ def test_differential_outcome_matches_sequential(name, n_lps, end_time, remote_p
                                    chaos=ChaosConfig(chaos, max_delay),
                                    gvt_interval=gvt_interval, seq_cap=seq_cap))
     assert opt == ref
+
+
+# -- the collector pause --------------------------------------------------
+
+# every built-in model with each mode its runs complete in; the tie models'
+# zero-offset events are refused in unbiased-single and break causality in
+# naive, and the chain models' in biased too
+TIE_MODES = (OrderingMode.NONE, OrderingMode.ADDITIVE, OrderingMode.LEX_SEQUENCE)
+SCRIPT_MODES = (*TIE_MODES, OrderingMode.BIASED_RULESET)
+COMPLETING_RUNS = (
+    ("phold", build_model("phold", n_lps=16, end_time=5.0, remote_prob=0.5),
+     tuple(OrderingMode)),
+    ("event-ties", build_model("event-ties", **TIES), TIE_MODES),
+    ("coupled", build_model("event-ties", coupled=True, **TIES), TIE_MODES),
+    ("stress", build_model("event-ties-stress", n_lps=8, end_time=2, height=3,
+                           arity=2, remote_prob=0.5), TIE_MODES),
+    ("scripted-pair", ScriptedModel(), SCRIPT_MODES),
+    ("tie-pair", TiePairModel(3), SCRIPT_MODES),
+)
+
+
+@pytest.mark.parametrize("optimistic", (False, True), ids=("sequential", "optimistic"))
+@pytest.mark.parametrize("model,mode", [
+    pytest.param(model, mode, id=f"{name}-{mode.value}")
+    for name, model, modes in COMPLETING_RUNS for mode in modes])
+def test_runs_leave_no_cyclic_garbage(model, mode, optimistic):
+    # why a run may pause the collector: reference counting alone frees all
+    # that a completed run drops, rollbacks and anti-messages included
+    kernel = (OptimisticKernel(model, mode, 3, 4, chaos=ChaosConfig(1)) if optimistic
+              else SequentialKernel(model, mode, 3))
+    gc.collect()
+    kernel.run()
+    assert gc.collect() == 0
+
+
+class CollectorWatch:
+    """Wraps a model, recording whether the collector was enabled in each
+    handler call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.enabled = set()
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def handle(self, state, event, stream):
+        self.enabled.add(gc.isenabled())
+        return self.model.handle(state, event, stream)
+
+
+def paused_run_outcome(kernel, enabled: bool) -> tuple:
+    """(outcome, collector enabled after) of a run started with the collector
+    ``enabled``; the collector is enabled again when this returns."""
+    try:
+        if not enabled:
+            gc.disable()
+        return outcome(kernel), gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", (True, False), ids=("enabled", "disabled"))
+@pytest.mark.parametrize("optimistic", (False, True), ids=("sequential", "optimistic"))
+def test_run_pauses_the_collector_and_restores_it(enabled, optimistic):
+    # the collector is off in every handler call, and after the run it is
+    # as the caller left it: a caller that disabled it keeps it disabled
+    model = CollectorWatch(build_model("event-ties", **TIES))
+    kernel = (OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 4) if optimistic
+              else SequentialKernel(model, OrderingMode.LEX_SEQUENCE, 1))
+    result, after = paused_run_outcome(kernel, enabled)
+    assert "digest" in result
+    assert after is enabled
+    assert model.enabled == {False}
+
+
+@pytest.mark.parametrize("enabled", (True, False), ids=("enabled", "disabled"))
+def test_a_raising_run_restores_the_collector(enabled):
+    # a fault committed by the optimistic kernel, and a bad destination
+    # refused by the sequential kernel
+    fault = OptimisticKernel(StateFaultTies(**FAULT_PARAMS), OrderingMode.LEX_SEQUENCE,
+                             1, 4, seq_cap=3)
+    result, after = paused_run_outcome(fault, enabled)
+    assert result["error"].startswith("ModelFault: chain too deep")
+    assert after is enabled
+    bad = SequentialKernel(BadDestination(4), OrderingMode.LEX_SEQUENCE, 1)
+    result, after = paused_run_outcome(bad, enabled)
+    assert result["error"].startswith("ConfigError: LP 1 emitted an event to LP 4")
+    assert after is enabled
