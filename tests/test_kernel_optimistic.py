@@ -714,6 +714,49 @@ def test_seeds_at_time_zero_commit_in_both_kernels(mode):
         assert all(ev.zero_offset_depth == 0 for ev in trace.committed)
 
 
+class LateSeeds:
+    """Four LPs, each seeding one event inside the end time and one past it,
+    in that order; the early seed sends the next LP one child."""
+
+    name = "late-seeds"
+    n_lps = 4
+    end_time = 3.0
+
+    def initial_state(self, lp_id):
+        return ()
+
+    def seed_events(self, lp_id, stream):
+        return [Emit(lp_id, 1.0 + lp_id / 4, "early"), Emit(lp_id, 4.0, "late")]
+
+    def handle(self, state, event, stream):
+        emits = []
+        if event.payload == "early":
+            emits.append(Emit((event.dest_lp + 1) % self.n_lps, 0.5, "child"))
+        return state + ((event.source_lp, event.serial, event.payload),), emits
+
+    def final_value(self, state):
+        return state
+
+
+def test_seeds_past_the_end_time_take_a_serial_and_never_commit():
+    model, mode = LateSeeds(), OrderingMode.LEX_SEQUENCE
+    seq = SequentialKernel(model, mode, 1)
+    trace = seq.run()
+    assert all(ev.timestamp <= model.end_time for ev in trace.committed)
+    assert "late" not in {ev.payload for ev in trace.committed}
+    # each late seed took serial 1, so its LP's child has serial 2
+    assert sorted((ev.source_lp, ev.serial, ev.payload) for ev in trace.committed) \
+        == [(lp, serial, payload) for lp in range(4)
+            for serial, payload in ((0, "early"), (2, "child"))]
+    assert [rt.serial for rt in seq.lps] == [3] * 4
+    ref = outcome(SequentialKernel(model, mode, 1))
+    assert ref == {"digest": trace.digest()}
+    for workers in (2, 4):
+        for chaos in range(3):
+            opt = OptimisticKernel(model, mode, 1, workers, chaos=ChaosConfig(chaos))
+            assert outcome(opt) == ref, (workers, chaos)
+
+
 @pytest.mark.parametrize("mode, chain_length",
                          [(OrderingMode.LEX_SEQUENCE, 3), (OrderingMode.NAIVE, 1)])
 def test_tiebreaks_are_keyed_by_event_identity(mode, chain_length):
