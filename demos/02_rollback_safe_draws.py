@@ -10,9 +10,9 @@ the optimistic kernel roll an LP back without keeping draw logs.
 """
 
 from tiewarp import EventTiesModel, OrderingMode, run_sequential
-from tiewarp.rngstream import DrawStream, Purpose, derive_stream_key, draw_at
+from tiewarp.rngstream import DrawStream, draw_at, lp_keys, mix64
 
-stream = DrawStream(derive_stream_key(42, 7, Purpose.MODEL))
+stream = DrawStream(lp_keys(mix64(42), 7)[1])   # LP 7's (tie-break, model) keys
 
 first = [stream.draw() for _ in range(4)]
 print("model draws 0..3:", [hex(v)[:10] for v in first])
@@ -43,7 +43,7 @@ seed = 42
 trace = run_sequential(EventTiesModel(n_lps=4, end_time=3.0, chain_length=2),
                        OrderingMode.LEX_SEQUENCE, seed)
 for ev in trace.committed:
-    key = derive_stream_key(seed, ev.source_lp, Purpose.TIEBREAK)
+    key = lp_keys(mix64(seed), ev.source_lp)[0]
     assert ev.tiebreak[-1] == draw_at(key, ev.serial)
 ev = trace.committed[-1]
 print(f"event lp{ev.source_lp}#{ev.serial}: last tie-break",

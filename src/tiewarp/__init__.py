@@ -11,7 +11,6 @@ from .errors import (
     CausalityViolation,
     ConfigError,
     InsufficientSamples,
-    MalformedSignature,
     SequenceCapExceeded,
     TieWarpError,
     UnmatchedAntiMessage,
@@ -35,7 +34,7 @@ from .models import (
     StressModel,
     build_model,
 )
-from .rngstream import DrawStream, Purpose
+from .rngstream import DrawStream
 from .timebase import DEFAULT_SEQUENCE_CAP, MODE_NAMES, OrderingMode
 from .trace import Event, Trace
 
@@ -53,11 +52,9 @@ __all__ = [
     "InsufficientSamples",
     "MODE_NAMES",
     "MODEL_NAMES",
-    "MalformedSignature",
     "OptimisticKernel",
     "OrderingMode",
     "PholdModel",
-    "Purpose",
     "RunSpec",
     "SequenceCapExceeded",
     "SequentialKernel",

@@ -1,4 +1,4 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the one check of a count."""
 
 
 class TieWarpError(Exception):
@@ -7,10 +7,6 @@ class TieWarpError(Exception):
 
 class ConfigError(TieWarpError):
     """Invalid run configuration (bad model parameters, mode mismatch, ...)."""
-
-
-class MalformedSignature(TieWarpError):
-    """A time signature does not satisfy the shape required by its mode."""
 
 
 class ZeroOffsetForbidden(ConfigError):
@@ -31,3 +27,20 @@ class UnmatchedAntiMessage(TieWarpError):
 
 class InsufficientSamples(ConfigError):
     """Fairness statistics requested with too few seeds."""
+
+
+# Seeds are hashed as 64-bit words, so a seed outside [0, WORD_LIMIT)
+# would run as the seed it equals modulo 2**64. Tie-break draws are 64-bit
+# words too, written as fixed-width hex fields, so a forced one must be one.
+WORD_LIMIT = 2 ** 64
+
+
+def check_count(name: str, value, minimum: int, limit: int | None = None) -> None:
+    """Refuse a count that is not an int in ``[minimum, limit)``, with a
+    ``ConfigError``; a bool is not a count, as in ``RunSpec``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+    if limit is not None and value >= limit:
+        raise ConfigError(f"{name} must be < {limit}")

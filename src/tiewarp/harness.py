@@ -16,14 +16,14 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
-from .errors import ConfigError, InsufficientSamples
+from .errors import WORD_LIMIT, ConfigError, InsufficientSamples, check_count
 from .kernel_optimistic import (
     DEFAULT_GVT_INTERVAL,
     DEFAULT_MAX_DELAY,
     ChaosConfig,
     OptimisticKernel,
 )
-from .kernel_seq import WORD_LIMIT, SequentialKernel, check_count, run_sequential
+from .kernel_seq import SequentialKernel, run_sequential
 from .models import MODELS, build_model, model_class
 from .scenarios import TiePairModel
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
@@ -218,11 +218,11 @@ def fairness_expected(mode: OrderingMode | str, depth: int) -> float | None:
 
 def run_fairness(mode_name: str, depth: int, samples: int,
                  base_seed: int = 0) -> FairnessReport:
+    check_count("samples", samples, 0)
     if samples < 100:
         raise InsufficientSamples(
             f"{samples} samples cannot resolve the target interval; need >= 100")
-    if depth < 0:
-        raise ConfigError(f"depth must be >= 0, got {depth}")
+    check_count("depth", depth, 0)
     mode = OrderingMode.from_name(mode_name)
     expected = fairness_expected(mode, depth)
     if expected is None:

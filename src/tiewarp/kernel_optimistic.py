@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
 
-from .errors import CausalityViolation, UnmatchedAntiMessage
-from .kernel_seq import (WORD_LIMIT, LpRuntime, build_event, check_count,
-                         collector_paused, make_lps, seed_initial_events)
-from .rngstream import DrawStream, Purpose, derive_stream_key
+from .errors import WORD_LIMIT, CausalityViolation, UnmatchedAntiMessage, check_count
+from .kernel_seq import (LpRuntime, build_event, collector_paused, make_lps,
+                         seed_initial_events)
+from .rngstream import DrawStream, lp_keys, mix64
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, format_signature
 from .timebase import sort_key  # noqa: F401  (looked up by perfbench's layer tracer)
 from .trace import Event, Trace
@@ -90,15 +90,6 @@ class ProcessedEntry:
         rt.serial = self.serial
 
 
-def _decrement(counts: dict, key) -> None:
-    """Take one from a positive count, deleting the entry when it reaches 0."""
-    n = counts[key] - 1
-    if n:
-        counts[key] = n
-    else:
-        del counts[key]
-
-
 class Transport:
     """Per-PE inboxes of ``(due step, send seq, event, anti)`` entries, an
     anti-message being the event itself; every send is delayed
@@ -134,7 +125,7 @@ class Transport:
 
 
 class PeRuntime:
-    """One processing element: its LPs, their histories, one pending heap.
+    """One processing element: its LPs' histories and one pending heap.
 
     Each LP has its own processed history in ``histories``: a stack in
     processing order, and so in ascending key order, whose top is the LP's
@@ -171,7 +162,6 @@ class PeRuntime:
         self.kernel = kernel
         # this PE's transport inbox: step delivers only when its top is due
         self.inbox = kernel.transport.inboxes[pe_id]
-        self.lps = {}
         self.pending: list = []
         self.push_seq = 0
         self.pending_counts: dict = {}
@@ -217,7 +207,11 @@ class PeRuntime:
             else:
                 del counts[m]
             if m in kill_marks:
-                _decrement(kill_marks, m)
+                n = kill_marks[m] - 1
+                if n:
+                    kill_marks[m] = n
+                else:
+                    del kill_marks[m]
                 continue
             return top
         return None
@@ -252,7 +246,7 @@ class PeRuntime:
         then send each remote child's anti-message, in emit order."""
         kernel = self.kernel
         ev = entry.event
-        entry.restore(self.lps[ev.dest_lp])
+        entry.restore(kernel.lps[ev.dest_lp])
         self.rolled_back_events += 1
         if entry.fault is not None:
             kernel.live_faults -= 1
@@ -347,7 +341,7 @@ class PeRuntime:
             self.rollbacks += 1
             # undoes only keys above the straggler's, never the straggler
             self.rollback_past(lp_id, ev.key, now)
-        rt = self.lps[lp_id]
+        rt = kernel.lps[lp_id]
         entry = ProcessedEntry(ev, rt)
         try:
             new_state, emits = kernel.model.handle(rt.state, ev, rt.model_stream)
@@ -411,17 +405,14 @@ class OptimisticKernel:
         self.seq_cap = seq_cap
         self.end_time = model.end_time
         self.n_lps = model.n_lps
-        self.chaos = DrawStream(derive_stream_key(chaos.chaos_seed, _CHAOS_SALT,
-                                                  Purpose.MODEL))
+        self.chaos = DrawStream(lp_keys(mix64(chaos.chaos_seed), _CHAOS_SALT)[1])
         self.transport = Transport(n_workers, self.chaos, chaos.max_delay)
         self.pes = [PeRuntime(i, self) for i in range(n_workers)]
         # the owning PE of each LP id: the one statement of the partition
         self.lp_pe = [lp_id % n_workers for lp_id in range(self.n_lps)]
-        lps = make_lps(model, global_seed, self.lp_pe)
-        for rt in lps:
-            self.pes[rt.pe_id].lps[rt.lp_id] = rt
+        self.lps = make_lps(model, global_seed, self.lp_pe)
+        for rt in self.lps:
             self.pes[rt.pe_id].histories[rt.lp_id] = deque()
-        self._all_lps = lps
         self.global_processed = 0
         self.annihilations = 0
         self.gvt_rounds = 0
@@ -506,10 +497,7 @@ class OptimisticKernel:
         return self._drive()
 
     def _seed(self) -> None:
-        for ev in seed_initial_events(self.model, self._all_lps, self.mode,
-                                      self.seq_cap):
-            if ev.timestamp > self.end_time:
-                continue
+        for ev in seed_initial_events(self.model, self.lps, self.mode, self.seq_cap):
             # a seed is enqueued on its PE directly, never sent
             ev.match = id(ev)
             self.pes[self.lp_pe[ev.dest_lp]].enqueue_positive(ev)
@@ -559,8 +547,7 @@ class OptimisticKernel:
                 self._commit_epoch(committed)
         self._commit_epoch(committed)
         self._check_quiescent()
-        finals = {rt.lp_id: self.model.final_value(rt.state)
-                  for rt in self._all_lps}
+        finals = {rt.lp_id: self.model.final_value(rt.state) for rt in self.lps}
         return Trace(committed=committed, final_states=finals)
 
     def _check_quiescent(self) -> None:

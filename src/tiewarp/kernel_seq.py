@@ -14,7 +14,7 @@ from functools import wraps
 from heapq import heappop, heappush
 from operator import index
 
-from .errors import CausalityViolation, ConfigError
+from .errors import WORD_LIMIT, CausalityViolation, ConfigError, check_count
 from .models import Emit
 from .rngstream import DrawStream, draw_at, lp_keys, mix64
 from .timebase import (
@@ -115,23 +115,6 @@ def build_event(
     return ev
 
 
-# Seeds are hashed as 64-bit words, so a seed outside [0, WORD_LIMIT)
-# would run as the seed it equals modulo 2**64. Tie-break draws are 64-bit
-# words too, written as fixed-width hex fields, so a forced one must be one.
-WORD_LIMIT = 2 ** 64
-
-
-def check_count(name: str, value, minimum: int, limit: int | None = None) -> None:
-    """Refuse a kernel argument that is not an int in ``[minimum, limit)``;
-    a bool is not a count, as in ``RunSpec``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}")
-    if limit is not None and value >= limit:
-        raise ConfigError(f"{name} must be < {limit}")
-
-
 def make_lps(model, global_seed: int, lp_pe=None) -> list[LpRuntime]:
     """Instantiate all LP runtimes; ``lp_pe[lp_id]`` is the LP's owning PE.
 
@@ -149,11 +132,14 @@ def make_lps(model, global_seed: int, lp_pe=None) -> list[LpRuntime]:
 
 def seed_initial_events(model, lps: list[LpRuntime], mode: OrderingMode,
                         seq_cap: int) -> list[Event]:
-    """Build every LP's seed events, each at its offset from time zero."""
+    """Build every LP's seed events, each at its offset from time zero; a
+    seed past the end time takes its serial, and is then dropped."""
     events = []
     for rt in lps:
         for emit in model.seed_events(rt.lp_id, rt.model_stream):
-            events.append(build_event(rt, None, emit, mode, seq_cap, model.n_lps))
+            ev = build_event(rt, None, emit, mode, seq_cap, model.n_lps)
+            if ev.timestamp <= model.end_time:
+                events.append(ev)
     return events
 
 
@@ -223,10 +209,8 @@ class SequentialKernel:
         seq = 0
         committed: list[Event] = []
         for ev in seed_initial_events(model, lps, mode, seq_cap):
-            timestamp = ev.timestamp
-            if timestamp <= end_time:
-                heappush(heap, (timestamp, ev.key, seq, ev))
-                seq += 1
+            heappush(heap, (ev.timestamp, ev.key, seq, ev))
+            seq += 1
         peak_pending = 0
         while heap:
             if len(heap) > peak_pending:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .rngstream import DrawStream
 
 
@@ -58,7 +58,8 @@ class _BuiltinModel:
     Each built-in model is a frozen dataclass whose fields are its
     parameters, declared once with their defaults; ``build_model`` and
     ``RunSpec.model_params`` read those fields. The kernels read ``n_lps``
-    and ``end_time`` from the model.
+    and ``end_time`` from the model. Counts (``n_lps``, ``chain_length``,
+    ``height``, ``arity``) must be ints, and a bool is not one.
     """
 
     n_lps: int
@@ -66,8 +67,7 @@ class _BuiltinModel:
     end_time: float = 10.0
 
     def __post_init__(self):
-        if self.n_lps < 1:
-            raise ConfigError(f"{self.name} needs at least one LP")
+        check_count("n_lps", self.n_lps, 1)
         if not 0.0 <= self.remote_prob <= 1.0:
             raise ConfigError(f"remote_prob {self.remote_prob} outside [0,1]")
         # no timestamp compares greater than NaN, so a NaN end never ends
@@ -135,8 +135,7 @@ class EventTiesModel(_BuiltinModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.chain_length < 1:
-            raise ConfigError("chain_length must be >= 1")
+        check_count("chain_length", self.chain_length, 1)
         if self.end_time != int(self.end_time):
             raise ConfigError("event-ties end_time must be a positive integer")
 
@@ -188,10 +187,8 @@ class StressModel(_BuiltinModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.height < 0:
-            raise ConfigError("tree height must be >= 0")
-        if self.arity < 1:
-            raise ConfigError("tree arity must be >= 1")
+        check_count("height", self.height, 0)
+        check_count("arity", self.arity, 1)
         if self.end_time != int(self.end_time):
             raise ConfigError("stress end_time must be a positive integer")
 

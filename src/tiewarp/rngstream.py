@@ -8,8 +8,8 @@ its event's identity, so rollback restores nothing for it; the model stream
 is a key plus a cursor, and rolling it back restores the cursor. The mixing
 function is the splitmix64 finalizer over ``key + (i + 1) * GAMMA``; keys
 are hashed from ``(global_seed, lp_id, purpose)`` through the same mixer,
-along one chain: a kernel hashes its seed once and each LP id once, mixes
-the pair once, then mixes in each purpose's constant hash.
+along one chain, ``lp_keys``: a kernel hashes its seed once and each LP id
+once, mixes the pair once, then mixes in each purpose's constant hash.
 
 A stream evaluates its draws a block at a time, as counter-based generators
 are meant to be: ``draw_block`` mixes eight consecutive counters in one pass
@@ -24,7 +24,6 @@ digest can never silently mix outputs of different generators.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from array import array
@@ -40,11 +39,6 @@ _LP_SALT = 0x632BE59BD9B4E019
 _PURPOSE_SALT = 0xD6E8FEB86659FD93
 
 
-class Purpose(enum.IntEnum):
-    TIEBREAK = 1
-    MODEL = 2
-
-
 def mix64(z: int) -> int:
     """splitmix64 finalizer: a 64-bit avalanche permutation."""
     z &= _MASK64
@@ -53,9 +47,10 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# each purpose's hash, mixed into an LP's (seed, LP) hash to give its key
-_TIEBREAK_HASH = mix64(Purpose.TIEBREAK * _PURPOSE_SALT)
-_MODEL_HASH = mix64(Purpose.MODEL * _PURPOSE_SALT)
+# each purpose's hash, tie-break 1 and model 2, mixed into an LP's
+# (seed, LP) hash to give its key
+_TIEBREAK_HASH = mix64(1 * _PURPOSE_SALT)
+_MODEL_HASH = mix64(2 * _PURPOSE_SALT)
 
 
 def lp_keys(seed_hash: int, lp_id: int) -> tuple[int, int]:
@@ -63,12 +58,6 @@ def lp_keys(seed_hash: int, lp_id: int) -> tuple[int, int]:
     four finalizers, for the LP id, the (seed, LP) pair and each purpose."""
     k = mix64(seed_hash ^ mix64(lp_id + _LP_SALT))
     return mix64(k ^ _TIEBREAK_HASH), mix64(k ^ _MODEL_HASH)
-
-
-def derive_stream_key(global_seed: int, lp_id: int, purpose: Purpose) -> int:
-    """Hash (global_seed, lp_id, purpose) into an independent stream key."""
-    tiebreak, model = lp_keys(mix64(global_seed), lp_id)
-    return tiebreak if Purpose(purpose) is Purpose.TIEBREAK else model
 
 
 # draw_block's lanes: eight 128-bit slots of one int, each wide enough for

@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import enum
 import operator
+from typing import NamedTuple
 
-from .errors import ConfigError, MalformedSignature, SequenceCapExceeded, ZeroOffsetForbidden
+from .errors import ConfigError, SequenceCapExceeded, ZeroOffsetForbidden
 
 DEFAULT_SEQUENCE_CAP = 64
 
@@ -80,36 +81,17 @@ class OrderingMode(enum.Enum):
 MODE_NAMES = tuple(mode.value for mode in OrderingMode)
 
 
-class TimeSignature:
-    """Virtual timestamp plus ordered tie-break draws.
+class TimeSignature(NamedTuple):
+    """Virtual timestamp plus ordered tie-break draws, as a plain record.
 
     ``tiebreak`` is empty in NONE and BIASED_RULESET modes (those modes do
     not consume draws), holds exactly one value in UNBIASED_SINGLE, ADDITIVE
     and NAIVE, and one value per zero-offset ancestor plus one in
-    LEX_SEQUENCE.
-
-    Signatures are values: they compare and hash by content, and nothing
-    assigns to one after it is built; an event copies its two fields.
+    LEX_SEQUENCE. The kernels build none: an event carries the two fields.
     """
 
-    __slots__ = ("timestamp", "tiebreak")
-
-    def __init__(self, timestamp: float, tiebreak: tuple = ()):
-        if timestamp < 0:
-            raise MalformedSignature(f"negative timestamp {timestamp}")
-        self.timestamp = float(timestamp)
-        self.tiebreak = tuple(tiebreak)
-
-    def __eq__(self, other):
-        if other.__class__ is not TimeSignature:
-            return NotImplemented
-        return self.timestamp == other.timestamp and self.tiebreak == other.tiebreak
-
-    def __hash__(self):
-        return hash((self.timestamp, self.tiebreak))
-
-    def __repr__(self):
-        return f"TimeSignature(timestamp={self.timestamp!r}, tiebreak={self.tiebreak!r})"
+    timestamp: float
+    tiebreak: tuple = ()
 
 
 def derive_child_signature(
@@ -121,17 +103,16 @@ def derive_child_signature(
 ) -> tuple[float, tuple]:
     """``(timestamp, tiebreak)`` of an event created ``offset`` after ``parent``.
 
-    Returns the plain pair, not a ``TimeSignature``: the kernels derive one
-    per built event and copy both fields into the ``Event``. A child at a
-    new timestamp starts a fresh signature, its draw alone; so does a seed
-    (``parent`` None) at time ``offset``. A child simultaneous with its
-    parent (a zero offset, or one float rounding absorbs) extends it:
-    LEX_SEQUENCE appends the draw, ADDITIVE adds it to the parent's single
-    value (Python ints, so deep chains cannot wrap), and UNBIASED_SINGLE
-    rejects the creation outright. Either way the result orders strictly
-    after the parent under ``sort_key``. NAIVE is the broken scheme the
-    others replace: its simultaneous child also stands alone on a fresh
-    draw, which can order it before its parent.
+    The kernels derive one pair per built event and copy both fields into
+    the ``Event``. A child at a new timestamp starts a fresh signature, its
+    draw alone; so does a seed (``parent`` None) at time ``offset``. A child
+    simultaneous with its parent (a zero offset, or one float rounding
+    absorbs) extends it: LEX_SEQUENCE appends the draw, ADDITIVE adds it to
+    the parent's single value (Python ints, so deep chains cannot wrap), and
+    UNBIASED_SINGLE rejects the creation outright. Either way the result
+    orders strictly after the parent under ``sort_key``. NAIVE is the broken
+    scheme the others replace: its simultaneous child also stands alone on a
+    fresh draw, which can order it before its parent.
     """
     if not offset >= 0:  # NaN fails every comparison
         raise ValueError(f"offset {offset} is negative or NaN")

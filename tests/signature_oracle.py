@@ -7,12 +7,16 @@ against it. A signature is anything with ``timestamp`` and ``tiebreak``: a
 ``TimeSignature`` or an ``Event``.
 """
 
-from tiewarp.errors import MalformedSignature
+from tiewarp.errors import TieWarpError
 from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode
 
 LESS = -1
 EQUAL = 0
 GREATER = 1
+
+
+class MalformedSignature(TieWarpError):
+    """A signature does not have the shape its mode requires."""
 
 
 def _check_shape(sig, mode: OrderingMode, cap: int) -> None:

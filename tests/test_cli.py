@@ -699,6 +699,20 @@ def test_readme_cli_commands_parse(argv):
     assert args.command == argv[0]
 
 
+def readme_python_blocks():
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+
+
+@pytest.mark.parametrize("block", readme_python_blocks())
+def test_readme_python_blocks_run(block):
+    # each block runs on its own, so a renamed or removed name fails here
+    exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_readme_has_a_python_block():
+    assert readme_python_blocks()
+
+
 def test_readme_mode_table_lists_every_mode():
     section = re.search(r"## Ordering modes\n(.*?)\n## ", README.read_text(), re.S)
     rows = re.findall(r"^\| `([^`]+)` \|", section.group(1), re.M)

@@ -215,6 +215,18 @@ def test_run_fairness_input_validation():
             run_fairness("naive", depth, 500)
 
 
+@pytest.mark.parametrize("argument, value", (
+    ("depth", 1.5), ("depth", True), ("depth", "1"),
+    ("samples", 100.5), ("samples", True), ("samples", "200"), ("samples", 150.0),
+))
+def test_run_fairness_refuses_non_integer_counts(argument, value):
+    # a float depth names no chain event, and a bool would run as 1
+    args = {"depth": 1, "samples": 200, argument: value}
+    with pytest.raises(ConfigError, match=f"^{argument} must be an integer, got ") as info:
+        run_fairness("lex", **args)
+    assert type(info.value) is ConfigError
+
+
 def test_run_fairness_lex_balanced():
     report = run_fairness("lex", 1, 200)
     assert report.expected == 0.5

@@ -19,7 +19,7 @@ from tiewarp.kernel_optimistic import (DEFAULT_GVT_INTERVAL, DEFAULT_MAX_DELAY,
                                        ChaosConfig, OptimisticKernel, PeRuntime)
 from tiewarp.kernel_seq import SequentialKernel, run_sequential
 from tiewarp.models import Emit, EventTiesModel, PholdModel, build_model
-from tiewarp.rngstream import Purpose, derive_stream_key, draw_at
+from tiewarp.rngstream import draw_at, lp_keys, mix64
 from tiewarp.scenarios import ScriptedModel, TiePairModel, committed_names, SCRIPT_LEX_ORDER
 from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode
 from tiewarp.trace import Event, first_divergence
@@ -369,7 +369,7 @@ class Clockwork:
 
 
 def lp_snapshot(pe, lp_id):
-    rt = pe.lps[lp_id]
+    rt = pe.kernel.lps[lp_id]
     return (list(pe.histories[lp_id]), rt.state, rt.model_stream.cursor, rt.serial)
 
 
@@ -771,7 +771,7 @@ def test_tiebreaks_are_keyed_by_event_identity(mode, chain_length):
     assert kernel.metrics()["rolled_back"] > 10
     seq = run_sequential(model, mode, seed)
     for ev in seq.committed + opt.committed:
-        key = derive_stream_key(seed, ev.source_lp, Purpose.TIEBREAK)
+        key = lp_keys(mix64(seed), ev.source_lp)[0]
         assert ev.tiebreak[-1] == draw_at(key, ev.serial)
     assert opt.digest() == seq.digest()
 

@@ -3,6 +3,7 @@
 import inspect
 import math
 import random
+from typing import get_type_hints
 
 import pytest
 
@@ -11,6 +12,7 @@ from tiewarp.kernel_seq import run_sequential
 from tiewarp.models import (
     Emit,
     EventTiesModel,
+    MODELS,
     MODEL_NAMES,
     MeanState,
     PholdModel,
@@ -18,7 +20,7 @@ from tiewarp.models import (
     build_model,
     stress_tree_node_count,
 )
-from tiewarp.rngstream import DrawStream, Purpose, derive_stream_key
+from tiewarp.rngstream import DrawStream, lp_keys, mix64
 from tiewarp.timebase import OrderingMode
 from tiewarp.trace import Event
 
@@ -82,6 +84,29 @@ def test_ties_config_validation():
         build_model("no-such-model", n_lps=2)
 
 
+# every model paired with each of its int-typed fields
+INT_FIELDS = [(name, field) for name, cls in MODELS.items()
+              for field, hint in get_type_hints(cls).items() if hint is int]
+
+
+def test_int_fields_are_the_counts():
+    assert sorted(INT_FIELDS) == [
+        ("event-ties", "chain_length"), ("event-ties", "n_lps"),
+        ("event-ties-stress", "arity"), ("event-ties-stress", "height"),
+        ("event-ties-stress", "n_lps"), ("phold", "n_lps")]
+
+
+@pytest.mark.parametrize("value", (2.5, True, "3"), ids=("float", "bool", "str"))
+@pytest.mark.parametrize("name, field", INT_FIELDS)
+def test_models_refuse_non_integer_counts(name, field, value):
+    # a float chain length never ends its chain, and a bool would run as 1
+    params = {"n_lps": 2, "end_time": 2.0, field: value}
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+        build_model(name, **params)
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+        MODELS[name](**params)
+
+
 def test_build_model_rejects_undeclared_and_missing_parameters():
     with pytest.raises(ConfigError, match="chain_length"):
         build_model("phold", n_lps=2, chain_length=3)
@@ -91,7 +116,7 @@ def test_build_model_rejects_undeclared_and_missing_parameters():
 
 def test_phold_handler_contract():
     model = PholdModel(n_lps=8, remote_prob=0.3)
-    stream = DrawStream(derive_stream_key(3, 2, Purpose.MODEL))
+    stream = DrawStream(lp_keys(mix64(3), 2)[1])
     remote = 0
     n = 20_000
     for _ in range(n):
@@ -107,7 +132,7 @@ def test_phold_handler_contract():
 
 def test_phold_never_emits_remote_at_prob_zero():
     model = PholdModel(n_lps=8, remote_prob=0.0)
-    stream = DrawStream(derive_stream_key(3, 5, Purpose.MODEL))
+    stream = DrawStream(lp_keys(mix64(3), 5)[1])
     for _ in range(500):
         _, emits = model.handle(None, make_event(5, None), stream)
         assert emits[0].dest_lp == 5
@@ -115,7 +140,7 @@ def test_phold_never_emits_remote_at_prob_zero():
 
 def test_ties_chain_offsets():
     model = EventTiesModel(n_lps=4, remote_prob=0.0, chain_length=3)
-    stream = DrawStream(derive_stream_key(9, 1, Purpose.MODEL))
+    stream = DrawStream(lp_keys(mix64(9), 1)[1])
     # depths 0 and 1 continue the chain at zero offset; depth 2 breaks it
     for depth, want_offset in ((0, 0.0), (1, 0.0), (2, 1.0)):
         _, emits = model.handle(MeanState(), make_event(1, 50, depth=depth), stream)
@@ -125,7 +150,7 @@ def test_ties_chain_offsets():
 
 def test_ties_chain_length_one_never_zero_offset():
     model = EventTiesModel(n_lps=4, chain_length=1)
-    stream = DrawStream(derive_stream_key(9, 0, Purpose.MODEL))
+    stream = DrawStream(lp_keys(mix64(9), 0)[1])
     for _ in range(200):
         _, emits = model.handle(MeanState(), make_event(0, 10, depth=0), stream)
         assert emits[0].offset == 1.0
@@ -133,14 +158,14 @@ def test_ties_chain_length_one_never_zero_offset():
 
 def test_ties_folds_payload_into_state():
     model = EventTiesModel(n_lps=4)
-    stream = DrawStream(derive_stream_key(9, 2, Purpose.MODEL))
+    stream = DrawStream(lp_keys(mix64(9), 2)[1])
     state, _ = model.handle(MeanState(40.0), make_event(2, 60), stream)
     assert state.mean_val == 50.0
 
 
 def test_ties_coupled_routing_follows_state():
     model = EventTiesModel(n_lps=5, remote_prob=1.0, coupled=True)
-    stream = DrawStream(derive_stream_key(9, 3, Purpose.MODEL))
+    stream = DrawStream(lp_keys(mix64(9), 3)[1])
     state, emits = model.handle(MeanState(24.0), make_event(3, 40), stream)
     # new mean is 32.0; destination is floor(32) mod 5 = 2
     assert state.mean_val == 32.0
@@ -156,7 +181,7 @@ def test_stress_node_count_formula_matches_brute_force():
 
 def test_stress_handler_fanout_and_leaf_rule():
     model = StressModel(n_lps=4, remote_prob=0.0, height=2, arity=3)
-    stream = DrawStream(derive_stream_key(9, 1, Purpose.MODEL))
+    stream = DrawStream(lp_keys(mix64(9), 1)[1])
     # interior node: arity children, zero offset, descendant sums +0..+2
     _, emits = model.handle(MeanState(), make_event(1, (50, 1, 4)), stream)
     assert len(emits) == 3

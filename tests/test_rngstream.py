@@ -1,5 +1,6 @@
 """Counter-mode draw streams: purity, rollback, statistical quality."""
 
+import enum
 import math
 import random
 
@@ -16,8 +17,6 @@ from tiewarp.rngstream import (
     _MIX1,
     _MIX2,
     DrawStream,
-    Purpose,
-    derive_stream_key,
     draw_at,
     draw_block,
     lp_keys,
@@ -39,9 +38,16 @@ def to_unit_interval(value: int) -> float:
     return (value >> 12) * 2.0**-52 + 2.0**-53
 
 
+class Purpose(enum.IntEnum):
+    """What a key is for: the number the oracle hashes as its purpose."""
+
+    TIEBREAK = 1
+    MODEL = 2
+
+
 def oracle_stream_key(global_seed: int, lp_id: int, purpose: int) -> int:
-    """Oracle of ``derive_stream_key``: the key of one (seed, LP, purpose),
-    hashed along its own chain, with no hash shared between keys."""
+    """Oracle of ``lp_keys``: the key of one (seed, LP, purpose), hashed
+    along its own chain, with no hash shared between keys."""
     k = mix64(global_seed)
     k = mix64(k ^ mix64(lp_id + 0x632BE59BD9B4E019))
     k = mix64(k ^ mix64(int(purpose) * 0xD6E8FEB86659FD93))
@@ -64,7 +70,7 @@ def test_mix64_is_injective_on_sample():
 
 
 def test_draw_at_is_pure():
-    key = derive_stream_key(42, 3, Purpose.TIEBREAK)
+    key = oracle_stream_key(42, 3, Purpose.TIEBREAK)
     first = [draw_at(key, i) for i in range(100)]
     # interleave accesses in a scrambled order; values must not care
     order = list(range(100))
@@ -74,7 +80,7 @@ def test_draw_at_is_pure():
 
 
 def test_stream_matches_indexed_draws():
-    key = derive_stream_key(7, 0, Purpose.MODEL)
+    key = oracle_stream_key(7, 0, Purpose.MODEL)
     stream = DrawStream(key)
     assert [stream.draw() for _ in range(50)] == [draw_at(key, i) for i in range(50)]
     assert stream.cursor == 50
@@ -95,7 +101,7 @@ def test_vectorized_draws_bit_equal_to_scalar():
 def test_snapshot_restore_fuzz():
     # Oracle: the stream at cursor c must always produce draw_at(key, c).
     rng = random.Random(0xF00D)
-    key = derive_stream_key(9, 4, Purpose.TIEBREAK)
+    key = oracle_stream_key(9, 4, Purpose.TIEBREAK)
     stream = DrawStream(key)
     snapshots = [stream.cursor]
     for _ in range(5000):
@@ -116,8 +122,7 @@ def test_stream_keys_distinct_across_lps_seeds_purposes():
     keys = set()
     for seed in range(8):
         for lp in range(64):
-            for purpose in (Purpose.TIEBREAK, Purpose.MODEL):
-                keys.add(derive_stream_key(seed, lp, purpose))
+            keys.update(lp_keys(mix64(seed), lp))
     assert len(keys) == 8 * 64 * 2
 
 
@@ -131,12 +136,8 @@ def test_derived_keys_match_the_oracle(seed):
     # the shared chain gives every key its unshared derivation, bit for bit
     for lp in KEY_LPS:
         tiebreak, model = lp_keys(mix64(seed), lp)
-        assert tiebreak == derive_stream_key(seed, lp, Purpose.TIEBREAK) \
-            == oracle_stream_key(seed, lp, Purpose.TIEBREAK)
-        assert model == derive_stream_key(seed, lp, Purpose.MODEL) \
-            == oracle_stream_key(seed, lp, Purpose.MODEL)
-    with pytest.raises(ValueError):
-        derive_stream_key(seed, 0, 3)
+        assert tiebreak == oracle_stream_key(seed, lp, Purpose.TIEBREAK)
+        assert model == oracle_stream_key(seed, lp, Purpose.MODEL)
 
 
 def kernel_lps(seed: int) -> dict:
@@ -144,7 +145,7 @@ def kernel_lps(seed: int) -> dict:
     model = build_model("phold", n_lps=1024, end_time=1.0)
     mode = OrderingMode.LEX_SEQUENCE
     return {"sequential": SequentialKernel(model, mode, seed).lps,
-            "optimistic": OptimisticKernel(model, mode, seed, 3)._all_lps}
+            "optimistic": OptimisticKernel(model, mode, seed, 3).lps}
 
 
 def lp_key_pairs(lps) -> list:
@@ -154,8 +155,8 @@ def lp_key_pairs(lps) -> list:
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 def test_kernels_give_every_lp_its_derived_keys(seed):
     # LPs 0, 1 and 1023 among them; LP 2**20 is pinned through lp_keys above
-    want = [(derive_stream_key(seed, lp, Purpose.TIEBREAK),
-             derive_stream_key(seed, lp, Purpose.MODEL)) for lp in range(1024)]
+    want = [(oracle_stream_key(seed, lp, Purpose.TIEBREAK),
+             oracle_stream_key(seed, lp, Purpose.MODEL)) for lp in range(1024)]
     for name, lps in kernel_lps(seed).items():
         assert [rt.lp_id for rt in lps] == list(range(1024)), name
         assert lp_key_pairs(lps) == want, name
@@ -191,7 +192,7 @@ def test_unit_interval_is_open_and_monotone():
 
 def test_uniformity_chi_square():
     # 256 equal-width bins over 2**64; fail only below the 1% point.
-    key = derive_stream_key(2024, 0, Purpose.TIEBREAK)
+    key = oracle_stream_key(2024, 0, Purpose.TIEBREAK)
     draws = draws_array(key, 0, 200_000)
     bins = (draws >> np.uint64(56)).astype(np.int64)
     counts = np.bincount(bins, minlength=256)
@@ -200,7 +201,7 @@ def test_uniformity_chi_square():
 
 
 def test_low_bits_uniform_too():
-    key = derive_stream_key(2025, 1, Purpose.MODEL)
+    key = oracle_stream_key(2025, 1, Purpose.MODEL)
     draws = draws_array(key, 0, 200_000)
     counts = np.bincount((draws & np.uint64(0xFF)).astype(np.int64), minlength=256)
     _, p_value = stats.chisquare(counts)
@@ -209,11 +210,11 @@ def test_low_bits_uniform_too():
 
 def test_cross_stream_correlation_negligible():
     n = 100_000
-    a = draws_array(derive_stream_key(5, 0, Purpose.TIEBREAK), 0, n)
+    a = draws_array(oracle_stream_key(5, 0, Purpose.TIEBREAK), 0, n)
     pairs = [
-        draws_array(derive_stream_key(5, 1, Purpose.TIEBREAK), 0, n),  # next LP
-        draws_array(derive_stream_key(5, 0, Purpose.MODEL), 0, n),     # other purpose
-        draws_array(derive_stream_key(6, 0, Purpose.TIEBREAK), 0, n),  # next seed
+        draws_array(oracle_stream_key(5, 1, Purpose.TIEBREAK), 0, n),  # next LP
+        draws_array(oracle_stream_key(5, 0, Purpose.MODEL), 0, n),     # other purpose
+        draws_array(oracle_stream_key(6, 0, Purpose.TIEBREAK), 0, n),  # next seed
     ]
     ua = a.astype(np.float64)
     for b in pairs:
@@ -223,18 +224,18 @@ def test_cross_stream_correlation_negligible():
 
 
 def test_randint_bounds_and_coverage():
-    stream = DrawStream(derive_stream_key(11, 2, Purpose.MODEL))
+    stream = DrawStream(oracle_stream_key(11, 2, Purpose.MODEL))
     seen = set()
     for _ in range(2000):
         v = stream.randint(3, 9)
         assert 3 <= v <= 9
         seen.add(v)
     assert seen == set(range(3, 10))
-    assert DrawStream(derive_stream_key(11, 3, Purpose.MODEL)).randint(5, 5) == 5
+    assert DrawStream(oracle_stream_key(11, 3, Purpose.MODEL)).randint(5, 5) == 5
 
 
 def test_exponential_positive_with_correct_mean():
-    stream = DrawStream(derive_stream_key(77, 0, Purpose.MODEL))
+    stream = DrawStream(oracle_stream_key(77, 0, Purpose.MODEL))
     n = 100_000
     mean = 2.5
     values = [stream.exponential(mean) for _ in range(n)]
@@ -248,7 +249,7 @@ def test_exponential_positive_with_correct_mean():
 
 def test_functional_exponential_matches_stream():
     # the stream's exponential is the inverse CDF of the indexed draw, bit for bit
-    key = derive_stream_key(77, 1, Purpose.MODEL)
+    key = oracle_stream_key(77, 1, Purpose.MODEL)
     stream = DrawStream(key)
     for i in range(100):
         want = -1.5 * math.log1p(-to_unit_interval(draw_at(key, i)))
@@ -258,7 +259,7 @@ def test_functional_exponential_matches_stream():
 
 def test_functional_uniform_matches_stream():
     # uniform() is to_unit_interval of the indexed draw, bit for bit
-    key = derive_stream_key(77, 2, Purpose.MODEL)
+    key = oracle_stream_key(77, 2, Purpose.MODEL)
     stream = DrawStream(key)
     for i in range(100):
         assert stream.uniform() == to_unit_interval(draw_at(key, i))
@@ -282,7 +283,7 @@ def test_draw_at_matches_stream_at_extreme_keys_and_indices():
 
 
 def test_pick_other_excludes_self_and_covers_rest():
-    stream = DrawStream(derive_stream_key(13, 5, Purpose.MODEL))
+    stream = DrawStream(oracle_stream_key(13, 5, Purpose.MODEL))
     n_lps = 8
     counts = {i: 0 for i in range(n_lps) if i != 5}
     for _ in range(7000):
@@ -292,10 +293,10 @@ def test_pick_other_excludes_self_and_covers_rest():
     # each of the 7 others expects 1000 hits; demand rough balance
     assert min(counts.values()) > 800
     assert max(counts.values()) < 1200
-    assert DrawStream(derive_stream_key(13, 0, Purpose.MODEL)).pick_other(1, 0) == 0
+    assert DrawStream(oracle_stream_key(13, 0, Purpose.MODEL)).pick_other(1, 0) == 0
 
 
 def test_same_key_means_same_sequence():
-    a = DrawStream(derive_stream_key(21, 4, Purpose.TIEBREAK))
-    b = DrawStream(derive_stream_key(21, 4, Purpose.TIEBREAK))
+    a = DrawStream(oracle_stream_key(21, 4, Purpose.TIEBREAK))
+    b = DrawStream(oracle_stream_key(21, 4, Purpose.TIEBREAK))
     assert [a.draw() for _ in range(64)] == [b.draw() for _ in range(64)]
