@@ -1,4 +1,5 @@
-"""Exception types shared across the engine, and the one check of a count."""
+"""Exception types shared across the engine, and the checks of a count and
+of a real number."""
 
 
 class TieWarpError(Exception):
@@ -44,3 +45,14 @@ def check_count(name: str, value, minimum: int, limit: int | None = None) -> Non
         raise ConfigError(f"{name} must be >= {minimum}")
     if limit is not None and value >= limit:
         raise ConfigError(f"{name} must be < {limit}")
+
+
+def check_real(name: str, value) -> None:
+    """Refuse a value that is not an int or a float, or an int out of float
+    range, with a ``ConfigError``; a bool is not a number, as in ``RunSpec``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is out of float range") from None

@@ -66,9 +66,9 @@ class ProcessedEntry:
     processing can change (emits are sourced from the LP that handled the
     event, so every mutation lives on that LP, and tie-breaks are keyed by
     its serial).
-    ``children`` lists the events built from the handler's emits, in emit
-    order, those past the end time included; a child's PE says whether it
-    was enqueued here, matched by identity, or sent, matched by content.
+    ``children`` lists the events the handler's emits built, in emit order:
+    those past the end time build none. A child's PE says whether it was
+    enqueued here, matched by identity, or sent, matched by content.
     ``fault`` is the exception processing raised, or None; a faulted entry
     changed nothing and sent nothing, and raises its fault when it commits.
     """
@@ -250,19 +250,16 @@ class PeRuntime:
         self.rolled_back_events += 1
         if entry.fault is not None:
             kernel.live_faults -= 1
-        end_time, lp_pe, pe_id = kernel.end_time, kernel.lp_pe, self.pe_id
-        # children past the end time were never enqueued or sent
+        lp_pe, pe_id = kernel.lp_pe, self.pe_id
         for child in entry.children:
-            if (child.timestamp <= end_time and lp_pe[child.dest_lp] == pe_id
-                    and not self._cancel(child, now)):
+            if lp_pe[child.dest_lp] == pe_id and not self._cancel(child, now):
                 raise UnmatchedAntiMessage(
                     f"local child {child!r} vanished before its parent's rollback")
         for child in entry.children:
-            if child.timestamp <= end_time:
-                dest_pe = lp_pe[child.dest_lp]
-                if dest_pe != pe_id:
-                    kernel.transport.send(dest_pe, child, now, anti=True)
-                    self.antis_sent += 1
+            dest_pe = lp_pe[child.dest_lp]
+            if dest_pe != pe_id:
+                kernel.transport.send(dest_pe, child, now, anti=True)
+                self.antis_sent += 1
         # the undone event itself goes back to pending for re-execution
         self.enqueue_positive(ev)
 
@@ -349,9 +346,11 @@ class PeRuntime:
             # nothing; a loop, since before Python 3.12 a comprehension is
             # a frame of its own
             children = []
-            mode, seq_cap, n_lps = kernel.mode, kernel.seq_cap, kernel.n_lps
+            mode, seq_cap, model = kernel.mode, kernel.seq_cap, kernel.model
             for emit in emits:
-                children.append(build_event(rt, ev, emit, mode, seq_cap, n_lps))
+                child = build_event(rt, ev, emit, mode, seq_cap, model)
+                if child is not None:
+                    children.append(child)
         except Exception as exc:
             # Speculation may reach states the sequential order never does:
             # keep the fault for commit time and leave the LP untouched.
@@ -361,10 +360,8 @@ class PeRuntime:
         else:
             rt.state = new_state
             entry.children = children
-            end_time, lp_pe, pe_id = kernel.end_time, kernel.lp_pe, self.pe_id
+            lp_pe, pe_id = kernel.lp_pe, self.pe_id
             for child in children:
-                if child.timestamp > end_time:
-                    continue
                 dest_pe = lp_pe[child.dest_lp]
                 if dest_pe == pe_id:
                     child.match = id(child)
@@ -403,13 +400,11 @@ class OptimisticKernel:
         self.n_workers = n_workers
         self.gvt_interval = gvt_interval
         self.seq_cap = seq_cap
-        self.end_time = model.end_time
-        self.n_lps = model.n_lps
         self.chaos = DrawStream(lp_keys(mix64(chaos.chaos_seed), _CHAOS_SALT)[1])
         self.transport = Transport(n_workers, self.chaos, chaos.max_delay)
         self.pes = [PeRuntime(i, self) for i in range(n_workers)]
         # the owning PE of each LP id: the one statement of the partition
-        self.lp_pe = [lp_id % n_workers for lp_id in range(self.n_lps)]
+        self.lp_pe = [lp_id % n_workers for lp_id in range(model.n_lps)]
         self.lps = make_lps(model, global_seed, self.lp_pe)
         for rt in self.lps:
             self.pes[rt.pe_id].histories[rt.lp_id] = deque()

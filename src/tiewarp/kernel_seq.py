@@ -56,12 +56,13 @@ def build_event(
     emit: Emit,
     mode: OrderingMode,
     seq_cap: int,
-    n_lps: int,
-) -> Event:
+    model,
+) -> Event | None:
     """Create an event from an emit request, deriving its signature and key.
 
-    Consumes one serial from the source LP, in both kernels, whether or not
-    the event survives the horizon check. In draw-based modes the tie-break
+    Consumes one serial from the source LP, in both kernels, and then
+    returns None for an emit past ``model.end_time``, before keying it: the
+    kernels' one test of the end time. In draw-based modes the tie-break
     draw is ``draw_at(source.tiebreak_key, serial)``, unless the emit forces
     a replayed value; ``parent`` is None for a seed. Payloads must be
     hashable, because the optimistic kernel matches the events it sends
@@ -78,10 +79,10 @@ def build_event(
         dest = index(dest_lp)
     except TypeError:
         dest = None
-    if dest is None or not 0 <= dest < n_lps:
+    if dest is None or not 0 <= dest < model.n_lps:
         raise ConfigError(
             f"LP {source.lp_id} emitted an event to LP {dest_lp!r}; "
-            f"destinations must be integers in [0, {n_lps})")
+            f"destinations must be integers in [0, {model.n_lps})")
     try:
         hash(payload)
     except TypeError:
@@ -99,6 +100,8 @@ def build_event(
     else:
         draw = draw_at(source.tiebreak_key, serial)
     timestamp, tiebreak = derive_child_signature(parent, offset, draw, mode, seq_cap)
+    if not timestamp <= model.end_time:
+        return None
     if parent is None:
         depth, parent_key = 0, None
     else:
@@ -133,12 +136,12 @@ def make_lps(model, global_seed: int, lp_pe=None) -> list[LpRuntime]:
 def seed_initial_events(model, lps: list[LpRuntime], mode: OrderingMode,
                         seq_cap: int) -> list[Event]:
     """Build every LP's seed events, each at its offset from time zero; a
-    seed past the end time takes its serial, and is then dropped."""
+    seed past the end time takes its serial and builds no event."""
     events = []
     for rt in lps:
         for emit in model.seed_events(rt.lp_id, rt.model_stream):
-            ev = build_event(rt, None, emit, mode, seq_cap, model.n_lps)
-            if ev.timestamp <= model.end_time:
+            ev = build_event(rt, None, emit, mode, seq_cap, model)
+            if ev is not None:
                 events.append(ev)
     return events
 
@@ -201,9 +204,7 @@ class SequentialKernel:
         mode = self.mode
         model = self.model
         lps = self.lps
-        n_lps = model.n_lps
         seq_cap = self.seq_cap
-        end_time = model.end_time
         handle = model.handle
         heap: list = []
         seq = 0
@@ -221,10 +222,9 @@ class SequentialKernel:
             rt.state = new_state
             committed.append(parent)
             for emit in emits:
-                ev = build_event(rt, parent, emit, mode, seq_cap, n_lps)
-                timestamp = ev.timestamp
-                if timestamp <= end_time:
-                    heappush(heap, (timestamp, ev.key, seq, ev))
+                ev = build_event(rt, parent, emit, mode, seq_cap, model)
+                if ev is not None:
+                    heappush(heap, (ev.timestamp, ev.key, seq, ev))
                     seq += 1
         self.peak_pending = peak_pending
         finals = {lp.lp_id: model.final_value(lp.state) for lp in lps}

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_count, check_real
 from .rngstream import DrawStream
 
 
@@ -59,7 +59,8 @@ class _BuiltinModel:
     parameters, declared once with their defaults; ``build_model`` and
     ``RunSpec.model_params`` read those fields. The kernels read ``n_lps``
     and ``end_time`` from the model. Counts (``n_lps``, ``chain_length``,
-    ``height``, ``arity``) must be ints, and a bool is not one.
+    ``height``, ``arity``) must be ints, and the other numbers ints or
+    floats; a bool is neither.
     """
 
     n_lps: int
@@ -68,6 +69,8 @@ class _BuiltinModel:
 
     def __post_init__(self):
         check_count("n_lps", self.n_lps, 1)
+        check_real("remote_prob", self.remote_prob)
+        check_real("end_time", self.end_time)
         if not 0.0 <= self.remote_prob <= 1.0:
             raise ConfigError(f"remote_prob {self.remote_prob} outside [0,1]")
         # no timestamp compares greater than NaN, so a NaN end never ends
@@ -76,6 +79,13 @@ class _BuiltinModel:
         # every built-in model seeds its events at t = 1
         if self.end_time < 1:
             raise ConfigError(f"end_time must be >= 1, got {self.end_time}")
+
+    def _route(self, stream: DrawStream, lp: int) -> int:
+        """The destination of an emit from LP ``lp``: with probability
+        ``remote_prob`` a uniformly random other LP, else ``lp`` itself."""
+        if stream.uniform() < self.remote_prob:
+            return stream.pick_other(self.n_lps, lp)
+        return lp
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -93,6 +103,7 @@ class PholdModel(_BuiltinModel):
 
     def __post_init__(self):
         super().__post_init__()
+        check_real("mean_offset", self.mean_offset)
         if not 0 < self.mean_offset < math.inf:
             raise ConfigError(f"mean_offset must be positive and finite, got {self.mean_offset}")
 
@@ -105,13 +116,8 @@ class PholdModel(_BuiltinModel):
         return [Emit(lp_id, 1.0, None)]
 
     def handle(self, state, event, stream: DrawStream):
-        lp = event.dest_lp
-        if stream.uniform() < self.remote_prob:
-            dest = stream.pick_other(self.n_lps, lp)
-        else:
-            dest = lp
-        offset = stream.exponential(self.mean_offset)
-        return state, [Emit(dest, offset, None)]
+        dest = self._route(stream, event.dest_lp)
+        return state, [Emit(dest, stream.exponential(self.mean_offset), None)]
 
     def final_value(self, state):
         return None
@@ -136,6 +142,8 @@ class EventTiesModel(_BuiltinModel):
     def __post_init__(self):
         super().__post_init__()
         check_count("chain_length", self.chain_length, 1)
+        if not isinstance(self.coupled, bool):
+            raise ConfigError(f"coupled must be a bool, got {self.coupled!r}")
         if self.end_time != int(self.end_time):
             raise ConfigError("event-ties end_time must be a positive integer")
 
@@ -149,11 +157,10 @@ class EventTiesModel(_BuiltinModel):
         lp = event.dest_lp
         new_state = state.fold(event.payload)
         val = stream.randint(0, 100)
-        if stream.uniform() < self.remote_prob:
-            if self.coupled:
-                dest = int(new_state.mean_val) % self.n_lps
-            else:
-                dest = stream.pick_other(self.n_lps, lp)
+        if not self.coupled:
+            dest = self._route(stream, lp)
+        elif stream.uniform() < self.remote_prob:
+            dest = int(new_state.mean_val) % self.n_lps
         else:
             dest = lp
         # The chain holds chain_length events per timestep counting the
@@ -198,11 +205,6 @@ class StressModel(_BuiltinModel):
     def seed_events(self, lp_id: int, stream: DrawStream):
         # Root of the first tree: level 0, descendant sum 0.
         return [Emit(lp_id, 1.0, (stream.randint(0, 100), 0, 0))]
-
-    def _route(self, stream: DrawStream, lp: int) -> int:
-        if stream.uniform() < self.remote_prob:
-            return stream.pick_other(self.n_lps, lp)
-        return lp
 
     def handle(self, state: MeanState, event, stream: DrawStream):
         lp = event.dest_lp

@@ -129,7 +129,8 @@ class Trace:
         is spelled out.
 
         Commit lines come first, at most CHUNK per list, then one list of
-        ``state,LP,value`` lines (empty when there are no final states).
+        ``state,LP,value`` lines (empty when there are no final states). A
+        value that is not a float is spelled by ``ascii``, so lines are ASCII.
         """
         committed = self.committed
         tiebreak = format_tiebreak
@@ -143,7 +144,7 @@ class Trace:
                        f"{f'{parent[0]}#{parent[1]}' if parent else '-'}")
             yield lines
         yield [f"state,{lp},"
-               f"{format_timestamp(value) if isinstance(value, float) else repr(value)}"
+               f"{format_timestamp(value) if isinstance(value, float) else ascii(value)}"
                for lp, value in sorted(self.final_states.items())]
 
     def _blocks(self):

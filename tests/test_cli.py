@@ -19,7 +19,8 @@ from tiewarp.errors import ConfigError
 from tiewarp.harness import RunSpec, audit_trace, execute
 from tiewarp.kernel_optimistic import OptimisticKernel
 from tiewarp.kernel_seq import SequentialKernel
-from tiewarp.timebase import MODE_NAMES
+from tiewarp.models import Emit
+from tiewarp.timebase import MODE_NAMES, OrderingMode
 from tiewarp.trace import (CHUNK, TRACE_SCHEMA, Event, Trace, digest_lines,
                            first_divergence, read_trace)
 
@@ -138,6 +139,36 @@ def test_compare_sees_everything_the_digest_covers(tmp_path, capsys):
         out = capsys.readouterr().out
         assert f"a: {trace.digest()}" in out and f"b: {copy.digest()}" in out
         assert f"traces differ at canonical line {where}" in out
+
+
+class AccentedStates:
+    """Two LPs tick once at 1; each one's final state is the string "é"."""
+
+    name = "accented"
+    n_lps = 2
+    end_time = 1.0
+
+    def initial_state(self, lp_id):
+        return "\u00e9"
+
+    def seed_events(self, lp_id, stream):
+        return [Emit(lp_id, 1.0)]
+
+    def handle(self, state, event, stream):
+        return state, []
+
+    def final_value(self, state):
+        return state
+
+
+def test_final_states_whose_repr_is_not_ascii_are_written_as_ascii(tmp_path, capsys):
+    lex = OrderingMode.LEX_SEQUENCE
+    seq = SequentialKernel(AccentedStates(), lex, 1).run()
+    opt = OptimisticKernel(AccentedStates(), lex, 1, 2).run()
+    assert list(seq.canonical_lines())[-1] == "state,1,'\\xe9'"
+    a, b = tmp_path / "seq.txt", tmp_path / "opt.txt"
+    assert seq.write(a) == seq.digest() == opt.digest() == opt.write(b)
+    assert main(["compare", str(a), str(b)]) == 0
 
 
 def test_compare_rejects_malformed_trace_files(tmp_path, capsys):

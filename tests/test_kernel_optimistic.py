@@ -863,7 +863,28 @@ def test_anti_messages_are_the_events_themselves(monkeypatch):
                               chaos=ChaosConfig(0, 4))
     kernel.run()
     assert kernel.metrics()["antis_sent"] > 10
-    assert len(constructed) == len(built) > 0
+    events = [ev for ev in built if ev is not None]
+    assert len(constructed) == len(events) > 0
+
+
+def test_an_emit_past_the_end_time_builds_no_event(monkeypatch):
+    # phold keeps one event per LP alive, and each LP's last event emits
+    # past the end: that emit takes a serial, but no Event is constructed
+    model = build_model("phold", n_lps=16, end_time=5.0)
+    constructed = []
+    record_calls(monkeypatch, constructed, Event, "__init__")
+    seq = SequentialKernel(model, OrderingMode.LEX_SEQUENCE, 1)
+    committed = len(seq.run().committed)
+    assert len(constructed) == committed
+    assert sum(rt.serial for rt in seq.lps) == committed + model.n_lps
+    constructed.clear()
+    built = record_built_events(monkeypatch)
+    kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 4)
+    assert len(kernel.run().committed) == committed
+    events = [ev for ev in built if ev is not None]
+    assert len(constructed) == len(events) < len(built)
+    assert all(ev.timestamp <= model.end_time for ev in events)
+    assert sum(rt.serial for rt in kernel.lps) == committed + model.n_lps
 
 
 def test_match_key_is_computed_once_per_event_sent(monkeypatch):
@@ -1016,7 +1037,7 @@ def test_integral_destinations_are_normalised():
     model = build_model("event-ties", n_lps=4, end_time=2.0)
     rt = kernel_seq.make_lps(model, 1)[0]
     ev = kernel_seq.build_event(rt, None, Emit(True, 1.0), OrderingMode.LEX_SEQUENCE,
-                                DEFAULT_SEQUENCE_CAP, model.n_lps)
+                                DEFAULT_SEQUENCE_CAP, model)
     assert ev.dest_lp == 1 and type(ev.dest_lp) is int
 
 

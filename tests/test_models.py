@@ -107,6 +107,43 @@ def test_models_refuse_non_integer_counts(name, field, value):
         MODELS[name](**params)
 
 
+# every model paired with each of its float-typed fields
+REAL_FIELDS = [(name, field) for name, cls in MODELS.items()
+               for field, hint in get_type_hints(cls).items() if hint is float]
+
+
+def test_real_fields_are_the_other_numbers():
+    assert sorted(REAL_FIELDS) == [
+        ("event-ties", "end_time"), ("event-ties", "remote_prob"),
+        ("event-ties-stress", "end_time"), ("event-ties-stress", "remote_prob"),
+        ("phold", "end_time"), ("phold", "mean_offset"), ("phold", "remote_prob")]
+
+
+@pytest.mark.parametrize("value", (True, "1"), ids=("bool", "str"))
+@pytest.mark.parametrize("name, field", REAL_FIELDS)
+def test_models_refuse_numbers_that_are_not_real(name, field, value):
+    # True would run as 1.0, and a string would die with a bare TypeError
+    params = {"n_lps": 2, "end_time": 2.0, field: value}
+    with pytest.raises(ConfigError, match=f"^{field} must be a real number, got "):
+        build_model(name, **params)
+    with pytest.raises(ConfigError, match=f"^{field} must be a real number, got "):
+        MODELS[name](**params)
+
+
+def test_models_refuse_an_int_out_of_float_range():
+    with pytest.raises(ConfigError, match="^end_time is out of float range"):
+        build_model("phold", n_lps=2, end_time=10 ** 400)
+
+
+@pytest.mark.parametrize("value", (1, "no"))
+def test_event_ties_refuses_a_coupled_that_is_not_a_bool(value):
+    # both would run coupled
+    with pytest.raises(ConfigError, match="^coupled must be a bool, got "):
+        build_model("event-ties", n_lps=2, coupled=value)
+    with pytest.raises(ConfigError, match="^coupled must be a bool, got "):
+        EventTiesModel(n_lps=2, coupled=value)
+
+
 def test_build_model_rejects_undeclared_and_missing_parameters():
     with pytest.raises(ConfigError, match="chain_length"):
         build_model("phold", n_lps=2, chain_length=3)
