@@ -29,6 +29,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tiewarp.harness import audit_trace, outcome  # noqa: E402
+from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel, PeRuntime  # noqa: E402
+from tiewarp.kernel_seq import SequentialKernel  # noqa: E402
+from tiewarp.models import EventTiesModel  # noqa: E402
+from tiewarp.timebase import OrderingMode  # noqa: E402
+
 # a schedule that makes more choices than this is taken for a livelock
 MAX_CHOICES = 10_000
 
@@ -107,19 +116,6 @@ def schedules(run, bound: int | None = None):
         prefix = next_prefix(source.choices, source.arities, bound)
 
 
-def optimistic_kernel(model, mode, seed: int, workers: int, max_delay: int,
-                      source: ChoiceSource, seq_cap: int):
-    """A kernel whose every chaos draw comes from ``source``, GVT every step."""
-    from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel
-
-    kernel = OptimisticKernel(model, mode, seed, workers,
-                              chaos=ChaosConfig(0, max_delay),
-                              gvt_interval=1, seq_cap=seq_cap)
-    # _drive binds chaos.draw when it starts, so this precedes run()
-    kernel.chaos = kernel.transport.chaos = source
-    return kernel
-
-
 @contextmanager
 def path_counter():
     """Count the optimistic kernel's rare paths while the block runs.
@@ -133,8 +129,6 @@ def path_counter():
       raised;
     - ``fault committed``: a GVT round raised a committed entry's fault.
     """
-    from tiewarp.kernel_optimistic import OptimisticKernel, PeRuntime
-
     counts = Counter()
     originals = {name: vars(PeRuntime)[name] for name in
                  ("receive_anti", "enqueue_positive", "rollback_through", "_undo")}
@@ -195,26 +189,26 @@ class Row:
     model_class: type | None = None
 
     def model(self):
-        from tiewarp.models import EventTiesModel
-
         params = {"chain_length": 2, "end_time": 2.0, **self.params}
         return (self.model_class or EventTiesModel)(n_lps=self.n_lps, **params)
 
 
-def enumerate_row(row: Row, seed: int | None = None):
-    """``(schedules, outcomes)`` of every schedule of ``row``: each outcome
-    is ``harness.outcome``'s dict, with the committed trace's audit under
-    ``"violations"`` when the run ended."""
-    from tiewarp.harness import audit_trace
-    from tiewarp.timebase import OrderingMode
-
+def enumerate_row(row: Row, seed: int | None = None) -> list:
+    """``(choices, outcome)`` of every schedule of ``row``, at ``seed`` if
+    given, with a GVT round after every step: each outcome is
+    ``harness.outcome``'s dict, with the number of ``audit_trace``
+    violations of the committed trace under ``"violations"`` when the run
+    ended."""
     model = row.model()
     mode = OrderingMode.from_name(row.mode)
     seed = row.seed if seed is None else seed
 
     def run(source):
-        kernel = optimistic_kernel(model, mode, seed, row.workers, row.max_delay,
-                                   source, row.seq_cap)
+        kernel = OptimisticKernel(model, mode, seed, row.workers,
+                                  chaos=ChaosConfig(0, row.max_delay),
+                                  gvt_interval=1, seq_cap=row.seq_cap)
+        # _drive binds chaos.draw when it starts, so this precedes run()
+        kernel.chaos = kernel.transport.chaos = source
         try:
             trace = kernel.run()
         except Exception as exc:
@@ -230,10 +224,6 @@ UNBOUNDED = Row(n_lps=2, workers=2, max_delay=1, bound=None)
 
 
 def main() -> int:
-    from tiewarp.harness import outcome
-    from tiewarp.kernel_seq import SequentialKernel
-    from tiewarp.timebase import OrderingMode
-
     row = UNBOUNDED
     reference = outcome(SequentialKernel(row.model(), OrderingMode.from_name(row.mode),
                                          row.seed))
@@ -262,5 +252,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     sys.exit(main())
