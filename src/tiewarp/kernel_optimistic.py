@@ -21,7 +21,7 @@ cascades alike. Rollback undoes strictly greater keys in every mode, so a
 straggler's rollback never reaches its parent, and the run terminates
 without a bound on rollbacks (see ``PeRuntime.rollback_past``).
 Both kernels seed in ``run()``. Each GVT round detaches every LP's entries
-below GVT and merges them by key.
+below GVT and merges them by key, mode none's ties in processing order.
 An error raised while an event is processed speculatively (by the model's
 handler or by building a child) is recorded on that event's history entry
 and raised only when the entry commits, so the run fails exactly when and
@@ -71,12 +71,15 @@ class ProcessedEntry:
     enqueued here, matched by identity, or sent, matched by content.
     ``fault`` is the exception processing raised, or None; a faulted entry
     changed nothing and sent nothing, and raises its fault when it commits.
+    ``stamp`` is the kernel's count of processed events when this one was
+    processed: it orders mode none's tied commits as they were processed.
     """
 
-    __slots__ = ("event", "state", "model_cursor", "serial", "children", "fault")
+    __slots__ = ("event", "state", "model_cursor", "serial", "children", "fault", "stamp")
 
-    def __init__(self, event: Event, rt: LpRuntime):
+    def __init__(self, event: Event, rt: LpRuntime, stamp: int):
         self.event = event
+        self.stamp = stamp
         self.state = rt.state
         self.model_cursor = rt.model_stream.cursor
         self.serial = rt.serial
@@ -283,8 +286,8 @@ class PeRuntime:
         rises, and a run whose sequential trace is finite ends. Mode none
         leaves one gap: an anti-message at a tied key also undoes the entries
         tying it that were processed after its twin, at GVT itself.
-        Termination there rests on measurement: the mode-none rows of the
-        optimistic sweep and the straggler fuzz in ``tests/``.
+        Termination there rests on measurement in ``tests/``: the mode-none
+        sweep rows, the straggler fuzz and the schedule enumeration.
         """
         hist = self.histories[lp_id]
         while hist and hist[-1].event.key > boundary_key:
@@ -339,7 +342,7 @@ class PeRuntime:
             # undoes only keys above the straggler's, never the straggler
             self.rollback_past(lp_id, ev.key, now)
         rt = kernel.lps[lp_id]
-        entry = ProcessedEntry(ev, rt)
+        entry = ProcessedEntry(ev, rt, kernel.global_processed)
         try:
             new_state, emits = kernel.model.handle(rt.state, ev, rt.model_stream)
             # every child is built before any is sent, so a fault sends
@@ -416,8 +419,9 @@ class OptimisticKernel:
         self.live_faults = 0
         self._last_gvt_mark = 0
         self._last_commit_key = None
-        # a GVT round sorts its entries by their events' commit order
-        self._commit_order = attrgetter(*[f"event.{name}" for name in mode.commit_order])
+        # a GVT round's sort key: only mode none's keys tie, so only it needs the stamp
+        self._commit_order = (attrgetter("event.key", "stamp") if mode is OrderingMode.NONE
+                              else attrgetter("event.key"))
 
     # -- GVT and commitment ---------------------------------------------------
 

@@ -63,12 +63,6 @@ class OrderingMode(enum.Enum):
         # order, for the commit check and the audit. Keys of mode none are
         # bare timestamps, so ties may commit either way.
         self.after = operator.ge if value == "none" else operator.gt
-        # commit_order: the event fields a GVT round sorts its commits by.
-        # Only mode none's keys tie, and there a tie commits the shallower
-        # zero-offset depth first, so a parent precedes its zero-offset
-        # children; the other modes sort by the key alone, at half the cost.
-        self.commit_order = (("key", "zero_offset_depth") if value == "none"
-                             else ("key",))
 
     @classmethod
     def from_name(cls, name: str) -> "OrderingMode":

@@ -14,8 +14,15 @@ bounding (Musuvathi and Qadeer, PLDI 2007).
 ``path_counter`` counts the optimistic kernel's rare paths while it is
 installed, by wrapping ``PeRuntime`` and ``OptimisticKernel`` methods.
 
+Mode none leaves ties unordered, so its runs may differ, but each must be
+some execution: a sequential run that processes the tied events in some
+order. ``tie_order_digests`` enumerates every such order with the same
+odometer: at each pop, ``draw() % k`` picks one of the ``k`` pending events
+at the minimum timestamp. ``replay`` walks a committed trace through the
+same sequential loop, ``sequential_none``.
+
 Run as a script, it enumerates every schedule of one small run, with no
-bound, and prints what it saw::
+bound, in mode lex and in mode none, and prints what it saw::
 
     python3 tests/schedule_enum.py
 """
@@ -26,7 +33,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -34,9 +41,11 @@ if __name__ == "__main__":
 
 from tiewarp.harness import audit_trace, outcome  # noqa: E402
 from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel, PeRuntime  # noqa: E402
-from tiewarp.kernel_seq import SequentialKernel  # noqa: E402
+from tiewarp.kernel_seq import (SequentialKernel, build_event, make_lps,  # noqa: E402
+                                seed_initial_events)
 from tiewarp.models import EventTiesModel  # noqa: E402
-from tiewarp.timebase import OrderingMode  # noqa: E402
+from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode  # noqa: E402
+from tiewarp.trace import Trace  # noqa: E402
 
 # a schedule that makes more choices than this is taken for a livelock
 MAX_CHOICES = 10_000
@@ -219,12 +228,72 @@ def enumerate_row(row: Row, seed: int | None = None) -> list:
     return list(schedules(run, row.bound))
 
 
+def sequential_none(model, seed: int, pick) -> Trace:
+    """A sequential mode-none run in which ``pick(tied)`` returns the event
+    processed next, one of ``tied``, the pending events at the minimum
+    timestamp."""
+    mode = OrderingMode.NONE
+    lps = make_lps(model, seed)
+    pending = seed_initial_events(model, lps, mode, DEFAULT_SEQUENCE_CAP)
+    committed = []
+    while pending:
+        t = min(ev.timestamp for ev in pending)
+        ev = pick([ev for ev in pending if ev.timestamp == t])
+        pending.remove(ev)
+        rt = lps[ev.dest_lp]
+        rt.state, emits = model.handle(rt.state, ev, rt.model_stream)
+        committed.append(ev)
+        for emit in emits:
+            child = build_event(rt, ev, emit, mode, DEFAULT_SEQUENCE_CAP, model)
+            if child is not None:
+                pending.append(child)
+    return Trace(committed=committed,
+                 final_states={rt.lp_id: model.final_value(rt.state) for rt in lps})
+
+
+def tie_order_digests(row: Row) -> list[str]:
+    """The digest of every sequential tie order of ``row``'s model, with no
+    bound: every outcome a mode-none run of it can show."""
+    model = row.model()
+
+    def run(source):
+        return sequential_none(model, row.seed,
+                               lambda tied: tied[source.draw() % len(tied)]).digest()
+
+    return [digest for _, digest in schedules(run)]
+
+
+def replay(model, seed: int, trace: Trace) -> Trace:
+    """Process ``trace``'s committed events, in its order, in a sequential
+    mode-none run; each must be pending at the minimum timestamp when its
+    turn comes, matched on its content (``Event.match_key``). The result is
+    that run's trace, whose digest equals ``trace``'s exactly when the
+    listed order is an execution."""
+    listed = iter(trace.committed)
+
+    def pick(tied):
+        ev = next(listed, None)
+        assert ev is not None, "events still pending past the trace's end"
+        want = ev.match_key()
+        for candidate in tied:
+            if candidate.match_key() == want:
+                return candidate
+        raise AssertionError(f"{ev!r} is not pending at the minimum timestamp")
+
+    return sequential_none(model, seed, pick)
+
+
+def fewest_choices(choice_lists: list) -> list:
+    """The choice list with the fewest non-default choices, then the shortest."""
+    return min(choice_lists, key=lambda choices: (sum(map(bool, choices)), len(choices)))
+
+
 # 2 LPs, 2 PEs, max_delay 1: small enough to enumerate without a bound
 UNBOUNDED = Row(n_lps=2, workers=2, max_delay=1, bound=None)
 
 
-def main() -> int:
-    row = UNBOUNDED
+def enumerate_lex(row: Row) -> bool:
+    """Every schedule of ``row`` commits the sequential outcome."""
     reference = outcome(SequentialKernel(row.model(), OrderingMode.from_name(row.mode),
                                          row.seed))
     start = time.process_time()
@@ -244,11 +313,41 @@ def main() -> int:
                  "local-child cascade", "faulted entry undone", "fault committed"):
         print(f"{path}: {counts[path]}")
     if diverged:
-        shortest = min(diverged, key=lambda choices: (sum(map(bool, choices)), len(choices)))
-        print(f"DIVERGED in {len(diverged)} schedules; fewest non-default choices: {shortest}")
-        return 1
+        print(f"DIVERGED in {len(diverged)} schedules; fewest non-default choices: "
+              f"{fewest_choices(diverged)}")
+        return False
     print("every schedule committed the sequential outcome")
-    return 0
+    return True
+
+
+def enumerate_none(row: Row) -> bool:
+    """Every schedule of ``row`` in mode none commits a sequential tie order."""
+    row = replace(row, mode="none")
+    start = time.process_time()
+    orders = tie_order_digests(row)
+    runs = enumerate_row(row)
+    cpu = time.process_time() - start
+    allowed = set(orders)
+    outcomes = Counter(repr(result) for _, result in runs)
+    outside = [choices for choices, result in runs
+               if result.get("digest") not in allowed or result.get("violations")]
+    print("row: the same in mode none")
+    print(f"sequential tie orders: {len(orders)} ({len(allowed)} distinct outcomes)")
+    print(f"schedules: {len(runs)}")
+    print(f"distinct outcomes: {len(outcomes)}")
+    print(f"cpu: {cpu:.1f} s")
+    if outside:
+        print(f"OUTSIDE the tie orders in {len(outside)} schedules; "
+              f"fewest non-default choices: {fewest_choices(outside)}")
+        return False
+    print("every schedule committed a sequential tie order")
+    return True
+
+
+def main() -> int:
+    lex = enumerate_lex(UNBOUNDED)
+    none = enumerate_none(UNBOUNDED)
+    return 0 if lex and none else 1
 
 
 if __name__ == "__main__":

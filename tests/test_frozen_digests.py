@@ -138,7 +138,7 @@ def test_optimistic_digest_is_frozen(model, mode, workers):
 # 108 draw-mode rows (lex, additive, naive) keep the value computed before
 # rollback became strict in mode none; 27 of them, all naive, end in an
 # error, which is pinned like a digest. The 36 mode-none rows, which strict
-# rollback and the parent-first commit of ties changed, end in a digest.
+# rollback and the processing-order commit of ties changed, end in a digest.
 SWEEP_MODELS = {
     "ties-c4": ("event-ties", dict(n_lps=8, remote_prob=0.7, chain_length=4,
                                    end_time=5.0)),
@@ -151,7 +151,7 @@ SWEEP_MODELS = {
 SWEEP_PES = (2, 5, 8)
 SWEEP_CHAOS_SEEDS = (0, 1, 2)
 SWEEP_DRAW_DIGEST = "a1915100d72655b0119adfa538bd01cfb3a9e58b45e7f682a94d38ef8c2927a9"
-SWEEP_NONE_DIGEST = "b722c38c955934734f6ec35d8e3f07009e8a710f9f550bfd3ec90ca74c21313d"
+SWEEP_NONE_DIGEST = "b79cc8c31ed4a3b23c8994ac41dbfe19c7f00562fbe875cc5ad0b71c8e7ae267"
 
 
 def sweep_rows(modes):

@@ -1,15 +1,20 @@
 """Every schedule of small optimistic runs, within a bound on non-default
 choices: outcomes equal the sequential kernel's, and each rare path fires.
+In mode none, every outcome is a sequential tie order.
 
-``python3 tests/schedule_enum.py`` runs the 2-LP row with no bound.
+``python3 tests/schedule_enum.py`` runs the 2-LP row with no bound, in modes
+lex and none.
 """
 
 import pytest
 
-from schedule_enum import ChoiceSource, Row, enumerate_row, path_counter, schedules
+from schedule_enum import (ChoiceSource, Row, enumerate_row, path_counter, replay,
+                           schedules, tie_order_digests)
 from test_kernel_optimistic import StateFaultTies
 from tiewarp.harness import outcome
+from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel
 from tiewarp.kernel_seq import SequentialKernel
+from tiewarp.models import EventTiesModel, StressModel
 from tiewarp.timebase import OrderingMode
 
 # name: (row, schedules, paths that must fire). Rows use event-ties, chain
@@ -78,7 +83,75 @@ def test_every_mode_none_schedule_ends_and_passes_its_audit():
     runs = enumerate_row(row)
     assert len(runs) == 1198
     digests = {without_audit(result)["digest"] for _, result in runs}
-    assert len(digests) == 18
+    assert len(digests) == 173
+
+
+# name: (row, schedules for seeds 0-5, how many of those seeds' sequential
+# runs raise)
+NAIVE_ROWS = {
+    "2 LPs, 2 PEs": (Row(n_lps=2, workers=2, max_delay=1, bound=3, mode="naive"),
+                     (2, 83, 2, 2, 30, 2), 5),
+    "3 LPs, 3 PEs": (Row(n_lps=3, workers=3, max_delay=1, bound=3, mode="naive",
+                         params={"remote_prob": 0.9}),
+                     (5, 988, 40, 5, 607, 5), 6),
+}
+
+
+@pytest.mark.parametrize("name", NAIVE_ROWS)
+def test_every_naive_schedule_raises_or_commits_as_the_sequential_run(name):
+    # naive keys can order a child before its parent; whichever schedule
+    # runs, the run fails or commits exactly as the sequential run does
+    row, expected, errors = NAIVE_ROWS[name]
+    raising = 0
+    for seed, count in enumerate(expected):
+        reference = sequential_outcome(row, seed)
+        raising += "error" in reference
+        runs = enumerate_row(row, seed)
+        assert len(runs) == count, seed
+        for choices, result in runs:
+            assert without_audit(result) == reference, (seed, choices)
+    assert raising == errors
+
+
+# mode none, 3 LPs, remote 0.9, 3 PEs, max_delay 1, bound 3: name: (row,
+# schedules); each row's model has 8,100 sequential tie orders
+NONE_ROWS = {
+    "plain": (Row(n_lps=3, workers=3, max_delay=1, bound=3, mode="none",
+                  params={"remote_prob": 0.9}), 1198),
+    "coupled": (Row(n_lps=3, workers=3, max_delay=1, bound=3, mode="none",
+                    params={"remote_prob": 0.9, "coupled": True}), 871),
+}
+
+
+@pytest.mark.parametrize("name", NONE_ROWS)
+def test_every_mode_none_outcome_is_a_sequential_tie_order(name):
+    row, expected = NONE_ROWS[name]
+    orders = tie_order_digests(row)
+    assert len(orders) == 8100
+    allowed = set(orders)
+    runs = enumerate_row(row)
+    assert len(runs) == expected
+    outside = [choices for choices, result in runs
+               if without_audit(result)["digest"] not in allowed]
+    assert not outside, f"{len(outside)} schedules, first {outside[0]}"
+
+
+REPLAY_MODELS = {
+    "event-ties": EventTiesModel(n_lps=16, chain_length=3, end_time=4, remote_prob=0.5),
+    "stress": StressModel(n_lps=8, height=3, arity=2, end_time=2),
+}
+
+
+@pytest.mark.parametrize("chaos_seed", range(4))
+@pytest.mark.parametrize("workers", (2, 4))
+@pytest.mark.parametrize("name", REPLAY_MODELS)
+def test_a_mode_none_trace_replays_as_itself(name, workers, chaos_seed):
+    # past enumerable sizes: the committed order, replayed sequentially,
+    # finds each event pending in turn and rebuilds the same trace
+    model = REPLAY_MODELS[name]
+    trace = OptimisticKernel(model, OrderingMode.NONE, 5, workers,
+                             chaos=ChaosConfig(chaos_seed), gvt_interval=16).run()
+    assert replay(model, 5, trace).digest() == trace.digest()
 
 
 def test_the_odometer_visits_each_bounded_choice_list_once():
