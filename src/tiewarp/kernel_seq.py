@@ -16,7 +16,7 @@ from operator import index
 
 from .errors import WORD_LIMIT, CausalityViolation, ConfigError, check_count
 from .models import Emit
-from .rngstream import DrawStream, draw_at, lp_keys, mix64
+from .rngstream import _LANES, DrawStream, draw_block, lp_key_arrays, mix64
 from .timebase import (
     DEFAULT_SEQUENCE_CAP,
     OrderingMode,
@@ -34,12 +34,16 @@ class LpRuntime:
     identity, so it must be restored on rollback along with the state and
     the model stream's cursor, from the undo image that the optimistic
     kernel's ``ProcessedEntry`` takes. The tie-break of the LP's event with
-    serial ``s`` is ``draw_at(tiebreak_key, s)``. ``pe_id`` is 0 in
-    sequential runs and the owning PE otherwise. The two keys are
-    ``rngstream.lp_keys`` of the run's seed and the LP id.
+    serial ``s`` is ``draw_at(tiebreak_key, s)``, read from the cached
+    ``draw_block`` of block ``s // _LANES``: a pure function of the key and
+    the block index, so a serial assigned back needs no invalidation and
+    the undo image leaves the cache out. ``pe_id`` is 0 in sequential runs
+    and the owning PE otherwise. The two keys are ``rngstream.lp_key_arrays``
+    of the run's seed, at the LP id.
     """
 
-    __slots__ = ("lp_id", "pe_id", "state", "tiebreak_key", "model_stream", "serial")
+    __slots__ = ("lp_id", "pe_id", "state", "tiebreak_key", "model_stream", "serial",
+                 "tiebreak_index", "tiebreak_block")
 
     def __init__(self, lp_id: int, pe_id: int, state, tiebreak_key: int, model_key: int):
         self.lp_id = lp_id
@@ -48,6 +52,8 @@ class LpRuntime:
         self.tiebreak_key = tiebreak_key
         self.model_stream = DrawStream(model_key)
         self.serial = 0
+        self.tiebreak_index = None
+        self.tiebreak_block = None
 
 
 def build_event(
@@ -63,12 +69,13 @@ def build_event(
     Consumes one serial from the source LP, in both kernels, and then
     returns None for an emit past ``model.end_time``, before keying it: the
     kernels' one test of the end time. In draw-based modes the tie-break
-    draw is ``draw_at(source.tiebreak_key, serial)``, unless the emit forces
-    a replayed value; ``parent`` is None for a seed. Payloads must be
-    hashable, because the optimistic kernel matches the events it sends
-    between PEs on their content; both kernels reject an unhashable one
-    here, a destination that is not an LP id in ``[0, n_lps)``, and a
-    forced tie-break that is not a 64-bit draw, an int in ``[0, 2**64)``.
+    draw is ``draw_at(source.tiebreak_key, serial)``, from the source's
+    cached block, unless the emit forces a replayed value; ``parent`` is
+    None for a seed. Payloads must be hashable, because the optimistic
+    kernel matches the events it sends between PEs on their content; both
+    kernels reject an unhashable one here, a destination that is not an LP
+    id in ``[0, n_lps)``, and a forced tie-break that is not a 64-bit draw,
+    an int in ``[0, 2**64)``.
 
     A child keyed below its parent raises ``CausalityViolation``: this is
     both kernels' one causality check, which only modes naive and biased
@@ -98,7 +105,10 @@ def build_event(
     elif forced is not None:
         draw = forced
     else:
-        draw = draw_at(source.tiebreak_key, serial)
+        if serial // _LANES != source.tiebreak_index:
+            source.tiebreak_index = serial // _LANES
+            source.tiebreak_block = draw_block(source.tiebreak_key, serial - serial % _LANES)
+        draw = source.tiebreak_block[serial % _LANES]
     timestamp, tiebreak = derive_child_signature(parent, offset, draw, mode, seq_cap)
     if not timestamp <= model.end_time:
         return None
@@ -122,15 +132,12 @@ def make_lps(model, global_seed: int, lp_pe=None) -> list[LpRuntime]:
     """Instantiate all LP runtimes; ``lp_pe[lp_id]`` is the LP's owning PE.
 
     Both kernels build their LPs here, so this checks their seed, and
-    hashes it once for all the LPs' keys."""
+    derives all the LPs' keys in one lane pass."""
     check_count("global_seed", global_seed, 0, WORD_LIMIT)
-    seed_hash = mix64(global_seed)
-    lps = []
-    for lp_id in range(model.n_lps):
-        pe = 0 if lp_pe is None else lp_pe[lp_id]
-        lps.append(LpRuntime(lp_id, pe, model.initial_state(lp_id),
-                             *lp_keys(seed_hash, lp_id)))
-    return lps
+    tiebreak_keys, model_keys = lp_key_arrays(mix64(global_seed), range(model.n_lps))
+    return [LpRuntime(lp_id, 0 if lp_pe is None else lp_pe[lp_id],
+                      model.initial_state(lp_id), tiebreak_keys[lp_id], model_keys[lp_id])
+            for lp_id in range(model.n_lps)]
 
 
 def seed_initial_events(model, lps: list[LpRuntime], mode: OrderingMode,

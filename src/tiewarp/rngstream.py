@@ -8,15 +8,17 @@ its event's identity, so rollback restores nothing for it; the model stream
 is a key plus a cursor, and rolling it back restores the cursor. The mixing
 function is the splitmix64 finalizer over ``key + (i + 1) * GAMMA``; keys
 are hashed from ``(global_seed, lp_id, purpose)`` through the same mixer,
-along one chain, ``lp_keys``: a kernel hashes its seed once and each LP id
-once, mixes the pair once, then mixes in each purpose's constant hash.
+along one chain: a kernel hashes its seed once, then ``lp_key_arrays`` hashes
+every LP id, mixes each (seed, LP) pair and mixes in each purpose's constant
+hash, for all LPs at once.
 
-A stream evaluates its draws a block at a time, as counter-based generators
-are meant to be: ``draw_block`` mixes eight consecutive counters in one pass
-over one Python int, lane ``j`` in bits ``[128 j, 128 j + 128)``. Blocks
-start at multiples of eight, so the block a stream caches is a pure function
-of its key and the block index ``cursor // 8``; a cursor assigned back by
-rollback needs no invalidation, and the cursor stays the whole state.
+Every chain is evaluated in lane passes, as counter-based generators are
+meant to be: one Python int holds many 64-bit values, lane ``j`` in bits
+``[128 j, 128 j + 128)``, and one mixer (``_mix_lanes``) finalizes them all.
+``draw_block`` mixes sixteen consecutive counters in one pass. Blocks start
+at multiples of ``_LANES``, so a cached block is a pure function of its key
+and the block index ``index // _LANES``: a model stream's cursor or an LP's
+serial assigned back by rollback needs no invalidation.
 
 The generator family and version are recorded in every run summary so a
 digest can never silently mix outputs of different generators.
@@ -52,53 +54,88 @@ def mix64(z: int) -> int:
 _TIEBREAK_HASH = mix64(1 * _PURPOSE_SALT)
 _MODEL_HASH = mix64(2 * _PURPOSE_SALT)
 
-
-def lp_keys(seed_hash: int, lp_id: int) -> tuple[int, int]:
-    """An LP's ``(tiebreak, model)`` keys, where ``seed_hash = mix64(global_seed)``:
-    four finalizers, for the LP id, the (seed, LP) pair and each purpose."""
-    k = mix64(seed_hash ^ mix64(lp_id + _LP_SALT))
-    return mix64(k ^ _TIEBREAK_HASH), mix64(k ^ _MODEL_HASH)
-
-
-# draw_block's lanes: eight 128-bit slots of one int, each wide enough for
-# the product of a 64-bit value and a 64-bit constant
-_LANES = 8
-_ONES = sum(1 << (128 * j) for j in range(_LANES))
-_LANE_MASK = _MASK64 * _ONES
-# lane j's counter step past lane 0, j * GAMMA mod 2**64
-_LANE_STEPS = sum((j * _GAMMA & _MASK64) << (128 * j) for j in range(_LANES))
+# A lane pass packs 64-bit values into one int, lane j in bits
+# [128 j, 128 j + 128): each slot is wide enough for the product of a 64-bit
+# value and a 64-bit constant. draw_block evaluates _LANES counters per pass.
+_LANES = 16
 # the lanes' low words, in lane order, among the int's native-order words
 _LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 
+def _pack(values) -> int:
+    """The int whose lane ``j`` holds ``values[j]``, each in [0, 2**64)."""
+    words = array("Q", bytes(16 * len(values)))
+    words[_LOW_WORDS] = array("Q", values)
+    return int.from_bytes(words, sys.byteorder)
+
+
+def _unpack(z: int, lanes: int) -> array:
+    """The 64-bit values in the first ``lanes`` lanes of ``z``, in lane order."""
+    return array("Q", z.to_bytes(16 * lanes, sys.byteorder))[_LOW_WORDS]
+
+
+def _mix_lanes(z: int, mask: int) -> int:
+    """``mix64`` of every lane of ``z`` at once, where ``mask`` holds
+    ``_MASK64`` in each lane and every lane holds a 64-bit value.
+
+    Each shifted term is masked before its xor, so no lane's bits reach its
+    neighbour, and a 64-bit lane times a 64-bit constant fills its 128-bit
+    slot without carrying out of it.
+    """
+    z = ((z ^ ((z >> 30) & mask)) * _MIX1) & mask
+    z = ((z ^ ((z >> 27) & mask)) * _MIX2) & mask
+    return z ^ ((z >> 31) & mask)
+
+
+def lp_key_arrays(seed_hash: int, lp_ids) -> tuple[array, array]:
+    """The ``(tiebreak, model)`` keys of every LP in ``lp_ids``, as two
+    arrays in ``lp_ids`` order, where ``seed_hash = mix64(global_seed)``.
+
+    One lane per LP, along one chain of four finalizers: the LP id, the
+    (seed, LP) pair, then both purposes in one pass of twice the lanes.
+    """
+    n = len(lp_ids)
+    ones = _pack([1] * n)
+    mask = _MASK64 * ones
+    k = _mix_lanes(_pack([(lp_id + _LP_SALT) & _MASK64 for lp_id in lp_ids]), mask)
+    k = _mix_lanes(k ^ (seed_hash & _MASK64) * ones, mask)
+    both = (k ^ _TIEBREAK_HASH * ones) | (k ^ _MODEL_HASH * ones) << 128 * n
+    keys = _unpack(_mix_lanes(both, mask | mask << 128 * n), 2 * n)
+    return keys[:n], keys[n:]
+
+
+def lp_keys(seed_hash: int, lp_id: int) -> tuple[int, int]:
+    """One LP's ``(tiebreak, model)`` keys: ``lp_key_arrays`` in one lane."""
+    tiebreak, model = lp_key_arrays(seed_hash, (lp_id,))
+    return tiebreak[0], model[0]
+
+
+_ONES = _pack([1] * _LANES)
+_LANE_MASK = _MASK64 * _ONES
+# lane j's counter step past lane 0, j * GAMMA mod 2**64
+_LANE_STEPS = _pack([j * _GAMMA & _MASK64 for j in range(_LANES)])
+
+
 def draw_block(key: int, start: int) -> array:
-    """``draw_at(key, start + j)`` for the eight lanes ``j``, in one pass.
+    """``draw_at(key, start + j)`` for the ``_LANES`` lanes ``j``, in one pass.
 
     The counter is reduced mod 2**64 before it is spread into the lanes, so
-    every lane holds a 64-bit value; each shifted term is masked before its
-    xor, so no lane's bits reach its neighbour, and a 64-bit lane times a
-    64-bit constant fills its 128-bit slot without carrying out of it. The
-    block is an ``array('Q')`` rather than eight int objects: a stream keeps
-    its block alive, and keeping 8,192 ints alive on ``phold-seq`` slowed
-    the trace digest by about 4% and cost half a MiB (2-vCPU x86 VM).
+    every lane holds a 64-bit value. The block is an ``array('Q')`` rather
+    than int objects: every LP keeps two blocks alive, and keeping eight
+    ints per LP alive on ``phold-seq`` slowed the trace digest by about 4%
+    and cost half a MiB (2-vCPU x86 VM).
     """
     z = (((key + (start + 1) * _GAMMA) & _MASK64) * _ONES + _LANE_STEPS) & _LANE_MASK
-    z = ((z ^ ((z >> 30) & _LANE_MASK)) * _MIX1) & _LANE_MASK
-    z = ((z ^ ((z >> 27) & _LANE_MASK)) * _MIX2) & _LANE_MASK
-    z ^= (z >> 31) & _LANE_MASK
-    return array("Q", z.to_bytes(16 * _LANES, sys.byteorder))[_LOW_WORDS]
+    return _unpack(_mix_lanes(z, _LANE_MASK), _LANES)
 
 
 def draw_at(key: int, index: int) -> int:
     """The stream's value at cursor ``index``; pure in (key, index).
 
-    ``mix64(key + (index + 1) * GAMMA)`` with ``mix64`` inlined: every built
-    event in a draw-based mode takes one tie-break here, in one frame.
+    The definition that every ``draw_block`` lane, and so every stream draw
+    and every drawn tie-break, equals.
     """
-    z = (key + (index + 1) * _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+    return mix64(key + (index + 1) * _GAMMA)
 
 
 class DrawStream:
@@ -123,10 +160,10 @@ class DrawStream:
         """``draw_at(self.key, self.cursor)``, then advance the cursor."""
         c = self.cursor
         self.cursor = c + 1
-        if c >> 3 != self._block_index:  # a block holds _LANES = 8 draws
-            self._block_index = c >> 3
-            self._block = draw_block(self.key, c & -8)
-        return self._block[c & 7]
+        if c // _LANES != self._block_index:  # the block holds _LANES draws
+            self._block_index = c // _LANES
+            self._block = draw_block(self.key, c - c % _LANES)
+        return self._block[c % _LANES]
 
     def uniform(self) -> float:
         """The draw's top 52 bits as (2k+1) * 2**-53: exact, so never 0.0 or

@@ -12,9 +12,9 @@ from tiewarp.errors import (
 )
 from tiewarp import kernel_seq
 from tiewarp.harness import RunSpec, audit_trace, benchmark, build_kernel, execute
-from tiewarp.kernel_seq import run_sequential
-from tiewarp.models import build_model
-from tiewarp.rngstream import GENERATOR_NAME, GENERATOR_VERSION
+from tiewarp.kernel_seq import build_event, make_lps, run_sequential
+from tiewarp.models import Emit, build_model
+from tiewarp.rngstream import _LANES, GENERATOR_NAME, GENERATOR_VERSION, draw_at
 from tiewarp.scenarios import (
     SCRIPT_ADDITIVE_ORDER,
     SCRIPT_LEX_ORDER,
@@ -22,7 +22,7 @@ from tiewarp.scenarios import (
     TiePairModel,
     committed_names,
 )
-from tiewarp.timebase import OrderingMode, sort_key
+from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
 from tiewarp.trace import digest_lines, first_divergence, read_trace
 
 DRAW_MODES = (OrderingMode.UNBIASED_SINGLE, OrderingMode.ADDITIVE, OrderingMode.LEX_SEQUENCE)
@@ -254,3 +254,60 @@ def test_random_configs_all_modes_complete():
         for mode in (OrderingMode.ADDITIVE, OrderingMode.LEX_SEQUENCE):
             trace = run_sequential(model, mode, rng.randint(0, 10_000))
             assert len(trace.committed) == model.expected_net_events()
+
+
+def build_seed(rt, model, mode=OrderingMode.LEX_SEQUENCE, forced=None):
+    """The seed event that ``rt`` builds next; it takes serial ``rt.serial``."""
+    return build_event(rt, None, Emit(0, 0.5, None, forced), mode, DEFAULT_SEQUENCE_CAP, model)
+
+
+def test_cached_tiebreaks_follow_every_rewind():
+    # a tie-break is draw_at(tiebreak key, serial) whatever serial rollback
+    # assigns back, although build_event reads it from a cached block
+    model = build_model("phold", n_lps=2, end_time=1.0)
+    rt = make_lps(model, 3)[0]
+
+    def check_next():
+        serial = rt.serial
+        assert build_seed(rt, model).tiebreak == (draw_at(rt.tiebreak_key, serial),)
+        assert rt.serial == serial + 1
+
+    for _ in range(3 * _LANES + 5):
+        check_next()
+    block_start = (rt.serial - 1) // _LANES * _LANES
+    rewinds = {
+        "into the middle of the cached block": block_start + _LANES // 2,
+        "across a block boundary": block_start - 1,
+        "far back": 1,
+        "forward": rt.serial + 7 * _LANES + 3,
+    }
+    for serial in rewinds.values():
+        rt.serial = serial
+        for _ in range(_LANES + 1):
+            check_next()
+    rng = random.Random(0xCAC4E)
+    snapshots = [rt.serial]
+    for _ in range(3000):
+        action = rng.random()
+        if action < 0.6:
+            check_next()
+        elif action < 0.8:
+            snapshots.append(rt.serial)
+        else:
+            rt.serial = rng.choice(snapshots)
+            check_next()
+
+
+def test_forced_and_drawless_tiebreaks_leave_the_cache_alone():
+    model = build_model("phold", n_lps=2, end_time=1.0)
+    fresh, rt = make_lps(model, 3)
+    build_seed(rt, model)
+    cached = (rt.tiebreak_index, rt.tiebreak_block)
+    rt.serial = 5 * _LANES
+    assert build_seed(rt, model, forced=7).tiebreak == (7,)
+    for mode in (OrderingMode.NONE, OrderingMode.BIASED_RULESET):
+        assert build_seed(rt, model, mode).tiebreak == ()
+        assert build_seed(fresh, model, mode).tiebreak == ()
+    assert (rt.tiebreak_index, rt.tiebreak_block) == cached
+    assert cached[1] is rt.tiebreak_block
+    assert (fresh.tiebreak_index, fresh.tiebreak_block) == (None, None)

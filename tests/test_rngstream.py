@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel
-from tiewarp.kernel_seq import SequentialKernel
+from tiewarp.kernel_optimistic import _CHAOS_SALT, ChaosConfig, OptimisticKernel
+from tiewarp.kernel_seq import SequentialKernel, make_lps
 from tiewarp.models import build_model
 from tiewarp.rngstream import (
     _GAMMA,
+    _LANES,
     _MASK64,
     _MIX1,
     _MIX2,
@@ -128,12 +129,14 @@ def test_stream_keys_distinct_across_lps_seeds_purposes():
 
 _RNG = random.Random(0x5EED)
 KEY_SEEDS = (0, 1, 2 ** 63, 2 ** 64 - 1, _RNG.randrange(2 ** 64), _RNG.randrange(2 ** 64))
-KEY_LPS = (0, 1, 1023, 2 ** 20)
+# the chaos stream's LP id among them, and one whose salted id wraps past 2**64
+KEY_LPS = (0, 1, 1023, 2 ** 20, _CHAOS_SALT, 2 ** 64 - 1)
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 def test_derived_keys_match_the_oracle(seed):
-    # the shared chain gives every key its unshared derivation, bit for bit
+    # lp_keys, the key pass in one lane, gives every key its unshared
+    # derivation, bit for bit
     for lp in KEY_LPS:
         tiebreak, model = lp_keys(mix64(seed), lp)
         assert tiebreak == oracle_stream_key(seed, lp, Purpose.TIEBREAK)
@@ -150,6 +153,16 @@ def kernel_lps(seed: int) -> dict:
 
 def lp_key_pairs(lps) -> list:
     return [(rt.tiebreak_key, rt.model_stream.key) for rt in lps]
+
+
+@pytest.mark.parametrize("n_lps", (1, 7, 16, 17, 1025))
+def test_make_lps_key_pass_matches_the_oracle(n_lps):
+    # one lane pass derives every LP's keys, whatever the lane count
+    model = build_model("phold", n_lps=n_lps, end_time=1.0)
+    for seed in KEY_SEEDS:
+        want = [(oracle_stream_key(seed, lp, Purpose.TIEBREAK),
+                 oracle_stream_key(seed, lp, Purpose.MODEL)) for lp in range(n_lps)]
+        assert lp_key_pairs(make_lps(model, seed)) == want
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
@@ -269,17 +282,19 @@ def test_functional_uniform_matches_stream():
 def test_draw_at_matches_stream_at_extreme_keys_and_indices():
     # draw_at, draw_block's lanes and the stream agree with mix64 where the
     # counter sum wraps past 2**64, inside a block and across blocks
+    count = 2 * _LANES + 1
     for key in (0, 1, 2 ** 63, 2 ** 64 - _GAMMA, 2 ** 64 - 2, 2 ** 64 - 1):
         for index in (0, 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 2, 2 ** 64 - 1, 10 ** 30):
-            want = [mix64(key + (index + 1 + j) * _GAMMA) for j in range(17)]
-            assert [draw_at(key, index + j) for j in range(17)] == want
-            assert list(draw_block(key, index)) == want[:8]
+            want = [mix64(key + (index + 1 + j) * _GAMMA) for j in range(count)]
+            assert [draw_at(key, index + j) for j in range(count)] == want
+            assert list(draw_block(key, index)) == want[:_LANES]
             stream = DrawStream(key, index)
-            assert [stream.draw() for _ in range(17)] == want
+            assert [stream.draw() for _ in range(count)] == want
             # rollback assigns a cursor into the middle of an earlier block
-            for back in (((index + 9) & -8) + 4 - index, 1):
+            next_block = (index + _LANES + 1) // _LANES * _LANES
+            for back in (next_block + _LANES // 2 - index, 1):
                 stream.cursor = index + back
-                assert [stream.draw() for _ in range(17 - back)] == want[back:]
+                assert [stream.draw() for _ in range(count - back)] == want[back:]
 
 
 def test_pick_other_excludes_self_and_covers_rest():
