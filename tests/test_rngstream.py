@@ -157,7 +157,8 @@ def lp_key_pairs(lps) -> list:
 
 @pytest.mark.parametrize("n_lps", (1, 7, 16, 17, 1025))
 def test_make_lps_key_pass_matches_the_oracle(n_lps):
-    # one lane pass derives every LP's keys, whatever the lane count
+    # one lane pass derives every LP's keys, at lane counts on both sides
+    # of a block's width and past a thousand
     model = build_model("phold", n_lps=n_lps, end_time=1.0)
     for seed in KEY_SEEDS:
         want = [(oracle_stream_key(seed, lp, Purpose.TIEBREAK),
