@@ -222,6 +222,9 @@ def run_fairness(mode_name: str, depth: int, samples: int,
     if samples < 100:
         raise InsufficientSamples(
             f"{samples} samples cannot resolve the target interval; need >= 100")
+    # every sample's seed, the first and the last, is a 64-bit word
+    check_count("base_seed", base_seed, 0, WORD_LIMIT)
+    check_count("base_seed + samples - 1", base_seed + samples - 1, 0, WORD_LIMIT)
     check_count("depth", depth, 0)
     mode = OrderingMode.from_name(mode_name)
     expected = fairness_expected(mode, depth)

@@ -71,8 +71,9 @@ class ProcessedEntry:
     enqueued here, matched by identity, or sent, matched by content.
     ``fault`` is the exception processing raised, or None; a faulted entry
     changed nothing and sent nothing, and raises its fault when it commits.
-    ``stamp`` is the kernel's count of processed events when this one was
-    processed: it orders mode none's tied commits as they were processed.
+    ``stamp`` is the scheduler step that processed the event. A step
+    processes at most one event and the scheduler's clock only rises, so
+    stamps order mode none's tied commits as they were processed.
     """
 
     __slots__ = ("event", "state", "model_cursor", "serial", "children", "fault", "stamp")
@@ -134,8 +135,16 @@ class PeRuntime:
     processing order, and so in ascending key order, whose top is the LP's
     clock. An event keyed below the top of its LP's history is a straggler
     and undoes only that LP's later entries; an anti-message undoes only its
-    twin's LP. The pending heap, the counts, the stash and the transport are
-    shared by the PE's LPs.
+    twin's LP. The pending heap, the counts and the stash are shared by the
+    PE's LPs.
+
+    A PE owns what it changes and points at nothing that owns it. It copies
+    the run's shared pieces at construction (the LP runtimes, the partition
+    ``lp_pe``, the transport, the model, the mode and the sequence cap) and
+    keeps no reference to the kernel, so a finished kernel is a tree that
+    reference counting frees. Its counters are named as the metrics they
+    feed; the kernel sums them over its PEs. ``live_faults`` counts this
+    PE's faulted history entries not rolled back.
 
     ``_cancel`` cancels one copy of an event, for an anti-message and for
     each local child of an undone entry alike, so a rollback may cascade
@@ -162,9 +171,10 @@ class PeRuntime:
 
     def __init__(self, pe_id: int, kernel: "OptimisticKernel"):
         self.pe_id = pe_id
-        self.kernel = kernel
+        self.lps, self.lp_pe, self.transport = kernel.lps, kernel.lp_pe, kernel.transport
+        self.model, self.mode, self.seq_cap = kernel.model, kernel.mode, kernel.seq_cap
         # this PE's transport inbox: step delivers only when its top is due
-        self.inbox = kernel.transport.inboxes[pe_id]
+        self.inbox = self.transport.inboxes[pe_id]
         self.pending: list = []
         self.push_seq = 0
         self.pending_counts: dict = {}
@@ -173,8 +183,10 @@ class PeRuntime:
         self.histories: dict[int, deque] = {}
         self.stragglers = 0
         self.rollbacks = 0
-        self.rolled_back_events = 0
+        self.rolled_back = 0
         self.antis_sent = 0
+        self.annihilations = 0
+        self.live_faults = 0
 
     @property
     def processed(self) -> list[ProcessedEntry]:
@@ -191,7 +203,7 @@ class PeRuntime:
             stashed.pop()
             if not stashed:
                 del stash[m]
-            self.kernel.annihilations += 1
+            self.annihilations += 1
             return
         heappush(self.pending, (ev.key, self.push_seq, ev))
         self.push_seq += 1
@@ -238,7 +250,7 @@ class PeRuntime:
 
     def receive_anti(self, ev: Event, now: int) -> None:
         if self._cancel(ev, now, anti=True):
-            self.kernel.annihilations += 1
+            self.annihilations += 1
         else:
             self.stash.setdefault(ev.match, []).append(ev.key)
 
@@ -247,13 +259,12 @@ class PeRuntime:
     def _undo(self, entry: ProcessedEntry, now: int) -> None:
         """Reverse one processed event: cancel each of its local children,
         then send each remote child's anti-message, in emit order."""
-        kernel = self.kernel
         ev = entry.event
-        entry.restore(kernel.lps[ev.dest_lp])
-        self.rolled_back_events += 1
+        entry.restore(self.lps[ev.dest_lp])
+        self.rolled_back += 1
         if entry.fault is not None:
-            kernel.live_faults -= 1
-        lp_pe, pe_id = kernel.lp_pe, self.pe_id
+            self.live_faults -= 1
+        lp_pe, pe_id = self.lp_pe, self.pe_id
         for child in entry.children:
             if lp_pe[child.dest_lp] == pe_id and not self._cancel(child, now):
                 raise UnmatchedAntiMessage(
@@ -261,7 +272,7 @@ class PeRuntime:
         for child in entry.children:
             dest_pe = lp_pe[child.dest_lp]
             if dest_pe != pe_id:
-                kernel.transport.send(dest_pe, child, now, anti=True)
+                self.transport.send(dest_pe, child, now, anti=True)
                 self.antis_sent += 1
         # the undone event itself goes back to pending for re-execution
         self.enqueue_positive(ev)
@@ -318,20 +329,18 @@ class PeRuntime:
 
     def step(self, now: int) -> bool:
         """Deliver this PE's due inbox, then process its lowest live pending
-        event, rolling its LP back first if the event is a straggler. False
-        if there was nothing to deliver or process."""
-        kernel = self.kernel
+        event, rolling its LP back first if the event is a straggler. True
+        if it processed an event."""
         box = self.inbox
-        delivered = bool(box) and box[0][0] <= now
-        if delivered:
-            for _, _, ev, anti in kernel.transport.deliver_due(self.pe_id, now):
+        if box and box[0][0] <= now:
+            for _, _, ev, anti in self.transport.deliver_due(self.pe_id, now):
                 if anti:
                     self.receive_anti(ev, now)
                 else:
                     self.enqueue_positive(ev)
         top = self.pop_live()
         if top is None:
-            return delivered
+            return False
         ev = top[2]
         lp_id = ev.dest_lp
         hist = self.histories[lp_id]
@@ -341,15 +350,15 @@ class PeRuntime:
             self.rollbacks += 1
             # undoes only keys above the straggler's, never the straggler
             self.rollback_past(lp_id, ev.key, now)
-        rt = kernel.lps[lp_id]
-        entry = ProcessedEntry(ev, rt, kernel.global_processed)
+        rt = self.lps[lp_id]
+        entry = ProcessedEntry(ev, rt, now)
         try:
-            new_state, emits = kernel.model.handle(rt.state, ev, rt.model_stream)
+            new_state, emits = self.model.handle(rt.state, ev, rt.model_stream)
             # every child is built before any is sent, so a fault sends
             # nothing; a loop, since before Python 3.12 a comprehension is
             # a frame of its own
             children = []
-            mode, seq_cap, model = kernel.mode, kernel.seq_cap, kernel.model
+            mode, seq_cap, model = self.mode, self.seq_cap, self.model
             for emit in emits:
                 child = build_event(rt, ev, emit, mode, seq_cap, model)
                 if child is not None:
@@ -358,12 +367,12 @@ class PeRuntime:
             # Speculation may reach states the sequential order never does:
             # keep the fault for commit time and leave the LP untouched.
             entry.fault = exc
-            kernel.live_faults += 1
+            self.live_faults += 1
             entry.restore(rt)
         else:
             rt.state = new_state
             entry.children = children
-            lp_pe, pe_id = kernel.lp_pe, self.pe_id
+            lp_pe, pe_id = self.lp_pe, self.pe_id
             for child in children:
                 dest_pe = lp_pe[child.dest_lp]
                 if dest_pe == pe_id:
@@ -371,9 +380,8 @@ class PeRuntime:
                     self.enqueue_positive(child)
                 else:
                     child.match = child.match_key()
-                    kernel.transport.send(dest_pe, child, now)
+                    self.transport.send(dest_pe, child, now)
         hist.append(entry)
-        kernel.global_processed += 1
         return True
 
     def collect_fossils(self, gvt_key) -> list[ProcessedEntry]:
@@ -400,23 +408,18 @@ class OptimisticKernel:
         check_count("chaos_seed", chaos.chaos_seed, 0, WORD_LIMIT)
         self.model = model
         self.mode = mode
-        self.n_workers = n_workers
         self.gvt_interval = gvt_interval
         self.seq_cap = seq_cap
         self.chaos = DrawStream(lp_keys(mix64(chaos.chaos_seed), _CHAOS_SALT)[1])
         self.transport = Transport(n_workers, self.chaos, chaos.max_delay)
-        self.pes = [PeRuntime(i, self) for i in range(n_workers)]
         # the owning PE of each LP id: the one statement of the partition
         self.lp_pe = [lp_id % n_workers for lp_id in range(model.n_lps)]
         self.lps = make_lps(model, global_seed, self.lp_pe)
+        self.pes = [PeRuntime(i, self) for i in range(n_workers)]
         for rt in self.lps:
             self.pes[rt.pe_id].histories[rt.lp_id] = deque()
         self.global_processed = 0
-        self.annihilations = 0
         self.gvt_rounds = 0
-        # faulted history entries not rolled back; while any is live, GVT
-        # rounds run after every step so a fault raises as soon as it commits
-        self.live_faults = 0
         self._last_gvt_mark = 0
         self._last_commit_key = None
         # a GVT round's sort key: only mode none's keys tie, so only it needs the stamp
@@ -490,7 +493,9 @@ class OptimisticKernel:
         time, and freed nothing. Cyclic garbage waits until ``run``
         returns: that of a handler that builds reference cycles, and each
         faulted speculative entry, whose exception reaches back to it
-        through its traceback.
+        through its traceback. The kernel itself is a tree, since no PE
+        points back at it: once those cycles are collected, reference
+        counting frees a dropped kernel and its trace.
         """
         self._seed()
         return self._drive()
@@ -514,6 +519,12 @@ class OptimisticKernel:
         same PEs. The count stays exact because a step changes only its own
         PE's pending heap (its sends go to the inboxes), and it is taken
         here because a caller may have stepped PEs before.
+
+        ``global_processed`` counts the steps that processed an event.
+        ``faults`` says whether any PE holds a faulted entry not rolled
+        back; while one does, a GVT round runs after every step, so a fault
+        raises as soon as it commits. It is exact for the same reason:
+        a step changes only its own PE's ``live_faults``.
         """
         committed: list[Event] = []
         step = 0
@@ -521,6 +532,7 @@ class OptimisticKernel:
         n_pes, gvt_interval = len(pes), self.gvt_interval
         pes_and_inboxes = list(zip(pes, transport.inboxes))
         busy = sum(1 for pe in pes if pe.pending)
+        faults = any(pe.live_faults for pe in pes)
         # one PE leaves the scheduler nothing to choose, so it draws nothing
         draw = self.chaos.draw if n_pes > 1 else None
         while True:
@@ -537,12 +549,12 @@ class OptimisticKernel:
             pe = runnable[draw() % len(runnable)] if draw else runnable[0]
             if pe.pending:
                 busy -= 1
-            pe.step(step)
+            self.global_processed += pe.step(step)
             if pe.pending:
                 busy += 1
             step += 1
-            if (self.live_faults
-                    or self.global_processed - self._last_gvt_mark >= gvt_interval):
+            faults = pe.live_faults or (faults and any(p.live_faults for p in pes))
+            if faults or self.global_processed - self._last_gvt_mark >= gvt_interval:
                 self._commit_epoch(committed)
         self._commit_epoch(committed)
         self._check_quiescent()
@@ -559,16 +571,14 @@ class OptimisticKernel:
 
     def metrics(self) -> dict:
         processed = self.global_processed
-        rolled_back = sum(pe.rolled_back_events for pe in self.pes)
-        committed = processed - rolled_back
+        counts = {name: sum(getattr(pe, name) for pe in self.pes)
+                  for name in ("rolled_back", "rollbacks", "stragglers",
+                               "antis_sent", "annihilations")}
+        committed = processed - counts["rolled_back"]
         return {
-            "workers": self.n_workers,
+            "workers": len(self.pes),
             "processed": processed,
-            "rolled_back": rolled_back,
-            "rollbacks": sum(pe.rollbacks for pe in self.pes),
-            "stragglers": sum(pe.stragglers for pe in self.pes),
-            "antis_sent": sum(pe.antis_sent for pe in self.pes),
-            "annihilations": self.annihilations,
+            **counts,
             "messages_sent": self.transport.total_sent,
             "gvt_rounds": self.gvt_rounds,
             "efficiency": committed / processed if processed else 1.0,

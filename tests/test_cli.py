@@ -278,6 +278,18 @@ def test_fairness_without_closed_form_is_a_config_error(capsys, args):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("base_seed", ("-1", str(2 ** 64 - 50)))
+def test_fairness_refuses_a_bad_seed_range_before_it_runs(capsys, monkeypatch, base_seed):
+    # the first seed is negative, or the 100th is past 64 bits
+    ran = []
+    monkeypatch.setattr(SequentialKernel, "run", lambda self: ran.append(self))
+    assert main(["fairness", "--mode", "lex", "--samples", "100",
+                 "--base-seed", base_seed]) == 2
+    err = capsys.readouterr().err
+    assert "config error: base_seed" in err and "global_seed" not in err
+    assert ran == []
+
+
 def test_bench_subcommand(capsys):
     code = main(["bench", "--model", "phold", "--mode", "additive",
                  "--lps", "4", "--end", "4"])

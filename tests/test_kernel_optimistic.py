@@ -189,8 +189,8 @@ def test_scheduler_choices_are_frozen(monkeypatch):
 
     def step(pe, now):
         nonlocal last_now
-        busy = sum(1 for other in pe.kernel.pes if other.pending)
-        branches["all busy" if busy == len(pe.kernel.pes) else "some idle"] += 1
+        busy = sum(1 for other in kernel.pes if other.pending)
+        branches["all busy" if busy == len(kernel.pes) else "some idle"] += 1
         branches["idle with a due inbox"] += not pe.pending
         branches["next_due jump"] += last_now is not None and now > last_now + 1
         last_now = now
@@ -369,7 +369,7 @@ class Clockwork:
 
 
 def lp_snapshot(pe, lp_id):
-    rt = pe.kernel.lps[lp_id]
+    rt = pe.lps[lp_id]
     return (list(pe.histories[lp_id]), rt.state, rt.model_stream.cursor, rt.serial)
 
 
@@ -966,6 +966,24 @@ def test_speculative_faults_are_contained(model_class):
             assert opt.digest() == ref, (seed, chaos)
 
 
+def test_speculative_fault_rounds_are_frozen():
+    # while a faulted entry is live a GVT round runs after every step; this
+    # pins those rounds (gvt_rounds among every metrics() counter) in the
+    # runs that complete after rolling back their speculative faults
+    rows = []
+    for model_class, _ in FAULT_CASES:
+        model = model_class(**FAULT_PARAMS)
+        for seed in COMPLETING_SEEDS:
+            for chaos in range(3):
+                kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, seed, 4,
+                                          chaos=ChaosConfig(chaos), gvt_interval=16,
+                                          seq_cap=3)
+                kernel.run()
+                rows.append((model_class.__name__, seed, chaos, kernel.metrics()))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "811b5440cb0851d61c6e4e4e5a8dc74b2d410a3b4ac35b50a864ab743654a91d"
+
+
 @pytest.mark.parametrize("model_class,error", FAULT_CASES)
 def test_committed_faults_raise_the_sequential_error(model_class, error):
     model = model_class(**FAULT_PARAMS)
@@ -1163,6 +1181,33 @@ def test_runs_leave_no_cyclic_garbage(model, mode, optimistic):
               else SequentialKernel(model, mode, 3))
     gc.collect()
     kernel.run()
+    assert gc.collect() == 0
+
+
+EVENT_TIES_64 = build_model("event-ties", n_lps=64, end_time=3.0)
+# seed 17 completes, and at 2 and 8 PEs only after rolling back a fault
+DROPPED_KERNEL_RUNS = (
+    *[pytest.param(EVENT_TIES_64, OrderingMode.from_name(mode), 1, DEFAULT_SEQUENCE_CAP,
+                   id=f"event-ties-{mode}") for mode in ("lex", "none", "additive")],
+    *[pytest.param(model_class(**FAULT_PARAMS), OrderingMode.LEX_SEQUENCE,
+                   COMPLETING_SEEDS[2], 3, id=model_class.__name__)
+      for model_class, _ in FAULT_CASES],
+)
+
+
+@pytest.mark.parametrize("workers", (None, 1, 2, 8),
+                         ids=("sequential", "1pe", "2pe", "8pe"))
+@pytest.mark.parametrize("model,mode,seed,seq_cap", DROPPED_KERNEL_RUNS)
+def test_a_dropped_kernel_leaves_no_cyclic_garbage(model, mode, seed, seq_cap, workers):
+    # nothing points back up the kernel's object graph, so reference counting
+    # alone frees a kernel and its trace once both are dropped
+    kernel = (SequentialKernel(model, mode, seed, seq_cap=seq_cap) if workers is None
+              else OptimisticKernel(model, mode, seed, workers, seq_cap=seq_cap))
+    trace = kernel.run()
+    # a rolled-back fault's exception and its history entry form a cycle of
+    # their own, through the exception's traceback: collect those first
+    gc.collect()
+    del kernel, trace
     assert gc.collect() == 0
 
 
