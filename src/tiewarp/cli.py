@@ -64,6 +64,22 @@ def _parse_scalar(text: str):
     return t
 
 
+def _value_text(text: str, where: str) -> str:
+    """The value of a ``key = value`` line, its comment cut off. A quoted
+    value runs to its closing quote, so it may hold a ``#``, and only blanks
+    or a ``# comment`` may follow it."""
+    t = text.strip()
+    if not t or t[0] not in "\"'":
+        return t.split("#", 1)[0]
+    end = t.find(t[0], 1)
+    if end < 0:
+        raise ConfigError(f"{where}: unterminated quote: {t!r}")
+    rest = t[end + 1:].lstrip()
+    if rest and rest[0] != "#":
+        raise ConfigError(f"{where}: text after the quoted value: {rest!r}")
+    return t[:end + 1]
+
+
 def load_config(path: str) -> dict:
     """Read a config file: JSON object, or flat key = value lines."""
     p = Path(path)
@@ -81,13 +97,13 @@ def load_config(path: str) -> dict:
     else:
         data = {}
         for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{ln}: expected 'key = value'")
-            data[key.strip().replace("-", "_")] = _parse_scalar(value)
+            key, sep, value = raw.partition("=")
+            if "#" in key or not sep:
+                if raw.split("#", 1)[0].strip():
+                    raise ConfigError(f"{path}:{ln}: expected 'key = value'")
+                continue  # a blank or comment line
+            data[key.strip().replace("-", "_")] = _parse_scalar(
+                _value_text(value, f"{path}:{ln}"))
     unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {sorted(unknown)}")

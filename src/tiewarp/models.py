@@ -26,7 +26,12 @@ class Emit(NamedTuple):
     ``forced_tiebreak`` overrides the kernel's tie-break draw and exists for
     scripted scenarios that replay fixed published values; real models leave
     it None. A NamedTuple, not a frozen dataclass: handlers build one per
-    emitted event, and a tuple is the cheaper record to build.
+    emitted event, and a tuple is the cheaper record to build. The built-in
+    handlers build it with ``tuple.__new__(Emit, (...))``, every field
+    given, in one C call of about 150 ns; the class call goes through the
+    NamedTuple's generated Python ``__new__`` and costs 350-450 ns. The
+    record, its equality and its hash are the same either way, and scenarios,
+    tests and users keep the class call.
     """
 
     dest_lp: int
@@ -36,12 +41,17 @@ class Emit(NamedTuple):
 
 
 class MeanState(NamedTuple):
-    """Running mean of means; stays inside the hull of everything folded in."""
+    """Running mean of means; stays inside the hull of everything folded in.
+
+    ``fold`` runs once per handled event of the tie models, so it builds its
+    result with ``tuple.__new__`` in one C call, as the handlers build
+    ``Emit``; ``MeanState(x)`` builds the same record.
+    """
 
     mean_val: float = 0.0
 
     def fold(self, value: float) -> "MeanState":
-        return MeanState((self.mean_val + value) / 2.0)
+        return tuple.__new__(MeanState, ((self.mean_val + value) / 2.0,))
 
 
 def stress_tree_node_count(height: int, arity: int) -> int:
@@ -117,7 +127,8 @@ class PholdModel(_BuiltinModel):
 
     def handle(self, state, event, stream: DrawStream):
         dest = self._route(stream, event.dest_lp)
-        return state, [Emit(dest, stream.exponential(self.mean_offset), None)]
+        return state, [tuple.__new__(Emit, (dest, stream.exponential(self.mean_offset),
+                                            None, None))]
 
     def final_value(self, state):
         return None
@@ -169,7 +180,7 @@ class EventTiesModel(_BuiltinModel):
             offset = 1.0
         else:
             offset = 0.0
-        return new_state, [Emit(dest, offset, val)]
+        return new_state, [tuple.__new__(Emit, (dest, offset, val, None))]
 
     def final_value(self, state: MeanState):
         return state.mean_val
@@ -215,11 +226,12 @@ class StressModel(_BuiltinModel):
             for i in range(self.arity):
                 child_val = stream.randint(0, 100)
                 dest = self._route(stream, lp)
-                emits.append(Emit(dest, 0.0, (child_val, level + 1, descendant_sum + i)))
+                emits.append(tuple.__new__(
+                    Emit, (dest, 0.0, (child_val, level + 1, descendant_sum + i), None)))
         elif descendant_sum == 0:
             next_val = stream.randint(0, 100)
             dest = self._route(stream, lp)
-            emits.append(Emit(dest, 1.0, (next_val, 0, 0)))
+            emits.append(tuple.__new__(Emit, (dest, 1.0, (next_val, 0, 0), None)))
         return new_state, emits
 
     def final_value(self, state: MeanState):

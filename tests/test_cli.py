@@ -573,6 +573,31 @@ def test_config_scalar_parsing(tmp_path):
     assert data == {"model": "phold", "coupled": True, "end": 2.5, "seed": 16}
 
 
+def test_config_quoted_value_keeps_its_hash(tmp_path):
+    # the comment is cut after the value is read, so a quoted '#' stays
+    trace_path = tmp_path / "run#1.trace"
+    cfg = tmp_path / "hash.cfg"
+    cfg.write_text(f'trace_out = "{trace_path}"  # a comment\nend = 2  # note\n'
+                   "lps = 2\n")
+    assert load_config(str(cfg)) == {"trace_out": str(trace_path), "end": 2, "lps": 2}
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert trace_path.read_text().startswith(TRACE_SCHEMA + "\n")
+
+
+@pytest.mark.parametrize("line, message", (
+    ('model = "phold', "unterminated quote"),
+    ("model = 'phold\"", "unterminated quote"),
+    ('model = "phold" lex', "text after the quoted value"),
+))
+def test_config_malformed_quotes_are_refused(tmp_path, capsys, line, message):
+    cfg = tmp_path / "quote.cfg"
+    cfg.write_text(f"end = 2\n{line}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}:2: {message}")):
+        load_config(str(cfg))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"{cfg}:2: {message}" in capsys.readouterr().err
+
+
 def test_config_keys_and_flags_cover_the_run_schema():
     # the config keys are exactly the flag names with "_"
     assert set(cli.CONFIG_KEYS) == {

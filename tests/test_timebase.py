@@ -41,9 +41,18 @@ def lex_oracle(a, b):
     return LESS if len(a) < len(b) else GREATER
 
 
-def rand_tiebreak(rng, max_len=4):
-    # length >= 1: the comparator rejects empty sequences in lex mode
-    return tuple(rng.randrange(2 ** 64) for _ in range(1 + rng.randrange(max_len)))
+# Draws at the edges of the draw range: tie-breaks drawn from these share
+# leading draws, and one is often a strict prefix of another.
+EDGE_DRAWS = (0, 1, 2 ** 64 - 1)
+
+
+def rand_tiebreak(rng, max_len=4, values=None):
+    # length >= 1: the comparator rejects empty sequences in lex mode;
+    # draws from all of 2**64, or from ``values`` when it is given
+    n = 1 + rng.randrange(max_len)
+    if values is None:
+        return tuple(rng.randrange(2 ** 64) for _ in range(n))
+    return tuple(rng.choice(values) for _ in range(n))
 
 
 def rand_identity(rng):
@@ -177,22 +186,28 @@ def test_comparator_laws_small(mode):
 @pytest.mark.parametrize("mode", DRAW_MODES)
 def test_sort_key_agrees_with_comparator(mode):
     rng = random.Random(1234 + len(mode.value))
-    for _ in range(3000):
-        if mode is OrderingMode.LEX_SEQUENCE:
-            ta, tb = rand_tiebreak(rng), rand_tiebreak(rng)
-        else:
-            ta, tb = (rng.randrange(2 ** 64),), (rng.randrange(2 ** 64),)
-        sa, sb = float(rng.randrange(2)), float(rng.randrange(2))
-        ia, ib = rand_identity(rng), rand_identity(rng)
-        a, b = Event(*ia, 0, sa, ta), Event(*ib, 0, sb, tb)
-        cmp_result = compare_signatures(a, b, mode, a_identity=ia, b_identity=ib)
-        ka, kb = sort_key(a, mode), sort_key(b, mode)
-        if cmp_result == LESS:
-            assert ka < kb
-        elif cmp_result == GREATER:
-            assert ka > kb
-        else:
-            assert ka == kb
+    # wide draws never share a leading draw; edge draws do, and lex
+    # tie-breaks of edge draws are often strict prefixes of one another,
+    # the case the end marker of the flat key orders
+    for values in (None, EDGE_DRAWS):
+        for _ in range(3000):
+            if mode is OrderingMode.LEX_SEQUENCE:
+                ta, tb = rand_tiebreak(rng, values=values), rand_tiebreak(rng, values=values)
+            elif values is None:
+                ta, tb = (rng.randrange(2 ** 64),), (rng.randrange(2 ** 64),)
+            else:
+                ta, tb = (rng.choice(values),), (rng.choice(values),)
+            sa, sb = float(rng.randrange(2)), float(rng.randrange(2))
+            ia, ib = rand_identity(rng), rand_identity(rng)
+            a, b = Event(*ia, 0, sa, ta), Event(*ib, 0, sb, tb)
+            cmp_result = compare_signatures(a, b, mode, a_identity=ia, b_identity=ib)
+            ka, kb = sort_key(a, mode), sort_key(b, mode)
+            if cmp_result == LESS:
+                assert ka < kb
+            elif cmp_result == GREATER:
+                assert ka > kb
+            else:
+                assert ka == kb
 
 
 def test_sort_key_ignores_pe_for_draw_modes():
