@@ -81,7 +81,7 @@ class OrderingMode(enum.Enum):
         # after(later, earlier): whether a key may follow another in commit
         # order, for the commit check and the audit. Keys of mode none are
         # bare timestamps, so ties may commit either way.
-        self.after = operator.ge if value == "none" else operator.gt
+        self.after = operator.ge if self.bare_keys else operator.gt
 
     @classmethod
     def from_name(cls, name: str) -> "OrderingMode":

@@ -38,7 +38,10 @@ class Event:
     ``(source_lp, serial)`` is globally unique; ``source_pe``, the creating
     PE, exists for the explicit-bias ruleset and depends on how LPs are
     partitioned. ``timestamp`` and ``tiebreak`` are the event's signature and
-    ``key`` its total-order sort key, all set once when the event is built.
+    ``key`` its total-order sort key, ``timebase.sort_key``'s tuple, all set
+    once when the event is built; in the draw modes the key is flat,
+    ``(timestamp, *tiebreak, -1, source_lp, serial)``, and the kernels
+    compare keys natively.
     ``parent_key`` is the (source_lp, serial) of the causal parent event, or
     None for seed events; the causality audits walk these back-pointers.
     ``zero_offset_depth`` counts consecutive zero-offset ancestors. ``match``
