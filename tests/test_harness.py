@@ -251,6 +251,21 @@ def test_run_fairness_is_seeded():
     assert a != c
 
 
+# successes in 400 samples from base seed 1234; the probe's model may change,
+# but each seed's verdict, and so every count, must not
+FROZEN_FAIRNESS_SUCCESSES = (
+    ("lex", 0, 202), ("lex", 1, 202), ("lex", 3, 202), ("lex", 10, 202),
+    ("additive", 0, 202), ("additive", 1, 85), ("additive", 2, 19),
+    ("additive", 4, 1),
+    ("unbiased-single", 0, 202),
+)
+
+
+@pytest.mark.parametrize("mode,depth,successes", FROZEN_FAIRNESS_SUCCESSES)
+def test_fairness_counts_are_frozen(mode, depth, successes):
+    assert run_fairness(mode, depth, 400, base_seed=1234).successes == successes
+
+
 def synthetic_trace(entries):
     return Trace(committed=[
         Event(0, lp, serial, lp, ts, tb, parent_key=parent)
