@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """How often does a zero-offset chain's tail beat an independent rival?
 
-TiePairModel stages a depth-d chain on LP 0 against a lone event on LP 1,
-all at the same timestamp. "Fair" means the committed order is as random as
-the draws: lex gives exactly 1/2 at any depth because the whole chain rides
-its head draw. Additive is unbiased between singletons but handicaps chains:
+The probe runs event-ties on two LPs, each with one chain of d+1 events at
+the same timestamp, and races the tail of LP 0's chain against the head of
+LP 1's. "Fair" means the committed order is as random as the draws: lex
+gives exactly 1/2 at any depth because the whole chain rides its head draw. Additive is unbiased between singletons but handicaps chains:
 the tail carries a sum of d+1 uniforms, so it wins with probability
 1/(d+2)! -- still random, never starved, but no longer balanced.
 """

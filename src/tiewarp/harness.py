@@ -4,9 +4,10 @@
 ``outcome``: its trace digest, or the error it raised. ``execute`` runs a
 spec into a trace. ``verify_determinism`` sweeps worker counts, chaos seeds,
 and repeats, and reports whether every outcome agrees with the sequential
-reference's. ``run_fairness`` estimates the probability that the deep end of a
-zero-offset chain commits before an independent rival event, which has a
-known closed form for the unbiased modes.
+reference's. ``run_fairness`` runs the event-ties model on two LPs and
+estimates the probability that the tail of LP 0's zero-offset chain commits
+before the head of LP 1's, which has a known closed form for the unbiased
+modes.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .kernel_optimistic import (
     OptimisticKernel,
 )
 from .kernel_seq import SequentialKernel, run_sequential
-from .models import MODELS, build_model, model_class
-from .scenarios import TiePairModel
+from .models import MODELS, EventTiesModel, build_model, model_class
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
 from .trace import Trace
 
@@ -212,7 +212,9 @@ def fairness_expected(mode: OrderingMode | str, depth: int) -> float | None:
     if mode is OrderingMode.UNBIASED_SINGLE:
         return 0.5 if depth == 0 else None
     if mode is OrderingMode.ADDITIVE:
-        return 1.0 / math.factorial(depth + 2)
+        # an int quotient rounds once, and underflows to 0.0 where a float
+        # factorial would overflow
+        return 1 / math.factorial(depth + 2)
     return None
 
 
@@ -232,13 +234,16 @@ def run_fairness(mode_name: str, depth: int, samples: int,
         raise ConfigError(
             f"mode {mode.value} has no fairness closed form at depth {depth}; "
             f"use lex, additive, or unbiased-single at depth 0")
+    # two chains of depth + 1 events at t = 1: LP 0's tail, identity
+    # (0, depth), races LP 1's head, (1, 0)
+    model = EventTiesModel(n_lps=2, chain_length=depth + 1, remote_prob=0.0,
+                           end_time=1.0)
     successes = 0
     for i in range(samples):
-        model = TiePairModel(depth)
         trace = run_sequential(model, mode, base_seed + i)
         index = {(ev.source_lp, ev.serial): i
                  for i, ev in enumerate(trace.committed)}
-        if index[model.target_identity()] < index[model.rival_identity()]:
+        if index[(0, depth)] < index[(1, 0)]:
             successes += 1
     p_hat = successes / samples
     half_width = 3.0 * math.sqrt(expected * (1.0 - expected) / samples)

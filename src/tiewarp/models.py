@@ -196,7 +196,9 @@ class StressModel(_BuiltinModel):
     Every non-leaf event spawns ``arity`` zero-offset children, child i
     adding i to a descendant sum; the single all-first-child leaf (sum 0)
     seeds the next timestep's tree with a regular-offset event, so exactly
-    one tree per lineage per timestep.
+    one tree per lineage per timestep. The payload is (value, descendant
+    sum). An event's level in its tree is its ``zero_offset_depth``: a root
+    comes at offset 1.0 and each child at offset 0.0.
     """
 
     name = "event-ties-stress"
@@ -214,24 +216,24 @@ class StressModel(_BuiltinModel):
         return MeanState()
 
     def seed_events(self, lp_id: int, stream: DrawStream):
-        # Root of the first tree: level 0, descendant sum 0.
-        return [Emit(lp_id, 1.0, (stream.randint(0, 100), 0, 0))]
+        # Root of the first tree: descendant sum 0.
+        return [Emit(lp_id, 1.0, (stream.randint(0, 100), 0))]
 
     def handle(self, state: MeanState, event, stream: DrawStream):
         lp = event.dest_lp
-        val, level, descendant_sum = event.payload
+        val, descendant_sum = event.payload
         new_state = state.fold(val)
         emits = []
-        if level < self.height:
+        if event.zero_offset_depth < self.height:
             for i in range(self.arity):
                 child_val = stream.randint(0, 100)
                 dest = self._route(stream, lp)
                 emits.append(tuple.__new__(
-                    Emit, (dest, 0.0, (child_val, level + 1, descendant_sum + i), None)))
+                    Emit, (dest, 0.0, (child_val, descendant_sum + i), None)))
         elif descendant_sum == 0:
             next_val = stream.randint(0, 100)
             dest = self._route(stream, lp)
-            emits.append(tuple.__new__(Emit, (dest, 1.0, (next_val, 0, 0), None)))
+            emits.append(tuple.__new__(Emit, (dest, 1.0, (next_val, 0), None)))
         return new_state, emits
 
     def final_value(self, state: MeanState):

@@ -267,6 +267,13 @@ def test_fairness_subcommand(tmp_path, capsys):
     assert report["samples"] == 200
 
 
+def test_fairness_at_a_depth_past_float_factorials(capsys):
+    # 1/(d+2)! is below the smallest float from d = 169; it reads 0
+    assert main(["fairness", "--mode", "additive", "--samples", "100",
+                 "--depth", "200"]) == 0
+    assert "expected=0.000000" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("args", (["--mode", "naive"],
                                   ["--mode", "unbiased-single", "--depth", "1"],
                                   ["--mode", "lex", "--depth", "-1"],

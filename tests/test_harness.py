@@ -191,6 +191,8 @@ def test_fairness_expected_closed_forms():
     assert fairness_expected(OrderingMode.ADDITIVE, 1) == pytest.approx(1 / 6)
     assert fairness_expected(OrderingMode.ADDITIVE, 2) == pytest.approx(1 / 24)
     assert fairness_expected(OrderingMode.NONE, 0) is None
+    # 1/(d+2)! underflows to 0.0 rather than overflowing a float factorial
+    assert fairness_expected(OrderingMode.ADDITIVE, 200) == 0.0
 
 
 def test_fairness_expected_accepts_mode_names():

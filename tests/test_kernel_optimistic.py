@@ -20,7 +20,7 @@ from tiewarp.kernel_optimistic import (DEFAULT_GVT_INTERVAL, DEFAULT_MAX_DELAY,
 from tiewarp.kernel_seq import SequentialKernel, run_sequential
 from tiewarp.models import Emit, EventTiesModel, PholdModel, build_model
 from tiewarp.rngstream import draw_at, lp_keys, mix64
-from tiewarp.scenarios import ScriptedModel, TiePairModel, committed_names, SCRIPT_LEX_ORDER
+from tiewarp.scenarios import ScriptedModel, committed_names, SCRIPT_LEX_ORDER
 from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode
 from tiewarp.trace import Event, first_divergence
 
@@ -1166,7 +1166,9 @@ COMPLETING_RUNS = (
     ("stress", build_model("event-ties-stress", n_lps=8, end_time=2, height=3,
                            arity=2, remote_prob=0.5), TIE_MODES),
     ("scripted-pair", ScriptedModel(), SCRIPT_MODES),
-    ("tie-pair", TiePairModel(3), SCRIPT_MODES),
+    # the fairness probe's pair of chains at depth 3
+    ("tie-pair", build_model("event-ties", n_lps=2, chain_length=4, remote_prob=0.0,
+                             end_time=1.0), SCRIPT_MODES),
 )
 
 

@@ -19,7 +19,6 @@ from tiewarp.scenarios import (
     SCRIPT_ADDITIVE_ORDER,
     SCRIPT_LEX_ORDER,
     ScriptedModel,
-    TiePairModel,
     committed_names,
 )
 from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
@@ -205,15 +204,17 @@ def test_none_mode_runs_tie_models_without_draws():
 
 
 def test_tie_pair_model_commits_both_lineages():
-    model = TiePairModel(depth=2)
+    # the fairness probe's pair at depth 2: each LP runs one chain of
+    # depths 0, 1, 2 at t = 1, and its serials are those depths
+    model = build_model("event-ties", n_lps=2, chain_length=3, remote_prob=0.0,
+                        end_time=1.0)
     trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, 3)
-    # LP0 chain: depths 0,1,2 => 3 events; LP1: the lone rival
-    assert len(trace.committed) == 4
+    assert len(trace.committed) == 6
     by_lp = {}
     for ce in trace.committed:
-        by_lp.setdefault(ce.source_lp, []).append(ce)
-    assert len(by_lp[0]) == 3
-    assert len(by_lp[1]) == 1
+        assert ce.dest_lp == ce.source_lp and ce.timestamp == 1.0
+        by_lp.setdefault(ce.source_lp, []).append((ce.serial, ce.zero_offset_depth))
+    assert sorted(by_lp[0]) == sorted(by_lp[1]) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_trace_file_round_trip(tmp_path):

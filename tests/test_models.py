@@ -219,19 +219,19 @@ def test_stress_node_count_formula_matches_brute_force():
 def test_stress_handler_fanout_and_leaf_rule():
     model = StressModel(n_lps=4, remote_prob=0.0, height=2, arity=3)
     stream = DrawStream(lp_keys(mix64(9), 1)[1])
-    # interior node: arity children, zero offset, descendant sums +0..+2
-    _, emits = model.handle(MeanState(), make_event(1, (50, 1, 4)), stream)
+    # interior node, level 1 by its zero-offset depth: arity children, zero
+    # offset, descendant sums +0..+2
+    _, emits = model.handle(MeanState(), make_event(1, (50, 4), depth=1), stream)
     assert len(emits) == 3
     assert all(e.offset == 0.0 for e in emits)
-    assert [e.payload[1] for e in emits] == [2, 2, 2]
-    assert [e.payload[2] for e in emits] == [4, 5, 6]
+    assert [e.payload[1] for e in emits] == [4, 5, 6]
     # leaf with descendant sum 0: exactly one next-timestep root
-    _, emits = model.handle(MeanState(), make_event(1, (50, 2, 0)), stream)
+    _, emits = model.handle(MeanState(), make_event(1, (50, 0), depth=2), stream)
     assert len(emits) == 1
     assert emits[0].offset == 1.0
-    assert emits[0].payload[1:] == (0, 0)
+    assert emits[0].payload[1] == 0
     # any other leaf: nothing
-    _, emits = model.handle(MeanState(), make_event(1, (50, 2, 3)), stream)
+    _, emits = model.handle(MeanState(), make_event(1, (50, 3), depth=2), stream)
     assert emits == []
 
 
