@@ -71,6 +71,8 @@ class ProcessedEntry:
     enqueued here, matched by identity, or sent, matched by content.
     ``fault`` is the exception processing raised, or None; a faulted entry
     changed nothing and sent nothing, and raises its fault when it commits.
+    The fault is kept without its traceback, whose frames would reach back
+    to this entry, so entry and fault never form a reference cycle.
     ``stamp`` is the scheduler step that processed the event. A step
     processes at most one event and the scheduler's clock only rises, so
     stamps order mode none's tied commits as they were processed.
@@ -92,6 +94,12 @@ class ProcessedEntry:
         rt.state = self.state
         rt.model_stream.cursor = self.model_cursor
         rt.serial = self.serial
+
+    def take_fault(self) -> Exception:
+        """The fault, released from this entry so that the frame raising it
+        does not hold it through the entry."""
+        fault, self.fault = self.fault, None
+        return fault
 
 
 class Transport:
@@ -366,7 +374,7 @@ class PeRuntime:
         except Exception as exc:
             # Speculation may reach states the sequential order never does:
             # keep the fault for commit time and leave the LP untouched.
-            entry.fault = exc
+            entry.fault = exc.with_traceback(None)
             self.live_faults += 1
             entry.restore(rt)
         else:
@@ -468,7 +476,7 @@ class OptimisticKernel:
                         f"commit order regression at {format_signature(ev)}")
                 if entry.fault is not None:
                     # the sequential run raises here too, at the same event
-                    raise entry.fault
+                    raise entry.take_fault()
                 last = key
                 committed.append(ev)
         finally:
@@ -490,12 +498,12 @@ class OptimisticKernel:
         collector and restores its state on return or raise
         (``kernel_seq.collector_paused``): on input 0:0 of the ``ties-opt``
         benchmark it made 52 gen-0 and 4 gen-1 passes, 7% of the run's
-        time, and freed nothing. Cyclic garbage waits until ``run``
-        returns: that of a handler that builds reference cycles, and each
-        faulted speculative entry, whose exception reaches back to it
-        through its traceback. The kernel itself is a tree, since no PE
-        points back at it: once those cycles are collected, reference
-        counting frees a dropped kernel and its trace.
+        time, and freed nothing. Cyclic garbage that a handler builds waits
+        until ``run`` returns. The kernel itself is a tree, since no PE
+        points back at it, and a faulted entry keeps its fault without a
+        traceback and releases it before the fault is raised: reference
+        counting frees a dropped kernel and its trace, or the error it
+        raised.
         """
         self._seed()
         return self._drive()

@@ -1187,29 +1187,39 @@ def test_runs_leave_no_cyclic_garbage(model, mode, optimistic):
 
 
 EVENT_TIES_64 = build_model("event-ties", n_lps=64, end_time=3.0)
-# seed 17 completes, and at 2 and 8 PEs only after rolling back a fault
+# seed 17 completes, and at 2 and 8 PEs only after rolling back a fault;
+# seed 1 commits a fault, so its runs raise the case's error
 DROPPED_KERNEL_RUNS = (
     *[pytest.param(EVENT_TIES_64, OrderingMode.from_name(mode), 1, DEFAULT_SEQUENCE_CAP,
-                   id=f"event-ties-{mode}") for mode in ("lex", "none", "additive")],
+                   None, id=f"event-ties-{mode}") for mode in ("lex", "none", "additive")],
     *[pytest.param(model_class(**FAULT_PARAMS), OrderingMode.LEX_SEQUENCE,
-                   COMPLETING_SEEDS[2], 3, id=model_class.__name__)
+                   COMPLETING_SEEDS[2], 3, None, id=model_class.__name__)
       for model_class, _ in FAULT_CASES],
+    *[pytest.param(model_class(**FAULT_PARAMS), OrderingMode.LEX_SEQUENCE, 1, 3, error,
+                   id=f"{model_class.__name__}-raises")
+      for model_class, error in FAULT_CASES],
 )
 
 
 @pytest.mark.parametrize("workers", (None, 1, 2, 8),
                          ids=("sequential", "1pe", "2pe", "8pe"))
-@pytest.mark.parametrize("model,mode,seed,seq_cap", DROPPED_KERNEL_RUNS)
-def test_a_dropped_kernel_leaves_no_cyclic_garbage(model, mode, seed, seq_cap, workers):
-    # nothing points back up the kernel's object graph, so reference counting
-    # alone frees a kernel and its trace once both are dropped
+@pytest.mark.parametrize("model,mode,seed,seq_cap,error", DROPPED_KERNEL_RUNS)
+def test_a_dropped_kernel_leaves_no_cyclic_garbage(model, mode, seed, seq_cap, error,
+                                                   workers):
+    # nothing points back up the kernel's object graph, and a fault is kept
+    # and raised without a traceback that reaches its history entry, so
+    # reference counting alone frees a kernel and its trace, or the error it
+    # raised, once both are dropped
     kernel = (SequentialKernel(model, mode, seed, seq_cap=seq_cap) if workers is None
               else OptimisticKernel(model, mode, seed, workers, seq_cap=seq_cap))
-    trace = kernel.run()
-    # a rolled-back fault's exception and its history entry form a cycle of
-    # their own, through the exception's traceback: collect those first
     gc.collect()
-    del kernel, trace
+    if error is None:
+        trace = kernel.run()
+        del trace
+    else:
+        with pytest.raises(error):
+            kernel.run()
+    del kernel
     assert gc.collect() == 0
 
 
