@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
@@ -150,20 +151,23 @@ def verify_determinism(spec: RunSpec, workers=(1, 2, 4, 8),
     Verdicts: "deterministic" when every outcome equals the reference's,
     errors included; "faulted" when a cell raised an error the reference did
     not; "nondeterministic" otherwise. An empty sweep, or a kernel that
-    cannot be built, raises a ConfigError.
+    cannot be built, raises a ConfigError before anything runs.
     """
     if not workers or not chaos_seeds:
         raise ConfigError("a sweep needs at least one worker count and one chaos seed")
     check_count("repeats", repeats, 1)
+    # every cell's kernel is built, and so checked, before the first run; an
+    # optimistic kernel checks all that a sequential one does
+    runs = deque(({"workers": w, "chaos_seed": cs, "repeat": rep},
+                  build_kernel(replace(spec, workers=w, chaos_seed=cs), optimistic=True))
+                 for w in workers for cs in chaos_seeds for rep in range(repeats))
     reference = outcome(build_kernel(spec, optimistic=False))
     cells, outcomes = [], []
-    for w in workers:
-        for cs in chaos_seeds:
-            cell_spec = replace(spec, workers=w, chaos_seed=cs)
-            for rep in range(repeats):
-                result = outcome(build_kernel(cell_spec, optimistic=True))
-                outcomes.append(result)
-                cells.append({"workers": w, "chaos_seed": cs, "repeat": rep, **result})
+    while runs:
+        cell, kernel = runs.popleft()
+        result = outcome(kernel)
+        outcomes.append(result)
+        cells.append({**cell, **result})
     mismatches = [result for result in outcomes if result != reference]
     faults = sum("error" in result for result in mismatches)
     verdict = ("faulted" if faults else

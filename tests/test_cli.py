@@ -254,6 +254,21 @@ def test_verify_determinism_refuses_an_empty_or_aliased_sweep(capsys, args):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", (["--max-delay=-1"], ["--gvt-interval", "0"],
+                                  ["--workers-list", "0,2"], ["--workers-list", "2,0"],
+                                  ["--chaos-seeds=0,-1"]),
+                         ids=("max-delay", "gvt-interval", "workers-0-first",
+                              "workers-0-last", "chaos-seed"))
+def test_verify_determinism_refuses_a_bad_cell_before_any_run(capsys, monkeypatch, args):
+    # the sequential reference and the cells before the bad one must not run
+    ran = []
+    for kernel_class in (SequentialKernel, OptimisticKernel):
+        monkeypatch.setattr(kernel_class, "run", lambda self: ran.append(self))
+    assert main(["verify-determinism", "--lps", "2", "--end", "2", *args]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert ran == []
+
+
 def test_fairness_subcommand(tmp_path, capsys):
     report_path = tmp_path / "fairness.json"
     code = main(["fairness", "--mode", "lex", "--depth", "1",
