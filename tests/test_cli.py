@@ -583,6 +583,46 @@ def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, tex
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,text,message", (
+    ("run.json", '{"lps": 2,}', "bad JSON in "),
+    ("run.json", "[2, 3]", " must hold a JSON object"),
+), ids=("bad-json", "json-array"))
+def test_unreadable_json_configs_are_config_errors(tmp_path, capsys, name, text, message):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_flat_config_false_is_the_bool(tmp_path, capsys):
+    # read as the string "false", it would be refused as no bool
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = event-ties\ncoupled = false\nlps = 2\nend = 2\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert " coupled=False " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args,message", (
+    (["verify-determinism", "--workers-list", "a,b"],
+     "--workers-list expects comma-separated integers"),
+    (["run", "--model", "event-ties-stress", "--end", "2.5"],
+     "stress end_time must be a positive integer"),
+), ids=("workers-list-words", "stress-fractional-end"))
+def test_flag_values_a_command_cannot_use_are_config_errors(capsys, args, message):
+    assert main([*args, "--lps", "2"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_compare_refuses_a_trace_that_is_not_ascii(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    assert main(RUN_TIES + ["--trace-out", str(good)]) == 0
+    accented = tmp_path / "accented.txt"
+    accented.write_bytes(good.read_bytes().replace(b"\n", "\né".encode(), 1))
+    capsys.readouterr()
+    assert main(["compare", str(good), str(accented)]) == 2
+    assert "not ASCII text" in capsys.readouterr().err
+
+
 def test_config_scalar_parsing(tmp_path):
     cfg = tmp_path / "types.cfg"
     cfg.write_text(
