@@ -58,6 +58,19 @@ class ChaosConfig:
     max_delay: int = DEFAULT_MAX_DELAY
 
 
+def without_tracebacks(exc: Exception) -> Exception:
+    """``exc``, with the traceback of it and of every exception chained to
+    it, as cause or context, dropped."""
+    chain, seen = [exc], set()
+    while chain:
+        link = chain.pop()
+        if link is not None and id(link) not in seen:
+            seen.add(id(link))
+            link.__traceback__ = None
+            chain += (link.__cause__, link.__context__)
+    return exc
+
+
 class ProcessedEntry:
     """One processed event and everything needed to undo it.
 
@@ -71,8 +84,8 @@ class ProcessedEntry:
     enqueued here, matched by identity, or sent, matched by content.
     ``fault`` is the exception processing raised, or None; a faulted entry
     changed nothing and sent nothing, and raises its fault when it commits.
-    The fault is kept without its traceback, whose frames would reach back
-    to this entry, so entry and fault never form a reference cycle.
+    The fault is kept without tracebacks (``without_tracebacks``), whose
+    frames would reach back to this entry, so the two form no cycle.
     ``stamp`` is the scheduler step that processed the event. A step
     processes at most one event and the scheduler's clock only rises, so
     stamps order mode none's tied commits as they were processed.
@@ -374,7 +387,7 @@ class PeRuntime:
         except Exception as exc:
             # Speculation may reach states the sequential order never does:
             # keep the fault for commit time and leave the LP untouched.
-            entry.fault = exc.with_traceback(None)
+            entry.fault = without_tracebacks(exc)
             self.live_faults += 1
             entry.restore(rt)
         else:

@@ -943,6 +943,18 @@ class StateBadDestinationTies(StateZeroOffsetTies):
         return new_state, emits
 
 
+class StateListPayloadTies(StateZeroOffsetTies):
+    """The same chains, but where StateFaultTies raises, the handler emits
+    an unhashable payload; building the child refuses it with an error
+    raised while handling the TypeError of ``hash``, so chained to it."""
+
+    def handle(self, state, event, stream):
+        new_state, emits = super().handle(state, event, stream)
+        if event.zero_offset_depth >= 2 and emits[0].offset == 0.0:
+            emits = [Emit(emits[0].dest_lp, 0.0, [emits[0].payload])]
+        return new_state, emits
+
+
 FAULT_CASES = ((StateZeroOffsetTies, SequenceCapExceeded),
                (StateFaultTies, ModelFault),
                (StateBadDestinationTies, ConfigError))
@@ -1198,6 +1210,10 @@ DROPPED_KERNEL_RUNS = (
     *[pytest.param(model_class(**FAULT_PARAMS), OrderingMode.LEX_SEQUENCE, 1, 3, error,
                    id=f"{model_class.__name__}-raises")
       for model_class, error in FAULT_CASES],
+    pytest.param(StateListPayloadTies(**FAULT_PARAMS), OrderingMode.LEX_SEQUENCE,
+                 COMPLETING_SEEDS[2], 3, None, id="StateListPayloadTies"),
+    pytest.param(StateListPayloadTies(**FAULT_PARAMS), OrderingMode.LEX_SEQUENCE, 1, 3,
+                 ConfigError, id="StateListPayloadTies-raises"),
 )
 
 
