@@ -58,7 +58,7 @@ class ChaosConfig:
     max_delay: int = DEFAULT_MAX_DELAY
 
 
-def without_tracebacks(exc: Exception) -> Exception:
+def _without_tracebacks(exc: Exception) -> Exception:
     """``exc``, with the traceback of it and of every exception chained to
     it, as cause or context, dropped."""
     chain, seen = [exc], set()
@@ -84,7 +84,7 @@ class ProcessedEntry:
     enqueued here, matched by identity, or sent, matched by content.
     ``fault`` is the exception processing raised, or None; a faulted entry
     changed nothing and sent nothing, and raises its fault when it commits.
-    The fault is kept without tracebacks (``without_tracebacks``), whose
+    The fault is kept without tracebacks (``_without_tracebacks``), whose
     frames would reach back to this entry, so the two form no cycle.
     ``stamp`` is the scheduler step that processed the event. A step
     processes at most one event and the scheduler's clock only rises, so
@@ -387,7 +387,7 @@ class PeRuntime:
         except Exception as exc:
             # Speculation may reach states the sequential order never does:
             # keep the fault for commit time and leave the LP untouched.
-            entry.fault = without_tracebacks(exc)
+            entry.fault = _without_tracebacks(exc)
             self.live_faults += 1
             entry.restore(rt)
         else:
@@ -513,8 +513,8 @@ class OptimisticKernel:
         benchmark it made 52 gen-0 and 4 gen-1 passes, 7% of the run's
         time, and freed nothing. Cyclic garbage that a handler builds waits
         until ``run`` returns. The kernel itself is a tree, since no PE
-        points back at it, and a faulted entry keeps its fault without a
-        traceback and releases it before the fault is raised: reference
+        points back at it, and a faulted entry keeps its fault without
+        tracebacks and releases it before the fault is raised: reference
         counting frees a dropped kernel and its trace, or the error it
         raised.
         """
