@@ -7,10 +7,16 @@ The tie-break fractions are pinned to 0.1 / 0.40 / 0.20 and 0.15 / 0.30, so
 the committed orders below can be checked by hand.
 """
 
+import sys
+from pathlib import Path
+
 from tiewarp.kernel_seq import run_sequential
-from tiewarp.scenarios import ScriptedModel, committed_names, TABLE_SCRIPT
 from tiewarp.timebase import OrderingMode
 from tiewarp.errors import CausalityViolation
+
+# the worked example's scripted model lives with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from scenarios import ScriptedModel, committed_names, TABLE_SCRIPT  # noqa: E402
 
 print("script (name, lp, parent, offset, fraction):")
 for row in TABLE_SCRIPT:

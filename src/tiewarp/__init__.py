@@ -19,7 +19,6 @@ from .errors import (
 from .harness import (
     FairnessReport,
     RunSpec,
-    audit_trace,
     benchmark,
     execute,
     run_fairness,
@@ -63,7 +62,6 @@ __all__ = [
     "Trace",
     "UnmatchedAntiMessage",
     "ZeroOffsetForbidden",
-    "audit_trace",
     "benchmark",
     "build_model",
     "execute",

@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 causality violation;
 verify-determinism reports an error raised while running as an outcome
-instead. A config file (JSON or flat "key = value" lines) can
-supply any run option; explicit flags override it.
+instead. A config file, one JSON object whatever its suffix, can supply any
+run option; explicit flags override it, and a key named twice is refused.
 """
 
 from __future__ import annotations
@@ -44,66 +44,27 @@ CONFIG_KEYS = tuple(_KEY_OF_FIELD.get(name, name) for name in RUN_FIELDS) + OUTP
 _CHOICES = {"model": MODEL_NAMES, "mode": MODE_NAMES}
 
 
-def _parse_scalar(text: str):
-    t = text.strip()
-    if len(t) >= 2 and t[0] == t[-1] and t[0] in "\"'":
-        return t[1:-1]
-    low = t.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(t, 0)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
-    return t
-
-
-def _value_text(text: str, where: str) -> str:
-    """The value of a ``key = value`` line, its comment cut off. A quoted
-    value runs to its closing quote, so it may hold a ``#``, and only blanks
-    or a ``# comment`` may follow it."""
-    t = text.strip()
-    if not t or t[0] not in "\"'":
-        return t.split("#", 1)[0]
-    end = t.find(t[0], 1)
-    if end < 0:
-        raise ConfigError(f"{where}: unterminated quote: {t!r}")
-    rest = t[end + 1:].lstrip()
-    if rest and rest[0] != "#":
-        raise ConfigError(f"{where}: text after the quoted value: {rest!r}")
-    return t[:end + 1]
-
-
 def load_config(path: str) -> dict:
-    """Read a config file: JSON object, or flat key = value lines."""
-    p = Path(path)
+    """Read a config file, a JSON object of run options, whatever its suffix."""
     try:
-        text = p.read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if p.suffix == ".json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON in {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
-    else:
-        data = {}
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            key, sep, value = raw.partition("=")
-            if "#" in key or not sep:
-                if raw.split("#", 1)[0].strip():
-                    raise ConfigError(f"{path}:{ln}: expected 'key = value'")
-                continue  # a blank or comment line
-            data[key.strip().replace("-", "_")] = _parse_scalar(
-                _value_text(value, f"{path}:{ln}"))
+
+    def unique(pairs: list) -> dict:
+        # json.loads alone would keep the last value of a repeated key
+        keys = [key for key, _ in pairs]
+        twice = sorted({key for key in keys if keys.count(key) > 1})
+        if twice:
+            raise ConfigError(f"config keys named twice in {path}: {twice}")
+        return dict(pairs)
+
+    try:
+        data = json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
     unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {sorted(unknown)}")
@@ -114,7 +75,7 @@ def _add_run_options(parser: argparse.ArgumentParser, outputs: bool = True) -> N
     """One flag per RunSpec field, named after its config key, plus --config
     and, with ``outputs``, the output paths; defaults stay None, so only
     typed flags override a config."""
-    parser.add_argument("--config", help="config file (JSON or key = value)")
+    parser.add_argument("--config", help="config file: a JSON object of run options")
     for f in fields(RunSpec):
         allowed = FIELD_TYPES[f.name]
         if bool in allowed:

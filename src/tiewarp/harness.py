@@ -7,7 +7,7 @@ and repeats, and reports whether every outcome agrees with the sequential
 reference's. ``run_fairness`` runs the event-ties model on two LPs and
 estimates the probability that the tail of LP 0's zero-offset chain commits
 before the head of LP 1's, which has a known closed form for the unbiased
-modes.
+modes. ``benchmark`` times one run.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .kernel_optimistic import (
 )
 from .kernel_seq import SequentialKernel, run_sequential
 from .models import MODELS, EventTiesModel, build_model, model_class
-from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
-from .trace import Trace
+from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode
 
 DETERMINISM_SCHEMA = "tiewarp.determinism/2"
 FAIRNESS_SCHEMA = "tiewarp.fairness/1"
@@ -254,33 +253,6 @@ def run_fairness(mode_name: str, depth: int, samples: int,
     within = abs(p_hat - expected) <= half_width
     return FairnessReport(mode.value, depth, samples, successes, p_hat,
                           expected, half_width, within)
-
-
-def audit_trace(trace: Trace, mode_name: str) -> dict:
-    """Causal audit of a committed trace.
-
-    Checks that each commit key is ``mode.after`` the one before (strictly
-    ascending, or non-decreasing bare timestamps in mode none) and that every
-    event with a recorded parent commits after that parent. Keys are
-    recomputed from each event's own fields, not read from the key the
-    kernel stored, so the audit checks the kernels independently.
-    """
-    mode = OrderingMode.from_name(mode_name)
-    violations = []
-    seen = set()
-    last_key = None
-    for index, ev in enumerate(trace.committed):
-        key = sort_key(ev, mode)
-        if last_key is not None and not mode.after(key, last_key):
-            violations.append({"kind": "order-regression",
-                               "commit_index": index})
-        last_key = key
-        if ev.parent_key is not None and ev.parent_key not in seen:
-            violations.append({"kind": "parent-not-committed",
-                               "commit_index": index,
-                               "parent": list(ev.parent_key)})
-        seen.add((ev.source_lp, ev.serial))
-    return {"events": len(trace.committed), "violations": violations}
 
 
 def benchmark(spec: RunSpec) -> dict:

@@ -24,14 +24,15 @@ class Emit(NamedTuple):
     """One event requested by a handler: destination, time offset, payload.
 
     ``forced_tiebreak`` overrides the kernel's tie-break draw and exists for
-    scripted scenarios that replay fixed published values; real models leave
-    it None. A NamedTuple, not a frozen dataclass: handlers build one per
-    emitted event, and a tuple is the cheaper record to build. The built-in
-    handlers build it with ``tuple.__new__(Emit, (...))``, every field
-    given, in one C call of about 150 ns; the class call goes through the
-    NamedTuple's generated Python ``__new__`` and costs 350-450 ns. The
-    record, its equality and its hash are the same either way, and scenarios,
-    tests and users keep the class call.
+    models that replay fixed published values, such as the tests' scripted
+    worked example; real models leave it None. A NamedTuple, not a frozen
+    dataclass: handlers build one per emitted event, and a tuple is the
+    cheaper record to build. The built-in handlers build it with
+    ``tuple.__new__(Emit, (...))``, every field given, in one C call of
+    about 150 ns; the class call goes through the NamedTuple's generated
+    Python ``__new__`` and costs 350-450 ns. The record, its equality and
+    its hash are the same either way, and tests and users keep the class
+    call.
     """
 
     dest_lp: int
@@ -52,13 +53,6 @@ class MeanState(NamedTuple):
 
     def fold(self, value: float) -> "MeanState":
         return tuple.__new__(MeanState, ((self.mean_val + value) / 2.0,))
-
-
-def stress_tree_node_count(height: int, arity: int) -> int:
-    """Nodes in one zero-offset tree: levels 0..height, arity children each."""
-    if arity == 1:
-        return height + 1
-    return (arity ** (height + 1) - 1) // (arity - 1)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -185,9 +179,6 @@ class EventTiesModel(_BuiltinModel):
     def final_value(self, state: MeanState):
         return state.mean_val
 
-    def expected_net_events(self):
-        return self.n_lps * int(self.end_time) * self.chain_length
-
 
 @dataclass(frozen=True, kw_only=True)
 class StressModel(_BuiltinModel):
@@ -238,10 +229,6 @@ class StressModel(_BuiltinModel):
 
     def final_value(self, state: MeanState):
         return state.mean_val
-
-    def expected_net_events(self):
-        per_tree = stress_tree_node_count(self.height, self.arity)
-        return self.n_lps * int(self.end_time) * per_tree
 
 
 MODELS = {cls.name: cls for cls in (PholdModel, EventTiesModel, StressModel)}

@@ -79,8 +79,8 @@ class OrderingMode(enum.Enum):
         self.forbids_ties = value == "unbiased-single"
         self.adds_ties = value == "additive"
         # after(later, earlier): whether a key may follow another in commit
-        # order, for the commit check and the audit. Keys of mode none are
-        # bare timestamps, so ties may commit either way.
+        # order, for the optimistic kernel's commit check. Keys of mode none
+        # are bare timestamps, so ties may commit either way.
         self.after = operator.ge if self.bare_keys else operator.gt
 
     @classmethod

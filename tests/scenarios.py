@@ -1,4 +1,5 @@
-"""The hand-scripted scenario: the worked two-LP example.
+"""Test-side models and counts: the worked two-LP example, and the net
+event counts of the tie models in closed form.
 
 The scripted model replays a fixed pair of event chains with pinned
 tie-break fractions, the same walkthrough used to explain the ordering
@@ -10,8 +11,8 @@ demos never recompute them.
 
 from __future__ import annotations
 
-from .models import Emit
-from .rngstream import DrawStream
+from tiewarp.models import Emit, StressModel
+from tiewarp.rngstream import DrawStream
 
 
 def frac_to_draw(fraction: float) -> int:
@@ -74,3 +75,19 @@ def committed_names(trace) -> tuple:
     """The scripted events' names (their payloads) in commit order."""
     return tuple(ev.payload for ev in trace.committed)
 
+
+def stress_tree_node_count(height: int, arity: int) -> int:
+    """Nodes in one zero-offset tree: levels 0..height, arity children each."""
+    if arity == 1:
+        return height + 1
+    return (arity ** (height + 1) - 1) // (arity - 1)
+
+
+def expected_net_events(model) -> int:
+    """Net committed events of an event-ties or stress model's run: each LP
+    runs one chain, or one tree, per unit of time."""
+    if isinstance(model, StressModel):
+        per_step = stress_tree_node_count(model.height, model.arity)
+    else:
+        per_step = model.chain_length
+    return model.n_lps * int(model.end_time) * per_step

@@ -39,13 +39,15 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tiewarp.harness import audit_trace, outcome  # noqa: E402
+from tiewarp.harness import outcome  # noqa: E402
 from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel, PeRuntime  # noqa: E402
 from tiewarp.kernel_seq import (SequentialKernel, build_event, make_lps,  # noqa: E402
                                 seed_initial_events)
 from tiewarp.models import EventTiesModel  # noqa: E402
 from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode  # noqa: E402
 from tiewarp.trace import Trace  # noqa: E402
+
+from signature_oracle import audit_trace  # noqa: E402
 
 # a schedule that makes more choices than this is taken for a livelock
 MAX_CHOICES = 10_000
@@ -223,7 +225,7 @@ def enumerate_row(row: Row, seed: int | None = None) -> list:
         except Exception as exc:
             return {"error": f"{type(exc).__name__}: {exc}"}
         return {"digest": trace.digest(),
-                "violations": len(audit_trace(trace, row.mode)["violations"])}
+                "violations": len(audit_trace(trace, row.mode, row.seq_cap)["violations"])}
 
     return list(schedules(run, row.bound))
 

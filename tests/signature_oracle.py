@@ -4,7 +4,8 @@ The kernels order events by ``timebase.sort_key`` tuples under native
 comparison. This module states the same order the way the paper does, one
 pair at a time and one mode at a time, so the tests can check the tuples
 against it. A signature is anything with ``timestamp`` and ``tiebreak``: a
-``TimeSignature`` or an ``Event``.
+``TimeSignature`` or an ``Event``. ``audit_trace`` checks a committed trace
+by this comparator, so it shares no key function with the kernels it audits.
 """
 
 from tiewarp.errors import TieWarpError
@@ -88,3 +89,38 @@ def is_causal_prefix(a, b) -> bool:
         return False
     na, nb = len(a.tiebreak), len(b.tiebreak)
     return na < nb and b.tiebreak[:na] == a.tiebreak
+
+
+def _may_precede(a, b, mode: OrderingMode, cap: int) -> bool:
+    """Whether event ``a`` may commit right before event ``b``. Mode none
+    leaves ties unordered, so its events need only non-decreasing
+    timestamps."""
+    if mode is OrderingMode.NONE:
+        return a.timestamp <= b.timestamp
+    return compare_signatures(a, b, mode, (a.source_pe, a.source_lp, a.serial),
+                              (b.source_pe, b.source_lp, b.serial), cap) == LESS
+
+
+def audit_trace(trace, mode_name: str, seq_cap: int = DEFAULT_SEQUENCE_CAP) -> dict:
+    """Causal audit of a committed trace.
+
+    Checks that each committed event orders after the one before under
+    ``compare_signatures``, or in mode none that timestamps never decrease,
+    and that every event with a recorded parent commits after that parent.
+    It reads each event's own fields, never the key the kernel stored.
+    ``seq_cap`` is the run's cap on the tie-break draws of one signature.
+    """
+    mode = OrderingMode.from_name(mode_name)
+    violations = []
+    seen = set()
+    last = None
+    for index, ev in enumerate(trace.committed):
+        if last is not None and not _may_precede(last, ev, mode, seq_cap):
+            violations.append({"kind": "order-regression", "commit_index": index})
+        last = ev
+        if ev.parent_key is not None and ev.parent_key not in seen:
+            violations.append({"kind": "parent-not-committed",
+                               "commit_index": index,
+                               "parent": list(ev.parent_key)})
+        seen.add((ev.source_lp, ev.serial))
+    return {"events": len(trace.committed), "violations": violations}

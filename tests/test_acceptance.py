@@ -15,23 +15,23 @@ import pytest
 from tiewarp.errors import CausalityViolation
 from tiewarp.harness import (
     RunSpec,
-    audit_trace,
     benchmark,
     execute,
     run_fairness,
     verify_determinism,
 )
 from tiewarp.kernel_seq import run_sequential
-from tiewarp.models import build_model, stress_tree_node_count
-from tiewarp.scenarios import (
+from tiewarp.models import build_model
+from tiewarp.timebase import OrderingMode, TimeSignature, derive_child_signature
+
+from scenarios import (
     SCRIPT_ADDITIVE_ORDER,
     SCRIPT_LEX_ORDER,
     ScriptedModel,
     committed_names,
+    stress_tree_node_count,
 )
-from tiewarp.timebase import OrderingMode, TimeSignature, derive_child_signature
-
-from signature_oracle import EQUAL, compare_signatures, is_causal_prefix
+from signature_oracle import EQUAL, audit_trace, compare_signatures, is_causal_prefix
 
 # shared reference configuration: 256 LPs, every event part of a tie chain
 REFERENCE_TIES = dict(model="event-ties", mode="lex", n_lps=256, end_time=10.0,

@@ -16,13 +16,15 @@ import pytest
 from tiewarp import cli
 from tiewarp.cli import load_config, main
 from tiewarp.errors import ConfigError
-from tiewarp.harness import RunSpec, audit_trace, execute
+from tiewarp.harness import RunSpec, execute
 from tiewarp.kernel_optimistic import OptimisticKernel
 from tiewarp.kernel_seq import SequentialKernel
 from tiewarp.models import Emit
 from tiewarp.timebase import MODE_NAMES, OrderingMode
 from tiewarp.trace import (CHUNK, TRACE_SCHEMA, Event, Trace, digest_lines,
                            first_divergence, read_trace)
+
+from signature_oracle import audit_trace
 
 RUN_TIES = ["run", "--model", "event-ties", "--mode", "lex", "--lps", "5",
             "--end", "3", "--chain", "2", "--seed", "9"]
@@ -387,8 +389,8 @@ def test_run_rejects_a_parameter_its_model_ignores(capsys, args):
 
 
 def test_config_file_cannot_couple_phold(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("model = phold\ncoupled = true\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"model": "phold", "coupled": true}')
     assert main(["run", "--config", str(cfg)]) == 2
     assert "config error: model 'phold' takes no coupled" in capsys.readouterr().err
 
@@ -495,24 +497,6 @@ def test_trace_file_body_hashes_to_the_digest_across_chunks(tmp_path, capsys):
     assert execute(spec)[0].digest() == digest
 
 
-def test_flat_config_file(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# tie-heavy run\n"
-        "model = event-ties\n"
-        "mode = lex\n"
-        "lps = 5\n"
-        "end = 3  # steps\n"
-        "chain = 2\n"
-        "seed = 9\n"
-    )
-    assert main(["run", "--config", str(cfg)]) == 0
-    out_cfg = capsys.readouterr().out
-    assert main(RUN_TIES) == 0
-    out_flags = capsys.readouterr().out
-    assert digest_from(out_cfg) == digest_from(out_flags)
-
-
 def test_json_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"model": "event-ties", "mode": "lex",
@@ -527,33 +511,26 @@ def test_json_config_file_and_flag_override(tmp_path, capsys):
 def test_int_and_float_spellings_give_one_spec(tmp_path, capsys):
     # an int given for a float field is stored as a float, whichever way it
     # was spelled, so the summaries of one run record one spec
-    flat = tmp_path / "run.cfg"
-    flat.write_text("end = 3\nmean_offset = 2\n")
     as_json = tmp_path / "run.json"
     as_json.write_text(json.dumps({"end": 3, "mean_offset": 2}))
     specs = []
-    for options in (["--config", str(flat)], ["--config", str(as_json)],
-                    ["--end", "3", "--mean-offset", "2"]):
+    for options in (["--config", str(as_json)], ["--end", "3", "--mean-offset", "2"]):
         out = tmp_path / "summary.json"
         assert main(["run", *options, "--summary-out", str(out)]) == 0
         specs.append(json.dumps(json.loads(out.read_text())["spec"], sort_keys=True))
     capsys.readouterr()
     direct = RunSpec(end_time=3, mean_offset=2).to_dict()
-    assert specs == [json.dumps(direct, sort_keys=True)] * 3
+    assert specs == [json.dumps(direct, sort_keys=True)] * 2
     assert direct["end_time"] == 3.0 and type(direct["end_time"]) is float
     assert type(direct["mean_offset"]) is float
 
 
 def test_config_file_validation(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("mystery-knob = 3\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"mystery-knob": 3}')
     with pytest.raises(ConfigError):
         load_config(str(bad))
-    noeq = tmp_path / "noeq.cfg"
-    noeq.write_text("model phold\n")
-    with pytest.raises(ConfigError):
-        load_config(str(noeq))
-    missing = tmp_path / "does-not-exist.cfg"
+    missing = tmp_path / "does-not-exist.json"
     with pytest.raises(ConfigError):
         load_config(str(missing))
     assert main(["run", "--config", str(bad)]) == 2
@@ -561,45 +538,47 @@ def test_config_file_validation(tmp_path):
 
 def test_naive_config_key_is_unknown(tmp_path, capsys):
     # the naive derivation is the ordering mode "naive", not a switch
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text('mode = "unbiased-single"\nnaive = true\n')
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"mode": "unbiased-single", "naive": true}')
     assert main(["run", "--config", str(cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text,message", (
-    ("lps = abc\n", "n_lps must be int, got 'abc'"),
-    ("seed = abc\n", "seed must be int, got 'abc'"),
-    ("seed = 1.5\n", "seed must be int, got 1.5"),
-    ("lps = true\n", "n_lps must be int, got True"),
-    ("coupled = 1\n", "coupled must be bool, got 1"),
-    ("remote_prob = high\n", "remote_prob must be float | None, got 'high'"),
-))
+    ('{"lps": "abc"}', "n_lps must be int, got 'abc'"),
+    ('{"seed": "abc"}', "seed must be int, got 'abc'"),
+    ('{"seed": 1.5}', "seed must be int, got 1.5"),
+    ('{"lps": true}', "n_lps must be int, got True"),
+    ('{"coupled": 1}', "coupled must be bool, got 1"),
+    ('{"remote_prob": "high"}', "remote_prob must be float | None, got 'high'"),
+), ids=("lps-word", "seed-word", "seed-fraction", "lps-bool", "coupled-int",
+        "remote-prob-word"))
 def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, text,
                                                            message):
-    cfg = tmp_path / "run.cfg"
+    cfg = tmp_path / "run.json"
     cfg.write_text(text)
     assert main(["run", "--config", str(cfg)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name,text,message", (
-    ("run.json", '{"lps": 2,}', "bad JSON in "),
-    ("run.json", "[2, 3]", " must hold a JSON object"),
-), ids=("bad-json", "json-array"))
-def test_unreadable_json_configs_are_config_errors(tmp_path, capsys, name, text, message):
+@pytest.mark.parametrize("name,text,code,message", (
+    ("run.json", '{"lps": 2,}', 2, "bad JSON in "),
+    ("run.json", "[2, 3]", 2, " must hold a JSON object"),
+    # json.loads alone would run seed 5
+    ("run.json", '{"seed": 1, "lps": 2, "seed": 5}', 2,
+     "config error: config keys named twice in {cfg}: ['seed']"),
+    # a config is JSON whatever its suffix: a flat line is bad JSON ...
+    ("run.cfg", "model = phold\n", 2, "bad JSON in {cfg}"),
+    # ... and a JSON object runs
+    ("run.JSON", '{"lps": 2, "end": 2}', 0, " lps=2 end=2.0 "),
+), ids=("bad-json", "json-array", "repeated-key", "flat-cfg", "upper-suffix"))
+def test_unreadable_json_configs_are_config_errors(tmp_path, capsys, name, text, code,
+                                                    message):
     cfg = tmp_path / name
     cfg.write_text(text)
-    assert main(["run", "--config", str(cfg)]) == 2
-    assert message in capsys.readouterr().err
-
-
-def test_flat_config_false_is_the_bool(tmp_path, capsys):
-    # read as the string "false", it would be refused as no bool
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("model = event-ties\ncoupled = false\nlps = 2\nend = 2\n")
-    assert main(["run", "--config", str(cfg)]) == 0
-    assert " coupled=False " in capsys.readouterr().out
+    assert main(["run", "--config", str(cfg)]) == code
+    out, err = capsys.readouterr()
+    assert message.format(cfg=cfg) in (err if code else out)
 
 
 @pytest.mark.parametrize("args,message", (
@@ -621,43 +600,6 @@ def test_compare_refuses_a_trace_that_is_not_ascii(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(good), str(accented)]) == 2
     assert "not ASCII text" in capsys.readouterr().err
-
-
-def test_config_scalar_parsing(tmp_path):
-    cfg = tmp_path / "types.cfg"
-    cfg.write_text(
-        'model = "phold"\n'
-        "coupled = true\n"
-        "end = 2.5\n"
-        "seed = 0x10\n"
-    )
-    data = load_config(str(cfg))
-    assert data == {"model": "phold", "coupled": True, "end": 2.5, "seed": 16}
-
-
-def test_config_quoted_value_keeps_its_hash(tmp_path):
-    # the comment is cut after the value is read, so a quoted '#' stays
-    trace_path = tmp_path / "run#1.trace"
-    cfg = tmp_path / "hash.cfg"
-    cfg.write_text(f'trace_out = "{trace_path}"  # a comment\nend = 2  # note\n'
-                   "lps = 2\n")
-    assert load_config(str(cfg)) == {"trace_out": str(trace_path), "end": 2, "lps": 2}
-    assert main(["run", "--config", str(cfg)]) == 0
-    assert trace_path.read_text().startswith(TRACE_SCHEMA + "\n")
-
-
-@pytest.mark.parametrize("line, message", (
-    ('model = "phold', "unterminated quote"),
-    ("model = 'phold\"", "unterminated quote"),
-    ('model = "phold" lex', "text after the quoted value"),
-))
-def test_config_malformed_quotes_are_refused(tmp_path, capsys, line, message):
-    cfg = tmp_path / "quote.cfg"
-    cfg.write_text(f"end = 2\n{line}\n")
-    with pytest.raises(ConfigError, match=re.escape(f"{cfg}:2: {message}")):
-        load_config(str(cfg))
-    assert main(["run", "--config", str(cfg)]) == 2
-    assert f"{cfg}:2: {message}" in capsys.readouterr().err
 
 
 def test_config_keys_and_flags_cover_the_run_schema():
@@ -794,9 +736,8 @@ def test_every_option_is_refused_or_acts(tmp_path, monkeypatch, capsys, command,
 
 @pytest.mark.parametrize("name,text", (
     ("run.json", '{"trace_out": 1}'),  # once wrote the trace to stdout's fd
-    ("run.cfg", "trace_out = 1\n"),
     ("run.json", '{"summary_out": ["x"]}'),  # once failed after the run
-), ids=("json-fd", "flat-fd", "json-list"))
+), ids=("json-fd", "json-list"))
 def test_config_output_paths_must_be_strings(tmp_path, name, text):
     # in a child process: a trace written to fd 1 would close the caller's stdout
     cfg = tmp_path / name

@@ -18,7 +18,7 @@ from tiewarp.harness import RunSpec, build_kernel, outcome
 from tiewarp.kernel_optimistic import ChaosConfig, OptimisticKernel
 from tiewarp.kernel_seq import run_sequential
 from tiewarp.models import build_model
-from tiewarp.scenarios import ScriptedModel
+from scenarios import ScriptedModel
 from tiewarp.timebase import OrderingMode
 
 SEED = 7

@@ -1,4 +1,4 @@
-"""Harness drivers: determinism sweeps, fairness estimates, trace audits."""
+"""Harness drivers: determinism sweeps, fairness estimates, benchmarks."""
 
 import math
 from dataclasses import asdict, fields, replace
@@ -9,7 +9,6 @@ from tiewarp import harness
 from tiewarp.errors import ConfigError, InsufficientSamples, UnmatchedAntiMessage
 from tiewarp.harness import (
     RunSpec,
-    audit_trace,
     benchmark,
     build_run,
     execute,
@@ -21,7 +20,6 @@ from tiewarp.kernel_optimistic import OptimisticKernel
 from tiewarp.kernel_seq import SequentialKernel
 from tiewarp.models import MODELS, build_model
 from tiewarp.timebase import OrderingMode
-from tiewarp.trace import Event, Trace
 
 TIES_SPEC = RunSpec(model="event-ties", mode="lex", n_lps=6, end_time=4.0,
                     chain_length=2, seed=3)
@@ -266,51 +264,6 @@ FROZEN_FAIRNESS_SUCCESSES = (
 @pytest.mark.parametrize("mode,depth,successes", FROZEN_FAIRNESS_SUCCESSES)
 def test_fairness_counts_are_frozen(mode, depth, successes):
     assert run_fairness(mode, depth, 400, base_seed=1234).successes == successes
-
-
-def synthetic_trace(entries):
-    return Trace(committed=[
-        Event(0, lp, serial, lp, ts, tb, parent_key=parent)
-        for lp, serial, ts, tb, parent in entries
-    ])
-
-
-def test_audit_trace_accepts_clean_runs():
-    trace, _ = execute(TIES_SPEC)
-    report = audit_trace(trace, "lex")
-    assert report["violations"] == []
-    assert report["events"] == len(trace.committed)
-
-
-def test_audit_trace_catches_order_regression():
-    trace = synthetic_trace([
-        (0, 0, 1.0, (5,), None),
-        (1, 0, 1.0, (3,), None),  # lower tie-break committed later
-    ])
-    report = audit_trace(trace, "lex")
-    kinds = [v["kind"] for v in report["violations"]]
-    assert kinds == ["order-regression"]
-
-
-def test_audit_trace_catches_orphan_parent():
-    trace = synthetic_trace([
-        (0, 0, 1.0, (5,), None),
-        (1, 0, 1.5, (7,), (9, 9)),  # parent (lp 9, serial 9) never committed
-    ])
-    report = audit_trace(trace, "lex")
-    kinds = [v["kind"] for v in report["violations"]]
-    assert kinds == ["parent-not-committed"]
-
-
-def test_audit_none_mode_allows_equal_timestamps():
-    trace = synthetic_trace([
-        (0, 0, 1.0, (), None),
-        (1, 0, 1.0, (), None),
-        (0, 1, 0.5, (), None),  # but not a regression
-    ])
-    report = audit_trace(trace, "none")
-    kinds = [v["kind"] for v in report["violations"]]
-    assert kinds == ["order-regression"]
 
 
 def test_benchmark_reports_throughput():

@@ -14,15 +14,17 @@ from hypothesis import strategies as st
 from tiewarp import kernel_optimistic, kernel_seq
 from tiewarp.errors import (CausalityViolation, ConfigError, SequenceCapExceeded,
                             UnmatchedAntiMessage, ZeroOffsetForbidden)
-from tiewarp.harness import audit_trace, outcome
+from tiewarp.harness import outcome
 from tiewarp.kernel_optimistic import (DEFAULT_GVT_INTERVAL, DEFAULT_MAX_DELAY,
                                        ChaosConfig, OptimisticKernel, PeRuntime)
 from tiewarp.kernel_seq import SequentialKernel, run_sequential
 from tiewarp.models import Emit, EventTiesModel, PholdModel, build_model
 from tiewarp.rngstream import draw_at, lp_keys, mix64
-from tiewarp.scenarios import ScriptedModel, committed_names, SCRIPT_LEX_ORDER
 from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode
 from tiewarp.trace import Event, first_divergence
+
+from scenarios import SCRIPT_LEX_ORDER, ScriptedModel, committed_names, expected_net_events
+from signature_oracle import audit_trace
 
 # tie-heavy configuration that provokes hundreds of rollbacks (measured:
 # >50 rollbacks and >60 annihilations at 4 workers, chaos seed 0)
@@ -84,7 +86,7 @@ def test_metrics_accounting_is_consistent():
     assert m["rollbacks"] >= m["stragglers"]
     assert 0.0 < m["efficiency"] <= 1.0
     assert m["workers"] == 4
-    assert len(trace.committed) == model.expected_net_events()
+    assert len(trace.committed) == expected_net_events(model)
 
 
 def test_scripted_order_survives_parallel_execution():
@@ -229,7 +231,7 @@ def test_none_mode_counts_are_schedule_independent():
     counts = {len(run_optimistic(model, OrderingMode.NONE, 1, 3,
                                  chaos_seed=chaos).committed)
               for chaos in range(4)}
-    assert counts == {model.expected_net_events()}
+    assert counts == {expected_net_events(model)}
 
 
 def test_naive_derivation_raises_the_sequential_causality_violation():
@@ -309,7 +311,7 @@ def test_kill_marks_are_backed_by_pending_copies(mode, workers):
     trace = kernel.run()
     assert kernel.metrics()["rollbacks"] > 10 and kernel.rounds > 10
     assert kernel.condemned_by_id > 0
-    assert len(trace.committed) == model.expected_net_events()
+    assert len(trace.committed) == expected_net_events(model)
     if mode is OrderingMode.LEX_SEQUENCE:
         assert trace.digest() == run_sequential(model, mode, 1).digest()
 
@@ -465,7 +467,7 @@ def test_straggler_rollback_never_condemns_the_straggler(monkeypatch):
                             chain_length=chain, remote_prob=remote_prob)
         trace = run_optimistic(model, mode, seed, workers, chaos_seed=chaos,
                                max_delay=delay)
-        assert len(trace.committed) == model.expected_net_events()
+        assert len(trace.committed) == expected_net_events(model)
     # measured: 3,846 straggler rollbacks, 1,387 of them cascading
     assert rollbacks > 3000 and cascades > 1000
 
@@ -519,7 +521,7 @@ def test_audit_passes_on_optimistic_traces():
         trace = run_optimistic(model, mode, 6, workers, chaos_seed=2)
         report = audit_trace(trace, mode.value)
         assert report["violations"] == []
-        assert report["events"] == model.expected_net_events()
+        assert report["events"] == expected_net_events(model)
 
 
 def test_biased_ruleset_is_worker_count_dependent():

@@ -11,18 +11,21 @@ from tiewarp.errors import (
     ZeroOffsetForbidden,
 )
 from tiewarp import kernel_seq
-from tiewarp.harness import RunSpec, audit_trace, benchmark, build_kernel, execute
+from tiewarp.harness import RunSpec, benchmark, build_kernel, execute
 from tiewarp.kernel_seq import build_event, make_lps, run_sequential
 from tiewarp.models import Emit, build_model
 from tiewarp.rngstream import _LANES, GENERATOR_NAME, GENERATOR_VERSION, draw_at
-from tiewarp.scenarios import (
+from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
+from tiewarp.trace import digest_lines, first_divergence, read_trace
+
+from scenarios import (
     SCRIPT_ADDITIVE_ORDER,
     SCRIPT_LEX_ORDER,
     ScriptedModel,
     committed_names,
+    expected_net_events,
 )
-from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
-from tiewarp.trace import digest_lines, first_divergence, read_trace
+from signature_oracle import audit_trace
 
 DRAW_MODES = (OrderingMode.UNBIASED_SINGLE, OrderingMode.ADDITIVE, OrderingMode.LEX_SEQUENCE)
 
@@ -65,7 +68,7 @@ def test_sequence_cap_stops_runaway_chains():
     with pytest.raises(SequenceCapExceeded):
         run_sequential(model, OrderingMode.LEX_SEQUENCE, 1, seq_cap=3)
     trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, 1, seq_cap=4)
-    assert len(trace.committed) == model.expected_net_events()
+    assert len(trace.committed) == expected_net_events(model)
 
 
 def test_biased_ruleset_contradicts_zero_offset_causality():
@@ -199,7 +202,7 @@ def test_peak_pending_is_the_largest_heap_before_a_pop(monkeypatch, fields, even
 def test_none_mode_runs_tie_models_without_draws():
     model = build_model("event-ties", n_lps=4, end_time=3.0, chain_length=2)
     trace = run_sequential(model, OrderingMode.NONE, 6)
-    assert len(trace.committed) == model.expected_net_events()
+    assert len(trace.committed) == expected_net_events(model)
     assert all(ce.tiebreak == () for ce in trace.committed)
 
 
@@ -254,7 +257,7 @@ def test_random_configs_all_modes_complete():
                             remote_prob=rng.random())
         for mode in (OrderingMode.ADDITIVE, OrderingMode.LEX_SEQUENCE):
             trace = run_sequential(model, mode, rng.randint(0, 10_000))
-            assert len(trace.committed) == model.expected_net_events()
+            assert len(trace.committed) == expected_net_events(model)
 
 
 def build_seed(rt, model, mode=OrderingMode.LEX_SEQUENCE, forced=None):

@@ -18,11 +18,12 @@ from tiewarp.models import (
     PholdModel,
     StressModel,
     build_model,
-    stress_tree_node_count,
 )
 from tiewarp.rngstream import DrawStream, lp_keys, mix64
 from tiewarp.timebase import OrderingMode
 from tiewarp.trace import Event
+
+from scenarios import expected_net_events, stress_tree_node_count
 
 
 def make_event(dest_lp, payload, depth=0, ts=1.0):
@@ -246,7 +247,7 @@ def test_ties_net_event_count_closed_form():
             end_time=float(end))
         trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, rng.randint(0, 999))
         want = n_lps * end * chain
-        assert model.expected_net_events() == want
+        assert expected_net_events(model) == want
         assert len(trace.committed) == want
 
 
@@ -260,7 +261,7 @@ def test_stress_net_event_count_closed_form():
             end_time=float(end))
         trace = run_sequential(model, OrderingMode.ADDITIVE, rng.randint(0, 999))
         want = n_lps * end * count_tree_nodes_brute_force(height, arity)
-        assert model.expected_net_events() == want
+        assert expected_net_events(model) == want
         assert len(trace.committed) == want
 
 
@@ -281,7 +282,7 @@ def test_build_model_applies_defaults():
     assert model.chain_length == 2
     assert model.remote_prob == 0.5
     model = build_model("event-ties-stress", n_lps=3, height=1, arity=4)
-    assert model.expected_net_events() == 3 * 10 * 5
+    assert expected_net_events(model) == 3 * 10 * 5
 
 
 def test_emit_defaults():
