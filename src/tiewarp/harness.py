@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
@@ -155,18 +154,21 @@ def verify_determinism(spec: RunSpec, workers=(1, 2, 4, 8),
     if not workers or not chaos_seeds:
         raise ConfigError("a sweep needs at least one worker count and one chaos seed")
     check_count("repeats", repeats, 1)
-    # every cell's kernel is built, and so checked, before the first run; an
-    # optimistic kernel checks all that a sequential one does
-    runs = deque(({"workers": w, "chaos_seed": cs, "repeat": rep},
-                  build_kernel(replace(spec, workers=w, chaos_seed=cs), optimistic=True))
-                 for w in workers for cs in chaos_seeds for rep in range(repeats))
+    specs = [replace(spec, workers=w, chaos_seed=cs) for w in workers for cs in chaos_seeds]
+    # building a kernel checks its spec, and an optimistic kernel checks all
+    # that a sequential one does: every cell is checked before the first run,
+    # and each check's kernel is dropped at once, so the sweep holds one
+    # kernel at a time
+    for cell_spec in specs:
+        build_kernel(cell_spec, optimistic=True)
     reference = outcome(build_kernel(spec, optimistic=False))
     cells, outcomes = [], []
-    while runs:
-        cell, kernel = runs.popleft()
-        result = outcome(kernel)
-        outcomes.append(result)
-        cells.append({**cell, **result})
+    for cell_spec in specs:
+        for rep in range(repeats):
+            result = outcome(build_kernel(cell_spec, optimistic=True))
+            outcomes.append(result)
+            cells.append({"workers": cell_spec.workers, "chaos_seed": cell_spec.chaos_seed,
+                          "repeat": rep, **result})
     mismatches = [result for result in outcomes if result != reference]
     faults = sum("error" in result for result in mismatches)
     verdict = ("faulted" if faults else

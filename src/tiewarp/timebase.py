@@ -45,8 +45,10 @@ from .errors import ConfigError, SequenceCapExceeded, ZeroOffsetForbidden
 
 DEFAULT_SEQUENCE_CAP = 64
 
-# Fixed serialization width per tie-break value: 128 bits, so additive sums
-# of up to 2**64 capped draws still round-trip bit-exactly.
+# Serialization width per tie-break value: 32 lowercase hex digits, the
+# 16-byte big-endian encoding, so additive sums of up to 2**64 capped draws
+# still round-trip bit-exactly. A wider value is spelled in full, and a
+# negative one with its sign, as TIEBREAK_HEX spells them.
 TIEBREAK_HEX_WIDTH = 32
 TIEBREAK_HEX = f"%0{TIEBREAK_HEX_WIDTH}x"
 
@@ -194,14 +196,18 @@ def format_timestamp(timestamp: float) -> str:
 
 
 def format_tiebreak(tiebreak: tuple) -> str:
-    """Fixed-width lowercase hex values joined by ':' (empty string if none).
+    """Lowercase hex values joined by ':' (empty string if none).
 
-    The trace encoder calls this once per committed event, so the common
-    single draw takes one %-format and no join.
+    Each value is its 16-byte big-endian encoding in 32 digits, and one
+    ``bytes.hex`` call spells and separates them all. A value with no such
+    encoding (at least 2**128, or negative) raises OverflowError, and then
+    every value goes through ``TIEBREAK_HEX``, which spells a value that
+    fits the same way and a wider one in full.
     """
-    if len(tiebreak) == 1:
-        return TIEBREAK_HEX % tiebreak[0]
-    return ":".join([TIEBREAK_HEX % v for v in tiebreak])
+    try:
+        return b"".join([v.to_bytes(16, "big") for v in tiebreak]).hex(":", 16)
+    except OverflowError:
+        return ":".join([TIEBREAK_HEX % v for v in tiebreak])
 
 
 def format_signature(signature) -> str:

@@ -134,6 +134,9 @@ class Trace:
         Commit lines come first, at most CHUNK per list, then one list of
         ``state,LP,value`` lines (empty when there are no final states). A
         value that is not a float is spelled by ``ascii``, so lines are ASCII.
+        A single draw, the common tie-break, is spelled here as
+        ``format_tiebreak`` spells it, without the call; a value with no
+        16-byte encoding raises OverflowError and takes the call.
         """
         committed = self.committed
         tiebreak = format_tiebreak
@@ -142,9 +145,17 @@ class Trace:
             append = lines.append
             for index, ev in enumerate(committed[start:start + CHUNK], start):
                 parent = ev.parent_key
-                append(f"{index},{ev.source_lp},{ev.serial},{ev.dest_lp},"
-                       f"{ev.timestamp!r},{tiebreak(ev.tiebreak)},"
-                       f"{f'{parent[0]}#{parent[1]}' if parent else '-'}")
+                tb = ev.tiebreak
+                try:
+                    text = tb[0].to_bytes(16, "big").hex() if len(tb) == 1 else tiebreak(tb)
+                except OverflowError:
+                    text = tiebreak(tb)
+                if parent:
+                    append(f"{index},{ev.source_lp},{ev.serial},{ev.dest_lp},"
+                           f"{ev.timestamp!r},{text},{parent[0]}#{parent[1]}")
+                else:
+                    append(f"{index},{ev.source_lp},{ev.serial},{ev.dest_lp},"
+                           f"{ev.timestamp!r},{text},-")
             yield lines
         yield [f"state,{lp},"
                f"{format_timestamp(value) if isinstance(value, float) else ascii(value)}"

@@ -1,6 +1,7 @@
 """Harness drivers: determinism sweeps, fairness estimates, benchmarks."""
 
 import math
+import weakref
 from dataclasses import asdict, fields, replace
 
 import pytest
@@ -167,6 +168,37 @@ def test_verify_determinism_reference_is_sequential_whatever_the_spec_says(monke
     assert kernels == [SequentialKernel, OptimisticKernel]
     assert report["spec"]["workers"] == 4
     assert report["verdict"] == "deterministic"
+
+
+@pytest.mark.parametrize("spec", (RunSpec(model="phold", n_lps=2048, end_time=1.0),
+                                  NAIVE_SPEC),
+                         ids=("phold-2048", "naive-raises"))
+def test_verify_determinism_holds_one_kernel_at_a_time(monkeypatch, spec):
+    # a kernel at 2,048 LPs takes about 2 MiB, so a sweep that held every
+    # cell's kernel would hold about 50 MiB; no gc.collect() here, so a
+    # kernel kept alive by a reference cycle counts as held
+    built, others_alive = [], []
+    build_kernel, outcome = harness.build_kernel, harness.outcome
+
+    def tracked(spec, optimistic):
+        kernel = build_kernel(spec, optimistic)
+        built.append(weakref.ref(kernel))
+        return kernel
+
+    def checked(kernel):
+        others_alive.append(sum(ref() not in (None, kernel) for ref in built))
+        return outcome(kernel)
+
+    monkeypatch.setattr(harness, "build_kernel", tracked)
+    monkeypatch.setattr(harness, "outcome", checked)
+    report = verify_determinism(spec)
+    assert len(report["cells"]) == 24
+    assert ("error" in report["reference"]) == (spec is NAIVE_SPEC)
+    assert others_alive == [0] * 25
+    # the reference's kernel, then each cell's, after one check per
+    # (workers, chaos seed)
+    assert len(built) == 12 + 1 + 24
+    assert all(ref() is None for ref in built)
 
 
 @pytest.mark.parametrize("sweep", ({"workers": ()}, {"chaos_seeds": ()},

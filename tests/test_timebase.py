@@ -299,6 +299,21 @@ def test_hex_serialization_is_fixed_width_and_order_preserving():
     assert order_by_value == order_by_text
 
 
+def test_hex_serialization_edges():
+    for v in (0, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1):
+        assert format_tiebreak((v,)) == format(v, "032x")
+        assert len(format_tiebreak((v,))) == 32
+    # past 16 bytes the value is spelled in full, 33 digits here
+    assert format_tiebreak((2 ** 128,)) == format(2 ** 128, "032x")
+    assert len(format_tiebreak((2 ** 128,))) == 33
+    assert format_tiebreak(()) == ""
+    lex = (5, 2 ** 64 + 3, 2 ** 63)
+    assert format_tiebreak(lex) == ":".join(format(v, "032x") for v in lex)
+    # a wide value anywhere in a sequence spells every value as before
+    for tiebreak in ((2 ** 140, 1), (1, 2 ** 128, 2), (-1,), (0, -2 ** 130)):
+        assert format_tiebreak(tiebreak) == ":".join(format(v, "032x") for v in tiebreak)
+
+
 def test_timestamp_format_round_trips_exactly():
     rng = random.Random(23)
     for _ in range(200):

@@ -112,6 +112,14 @@ def random_trace(n_events, seed):
                             parent_key=parent))
     states = {lp: rng.choice((None, rng.randrange(-5, 10 ** 20), rng.random() * 10, 3.0))
               for lp in rng.sample(range(50), rng.randrange(4))}
+    # values of 2**128 - 1 up to about 2**140 also reach the encoder's
+    # fallback past 16 bytes; they are drawn last, so every draw above is
+    # what it was without them
+    for ev in events:
+        if ev.tiebreak and rng.random() < 0.1:
+            ev.tiebreak = tuple(rng.choice((v, 2 ** 128 - 1, 2 ** 128,
+                                            2 ** 128 + rng.randrange(2 ** 140)))
+                                for v in ev.tiebreak)
     return Trace(committed=events, final_states=states)
 
 
@@ -134,6 +142,7 @@ def test_reference_covers_every_shape_the_encoder_formats():
     lengths = {len(ev.tiebreak) for ev in events}
     assert {0, 1, 3} <= lengths
     assert any(v >= 2 ** 64 for ev in events for v in ev.tiebreak)
+    assert any(v >= 2 ** 128 for ev in events for v in ev.tiebreak)
     parents = [ev.parent_key for ev in events]
     assert None in parents and (0, 0) in parents
     states = [v for n in (1, CHUNK - 1, CHUNK, CHUNK + 1)
