@@ -9,6 +9,8 @@ timestamps, no tie-break draws) shows what goes away: each schedule commits
 ties in its own order.
 """
 
+from dataclasses import replace
+
 from tiewarp.harness import RunSpec, execute
 
 spec = RunSpec(model="event-ties", mode="lex", n_lps=64, end_time=6.0,
@@ -21,9 +23,7 @@ print(f"sequential: {len(reference.committed)} events, "
 print("\nlex mode, optimistic:")
 for workers in (2, 4, 8):
     for chaos in (0, 1, 2):
-        trace, metrics = execute(RunSpec(**{**spec.to_dict(),
-                                            "workers": workers,
-                                            "chaos_seed": chaos}))
+        trace, metrics = execute(replace(spec, workers=workers, chaos_seed=chaos))
         same = trace.digest() == reference.digest()
         print(f"  workers={workers} chaos={chaos}: digest match={same} "
               f"(rollbacks={metrics['rollbacks']}, "
@@ -33,8 +33,7 @@ for workers in (2, 4, 8):
 print("\nmode none, same sweeps:")
 seen = set()
 for chaos in range(5):
-    trace, _ = execute(RunSpec(**{**spec.to_dict(), "mode": "none",
-                                  "workers": 4, "chaos_seed": chaos}))
+    trace, _ = execute(replace(spec, mode="none", workers=4, chaos_seed=chaos))
     seen.add(trace.digest())
     print(f"  chaos={chaos}: digest {trace.digest()[:16]}...")
 print(f"{len(seen)} distinct outcomes from 5 schedules -- ties follow the "

@@ -9,8 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 causality violation;
 verify-determinism reports an error raised while running as an outcome
-instead. A config file, one JSON object whatever its suffix, can supply any
-run option; explicit flags override it, and a key named twice is refused.
+instead. Flags, config keys and the recorded ``spec`` all use RunSpec's
+field names: a config file, one JSON object of RunSpec fields whatever its
+suffix, is exactly the ``spec`` a summary or determinism report records.
+Explicit flags override it, and a key named twice is refused.
 """
 
 from __future__ import annotations
@@ -35,17 +37,11 @@ from .timebase import MODE_NAMES
 from .trace import digest_lines, first_divergence, read_trace
 
 RUN_FIELDS = tuple(f.name for f in fields(RunSpec))
-# config keys and flags spelled differently from their RunSpec field
-FIELD_OF_KEY = {"lps": "n_lps", "end": "end_time", "chain": "chain_length"}
-_KEY_OF_FIELD = {field: key for key, field in FIELD_OF_KEY.items()}
-# run options that are output paths, not part of the spec
-OUTPUT_KEYS = ("trace_out", "summary_out")
-CONFIG_KEYS = tuple(_KEY_OF_FIELD.get(name, name) for name in RUN_FIELDS) + OUTPUT_KEYS
 _CHOICES = {"model": MODEL_NAMES, "mode": MODE_NAMES}
 
 
 def load_config(path: str) -> dict:
-    """Read a config file, a JSON object of run options, whatever its suffix."""
+    """Read a config file, a JSON object of RunSpec fields, whatever its suffix."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -65,17 +61,16 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"bad JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = set(data) - set(CONFIG_KEYS)
+    unknown = set(data) - set(RUN_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {sorted(unknown)}")
     return data
 
 
-def _add_run_options(parser: argparse.ArgumentParser, outputs: bool = True) -> None:
-    """One flag per RunSpec field, named after its config key, plus --config
-    and, with ``outputs``, the output paths; defaults stay None, so only
-    typed flags override a config."""
-    parser.add_argument("--config", help="config file: a JSON object of run options")
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """--config and one flag per RunSpec field, named after it; defaults
+    stay None, so only typed flags override a config."""
+    parser.add_argument("--config", help="config file: a JSON object of RunSpec fields")
     for f in fields(RunSpec):
         allowed = FIELD_TYPES[f.name]
         if bool in allowed:
@@ -84,73 +79,43 @@ def _add_run_options(parser: argparse.ArgumentParser, outputs: bool = True) -> N
             kind = {"type": float if float in allowed else int if int in allowed else str,
                     "choices": _CHOICES.get(f.name)}
         default = "the model's" if f.default is None else f.default
-        parser.add_argument("--" + _KEY_OF_FIELD.get(f.name, f.name).replace("_", "-"),
-                            dest=f.name, help=f"{f.metadata['help']} (default: {default})",
-                            **kind)
-    if not outputs:
-        return
-    parser.add_argument("--trace-out", dest="trace_out",
-                        help="write the trace file (schema tag, then the "
-                             "digest's canonical lines) here")
-    parser.add_argument("--summary-out", dest="summary_out",
-                        help="write run summary JSON here")
-
-
-def _run_options(args: argparse.Namespace) -> tuple[RunSpec, dict]:
-    """The run's spec and output paths.
-
-    Values come from RunSpec's defaults, then the config file, then the
-    flags the user typed.
-    """
-    opts = {}
-    if args.config:
-        opts = {FIELD_OF_KEY.get(key, key): value
-                for key, value in load_config(args.config).items()}
-    for name in RUN_FIELDS + OUTPUT_KEYS:
-        value = getattr(args, name, None)
-        if value is not None:
-            opts[name] = value
-    outputs = {key: opts.pop(key, None) for key in OUTPUT_KEYS}
-    for key, path in outputs.items():
-        if path is not None and not isinstance(path, str):
-            raise ConfigError(f"{key} must be a path string, got {path!r}")
-    return RunSpec(**opts), outputs
+        parser.add_argument("--" + f.name.replace("_", "-"),
+                            help=f"{f.metadata['help']} (default: {default})", **kind)
 
 
 def _spec(args: argparse.Namespace) -> RunSpec:
-    """The spec of a subcommand that writes no outputs; a config naming one is refused."""
-    spec, outputs = _run_options(args)
-    named = [key for key, path in outputs.items() if path is not None]
-    if named:
-        raise ConfigError(f"{args.command} writes no run outputs; "
-                          f"remove {', '.join(named)} from the config")
-    return spec
+    """The run's spec: RunSpec's defaults, then the config file, then the
+    flags the user typed."""
+    opts = load_config(args.config) if args.config else {}
+    opts.update({name: getattr(args, name) for name in RUN_FIELDS
+                 if getattr(args, name) is not None})
+    return RunSpec(**opts)
 
 
 def _spec_line(spec: RunSpec) -> str:
     """Every set field of the spec, named as its flag: what the command ran."""
-    return " ".join(f"{_KEY_OF_FIELD.get(name, name).replace('_', '-')}={value}"
+    return " ".join(f"{name.replace('_', '-')}={value}"
                     for name, value in spec.to_dict().items() if value is not None)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec, outputs = _run_options(args)
+    spec = _spec(args)
     trace, metrics = execute(spec)
     print(_spec_line(spec))
     print(f"net events: {len(trace.committed)}")
     # one encoder pass: writing the trace file also hashes it
-    digest = trace.write(outputs["trace_out"]) if outputs["trace_out"] else trace.digest()
+    digest = trace.write(args.trace_out) if args.trace_out else trace.digest()
     print(f"trace digest: {digest}")
     if metrics is not None:
         print(f"rollbacks: {metrics['rollbacks']}  "
               f"rolled back events: {metrics['rolled_back']}  "
               f"anti-messages: {metrics['antis_sent']}  "
               f"efficiency: {metrics['efficiency']:.3f}")
-    if outputs["trace_out"]:
-        print(f"trace written: {outputs['trace_out']}")
-    if outputs["summary_out"]:
-        trace.write_summary(outputs["summary_out"], spec, metrics, digest)
-        print(f"summary written: {outputs['summary_out']}")
+    if args.trace_out:
+        print(f"trace written: {args.trace_out}")
+    if args.summary_out:
+        trace.write_summary(args.summary_out, spec, metrics, digest)
+        print(f"summary written: {args.summary_out}")
     return 0
 
 
@@ -243,11 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one simulation")
     _add_run_options(p_run)
+    p_run.add_argument("--trace-out", help="write the trace file (schema tag, then "
+                                           "the digest's canonical lines) here")
+    p_run.add_argument("--summary-out", help="write run summary JSON here")
     p_run.set_defaults(func=_cmd_run)
 
     p_ver = sub.add_parser("verify-determinism",
                            help="compare run outcomes across workers and chaos seeds")
-    _add_run_options(p_ver, outputs=False)
+    _add_run_options(p_ver)
     p_ver.add_argument("--workers-list", default="1,2,4,8", dest="workers_list")
     p_ver.add_argument("--chaos-seeds", default="0,1,2", dest="chaos_seeds")
     p_ver.add_argument("--repeats", type=int, default=2)
@@ -269,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fair.set_defaults(func=_cmd_fairness)
 
     p_bench = sub.add_parser("bench", help="time one run")
-    _add_run_options(p_bench, outputs=False)
+    _add_run_options(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_cmp = sub.add_parser("compare", help="check two trace files for digest identity")

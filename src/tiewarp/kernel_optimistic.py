@@ -418,11 +418,11 @@ class OptimisticKernel:
     """Drives the PEs to completion and merges fossils into a global trace."""
 
     def __init__(self, model, mode: OrderingMode, global_seed: int,
-                 n_workers: int, chaos: ChaosConfig | None = None,
+                 workers: int, chaos: ChaosConfig | None = None,
                  gvt_interval: int = DEFAULT_GVT_INTERVAL,
                  seq_cap: int = DEFAULT_SEQUENCE_CAP):
         chaos = chaos or ChaosConfig()
-        check_count("n_workers", n_workers, 1)
+        check_count("workers", workers, 1)
         check_count("gvt_interval", gvt_interval, 1)
         check_count("seq_cap", seq_cap, 1)
         check_count("max_delay", chaos.max_delay, 0)
@@ -432,11 +432,11 @@ class OptimisticKernel:
         self.gvt_interval = gvt_interval
         self.seq_cap = seq_cap
         self.chaos = DrawStream(lp_keys(mix64(chaos.chaos_seed), _CHAOS_SALT)[1])
-        self.transport = Transport(n_workers, self.chaos, chaos.max_delay)
+        self.transport = Transport(workers, self.chaos, chaos.max_delay)
         # the owning PE of each LP id: the one statement of the partition
-        self.lp_pe = [lp_id % n_workers for lp_id in range(model.n_lps)]
+        self.lp_pe = [lp_id % workers for lp_id in range(model.n_lps)]
         self.lps = make_lps(model, global_seed, self.lp_pe)
-        self.pes = [PeRuntime(i, self) for i in range(n_workers)]
+        self.pes = [PeRuntime(i, self) for i in range(workers)]
         for rt in self.lps:
             self.pes[rt.pe_id].histories[rt.lp_id] = deque()
         self.global_processed = 0

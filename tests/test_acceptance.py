@@ -8,6 +8,7 @@ prints measured values for -s runs and failure reports.
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,8 +72,7 @@ def test_criterion_01_parallel_runs_reproduce_sequential_digest(audit_pool):
     seq_trace, _ = execute(spec)
     audit_pool.append(("lex", seq_trace))
     for workers, chaos in ((2, 0), (8, 1)):
-        trace, _ = execute(RunSpec(**{**spec.to_dict(), "workers": workers,
-                                      "chaos_seed": chaos}))
+        trace, _ = execute(replace(spec, workers=workers, chaos_seed=chaos))
         audit_pool.append(("lex", trace))
     print(f"criterion 1: 24/24 digests == sequential in {elapsed:.1f}s")
 
@@ -113,8 +113,7 @@ def test_criterion_03_hundred_random_configs_bit_exact(audit_pool):
         seq, _ = execute(spec)
         workers = rng.choice((2, 4))
         chaos = rng.randint(0, 2)
-        opt, _ = execute(RunSpec(**{**spec.to_dict(), "workers": workers,
-                                    "chaos_seed": chaos}))
+        opt, _ = execute(replace(spec, workers=workers, chaos_seed=chaos))
         if opt.digest() != seq.digest():
             failures.append((case, spec.to_dict(), workers, chaos))
         elif case < 10:

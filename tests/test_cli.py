@@ -3,11 +3,8 @@
 import argparse
 import hashlib
 import json
-import os
 import re
 import shlex
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,8 +23,8 @@ from tiewarp.trace import (CHUNK, TRACE_SCHEMA, Event, Trace, digest_lines,
 
 from signature_oracle import audit_trace
 
-RUN_TIES = ["run", "--model", "event-ties", "--mode", "lex", "--lps", "5",
-            "--end", "3", "--chain", "2", "--seed", "9"]
+RUN_TIES = ["run", "--model", "event-ties", "--mode", "lex", "--n-lps", "5",
+            "--end-time", "3", "--chain-length", "2", "--seed", "9"]
 
 
 def digest_from(output: str) -> str:
@@ -75,16 +72,24 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
 
 @pytest.mark.parametrize("workers", ("1", "4"))
 def test_summary_spec_reproduces_the_run(tmp_path, capsys, workers):
-    # a summary is a complete run record: its spec alone reruns the run
+    # a summary is a complete run record: its spec alone reruns the run,
+    # in the library and, as a config file, through the CLI
     path = tmp_path / "summary.json"
     assert main(RUN_TIES + ["--workers", workers, "--chaos-seed", "3",
                             "--summary-out", str(path)]) == 0
+    out = capsys.readouterr().out
     summary = json.loads(path.read_text())
     assert summary["schema"] == "tiewarp.summary/2"
     assert summary["spec"]["workers"] == int(workers)
     trace, metrics = execute(RunSpec(**summary["spec"]))
-    assert trace.digest() == summary["digest"] == digest_from(capsys.readouterr().out)
+    assert trace.digest() == summary["digest"] == digest_from(out)
     assert metrics == summary["metrics"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(summary["spec"]))
+    assert main(["run", "--config", str(spec_path)]) == 0
+    replayed = capsys.readouterr().out
+    assert replayed.splitlines() == out.splitlines()[:-1]  # no "summary written"
+    assert digest_from(replayed) == summary["digest"]
 
 
 def test_compare_identical_and_divergent(tmp_path, capsys):
@@ -197,7 +202,7 @@ def test_compare_rejects_malformed_trace_files(tmp_path, capsys):
 
 def test_verify_determinism_expectations(capsys):
     base = ["verify-determinism", "--model", "event-ties", "--mode", "lex",
-            "--lps", "4", "--end", "3", "--chain", "2",
+            "--n-lps", "4", "--end-time", "3", "--chain-length", "2",
             "--workers-list", "1,2", "--chaos-seeds", "0,1", "--repeats", "1"]
     assert main(base + ["--expect", "deterministic"]) == 0
     out = capsys.readouterr().out
@@ -208,27 +213,36 @@ def test_verify_determinism_expectations(capsys):
 
 def test_verify_determinism_detects_none_mode(tmp_path, capsys):
     report_path = tmp_path / "report.json"
+    sweep = ["--workers-list", "2,4", "--chaos-seeds", "0,1,2", "--repeats", "1",
+             "--expect", "nondeterministic"]
     code = main(["verify-determinism", "--model", "event-ties", "--mode",
-                 "none", "--lps", "6", "--end", "4", "--chain", "2",
-                 "--workers-list", "2,4", "--chaos-seeds", "0,1,2",
-                 "--repeats", "1", "--expect", "nondeterministic",
-                 "--json-out", str(report_path)])
+                 "none", "--n-lps", "6", "--end-time", "4", "--chain-length", "2",
+                 *sweep, "--json-out", str(report_path)])
     assert code == 0
+    out = capsys.readouterr().out
     report = json.loads(report_path.read_text())
     assert report["verdict"] == "nondeterministic"
     assert len(report["cells"]) == 6
+    # the report's spec, as a config file, replays the sweep
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(report["spec"]))
+    assert main(["verify-determinism", "--config", str(spec_path), *sweep]) == 0
+    replayed = capsys.readouterr().out
+    assert replayed.splitlines() == out.splitlines()[:-1]  # no "report written"
+    assert f"reference (sequential): {report['reference']['digest']}" in replayed
+    assert "verdict: nondeterministic " in replayed
 
 
 @pytest.mark.parametrize("args,error", (
     # sequentially, each of these runs raises; so does every parallel cell
-    (["--mode", "naive", "--chain", "3"], "CausalityViolation: event "),
-    (["--mode", "lex", "--chain", "4", "--seq-cap", "2"], "SequenceCapExceeded: "),
+    (["--mode", "naive", "--chain-length", "3"], "CausalityViolation: event "),
+    (["--mode", "lex", "--chain-length", "4", "--seq-cap", "2"], "SequenceCapExceeded: "),
     (["--mode", "unbiased-single"], "ZeroOffsetForbidden: "),
 ), ids=("naive", "seq-cap", "unbiased-single"))
 def test_verify_determinism_judges_errors_as_outcomes(tmp_path, capsys, args, error):
     report_path = tmp_path / "report.json"
-    code = main(["verify-determinism", "--model", "event-ties", "--lps", "6",
-                 "--end", "4", *args, "--expect", "deterministic",
+    code = main(["verify-determinism", "--model", "event-ties", "--n-lps", "6",
+                 "--end-time", "4", *args, "--expect", "deterministic",
                  "--json-out", str(report_path)])
     assert code == 0
     assert "verdict: deterministic (0 distinct digest(s), 0 fault(s))" in capsys.readouterr().out
@@ -243,7 +257,7 @@ def test_verify_determinism_judges_errors_as_outcomes(tmp_path, capsys, args, er
                                   ["--gvt-interval", "0"], ["--seq-cap", "0"]))
 def test_verify_determinism_sweep_that_cannot_be_built_is_a_config_error(capsys, args):
     # building a kernel is configuration, not part of a run's outcome
-    assert main(["verify-determinism", "--lps", "2", "--end", "2", *args]) == 2
+    assert main(["verify-determinism", "--n-lps", "2", "--end-time", "2", *args]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -252,7 +266,7 @@ def test_verify_determinism_sweep_that_cannot_be_built_is_a_config_error(capsys,
                                   ["--seed", str(2 ** 64)]))
 def test_verify_determinism_refuses_an_empty_or_aliased_sweep(capsys, args):
     # no cells to compare, or a seed that would run as another seed
-    assert main(["verify-determinism", "--lps", "2", "--end", "2", *args]) == 2
+    assert main(["verify-determinism", "--n-lps", "2", "--end-time", "2", *args]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -266,7 +280,7 @@ def test_verify_determinism_refuses_a_bad_cell_before_any_run(capsys, monkeypatc
     ran = []
     for kernel_class in (SequentialKernel, OptimisticKernel):
         monkeypatch.setattr(kernel_class, "run", lambda self: ran.append(self))
-    assert main(["verify-determinism", "--lps", "2", "--end", "2", *args]) == 2
+    assert main(["verify-determinism", "--n-lps", "2", "--end-time", "2", *args]) == 2
     assert "config error" in capsys.readouterr().err
     assert ran == []
 
@@ -316,7 +330,7 @@ def test_fairness_refuses_a_bad_seed_range_before_it_runs(capsys, monkeypatch, b
 
 def test_bench_subcommand(capsys):
     code = main(["bench", "--model", "phold", "--mode", "additive",
-                 "--lps", "4", "--end", "4"])
+                 "--n-lps", "4", "--end-time", "4"])
     assert code == 0
     assert "events/s=" in capsys.readouterr().out
 
@@ -328,7 +342,7 @@ def test_bench_times_the_kernel_the_spec_describes(capsys, monkeypatch):
             ran.append(type(self).__name__)
             return run(self)
         monkeypatch.setattr(kernel, "run", timed_run)
-    bench = ["bench", "--model", "phold", "--lps", "4", "--end", "4"]
+    bench = ["bench", "--model", "phold", "--n-lps", "4", "--end-time", "4"]
     assert main(bench + ["--workers", "2", "--chaos-seed", "3"]) == 0
     assert ran == ["OptimisticKernel"]
     assert "workers=2 " in capsys.readouterr().out
@@ -341,50 +355,54 @@ def test_bench_times_the_kernel_the_spec_describes(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ("verify-determinism", "bench"))
 def test_only_run_takes_output_flags(tmp_path, capsys, command):
-    args = [command, "--lps", "2", "--end", "2"]
+    args = [command, "--n-lps", "2", "--end-time", "2"]
     for flag in ("--trace-out", "--summary-out"):
         with pytest.raises(SystemExit) as stop:
             main(args + [flag, str(tmp_path / "out")])
         assert stop.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-    for key in ("trace_out", "summary_out"):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({key: str(tmp_path / "out")}))
-        assert main(args + ["--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert f"{command} writes no run outputs; remove {key}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ("trace_out", "summary_out", "lps", "end", "chain"))
+def test_config_keys_are_run_spec_fields_only(tmp_path, capsys, key):
+    # output paths are run flags, and a run parameter has one spelling
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"config error: unknown config keys in {cfg}: ['{key}']" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_2_on_config_errors(capsys):
     # model-level validation
-    assert main(["run", "--model", "phold", "--mode", "lex", "--lps", "0"]) == 2
+    assert main(["run", "--model", "phold", "--mode", "lex", "--n-lps", "0"]) == 2
     # insufficient fairness samples
     assert main(["fairness", "--mode", "lex", "--samples", "50"]) == 2
     # zero-offset model under the single-draw mode
     assert main(["run", "--model", "event-ties", "--mode", "unbiased-single",
-                 "--lps", "4", "--end", "2"]) == 2
+                 "--n-lps", "4", "--end-time", "2"]) == 2
     # sequence cap exhaustion
     assert main(["run", "--model", "event-ties-stress", "--mode", "lex",
-                 "--lps", "2", "--end", "2", "--height", "3", "--arity", "2",
+                 "--n-lps", "2", "--end-time", "2", "--height", "3", "--arity", "2",
                  "--seq-cap", "3"]) == 2
     # non-finite inputs (a NaN end never ends) and caps below one draw,
     # in both kernels
-    for args in (["--end", "nan"], ["--end", "inf"],
-                 ["--model", "event-ties", "--end", "inf"],
-                 ["--model", "event-ties-stress", "--end", "nan"],
+    for args in (["--end-time", "nan"], ["--end-time", "inf"],
+                 ["--model", "event-ties", "--end-time", "inf"],
+                 ["--model", "event-ties-stress", "--end-time", "nan"],
                  ["--mean-offset", "nan"], ["--mean-offset", "inf"],
                  ["--seq-cap", "0"], ["--seq-cap", "-3", "--workers", "2"]):
-        assert main(["run", "--lps", "2", *args]) == 2, args
+        assert main(["run", "--n-lps", "2", *args]) == 2, args
         assert "config error" in capsys.readouterr().err
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("args", (["--model", "phold", "--chain", "3"],
+@pytest.mark.parametrize("args", (["--model", "phold", "--chain-length", "3"],
                                   ["--model", "event-ties", "--height", "2"]))
 def test_run_rejects_a_parameter_its_model_ignores(capsys, args):
     # or two specs, and two summaries, would describe the same run
-    assert main(["run", "--lps", "2", "--end", "2", *args]) == 2
+    assert main(["run", "--n-lps", "2", "--end-time", "2", *args]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -397,10 +415,10 @@ def test_config_file_cannot_couple_phold(tmp_path, capsys):
 
 def test_phold_rejects_an_end_before_its_seed_events(capsys):
     for end in ("-5", "0.5"):
-        assert main(["run", "--model", "phold", "--lps", "3", "--end", end]) == 2
+        assert main(["run", "--model", "phold", "--n-lps", "3", "--end-time", end]) == 2
         assert "config error: end_time must be >= 1" in capsys.readouterr().err
     # the seed events at t = 1 commit at end 1
-    assert main(["run", "--model", "phold", "--lps", "3", "--end", "1"]) == 0
+    assert main(["run", "--model", "phold", "--n-lps", "3", "--end-time", "1"]) == 0
     assert "net events: 3" in capsys.readouterr().out
 
 
@@ -408,21 +426,21 @@ def test_exit_code_2_on_file_errors(tmp_path, capsys):
     # a missing trace must not exit 1, which compare reserves for divergence
     assert main(["compare", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]) == 2
     assert "file error" in capsys.readouterr().err
-    assert main(["run", "--model", "phold", "--lps", "2", "--end", "1",
+    assert main(["run", "--model", "phold", "--n-lps", "2", "--end-time", "1",
                  "--trace-out", str(tmp_path / "no" / "dir" / "t.txt")]) == 2
     capsys.readouterr()
 
 
 def test_exit_code_3_on_causality_violation(capsys):
     code = main(["run", "--model", "event-ties", "--mode", "naive",
-                 "--lps", "6", "--end", "4", "--chain", "3"])
+                 "--n-lps", "6", "--end-time", "4", "--chain-length", "3"])
     assert code == 3
     assert "causality violation" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_causality_violation_in_parallel(capsys):
     code = main(["run", "--model", "event-ties", "--mode", "naive",
-                 "--lps", "6", "--end", "4", "--chain", "3", "--workers", "4"])
+                 "--n-lps", "6", "--end-time", "4", "--chain-length", "3", "--workers", "4"])
     assert code == 3
     assert "causality violation" in capsys.readouterr().err
 
@@ -431,7 +449,7 @@ def test_biased_zero_offset_child_is_a_causality_violation_in_parallel(capsys):
     # a zero-offset child whose ruleset identity sorts below its parent's
     # fails the parallel run as it fails the sequential one
     code = main(["run", "--model", "event-ties-stress", "--mode", "biased",
-                 "--lps", "12", "--remote-prob", "0.9", "--end", "1",
+                 "--n-lps", "12", "--remote-prob", "0.9", "--end-time", "1",
                  "--height", "2", "--arity", "2", "--seed", "111", "--workers", "5",
                  "--chaos-seed", "77", "--max-delay", "4", "--gvt-interval", "1"])
     assert code == 3
@@ -456,8 +474,8 @@ def test_tie_heavy_mode_none_run_completes_causally(tmp_path):
     # a tie-heavy parallel run ends, and its ties commit zero-offset
     # parents before their children
     path = tmp_path / "none.trace"
-    code = main(["run", "--model", "event-ties", "--mode", "none", "--lps", "12",
-                 "--chain", "4", "--end", "5", "--remote-prob", "0.9", "--seed", "4",
+    code = main(["run", "--model", "event-ties", "--mode", "none", "--n-lps", "12",
+                 "--chain-length", "4", "--end-time", "5", "--remote-prob", "0.9", "--seed", "4",
                  "--workers", "6", "--chaos-seed", "2", "--max-delay", "6",
                  "--trace-out", str(path)])
     assert code == 0
@@ -484,7 +502,7 @@ def test_run_encodes_the_trace_once(tmp_path, capsys, monkeypatch, outputs):
 
 def test_trace_file_body_hashes_to_the_digest_across_chunks(tmp_path, capsys):
     path = tmp_path / "trail.txt"
-    assert main(["run", "--model", "phold", "--lps", "512", "--end", "10", "--seed", "3",
+    assert main(["run", "--model", "phold", "--n-lps", "512", "--end-time", "10", "--seed", "3",
                  "--trace-out", str(path)]) == 0
     digest = digest_from(capsys.readouterr().out)
     tag, body = path.read_bytes().split(b"\n", 1)
@@ -500,7 +518,7 @@ def test_trace_file_body_hashes_to_the_digest_across_chunks(tmp_path, capsys):
 def test_json_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"model": "event-ties", "mode": "lex",
-                               "lps": 5, "end": 3, "chain": 2, "seed": 9}))
+                               "n_lps": 5, "end_time": 3, "chain_length": 2, "seed": 9}))
     assert main(["run", "--config", str(cfg)]) == 0
     base = digest_from(capsys.readouterr().out)
     assert main(["run", "--config", str(cfg), "--seed", "10"]) == 0
@@ -512,9 +530,9 @@ def test_int_and_float_spellings_give_one_spec(tmp_path, capsys):
     # an int given for a float field is stored as a float, whichever way it
     # was spelled, so the summaries of one run record one spec
     as_json = tmp_path / "run.json"
-    as_json.write_text(json.dumps({"end": 3, "mean_offset": 2}))
+    as_json.write_text(json.dumps({"end_time": 3, "mean_offset": 2}))
     specs = []
-    for options in (["--config", str(as_json)], ["--end", "3", "--mean-offset", "2"]):
+    for options in (["--config", str(as_json)], ["--end-time", "3", "--mean-offset", "2"]):
         out = tmp_path / "summary.json"
         assert main(["run", *options, "--summary-out", str(out)]) == 0
         specs.append(json.dumps(json.loads(out.read_text())["spec"], sort_keys=True))
@@ -545,10 +563,10 @@ def test_naive_config_key_is_unknown(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text,message", (
-    ('{"lps": "abc"}', "n_lps must be int, got 'abc'"),
+    ('{"n_lps": "abc"}', "n_lps must be int, got 'abc'"),
     ('{"seed": "abc"}', "seed must be int, got 'abc'"),
     ('{"seed": 1.5}', "seed must be int, got 1.5"),
-    ('{"lps": true}', "n_lps must be int, got True"),
+    ('{"n_lps": true}', "n_lps must be int, got True"),
     ('{"coupled": 1}', "coupled must be bool, got 1"),
     ('{"remote_prob": "high"}', "remote_prob must be float | None, got 'high'"),
 ), ids=("lps-word", "seed-word", "seed-fraction", "lps-bool", "coupled-int",
@@ -562,15 +580,15 @@ def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, tex
 
 
 @pytest.mark.parametrize("name,text,code,message", (
-    ("run.json", '{"lps": 2,}', 2, "bad JSON in "),
+    ("run.json", '{"n_lps": 2,}', 2, "bad JSON in "),
     ("run.json", "[2, 3]", 2, " must hold a JSON object"),
     # json.loads alone would run seed 5
-    ("run.json", '{"seed": 1, "lps": 2, "seed": 5}', 2,
+    ("run.json", '{"seed": 1, "n_lps": 2, "seed": 5}', 2,
      "config error: config keys named twice in {cfg}: ['seed']"),
     # a config is JSON whatever its suffix: a flat line is bad JSON ...
     ("run.cfg", "model = phold\n", 2, "bad JSON in {cfg}"),
     # ... and a JSON object runs
-    ("run.JSON", '{"lps": 2, "end": 2}', 0, " lps=2 end=2.0 "),
+    ("run.JSON", '{"n_lps": 2, "end_time": 2}', 0, " n-lps=2 end-time=2.0 "),
 ), ids=("bad-json", "json-array", "repeated-key", "flat-cfg", "upper-suffix"))
 def test_unreadable_json_configs_are_config_errors(tmp_path, capsys, name, text, code,
                                                     message):
@@ -584,11 +602,13 @@ def test_unreadable_json_configs_are_config_errors(tmp_path, capsys, name, text,
 @pytest.mark.parametrize("args,message", (
     (["verify-determinism", "--workers-list", "a,b"],
      "--workers-list expects comma-separated integers"),
-    (["run", "--model", "event-ties-stress", "--end", "2.5"],
+    (["run", "--model", "event-ties-stress", "--end-time", "2.5"],
      "stress end_time must be a positive integer"),
-), ids=("workers-list-words", "stress-fractional-end"))
+    # named as the user typed it, not as a kernel argument
+    (["run", "--workers", "0"], "workers must be >= 1"),
+), ids=("workers-list-words", "stress-fractional-end", "workers-zero"))
 def test_flag_values_a_command_cannot_use_are_config_errors(capsys, args, message):
-    assert main([*args, "--lps", "2"]) == 2
+    assert main([*args, "--n-lps", "2"]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
 
 
@@ -602,18 +622,18 @@ def test_compare_refuses_a_trace_that_is_not_ascii(tmp_path, capsys):
     assert "not ASCII text" in capsys.readouterr().err
 
 
-def test_config_keys_and_flags_cover_the_run_schema():
-    # the config keys are exactly the flag names with "_"
-    assert set(cli.CONFIG_KEYS) == {
-        "model", "mode", "lps", "remote_prob", "chain", "height", "arity",
-        "coupled", "mean_offset", "end", "seed", "workers", "chaos_seed",
-        "max_delay", "gvt_interval", "seq_cap", "trace_out", "summary_out"}
-    # every run flag lands on a RunSpec field or an output path, and
-    # every RunSpec field has a flag
+def test_config_keys_and_flags_cover_the_run_schema(tmp_path):
+    # a config holds every RunSpec field under its own name
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(RunSpec().to_dict()))
+    assert list(load_config(str(cfg))) == list(cli.RUN_FIELDS)
+    # every RunSpec field has one flag, its name with "-" for "_", and
+    # every run flag lands on a field
     parser = argparse.ArgumentParser()
     cli._add_run_options(parser)
-    dests = {action.dest for action in parser._actions} - {"help", "config"}
-    assert dests == set(cli.RUN_FIELDS + cli.OUTPUT_KEYS)
+    flags = {action.dest: action.option_strings for action in parser._actions
+             if action.dest not in ("help", "config")}
+    assert flags == {name: ["--" + name.replace("_", "-")] for name in cli.RUN_FIELDS}
 
 
 # for each RunSpec field: the flag and its text, and the typed value they
@@ -621,11 +641,11 @@ def test_config_keys_and_flags_cover_the_run_schema():
 FIELD_FLAGS = {
     "model": (["--model", "event-ties-stress"], "event-ties-stress"),
     "mode": (["--mode", "additive"], "additive"),
-    "n_lps": (["--lps", "7"], 7),
-    "end_time": (["--end", "3"], 3.0),
+    "n_lps": (["--n-lps", "7"], 7),
+    "end_time": (["--end-time", "3"], 3.0),
     "seed": (["--seed", str(2 ** 64 - 1)], 2 ** 64 - 1),
     "remote_prob": (["--remote-prob", "0.25"], 0.25),
-    "chain_length": (["--chain", "3"], 3),
+    "chain_length": (["--chain-length", "3"], 3),
     "height": (["--height", "2"], 2),
     "arity": (["--arity", "5"], 5),
     "coupled": (["--coupled"], True),
@@ -644,10 +664,9 @@ def test_every_run_spec_field_has_a_typed_flag(name):
     assert value != getattr(RunSpec(), name)
     args = cli.build_parser().parse_args(["run", *argv])
     assert type(getattr(args, name)) is type(value)
-    spec, outputs = cli._run_options(args)
+    spec = cli._spec(args)
     assert spec == replace(RunSpec(), **{name: value})
     assert type(getattr(spec, name)) is type(value)
-    assert outputs == {"trace_out": None, "summary_out": None}
 
 
 def subparsers() -> dict:
@@ -679,7 +698,7 @@ def test_every_subcommand_help_names_every_run_flag(capsys, command):
 GUARD_BASE = {
     "run": [],
     "bench": [],
-    "verify-determinism": ["--lps", "2", "--end", "2", "--workers-list", "2",
+    "verify-determinism": ["--n-lps", "2", "--end-time", "2", "--workers-list", "2",
                            "--chaos-seeds", "0", "--repeats", "1", "--json-out", "report.json"],
     "fairness": ["--mode", "lex", "--samples", "100", "--base-seed", "1100"],
 }
@@ -734,24 +753,6 @@ def test_every_option_is_refused_or_acts(tmp_path, monkeypatch, capsys, command,
     assert (changed[0] == 2 and "error" in changed[2]) or changed != base
 
 
-@pytest.mark.parametrize("name,text", (
-    ("run.json", '{"trace_out": 1}'),  # once wrote the trace to stdout's fd
-    ("run.json", '{"summary_out": ["x"]}'),  # once failed after the run
-), ids=("json-fd", "json-list"))
-def test_config_output_paths_must_be_strings(tmp_path, name, text):
-    # in a child process: a trace written to fd 1 would close the caller's stdout
-    cfg = tmp_path / name
-    cfg.write_text(text)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run([sys.executable, "-m", "tiewarp", "run", "--lps", "2",
-                             "--end", "2", "--config", str(cfg)],
-                            env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 2
-    assert "config error: " in result.stderr and "must be a path string" in result.stderr
-    assert "net events" not in result.stdout
-
-
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -763,11 +764,27 @@ def readme_cli_commands():
             if line.startswith("tiewarp ")]
 
 
+def option_strings() -> set:
+    return {flag for parser in subparsers().values()
+            for action in parser._actions for flag in action.option_strings}
+
+
 @pytest.mark.parametrize("argv", readme_cli_commands(), ids=lambda argv: argv[0])
 def test_readme_cli_commands_parse(argv):
-    # parse only, nothing is run: a renamed or removed flag fails here
+    # parse only, nothing is run: a renamed or removed flag fails here, and
+    # so does an abbreviation argparse would accept, such as --end
     args = cli.build_parser().parse_args(argv)
     assert args.command == argv[0]
+    flags = {arg for arg in argv if arg.startswith("--")}
+    assert flags <= option_strings()
+
+
+def test_readme_prose_names_exact_flags():
+    # each flag in a backticked span outside the fenced blocks
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.S | re.M)
+    named = {flag for span in re.findall(r"`([^`]+)`", prose)
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", span)}
+    assert named and named <= option_strings()
 
 
 def readme_python_blocks():

@@ -67,7 +67,7 @@ def test_run_spec_seeds_lie_in_64_bits(name):
 def test_execute_returns_metrics_only_for_optimistic_runs():
     trace, metrics = execute(TIES_SPEC)
     assert metrics is None
-    trace2, metrics2 = execute(RunSpec(**{**TIES_SPEC.to_dict(), "workers": 2}))
+    trace2, metrics2 = execute(replace(TIES_SPEC, workers=2))
     assert metrics2 is not None
     assert trace2.digest() == trace.digest()
 
@@ -112,7 +112,7 @@ def test_verify_determinism_deterministic_verdict():
 
 
 def test_verify_determinism_flags_schedule_dependence():
-    spec = RunSpec(**{**TIES_SPEC.to_dict(), "mode": "none"})
+    spec = replace(TIES_SPEC, mode="none")
     report = verify_determinism(spec, workers=(2, 4), chaos_seeds=(0, 1, 2),
                                 repeats=1)
     assert report["verdict"] == "nondeterministic"
