@@ -7,9 +7,10 @@ Subcommands:
   bench                time one run of the kernel the run options describe
   compare              check two trace files for digest identity
 
-Exit codes: 0 success, 2 configuration error, 3 causality violation;
-verify-determinism reports an error raised while running as an outcome
-instead. Flags, config keys and the recorded ``spec`` all use RunSpec's
+Exit codes: 0 success, 2 configuration error, 3 causality violation, and
+141, as for a process that SIGPIPE ended, when the reader of stdout closed
+it; verify-determinism reports an error raised while running as an outcome
+instead. A flag's name is its only spelling: no prefix is taken. Flags, config keys and the recorded ``spec`` all use RunSpec's
 field names: a config file, one JSON object of RunSpec fields whatever its
 suffix, is exactly the ``spec`` a summary or determinism report records.
 Explicit flags override it, and a key named twice is refused.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -205,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimistic parallel discrete-event simulation with "
                     "deterministic random tie-breaking.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="execute one simulation")
+    # allow_abbrev=False on each subcommand: a flag's name is its only
+    # spelling, and no prefix of it is taken
+    p_run = sub.add_parser("run", help="execute one simulation", allow_abbrev=False)
     _add_run_options(p_run)
     p_run.add_argument("--trace-out", help="write the trace file (schema tag, then "
                                            "the digest's canonical lines) here")
@@ -214,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_ver = sub.add_parser("verify-determinism",
-                           help="compare run outcomes across workers and chaos seeds")
+                           help="compare run outcomes across workers and chaos seeds",
+                           allow_abbrev=False)
     _add_run_options(p_ver)
     p_ver.add_argument("--workers-list", default="1,2,4,8", dest="workers_list")
     p_ver.add_argument("--chaos-seeds", default="0,1,2", dest="chaos_seeds")
@@ -225,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=_cmd_verify)
 
     p_fair = sub.add_parser("fairness",
-                            help="estimate tie-ordering probabilities")
+                            help="estimate tie-ordering probabilities", allow_abbrev=False)
     p_fair.add_argument("--mode", required=True, choices=MODE_NAMES)
     p_fair.add_argument("--depth", type=int, default=0,
                         help="zero-offset chain depth of the target event")
@@ -236,11 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit 1 if outside the expected interval")
     p_fair.set_defaults(func=_cmd_fairness)
 
-    p_bench = sub.add_parser("bench", help="time one run")
+    p_bench = sub.add_parser("bench", help="time one run", allow_abbrev=False)
     _add_run_options(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
-    p_cmp = sub.add_parser("compare", help="check two trace files for digest identity")
+    p_cmp = sub.add_parser("compare", help="check two trace files for digest identity",
+                           allow_abbrev=False)
     p_cmp.add_argument("trace_a")
     p_cmp.add_argument("trace_b")
     p_cmp.set_defaults(func=_cmd_compare)
@@ -252,7 +257,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so a closed reader raises inside this try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (say, `tiewarp run | head -1`):
+        # point stdout at the null device so the flush at exit cannot raise
+        # again, and exit as a shell reports a process that SIGPIPE ended
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,10 @@ from .timebase import (
 )
 from .trace import Event, Trace
 
+# build_event's constructor of every event a run makes: an empty Event,
+# whose slots it fills (Event's docstring says why)
+_new_event = object.__new__
+
 
 class LpRuntime:
     """Per-LP mutable state: model state, model stream, serial counter.
@@ -118,8 +122,17 @@ def build_event(
         # simultaneous exactly when derive extended the parent's signature
         depth = parent.zero_offset_depth + 1 if timestamp == parent.timestamp else 0
         parent_key = (parent.source_lp, parent.serial)
-    ev = Event(source.pe_id, source.lp_id, serial, dest, timestamp, tiebreak, None,
-               payload, depth, parent_key)
+    ev = _new_event(Event)
+    ev.source_pe = source.pe_id
+    ev.source_lp = source.lp_id
+    ev.serial = serial
+    ev.dest_lp = dest
+    ev.timestamp = timestamp
+    ev.tiebreak = tiebreak
+    ev.payload = payload
+    ev.zero_offset_depth = depth
+    ev.parent_key = parent_key
+    ev.match = None
     ev.key = key = sort_key(ev, mode)
     if parent is not None and key < parent.key:
         raise CausalityViolation(

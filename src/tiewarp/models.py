@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError, check_count, check_real
-from .rngstream import DrawStream
+from .rngstream import DrawStream, uniform_below
 
 
 class Emit(NamedTuple):
@@ -83,11 +83,17 @@ class _BuiltinModel:
         # every built-in model seeds its events at t = 1
         if self.end_time < 1:
             raise ConfigError(f"end_time must be >= 1, got {self.end_time}")
+        # after the range check: NaN has no integer ratio. Not a field, so
+        # it stays out of the model's parameters, equality and repr.
+        object.__setattr__(self, "_remote_below", uniform_below(self.remote_prob))
 
     def _route(self, stream: DrawStream, lp: int) -> int:
         """The destination of an emit from LP ``lp``: with probability
-        ``remote_prob`` a uniformly random other LP, else ``lp`` itself."""
-        if stream.uniform() < self.remote_prob:
+        ``remote_prob`` a uniformly random other LP, else ``lp`` itself.
+
+        The raw draw is tested against ``uniform_below(remote_prob)``, which
+        is exactly ``stream.uniform() < remote_prob`` without its frame."""
+        if stream.draw() < self._remote_below:
             return stream.pick_other(self.n_lps, lp)
         return lp
 
@@ -161,10 +167,10 @@ class EventTiesModel(_BuiltinModel):
     def handle(self, state: MeanState, event, stream: DrawStream):
         lp = event.dest_lp
         new_state = state.fold(event.payload)
-        val = stream.randint(0, 100)
+        val = stream.draw() % 101  # randint(0, 100), without its frame
         if not self.coupled:
             dest = self._route(stream, lp)
-        elif stream.uniform() < self.remote_prob:
+        elif stream.draw() < self._remote_below:  # _route's test
             dest = int(new_state.mean_val) % self.n_lps
         else:
             dest = lp
@@ -217,12 +223,12 @@ class StressModel(_BuiltinModel):
         emits = []
         if event.zero_offset_depth < self.height:
             for i in range(self.arity):
-                child_val = stream.randint(0, 100)
+                child_val = stream.draw() % 101  # randint(0, 100)
                 dest = self._route(stream, lp)
                 emits.append(tuple.__new__(
                     Emit, (dest, 0.0, (child_val, descendant_sum + i), None)))
         elif descendant_sum == 0:
-            next_val = stream.randint(0, 100)
+            next_val = stream.draw() % 101
             dest = self._route(stream, lp)
             emits.append(tuple.__new__(Emit, (dest, 1.0, (next_val, 0), None)))
         return new_state, emits

@@ -129,6 +129,21 @@ def draw_block(key: int, start: int) -> array:
     return _unpack(_mix_lanes(z, _LANE_MASK), _LANES)
 
 
+def uniform_below(p: float) -> int:
+    """The draw threshold of ``uniform() < p``: a draw ``d`` gives a
+    ``uniform()`` below ``p`` exactly when ``d < uniform_below(p)``.
+
+    ``uniform()`` of ``d`` is ``(2 k + 1) * 2**-53`` with ``k = d >> 12``, so
+    the test holds exactly when ``k < q = ceil((a * 2**53 - b) / (2 b))``,
+    where ``a / b`` is ``p`` as an exact ratio; ``q`` is clamped to
+    ``[0, 2**52]`` and shifted back to a draw. A finite ``p`` only: NaN has
+    no ratio.
+    """
+    a, b = float(p).as_integer_ratio()
+    q = -((b - (a << 53)) // (2 * b))
+    return min(max(q, 0), 1 << 52) << 12
+
+
 def draw_at(key: int, index: int) -> int:
     """The stream's value at cursor ``index``; pure in (key, index).
 
@@ -167,7 +182,9 @@ class DrawStream:
 
     def uniform(self) -> float:
         """The draw's top 52 bits as (2k+1) * 2**-53: exact, so never 0.0 or
-        1.0 (53 bits would round 1 - 2**-54 up to 1.0, and exponential to inf)."""
+        1.0 (53 bits would round 1 - 2**-54 up to 1.0, and exponential to inf).
+        Per-event code tests ``draw() < uniform_below(p)`` instead of
+        ``uniform() < p``: the same outcome, one frame fewer."""
         return (self.draw() >> 12) * 2.0**-52 + 2.0**-53
 
     def randint(self, low: int, high: int) -> int:
@@ -185,5 +202,5 @@ class DrawStream:
         """Uniform LP id other than ``self_id`` (or self if it is alone)."""
         if n <= 1:
             return self_id
-        idx = self.randint(0, n - 2)
+        idx = self.draw() % (n - 1)  # randint(0, n - 2), without its frame
         return idx + 1 if idx >= self_id else idx

@@ -49,6 +49,12 @@ class Event:
     once when it creates the event, and None in sequential runs: ``id(self)``
     for an event that never leaves its PE (a seed or a local child), and
     ``match_key()`` for one sent through the transport.
+
+    ``Event(...)`` is the public constructor. ``kernel_seq.build_event``,
+    which builds every event of a run, takes ``object.__new__(Event)`` and
+    sets all eleven slots itself: the class call runs ``__init__`` as a
+    separate Python frame, which CPython 3.11 does not inline, at about
+    260 ns an event. The record is the same either way.
     """
 
     __slots__ = (

@@ -3,8 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -431,6 +434,36 @@ def test_exit_code_2_on_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", (["--end", "2"], ["--chain", "3"], ["--see", "3"]),
+                         ids=lambda args: args[0])
+def test_a_prefix_of_a_flag_is_refused(capsys, args):
+    # a flag's name is its only spelling, in every subcommand
+    with pytest.raises(SystemExit) as stop:
+        main(["run", *args])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
+    assert not any(parser.allow_abbrev for parser in subparsers().values())
+
+
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+def test_run_into_a_closed_pipe_exits_141_in_silence(unbuffered):
+    # as `tiewarp run | head -0` would: the reader is gone before the first
+    # line, so a write or the final flush raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        result = subprocess.run([sys.executable, "-m", "tiewarp", "run", "--n-lps", "4",
+                                 "--end-time", "2"],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")
+
+
 def test_exit_code_3_on_causality_violation(capsys):
     code = main(["run", "--model", "event-ties", "--mode", "naive",
                  "--n-lps", "6", "--end-time", "4", "--chain-length", "3"])
@@ -753,7 +786,8 @@ def test_every_option_is_refused_or_acts(tmp_path, monkeypatch, capsys, command,
     assert (changed[0] == 2 and "error" in changed[2]) or changed != base
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def readme_cli_commands():

@@ -854,12 +854,20 @@ def record_built_events(monkeypatch):
     return built
 
 
+def record_constructed_events(monkeypatch):
+    # build_event makes its events through its own constructor binding,
+    # anything else would call Event
+    constructed = []
+    record_calls(monkeypatch, constructed, kernel_seq, "_new_event")
+    record_calls(monkeypatch, constructed, Event, "__init__")
+    return constructed
+
+
 def test_anti_messages_are_the_events_themselves(monkeypatch):
     # cancelling a speculative send re-sends the child itself, so every
     # Event the run constructs is one that build_event built
     built = record_built_events(monkeypatch)
-    constructed = []
-    record_calls(monkeypatch, constructed, Event, "__init__")
+    constructed = record_constructed_events(monkeypatch)
     model = build_model("event-ties", **TIES)
     kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 4,
                               chaos=ChaosConfig(0, 4))
@@ -873,8 +881,7 @@ def test_an_emit_past_the_end_time_builds_no_event(monkeypatch):
     # phold keeps one event per LP alive, and each LP's last event emits
     # past the end: that emit takes a serial, but no Event is constructed
     model = build_model("phold", n_lps=16, end_time=5.0)
-    constructed = []
-    record_calls(monkeypatch, constructed, Event, "__init__")
+    constructed = record_constructed_events(monkeypatch)
     seq = SequentialKernel(model, OrderingMode.LEX_SEQUENCE, 1)
     committed = len(seq.run().committed)
     assert len(constructed) == committed

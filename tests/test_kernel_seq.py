@@ -16,7 +16,7 @@ from tiewarp.kernel_seq import build_event, make_lps, run_sequential
 from tiewarp.models import Emit, build_model
 from tiewarp.rngstream import _LANES, GENERATOR_NAME, GENERATOR_VERSION, draw_at
 from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
-from tiewarp.trace import digest_lines, first_divergence, read_trace
+from tiewarp.trace import Event, digest_lines, first_divergence, read_trace
 
 from scenarios import (
     SCRIPT_ADDITIVE_ORDER,
@@ -263,6 +263,33 @@ def test_random_configs_all_modes_complete():
 def build_seed(rt, model, mode=OrderingMode.LEX_SEQUENCE, forced=None):
     """The seed event that ``rt`` builds next; it takes serial ``rt.serial``."""
     return build_event(rt, None, Emit(0, 0.5, None, forced), mode, DEFAULT_SEQUENCE_CAP, model)
+
+
+def slot_values(ev: Event) -> list:
+    # AttributeError names any slot left unset
+    return [(name, type(getattr(ev, name)), getattr(ev, name)) for name in Event.__slots__]
+
+
+@pytest.mark.parametrize("mode", OrderingMode, ids=lambda mode: mode.value)
+def test_built_events_fill_every_slot_as_the_constructor_does(mode):
+    # build_event fills an empty Event's slots itself; a seed and each child
+    # the mode builds must be the record Event(...) makes of the same fields
+    model = build_model("event-ties", n_lps=3, end_time=4.0)
+    rt = make_lps(model, 7, lp_pe=[0, 2, 1])[1]
+    seed = build_event(rt, None, Emit(2, 1.0, 17), mode, DEFAULT_SEQUENCE_CAP, model)
+    built = [seed]
+    for offset in (1.0, 0.0):
+        try:
+            built.append(build_event(rt, seed, Emit(0, offset, (offset, "v")), mode,
+                                     DEFAULT_SEQUENCE_CAP, model))
+        except (CausalityViolation, ZeroOffsetForbidden):
+            assert offset == 0.0 and mode in (OrderingMode.UNBIASED_SINGLE,
+                                              OrderingMode.BIASED_RULESET, OrderingMode.NAIVE)
+    assert len(built) >= 2 and built[1].parent_key == (1, 0)
+    for ev in built:
+        values = slot_values(ev)
+        assert values == slot_values(Event(**{name: value for name, _, value in values}))
+        assert ev.source_pe == 2 and ev.match is None
 
 
 def test_cached_tiebreaks_follow_every_rewind():

@@ -3,6 +3,7 @@
 import inspect
 import math
 import random
+from dataclasses import fields, replace
 from typing import get_type_hints
 
 import pytest
@@ -61,6 +62,14 @@ def test_phold_config_validation():
         PholdModel(n_lps=2, mean_offset=math.nan)
     with pytest.raises(ConfigError, match="mean_offset"):
         PholdModel(n_lps=2, mean_offset=math.inf)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("remote_prob", (math.nan, math.inf, -math.inf, -0.5))
+def test_remote_prob_outside_the_unit_interval_is_a_config_error(name, remote_prob):
+    # checked before the routing threshold is taken: NaN has no integer ratio
+    with pytest.raises(ConfigError, match="remote_prob"):
+        build_model(name, n_lps=2, end_time=2.0, remote_prob=remote_prob)
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -174,6 +183,40 @@ def test_phold_never_emits_remote_at_prob_zero():
     for _ in range(500):
         _, emits = model.handle(None, make_event(5, None), stream)
         assert emits[0].dest_lp == 5
+
+
+ROUTED = {"phold": {"n_lps": 8, "end_time": 8.0},
+          "event-ties": {"n_lps": 6, "end_time": 4.0, "chain_length": 3},
+          "event-ties-stress": {"n_lps": 4, "end_time": 3.0, "height": 2, "arity": 2}}
+
+
+@pytest.mark.parametrize("name", ROUTED)
+def test_remote_prob_zero_never_routes_remotely_and_one_always_does(name):
+    for remote_prob, remote in ((0.0, False), (1.0, True)):
+        model = build_model(name, remote_prob=remote_prob, **ROUTED[name])
+        trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, 4)
+        children = [ev for ev in trace.committed if ev.parent_key is not None]
+        assert len(children) > 50
+        assert all((ev.dest_lp != ev.source_lp) == remote for ev in children)
+    coupled = build_model("event-ties", remote_prob=0.0, coupled=True, **ROUTED["event-ties"])
+    trace = run_sequential(coupled, OrderingMode.LEX_SEQUENCE, 4)
+    assert all(ev.dest_lp == ev.source_lp for ev in trace.committed)
+
+
+@pytest.mark.parametrize("remote_prob", (0.0, 2.0**-53, 3 * 2.0**-53, 0.1, 0.3, 0.5,
+                                         1 / 3, 1 - 2.0**-53, 1.0))
+def test_route_is_uniform_below_remote_prob(remote_prob):
+    # the raw draw against the integer threshold routes as uniform() < p
+    # did, draw for draw; the threshold is no field of the model
+    model = PholdModel(n_lps=7, remote_prob=remote_prob)
+    routed, oracle = (DrawStream(lp_keys(mix64(11), 3)[1]) for _ in range(2))
+    for _ in range(3000):
+        want = oracle.pick_other(7, 3) if oracle.uniform() < remote_prob else 3
+        assert model._route(routed, 3) == want
+        assert routed.cursor == oracle.cursor
+    assert "_remote_below" not in {f.name for f in fields(model)}
+    assert "_remote_below" not in repr(model)
+    assert replace(model) == model == PholdModel(n_lps=7, remote_prob=remote_prob)
 
 
 def test_ties_chain_offsets():

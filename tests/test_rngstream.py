@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tiewarp.kernel_optimistic import _CHAOS_SALT, ChaosConfig, OptimisticKernel
@@ -22,6 +24,7 @@ from tiewarp.rngstream import (
     draw_block,
     lp_keys,
     mix64,
+    uniform_below,
 )
 from tiewarp.timebase import OrderingMode
 
@@ -278,6 +281,54 @@ def test_functional_uniform_matches_stream():
     for i in range(100):
         assert stream.uniform() == to_unit_interval(draw_at(key, i))
     assert stream.cursor == 100
+
+
+class FixedDraw(DrawStream):
+    """A stream whose every draw is ``value``, so ``uniform()`` runs on it."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        super().__init__(0)
+        self.value = value
+
+    def draw(self) -> int:
+        return self.value
+
+
+# probabilities where the threshold is tight: the ends, subnormals, the
+# uniform() lattice (2k+1) * 2**-53 and its neighbours, multiples of 2**-53
+EDGE_PROBS = (0.0, 1.0, 5e-324, 2.0**-1022, 2.0**-60, 2.0**-54, 2.0**-53, 3 * 2.0**-53,
+              math.nextafter(3 * 2.0**-53, 0), math.nextafter(3 * 2.0**-53, 1),
+              0.1, 0.5, math.nextafter(0.5, 0), 1 - 2.0**-53, 1 - 2.0**-54)
+probabilities = st.one_of(
+    st.floats(0.0, 1.0),  # subnormals included
+    st.sampled_from(EDGE_PROBS),
+    st.integers(0, 2**53).map(lambda k: k * 2.0**-53),
+    st.integers(0, 2**52 - 1).map(lambda k: (2 * k + 1) * 2.0**-53),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(p=probabilities, word=st.integers(0, 2**64 - 1),
+       near=st.sampled_from((None, -4096, -1, 0, 1, 4096)))
+def test_uniform_below_is_the_exact_threshold_of_uniform(p, word, near):
+    # d < uniform_below(p) exactly when uniform() of d is below p, for
+    # random words and for the words next to the threshold
+    threshold = uniform_below(p)
+    assert 0 <= threshold <= 2**64 and threshold % 4096 == 0
+    d = word if near is None else min(max(threshold + near, 0), 2**64 - 1)
+    assert (d < threshold) == (FixedDraw(d).uniform() < p)
+
+
+def test_uniform_below_at_the_ends():
+    assert uniform_below(0.0) == 0
+    assert uniform_below(1.0) == 2**64
+    assert uniform_below(0) == 0 and uniform_below(1) == 2**64
+    assert uniform_below(2.0**-53) == 0  # uniform() is never below its least value
+    assert uniform_below(3 * 2.0**-53) == 4096  # only k = 0 lies below
+    # clamped into the draws' range past the ends
+    assert uniform_below(-1.0) == 0 and uniform_below(2.0) == 2**64
 
 
 def test_draw_at_matches_stream_at_extreme_keys_and_indices():
