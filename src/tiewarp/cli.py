@@ -10,10 +10,11 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 causality violation, and
 141, as for a process that SIGPIPE ended, when the reader of stdout closed
 it; verify-determinism reports an error raised while running as an outcome
-instead. A flag's name is its only spelling: no prefix is taken. Flags, config keys and the recorded ``spec`` all use RunSpec's
+instead. Flags, config keys and the recorded ``spec`` all use RunSpec's
 field names: a config file, one JSON object of RunSpec fields whatever its
 suffix, is exactly the ``spec`` a summary or determinism report records.
-Explicit flags override it, and a key named twice is refused.
+Explicit flags override it, and a key named twice is refused. A flag's name
+is its only spelling: no prefix of it is taken.
 """
 
 from __future__ import annotations
