@@ -18,15 +18,15 @@ print("mode      depth  p_hat    expected  interval")
 for mode in ("lex", "additive"):
     for depth in (0, 1, 2):
         r = run_fairness(mode, depth, SAMPLES)
-        lo = r.expected - r.half_width
-        hi = r.expected + r.half_width
-        flag = "ok" if r.within else "OUTSIDE"
-        print(f"{mode:<9} {depth:>5}  {r.p_hat:.4f}   {r.expected:.4f}    "
+        lo = r["expected"] - r["half_width"]
+        hi = r["expected"] + r["half_width"]
+        flag = "ok" if r["within"] else "OUTSIDE"
+        print(f"{mode:<9} {depth:>5}  {r['p_hat']:.4f}   {r['expected']:.4f}    "
               f"[{lo:.4f}, {hi:.4f}]  {flag}")
 
 # unbiased-single handles plain ties (depth 0) but has no answer for chains
 r = run_fairness("unbiased-single", 0, SAMPLES)
-print(f"unbiased-single depth 0: p_hat={r.p_hat:.4f} expected={r.expected}")
+print(f"unbiased-single depth 0: p_hat={r['p_hat']:.4f} expected={r['expected']}")
 try:
     run_fairness("unbiased-single", 1, SAMPLES)
 except Exception as exc:

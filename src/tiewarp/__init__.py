@@ -17,7 +17,6 @@ from .errors import (
     ZeroOffsetForbidden,
 )
 from .harness import (
-    FairnessReport,
     RunSpec,
     benchmark,
     execute,
@@ -47,7 +46,6 @@ __all__ = [
     "DrawStream",
     "Event",
     "EventTiesModel",
-    "FairnessReport",
     "InsufficientSamples",
     "MODE_NAMES",
     "MODEL_NAMES",

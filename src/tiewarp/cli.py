@@ -14,7 +14,9 @@ instead. Flags, config keys and the recorded ``spec`` all use RunSpec's
 field names: a config file, one JSON object of RunSpec fields whatever its
 suffix, is exactly the ``spec`` a summary or determinism report records.
 Explicit flags override it, and a key named twice is refused. A flag's name
-is its only spelling: no prefix of it is taken.
+is its only spelling: no prefix of it is taken. Every JSON file a command
+writes (``--summary-out``, ``--json-out``) is a record ``harness`` built,
+written by ``write_record``.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from .harness import (
     benchmark,
     execute,
     run_fairness,
+    summary,
     verify_determinism,
 )
 from .models import MODEL_NAMES
 from .timebase import MODE_NAMES
-from .trace import digest_lines, first_divergence, read_trace
+from .trace import first_divergence, read_trace
 
 RUN_FIELDS = tuple(f.name for f in fields(RunSpec))
 _CHOICES = {"model": MODEL_NAMES, "mode": MODE_NAMES}
@@ -68,6 +71,13 @@ def load_config(path: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {sorted(unknown)}")
     return data
+
+
+def write_record(path: str, record: dict) -> None:
+    """Write a run record, one of ``harness``'s schema-tagged dicts: ASCII
+    JSON with sorted keys, indented by 2, and a final newline."""
+    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
+                          encoding="ascii")
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -117,7 +127,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out:
         print(f"trace written: {args.trace_out}")
     if args.summary_out:
-        trace.write_summary(args.summary_out, spec, metrics, digest)
+        write_record(args.summary_out, summary(spec, trace, metrics, digest))
         print(f"summary written: {args.summary_out}")
     return 0
 
@@ -151,7 +161,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
           f"({len(report['distinct_digests'])} distinct digest(s), "
           f"{report['faults']} fault(s))")
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(report, indent=2) + "\n")
+        write_record(args.json_out, report)
         print(f"report written: {args.json_out}")
     if args.expect and report["verdict"] != args.expect:
         print(f"expected verdict {args.expect!r}, got {report['verdict']!r}",
@@ -163,16 +173,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_fairness(args: argparse.Namespace) -> int:
     report = run_fairness(args.mode, args.depth, args.samples,
                           base_seed=args.base_seed)
-    print(f"mode={report.mode} depth={report.depth} samples={report.samples}")
-    print(f"p_hat={report.p_hat:.4f} ({report.successes}/{report.samples})")
-    print(f"expected={report.expected:.6f} "
-          f"interval=[{report.expected - report.half_width:.4f}, "
-          f"{report.expected + report.half_width:.4f}] "
-          f"within={report.within}")
+    expected, half_width = report["expected"], report["half_width"]
+    print(f"mode={report['mode']} depth={report['depth']} samples={report['samples']}")
+    print(f"p_hat={report['p_hat']:.4f} ({report['successes']}/{report['samples']})")
+    print(f"expected={expected:.6f} "
+          f"interval=[{expected - half_width:.4f}, {expected + half_width:.4f}] "
+          f"within={report['within']}")
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        write_record(args.json_out, report)
         print(f"report written: {args.json_out}")
-    if args.strict and not report.within:
+    if args.strict and not report["within"]:
         return 1
     return 0
 
@@ -187,10 +197,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    lines_a = read_trace(args.trace_a)
-    lines_b = read_trace(args.trace_b)
-    print(f"a: {digest_lines(lines_a)}  {args.trace_a}")
-    print(f"b: {digest_lines(lines_b)}  {args.trace_b}")
+    lines_a, digest_a = read_trace(args.trace_a)
+    lines_b, digest_b = read_trace(args.trace_b)
+    print(f"a: {digest_a}  {args.trace_a}")
+    print(f"b: {digest_b}  {args.trace_b}")
     where = first_divergence(lines_a, lines_b)
     if where is None:
         print(f"identical: {len(lines_a)} canonical lines")

@@ -1,4 +1,4 @@
-"""Experiment orchestration on top of the two kernels.
+"""Experiment orchestration on top of the two kernels, and its run records.
 
 ``build_kernel`` turns a flat RunSpec into a kernel, and running it has one
 ``outcome``: its trace digest, or the error it raised. ``execute`` runs a
@@ -8,6 +8,10 @@ reference's. ``run_fairness`` runs the event-ties model on two LPs and
 estimates the probability that the tail of LP 0's zero-offset chain commits
 before the head of LP 1's, which has a known closed form for the unbiased
 modes. ``benchmark`` times one run.
+
+The run records are built here and nowhere else: ``summary``, the
+determinism report and the fairness report are plain dicts of JSON values,
+each carrying its ``schema``.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ from .kernel_optimistic import (
 )
 from .kernel_seq import SequentialKernel, run_sequential
 from .models import MODELS, EventTiesModel, build_model, model_class
+from .rngstream import GENERATOR_NAME, GENERATOR_VERSION
 from .timebase import DEFAULT_SEQUENCE_CAP, OrderingMode
 
+SUMMARY_SCHEMA = "tiewarp.summary/2"
 DETERMINISM_SCHEMA = "tiewarp.determinism/2"
 FAIRNESS_SCHEMA = "tiewarp.fairness/1"
 
@@ -133,6 +139,22 @@ def execute(spec: RunSpec):
     return kernel.run(), kernel.metrics() if optimistic else None
 
 
+def summary(spec: RunSpec, trace, metrics: dict | None, digest: str) -> dict:
+    """The run summary: the RunSpec that produced ``trace``, the generator,
+    the committed count, the final states, ``digest`` (the trace's digest)
+    and ``metrics`` (None for a sequential run)."""
+    return {
+        "schema": SUMMARY_SCHEMA,
+        "spec": spec.to_dict(),
+        "generator": GENERATOR_NAME,
+        "generator_version": GENERATOR_VERSION,
+        "net_events": len(trace.committed),
+        "final_states": {str(lp): value for lp, value in trace.final_states.items()},
+        "digest": digest,
+        "metrics": metrics,
+    }
+
+
 def outcome(kernel) -> dict:
     """Run a built kernel: ``{"digest": ...}``, or ``{"error": "Class: text"}`` if it raised."""
     try:
@@ -185,23 +207,6 @@ def verify_determinism(spec: RunSpec, workers=(1, 2, 4, 8),
     }
 
 
-@dataclass
-class FairnessReport:
-    mode: str
-    depth: int
-    samples: int
-    successes: int
-    p_hat: float
-    expected: float
-    half_width: float
-    within: bool
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["schema"] = FAIRNESS_SCHEMA
-        return d
-
-
 def fairness_expected(mode: OrderingMode | str, depth: int) -> float | None:
     """Closed-form P(chain tail commits before the rival), or None where
     there is none, which is exactly where ``run_fairness`` refuses to run.
@@ -224,7 +229,10 @@ def fairness_expected(mode: OrderingMode | str, depth: int) -> float | None:
 
 
 def run_fairness(mode_name: str, depth: int, samples: int,
-                 base_seed: int = 0) -> FairnessReport:
+                 base_seed: int = 0) -> dict:
+    """The fairness report of ``samples`` sequential runs from ``base_seed``:
+    the successes, ``p_hat``, the closed form ``expected`` and whether
+    ``p_hat`` lies within three binomial sigma (``half_width``) of it."""
     check_count("samples", samples, 0)
     if samples < 100:
         raise InsufficientSamples(
@@ -253,8 +261,9 @@ def run_fairness(mode_name: str, depth: int, samples: int,
     p_hat = successes / samples
     half_width = 3.0 * math.sqrt(expected * (1.0 - expected) / samples)
     within = abs(p_hat - expected) <= half_width
-    return FairnessReport(mode.value, depth, samples, successes, p_hat,
-                          expected, half_width, within)
+    return {"schema": FAIRNESS_SCHEMA, "mode": mode.value, "depth": depth,
+            "samples": samples, "successes": successes, "p_hat": p_hat,
+            "expected": expected, "half_width": half_width, "within": within}
 
 
 def benchmark(spec: RunSpec) -> dict:

@@ -8,22 +8,22 @@ form that deliberately excludes anything partition- or schedule-dependent
 run can hash identically.
 
 The trace file is that canonical text itself, behind a one-line schema tag,
-so the SHA-256 of a file's bytes after its first line is the run's digest.
+so the SHA-256 of a file's bytes after its first line is the run's digest;
+``read_trace`` returns that hash of the bytes it read. This module holds the
+trace and its text only: the JSON run records that quote a digest are built
+in ``harness``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from itertools import islice, zip_longest
+from itertools import zip_longest
 
 from .errors import ConfigError
-from .rngstream import GENERATOR_NAME, GENERATOR_VERSION
 from .timebase import format_tiebreak, format_timestamp
 
 TRACE_SCHEMA = "tiewarp.trace/2"
-SUMMARY_SCHEMA = "tiewarp.summary/2"
 
 # Committed events formatted per chunk of canonical text. Encoding, hashing
 # and writing hold one chunk at a time, never the whole text.
@@ -171,7 +171,7 @@ class Trace:
         """The canonical text as newline-terminated ASCII blocks."""
         for lines in self._chunks():
             if lines:
-                yield _encode(lines)
+                yield ("\n".join(lines) + "\n").encode("ascii")
 
     def canonical_lines(self):
         for lines in self._chunks():
@@ -189,29 +189,6 @@ class Trace:
             fh.write(TRACE_SCHEMA.encode("ascii") + b"\n")
             return _sha256_hex(self._blocks(), fh)
 
-    def write_summary(self, path, spec, metrics: dict | None, digest: str) -> None:
-        """Write the run summary: the RunSpec that produced this trace, the
-        generator, the committed count, the final states, ``digest`` (this
-        trace's digest) and ``metrics`` (None for a sequential run)."""
-        summary = {
-            "schema": SUMMARY_SCHEMA,
-            "spec": spec.to_dict(),
-            "generator": GENERATOR_NAME,
-            "generator_version": GENERATOR_VERSION,
-            "net_events": len(self.committed),
-            "final_states": {str(lp): self.final_states[lp] for lp in sorted(self.final_states)},
-            "digest": digest,
-            "metrics": metrics,
-        }
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _encode(lines: list) -> bytes:
-    """``lines`` as one ASCII block, each line terminated by a newline."""
-    return ("\n".join(lines) + "\n").encode("ascii")
-
 
 def _sha256_hex(blocks, sink=None) -> str:
     """SHA-256 hex digest of the concatenated ``blocks``; each block is also
@@ -224,19 +201,12 @@ def _sha256_hex(blocks, sink=None) -> str:
     return h.hexdigest()
 
 
-def digest_lines(lines) -> str:
-    """SHA-256 hex digest of ``lines``, each terminated by a newline."""
-    it = iter(lines)
-    # iter(callable, sentinel): CHUNK-line lists until the lines run out
-    return _sha256_hex(_encode(chunk) for chunk in iter(lambda: list(islice(it, CHUNK)), []))
-
-
-def read_trace(path) -> list:
-    """The canonical lines of a file written by ``Trace.write``.
+def read_trace(path) -> tuple[list, str]:
+    """The canonical lines of a file written by ``Trace.write``, and the
+    SHA-256 of the file's bytes after the tag: the digest of those lines.
 
     Raises ConfigError unless the first line is the schema tag and every
-    line is newline-terminated ASCII, so that ``digest_lines`` of the result
-    is the SHA-256 of the file's bytes after the tag.
+    line is newline-terminated ASCII.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -250,7 +220,7 @@ def read_trace(path) -> list:
         raise ConfigError(f"{path}: not ASCII text: {exc}") from exc
     if lines.pop():
         raise ConfigError(f"{path}: last line is not newline-terminated")
-    return lines
+    return lines, hashlib.sha256(body).hexdigest()
 
 
 def first_divergence(lines_a, lines_b):

@@ -139,17 +139,17 @@ def test_criterion_05_lex_fairness_depth_one():
     started = time.perf_counter()
     report = run_fairness("lex", depth=1, samples=1000)
     elapsed = time.perf_counter() - started
-    assert abs(report.p_hat - 0.5) <= 0.047, report
+    assert abs(report["p_hat"] - 0.5) <= 0.047, report
     assert elapsed < 300.0, f"fairness run took {elapsed:.1f}s"
-    print(f"criterion 5: lex depth-1 p_hat={report.p_hat:.4f} "
-          f"(|dev|={abs(report.p_hat - 0.5):.4f} <= 0.047) in {elapsed:.1f}s")
+    print(f"criterion 5: lex depth-1 p_hat={report['p_hat']:.4f} "
+          f"(|dev|={abs(report['p_hat'] - 0.5):.4f} <= 0.047) in {elapsed:.1f}s")
 
 
 def test_criterion_06_additive_fairness_matches_independent_oracle():
     # additive depth-1 tail beats the rival iff the sum of two uniform draws
     # is below one independent uniform; closed form 1/6, tolerance +/- 0.025
     report = run_fairness("additive", depth=1, samples=2000)
-    assert abs(report.p_hat - 1 / 6) <= 0.025, report
+    assert abs(report["p_hat"] - 1 / 6) <= 0.025, report
     # independent Monte Carlo oracle for the closed form itself
     rng = np.random.default_rng(20260815)
     n = 2_000_000
@@ -157,8 +157,8 @@ def test_criterion_06_additive_fairness_matches_independent_oracle():
     mc = wins / n
     sigma = math.sqrt((1 / 6) * (5 / 6) / n)
     assert abs(mc - 1 / 6) <= 4 * sigma, f"oracle mc={mc:.5f}"
-    assert abs(report.expected - 1 / 6) < 1e-12
-    print(f"criterion 6: additive depth-1 p_hat={report.p_hat:.4f}, "
+    assert abs(report["expected"] - 1 / 6) < 1e-12
+    print(f"criterion 6: additive depth-1 p_hat={report['p_hat']:.4f}, "
           f"mc oracle={mc:.5f}, closed form 1/6")
 
 

@@ -16,13 +16,12 @@ import pytest
 from tiewarp import cli
 from tiewarp.cli import load_config, main
 from tiewarp.errors import ConfigError
-from tiewarp.harness import RunSpec, execute
+from tiewarp.harness import RunSpec, execute, run_fairness, summary, verify_determinism
 from tiewarp.kernel_optimistic import OptimisticKernel
 from tiewarp.kernel_seq import SequentialKernel
 from tiewarp.models import Emit
 from tiewarp.timebase import MODE_NAMES, OrderingMode
-from tiewarp.trace import (CHUNK, TRACE_SCHEMA, Event, Trace, digest_lines,
-                           first_divergence, read_trace)
+from tiewarp.trace import CHUNK, TRACE_SCHEMA, Event, Trace, first_divergence, read_trace
 
 from signature_oracle import audit_trace
 
@@ -65,7 +64,7 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
                             "--summary-out", str(summary_path)])
     assert code == 0
     out = capsys.readouterr().out
-    lines = read_trace(trace_path)
+    lines, _ = read_trace(trace_path)
     assert sum(not line.startswith("state,") for line in lines) == 30
     summary = json.loads(summary_path.read_text())
     assert summary["digest"] == digest_from(out)
@@ -93,6 +92,77 @@ def test_summary_spec_reproduces_the_run(tmp_path, capsys, workers):
     replayed = capsys.readouterr().out
     assert replayed.splitlines() == out.splitlines()[:-1]  # no "summary written"
     assert digest_from(replayed) == summary["digest"]
+
+
+# what each command writes: its arguments before the output path, the flag
+# naming that path last, and the schema of the record it writes
+RECORD_COMMANDS = {
+    "run": ([*RUN_TIES, "--workers", "3", "--summary-out"], "tiewarp.summary/2"),
+    "verify-determinism": (["verify-determinism", *RUN_TIES[1:], "--workers-list", "1,2",
+                            "--chaos-seeds", "0,1", "--repeats", "1", "--json-out"],
+                           "tiewarp.determinism/2"),
+    "fairness": (["fairness", "--mode", "additive", "--depth", "1", "--samples", "200",
+                  "--base-seed", "3", "--json-out"], "tiewarp.fairness/1"),
+}
+
+# each schema's keys, as they stood when the records became plain dicts
+RECORD_KEYS = {
+    "tiewarp.summary/2": {"schema", "spec", "generator", "generator_version", "net_events",
+                          "final_states", "digest", "metrics"},
+    "tiewarp.determinism/2": {"schema", "spec", "reference", "cells", "distinct_digests",
+                              "faults", "verdict"},
+    "tiewarp.fairness/1": {"schema", "mode", "depth", "samples", "successes", "p_hat",
+                           "expected", "half_width", "within"},
+}
+
+
+def harness_record(command: str) -> dict:
+    """The record ``harness`` builds for the inputs of RECORD_COMMANDS[command]."""
+    spec = RunSpec(model="event-ties", mode="lex", n_lps=5, end_time=3.0, chain_length=2,
+                   seed=9)
+    if command == "run":
+        spec = replace(spec, workers=3)
+        trace, metrics = execute(spec)
+        return summary(spec, trace, metrics, trace.digest())
+    if command == "verify-determinism":
+        return verify_determinism(spec, workers=(1, 2), chaos_seeds=(0, 1), repeats=1)
+    return run_fairness("additive", 1, 200, base_seed=3)
+
+
+@pytest.mark.parametrize("command", RECORD_COMMANDS)
+def test_every_record_is_written_by_one_writer_as_sorted_ascii_json(
+        tmp_path, capsys, monkeypatch, command):
+    written = []
+    write = cli.write_record
+    monkeypatch.setattr(cli, "write_record",
+                        lambda path, record: written.append(record) or write(path, record))
+    args, schema = RECORD_COMMANDS[command]
+    path = tmp_path / "record.json"
+    assert main([*args, str(path)]) == 0
+    capsys.readouterr()
+    record = harness_record(command)
+    assert written == [record]
+    assert path.read_bytes() == (json.dumps(record, indent=2, sort_keys=True)
+                                 + "\n").encode("ascii")
+    assert record["schema"] == schema and set(record) == RECORD_KEYS[schema]
+
+
+def test_compare_prints_the_sha256_of_the_bytes_after_the_tag(tmp_path, capsys):
+    full, tag_only = tmp_path / "full.txt", tmp_path / "tag-only.txt"
+    assert main(RUN_TIES + ["--trace-out", str(full)]) == 0
+    Trace().write(tag_only)
+    assert tag_only.read_bytes() == TRACE_SCHEMA.encode("ascii") + b"\n"
+    capsys.readouterr()
+    digests = {path: hashlib.sha256(path.read_bytes().partition(b"\n")[2]).hexdigest()
+               for path in (full, tag_only)}
+    assert digests[tag_only] == ("e3b0c44298fc1c149afbf4c8996fb924"
+                                 "27ae41e4649b934ca495991b7852b855")
+    for a, b in ((full, full), (tag_only, tag_only), (full, tag_only), (tag_only, full)):
+        assert main(["compare", str(a), str(b)]) == (0 if a == b else 1)
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == [f"a: {digests[a]}  {a}", f"b: {digests[b]}  {b}"]
+        if a == tag_only == b:
+            assert out[2] == "identical: 0 canonical lines"
 
 
 def test_compare_identical_and_divergent(tmp_path, capsys):
@@ -144,7 +214,7 @@ def test_compare_sees_everything_the_digest_covers(tmp_path, capsys):
         assert copy.digest() != trace.digest(), name
         path = tmp_path / f"{name}.txt"
         copy.write(path)
-        assert first_divergence(read_trace(original), read_trace(path)) == where
+        assert first_divergence(read_trace(original)[0], read_trace(path)[0]) == where
         assert main(["compare", str(original), str(path)]) == 1, name
         out = capsys.readouterr().out
         assert f"a: {trace.digest()}" in out and f"b: {copy.digest()}" in out
@@ -512,7 +582,7 @@ def test_tie_heavy_mode_none_run_completes_causally(tmp_path):
                  "--workers", "6", "--chaos-seed", "2", "--max-delay", "6",
                  "--trace-out", str(path)])
     assert code == 0
-    trace = Trace(committed=events_of(read_trace(path)))
+    trace = Trace(committed=events_of(read_trace(path)[0]))
     report = audit_trace(trace, "none")
     assert report["violations"] == [] and report["events"] == 240
 
@@ -540,10 +610,10 @@ def test_trace_file_body_hashes_to_the_digest_across_chunks(tmp_path, capsys):
     digest = digest_from(capsys.readouterr().out)
     tag, body = path.read_bytes().split(b"\n", 1)
     assert tag == TRACE_SCHEMA.encode("ascii")
-    lines = read_trace(path)
+    lines, read_digest = read_trace(path)
     assert sum(not line.startswith("state,") for line in lines) > CHUNK
     assert hashlib.sha256(body).hexdigest() == digest
-    assert digest_lines(lines) == digest
+    assert read_digest == digest
     spec = RunSpec(model="phold", n_lps=512, end_time=10.0, seed=3)
     assert execute(spec)[0].digest() == digest
 

@@ -261,18 +261,18 @@ def test_run_fairness_refuses_non_integer_counts(argument, value):
 
 def test_run_fairness_lex_balanced():
     report = run_fairness("lex", 1, 200)
-    assert report.expected == 0.5
-    assert report.half_width == pytest.approx(3 * math.sqrt(0.25 / 200))
-    assert report.within is True
-    assert report.successes == round(report.p_hat * 200)
+    assert report["expected"] == 0.5
+    assert report["half_width"] == pytest.approx(3 * math.sqrt(0.25 / 200))
+    assert report["within"] is True
+    assert report["successes"] == round(report["p_hat"] * 200)
 
 
 def test_run_fairness_additive_depth_one_biased_low():
     report = run_fairness("additive", 1, 600)
-    assert report.expected == pytest.approx(1 / 6)
-    assert report.within is True
+    assert report["expected"] == pytest.approx(1 / 6)
+    assert report["within"] is True
     # the depth-1 chain tail wins far less than half the time
-    assert report.p_hat < 0.3
+    assert report["p_hat"] < 0.3
 
 
 def test_run_fairness_is_seeded():
@@ -295,7 +295,7 @@ FROZEN_FAIRNESS_SUCCESSES = (
 
 @pytest.mark.parametrize("mode,depth,successes", FROZEN_FAIRNESS_SUCCESSES)
 def test_fairness_counts_are_frozen(mode, depth, successes):
-    assert run_fairness(mode, depth, 400, base_seed=1234).successes == successes
+    assert run_fairness(mode, depth, 400, base_seed=1234)["successes"] == successes
 
 
 def test_benchmark_reports_throughput():

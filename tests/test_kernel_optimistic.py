@@ -20,7 +20,7 @@ from tiewarp.kernel_optimistic import (DEFAULT_GVT_INTERVAL, DEFAULT_MAX_DELAY,
 from tiewarp.kernel_seq import SequentialKernel, run_sequential
 from tiewarp.models import Emit, EventTiesModel, PholdModel, build_model
 from tiewarp.rngstream import draw_at, lp_keys, mix64
-from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode
+from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, format_signature
 from tiewarp.trace import Event, first_divergence
 
 from scenarios import SCRIPT_LEX_ORDER, ScriptedModel, committed_names, expected_net_events
@@ -334,6 +334,65 @@ def test_stale_stashed_anti_message_raises_at_the_first_gvt_round():
     with pytest.raises(UnmatchedAntiMessage):
         kernel.run()
     assert kernel.gvt_rounds == 1 and kernel.global_processed == 16
+
+
+class GhostKillMarkKernel(OptimisticKernel):
+    """Starts with a kill mark on PE 0 for a match no event of the run has."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.pes[0].kill_marks[("ghost",)] = 1
+
+
+def test_a_kill_mark_left_at_quiescence_raises():
+    # no event ever carries the ghost match, so the mark survives every pop,
+    # every commit and the final round, and only the quiescence check sees it
+    model = build_model("event-ties", n_lps=16, end_time=4.0, chain_length=3)
+    kernel = GhostKillMarkKernel(model, OrderingMode.LEX_SEQUENCE, 1, 4,
+                                 gvt_interval=16)
+    with pytest.raises(UnmatchedAntiMessage) as info:
+        kernel.run()
+    assert str(info.value) == "PE 0 holds kill marks with no matching events"
+    assert all(not pe.pending for pe in kernel.pes) and not any(kernel.transport.inboxes)
+
+
+class LateCommitKernel(OptimisticKernel):
+    """Starts as if it had committed an event keyed above every event of the
+    run."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self._last_commit_key = (float("inf"),)
+
+
+def test_a_commit_below_the_last_commit_key_raises():
+    # the first event of the first round sorts below the planted key
+    model = build_model("event-ties", n_lps=16, end_time=4.0, chain_length=3)
+    first = run_sequential(model, OrderingMode.LEX_SEQUENCE, 1).committed[0]
+    kernel = LateCommitKernel(model, OrderingMode.LEX_SEQUENCE, 1, 4, gvt_interval=16)
+    with pytest.raises(CausalityViolation) as info:
+        kernel.run()
+    assert str(info.value) == f"commit order regression at {format_signature(first)}"
+    assert kernel.gvt_rounds == 1
+
+
+def test_undoing_an_entry_whose_local_child_vanished_raises():
+    # one PE keeps every child local; the child then leaves the heap with no
+    # kill mark, so it is neither pending nor processed when its parent is undone
+    model = build_model("event-ties", n_lps=2, end_time=3.0, chain_length=2)
+    kernel = OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 1)
+    kernel._seed()
+    pe = kernel.pes[0]
+    assert pe.step(0)
+    [hist] = [hist for hist in pe.histories.values() if hist]
+    entry = hist[-1]
+    child = entry.children[0]
+    assert pe.lp_pe[child.dest_lp] == pe.pe_id
+    pe.pending.clear()
+    pe.pending_counts.clear()
+    with pytest.raises(UnmatchedAntiMessage) as info:
+        pe._undo(hist.pop(), 1)
+    assert str(info.value) == f"local child {child!r} vanished before its parent's rollback"
 
 
 class Clockwork:

@@ -11,12 +11,13 @@ from tiewarp.errors import (
     ZeroOffsetForbidden,
 )
 from tiewarp import kernel_seq
-from tiewarp.harness import RunSpec, benchmark, build_kernel, execute
+from tiewarp.cli import write_record
+from tiewarp.harness import RunSpec, benchmark, build_kernel, execute, summary
 from tiewarp.kernel_seq import build_event, make_lps, run_sequential
 from tiewarp.models import Emit, build_model
 from tiewarp.rngstream import _LANES, GENERATOR_NAME, GENERATOR_VERSION, draw_at
 from tiewarp.timebase import DEFAULT_SEQUENCE_CAP, OrderingMode, sort_key
-from tiewarp.trace import Event, digest_lines, first_divergence, read_trace
+from tiewarp.trace import Event, first_divergence, read_trace
 
 from scenarios import (
     SCRIPT_ADDITIVE_ORDER,
@@ -225,10 +226,10 @@ def test_trace_file_round_trip(tmp_path):
     trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, 13)
     path = tmp_path / "trail.txt"
     trace.write(path)
-    lines = read_trace(path)
+    lines, digest = read_trace(path)
     assert lines == list(trace.canonical_lines())
     assert len(lines) == len(trace.committed) + len(trace.final_states)
-    assert digest_lines(lines) == trace.digest()
+    assert digest == trace.digest()
 
 
 def test_summary_reports_digest_and_finals(tmp_path):
@@ -236,7 +237,7 @@ def test_summary_reports_digest_and_finals(tmp_path):
                    chain_length=2, seed=5)
     trace, _ = execute(spec)
     path = tmp_path / "summary.json"
-    trace.write_summary(path, spec, {"rollbacks": 0}, trace.digest())
+    write_record(path, summary(spec, trace, {"rollbacks": 0}, trace.digest()))
     data = json.loads(path.read_text())
     assert data["schema"] == "tiewarp.summary/2"
     assert data["spec"] == spec.to_dict()

@@ -266,6 +266,15 @@ def test_naive_derivation_forgets_parent():
     assert tiebreak == (3,)  # fresh draw, parent prefix discarded
 
 
+@pytest.mark.parametrize("mode", DRAW_MODES + (OrderingMode.NAIVE,))
+def test_draw_modes_refuse_a_missing_draw(mode):
+    # a seed and a child alike: every signature of a draw mode holds a draw
+    for parent in (None, TimeSignature(2.0, (100,))):
+        with pytest.raises(ValueError) as info:
+            derive_child_signature(parent, 1.0, None, mode, DEFAULT_SEQUENCE_CAP)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"mode {mode.value} requires a tie-break draw"
+
 def test_non_draw_modes_carry_empty_tiebreak():
     parent = TimeSignature(2.0, ())
     for mode in (OrderingMode.NONE, OrderingMode.BIASED_RULESET):

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from tiewarp.trace import CHUNK, TRACE_SCHEMA, Event, Trace, digest_lines, first_divergence
+from tiewarp.trace import CHUNK, TRACE_SCHEMA, Event, Trace, first_divergence, read_trace
 
 
 def make_event(serial=0, tb=(5,), payload=7, depth=0, parent=None):
@@ -136,7 +136,7 @@ def test_encoder_matches_a_per_line_reference(tmp_path, n_events):
     path = tmp_path / "trail.txt"
     assert trace.write(path) == trace.digest()
     assert path.read_bytes() == TRACE_SCHEMA.encode("ascii") + b"\n" + text
-    assert digest_lines(expected) == trace.digest()
+    assert read_trace(path) == (expected, trace.digest())
 
 
 def test_reference_covers_every_shape_the_encoder_formats():
