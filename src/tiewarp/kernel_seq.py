@@ -78,8 +78,10 @@ def build_event(
     None for a seed. Payloads must be hashable, because the optimistic
     kernel matches the events it sends between PEs on their content; both
     kernels reject an unhashable one here, a destination that is not an LP
-    id in ``[0, n_lps)``, and a forced tie-break that is not a 64-bit draw,
-    an int in ``[0, 2**64)``.
+    id in ``[0, n_lps)`` (a bool is none), a forced tie-break that is not a
+    64-bit draw, an int in ``[0, 2**64)``, and an offset that is not a real
+    number >= 0 in float range (a bool is none), each with a
+    ``ConfigError`` that names the LP.
 
     A child keyed below its parent raises ``CausalityViolation``: this is
     both kernels' one causality check, which only modes naive and biased
@@ -89,6 +91,10 @@ def build_event(
     try:
         dest = index(dest_lp)
     except TypeError:
+        dest = None
+    # index returns an exact int as it is, so only a value it converted can
+    # be a bool, and a bool is no LP id, as it is no count
+    if dest is not dest_lp and isinstance(dest_lp, bool):
         dest = None
     if dest is None or not 0 <= dest < model.n_lps:
         raise ConfigError(
@@ -113,16 +119,25 @@ def build_event(
             source.tiebreak_index = serial // _LANES
             source.tiebreak_block = draw_block(source.tiebreak_key, serial - serial % _LANES)
         draw = source.tiebreak_block[serial % _LANES]
-    timestamp, tiebreak = derive_child_signature(parent, offset, draw, mode, seq_cap)
+    try:
+        if type(offset) is bool:
+            raise TypeError
+        timestamp, tiebreak = derive_child_signature(parent, offset, draw, mode, seq_cap)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"LP {source.lp_id} emitted an event at offset {offset!r}; "
+            f"offsets must be real numbers >= 0 in float range") from None
     if not timestamp <= model.end_time:
         return None
+    ev = _new_event(Event)
     if parent is None:
-        depth, parent_key = 0, None
+        depth = 0
+        ev.parent_lp = ev.parent_serial = None
     else:
         # simultaneous exactly when derive extended the parent's signature
         depth = parent.zero_offset_depth + 1 if timestamp == parent.timestamp else 0
-        parent_key = (parent.source_lp, parent.serial)
-    ev = _new_event(Event)
+        ev.parent_lp = parent.source_lp
+        ev.parent_serial = parent.serial
     ev.source_pe = source.pe_id
     ev.source_lp = source.lp_id
     ev.serial = serial
@@ -131,7 +146,6 @@ def build_event(
     ev.tiebreak = tiebreak
     ev.payload = payload
     ev.zero_offset_depth = depth
-    ev.parent_key = parent_key
     ev.match = None
     ev.key = key = sort_key(ev, mode)
     if parent is not None and key < parent.key:

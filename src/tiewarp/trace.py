@@ -42,8 +42,13 @@ class Event:
     once when the event is built; in the draw modes the key is flat,
     ``(timestamp, *tiebreak, -1, source_lp, serial)``, and the kernels
     compare keys natively.
-    ``parent_key`` is the (source_lp, serial) of the causal parent event, or
-    None for seed events; the causality audits walk these back-pointers.
+    ``parent_lp`` and ``parent_serial`` are the causal parent's
+    ``(source_lp, serial)``, both None for a seed event; the causality
+    audits walk these back-pointers. They are two slots rather than one
+    2-tuple because a tuple per event is a separate 56-byte object, while
+    the two slots keep ``Event`` in the same allocation size class: a
+    committed trace keeps every event alive, so this is the record's
+    largest saving.
     ``zero_offset_depth`` counts consecutive zero-offset ancestors. ``match``
     is what the optimistic kernel's annihilation counts are keyed by, stored
     once when it creates the event, and None in sequential runs: ``id(self)``
@@ -52,7 +57,7 @@ class Event:
 
     ``Event(...)`` is the public constructor. ``kernel_seq.build_event``,
     which builds every event of a run, takes ``object.__new__(Event)`` and
-    sets all eleven slots itself: the class call runs ``__init__`` as a
+    sets all twelve slots itself: the class call runs ``__init__`` as a
     separate Python frame, which CPython 3.11 does not inline, at about
     260 ns an event. The record is the same either way.
     """
@@ -67,7 +72,8 @@ class Event:
         "key",
         "payload",
         "zero_offset_depth",
-        "parent_key",
+        "parent_lp",
+        "parent_serial",
         "match",
     )
 
@@ -82,7 +88,8 @@ class Event:
         key: tuple | None = None,
         payload=None,
         zero_offset_depth: int = 0,
-        parent_key=None,
+        parent_lp: int | None = None,
+        parent_serial: int | None = None,
         match: tuple | None = None,
     ):
         self.source_pe = source_pe
@@ -94,7 +101,8 @@ class Event:
         self.key = key
         self.payload = payload
         self.zero_offset_depth = zero_offset_depth
-        self.parent_key = parent_key
+        self.parent_lp = parent_lp
+        self.parent_serial = parent_serial
         self.match = match
 
     def match_key(self) -> tuple:
@@ -110,10 +118,13 @@ class Event:
         same state transition, and spawn the same children.
         Payloads must therefore be hashable values. Events that never leave
         their PE are matched by identity instead, and never call this.
+        The parent's identity enters as its two ints, ``parent_lp`` and
+        ``parent_serial``, not as a nested tuple, so the key hashes one
+        tuple level fewer.
         """
         return (self.source_lp, self.serial, self.dest_lp, self.timestamp,
                 self.tiebreak, self.payload, self.zero_offset_depth,
-                self.parent_key)
+                self.parent_lp, self.parent_serial)
 
     def __repr__(self):
         return (
@@ -150,15 +161,15 @@ class Trace:
             lines = []
             append = lines.append
             for index, ev in enumerate(committed[start:start + CHUNK], start):
-                parent = ev.parent_key
                 tb = ev.tiebreak
                 try:
                     text = tb[0].to_bytes(16, "big").hex() if len(tb) == 1 else tiebreak(tb)
                 except OverflowError:
                     text = tiebreak(tb)
-                if parent:
+                # LP 0 is falsy, so a seed is told by None
+                if ev.parent_lp is not None:
                     append(f"{index},{ev.source_lp},{ev.serial},{ev.dest_lp},"
-                           f"{ev.timestamp!r},{text},{parent[0]}#{parent[1]}")
+                           f"{ev.timestamp!r},{text},{ev.parent_lp}#{ev.parent_serial}")
                 else:
                     append(f"{index},{ev.source_lp},{ev.serial},{ev.dest_lp},"
                            f"{ev.timestamp!r},{text},-")

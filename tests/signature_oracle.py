@@ -118,9 +118,10 @@ def audit_trace(trace, mode_name: str, seq_cap: int = DEFAULT_SEQUENCE_CAP) -> d
         if last is not None and not _may_precede(last, ev, mode, seq_cap):
             violations.append({"kind": "order-regression", "commit_index": index})
         last = ev
-        if ev.parent_key is not None and ev.parent_key not in seen:
+        parent = (ev.parent_lp, ev.parent_serial)
+        if ev.parent_lp is not None and parent not in seen:
             violations.append({"kind": "parent-not-committed",
                                "commit_index": index,
-                               "parent": list(ev.parent_key)})
+                               "parent": list(parent)})
         seen.add((ev.source_lp, ev.serial))
     return {"events": len(trace.committed), "violations": violations}

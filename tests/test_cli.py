@@ -199,7 +199,7 @@ def test_compare_sees_everything_the_digest_covers(tmp_path, capsys):
     trace, _ = execute(spec)
     original = tmp_path / "original.txt"
     trace.write(original)
-    index = next(i for i, ev in enumerate(trace.committed) if ev.parent_key)
+    index = next(i for i, ev in enumerate(trace.committed) if ev.parent_lp is not None)
     ev = trace.committed[index]
     for name in ("source-lp", "parent", "final-state"):
         copy, _ = execute(spec)
@@ -208,7 +208,7 @@ def test_compare_sees_everything_the_digest_covers(tmp_path, capsys):
             where = len(trace.committed) + 1  # the second state line
         else:
             change = ({"source_lp": (ev.source_lp + 1) % 5} if name == "source-lp"
-                      else {"parent_key": (ev.parent_key[0], ev.parent_key[1] + 1)})
+                      else {"parent_serial": ev.parent_serial + 1})
             copy.committed[index] = altered(ev, **change)
             where = index
         assert copy.digest() != trace.digest(), name
@@ -567,9 +567,9 @@ def events_of(lines):
         if line.startswith("state,"):
             break
         _, source_lp, serial, dest_lp, timestamp, _, parent = line.split(",")
-        parent_key = tuple(map(int, parent.split("#"))) if parent != "-" else None
+        parent_lp, parent_serial = map(int, parent.split("#")) if parent != "-" else (None, None)
         events.append(Event(None, int(source_lp), int(serial), int(dest_lp),
-                            float(timestamp), parent_key=parent_key))
+                            float(timestamp), parent_lp=parent_lp, parent_serial=parent_serial))
     return events
 
 

@@ -727,7 +727,7 @@ def test_nan_offsets_raise_in_both_kernels(mode):
     seq = outcome(SequentialKernel(SeedThenChild(float("nan")), mode, 1))
     opt = outcome(OptimisticKernel(SeedThenChild(float("nan")), mode, 1, 2))
     assert opt == seq
-    assert seq["error"].startswith("ValueError: ")
+    assert seq["error"].startswith("ConfigError: LP 0 emitted an event at offset nan; ")
 
 
 def test_an_offset_that_rounding_absorbs_is_simultaneous():
@@ -1116,10 +1116,10 @@ class BadDestination:
         return state
 
 
-@pytest.mark.parametrize("dest", (-1, 4, 2.0))
+@pytest.mark.parametrize("dest", (-1, 4, 2.0, True))
 def test_bad_destination_is_the_same_error_in_both_kernels(dest):
-    # a negative index Python lists would accept, one past the last LP, and
-    # a float are each one ConfigError, raised at the same event in both
+    # a negative index Python lists would accept, one past the last LP, a
+    # float and a bool are each one ConfigError, raised at the same event in both
     model = BadDestination(dest)
     ref = outcome(SequentialKernel(model, OrderingMode.LEX_SEQUENCE, 1))
     assert ref == {"error": f"ConfigError: LP 1 emitted an event to LP {dest!r}; "
@@ -1130,11 +1130,40 @@ def test_bad_destination_is_the_same_error_in_both_kernels(dest):
         assert opt == ref, chaos
 
 
+class BadOffset(BadDestination):
+    """BadDestination whose extra event goes to LP 2 at ``offset``."""
+
+    def __init__(self, offset):
+        super().__init__(2)
+        self.offset = offset
+
+    def handle(self, state, event, stream):
+        emits = [Emit(event.dest_lp, 1.0)]
+        if event.dest_lp == 1 and event.timestamp == 2.0:
+            emits.append(Emit(self.dest, self.offset))
+        return state + 1, emits
+
+
+@pytest.mark.parametrize("offset", ("1", None, 10 ** 400, -1.0, float("nan"), True),
+                         ids=("str", "none", "huge-int", "negative", "nan", "bool"))
+def test_bad_offset_is_the_same_error_in_both_kernels(offset):
+    # an offset that is not a real number >= 0 in float range, or is a bool,
+    # is one ConfigError naming the LP and the offset, at the same event
+    model = BadOffset(offset)
+    ref = outcome(SequentialKernel(model, OrderingMode.LEX_SEQUENCE, 1))
+    assert ref == {"error": f"ConfigError: LP 1 emitted an event at offset {offset!r}; "
+                            f"offsets must be real numbers >= 0 in float range"}
+    for chaos in range(3):
+        opt = outcome(OptimisticKernel(model, OrderingMode.LEX_SEQUENCE, 1, 2,
+                                       chaos=ChaosConfig(chaos)))
+        assert opt == ref, chaos
+
+
 def test_integral_destinations_are_normalised():
-    # any integral type names an LP; the event carries a plain int
+    # any integral type but bool names an LP; the event carries a plain int
     model = build_model("event-ties", n_lps=4, end_time=2.0)
     rt = kernel_seq.make_lps(model, 1)[0]
-    ev = kernel_seq.build_event(rt, None, Emit(True, 1.0), OrderingMode.LEX_SEQUENCE,
+    ev = kernel_seq.build_event(rt, None, Emit(IntSubclass(1), 1.0), OrderingMode.LEX_SEQUENCE,
                                 DEFAULT_SEQUENCE_CAP, model)
     assert ev.dest_lp == 1 and type(ev.dest_lp) is int
 

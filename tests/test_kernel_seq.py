@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -131,7 +132,7 @@ def test_commit_indices_are_dense_and_horizon_respected():
 def test_seed_events_have_no_parent_and_serials_count_sends():
     model = build_model("event-ties", n_lps=4, end_time=3.0, chain_length=2)
     trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, 2)
-    seeds = [ce for ce in trace.committed if ce.parent_key is None]
+    seeds = [ce for ce in trace.committed if ce.parent_lp is None]
     assert len(seeds) == 4
     assert all(ce.timestamp == 1.0 for ce in seeds)
     # serials are unique per source LP
@@ -148,9 +149,29 @@ def test_parents_commit_before_children():
     trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, 4)
     committed_at = {}
     for ce in trace.committed:
-        if ce.parent_key is not None:
-            assert ce.parent_key in committed_at, ce
+        if ce.parent_lp is not None:
+            assert (ce.parent_lp, ce.parent_serial) in committed_at, ce
         committed_at[(ce.source_lp, ce.serial)] = ce
+
+
+# Bytes tracemalloc sees allocated by a sequential phold run (256 LPs, end
+# 10, lex, seed 7) and still held when it returns, per committed event: the
+# trace keeps every event alive. Each event held its parent's identity in a
+# 2-tuple of its own at 410 bytes; as two slots of the Event it is 373.
+TRACED_BYTES_PER_EVENT_BOUND = 395
+
+
+def test_the_committed_record_stays_lean():
+    model = build_model("phold", n_lps=256, end_time=10.0)
+    kernel = kernel_seq.SequentialKernel(model, OrderingMode.LEX_SEQUENCE, 7)
+    tracemalloc.start()
+    try:
+        trace = kernel.run()
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.committed) == 2558
+    assert traced / len(trace.committed) < TRACED_BYTES_PER_EVENT_BOUND
 
 
 def test_benchmark_counts_the_committed_events():
@@ -286,7 +307,7 @@ def test_built_events_fill_every_slot_as_the_constructor_does(mode):
         except (CausalityViolation, ZeroOffsetForbidden):
             assert offset == 0.0 and mode in (OrderingMode.UNBIASED_SINGLE,
                                               OrderingMode.BIASED_RULESET, OrderingMode.NAIVE)
-    assert len(built) >= 2 and built[1].parent_key == (1, 0)
+    assert len(built) >= 2 and (built[1].parent_lp, built[1].parent_serial) == (1, 0)
     for ev in built:
         values = slot_values(ev)
         assert values == slot_values(Event(**{name: value for name, _, value in values}))

@@ -195,7 +195,7 @@ def test_remote_prob_zero_never_routes_remotely_and_one_always_does(name):
     for remote_prob, remote in ((0.0, False), (1.0, True)):
         model = build_model(name, remote_prob=remote_prob, **ROUTED[name])
         trace = run_sequential(model, OrderingMode.LEX_SEQUENCE, 4)
-        children = [ev for ev in trace.committed if ev.parent_key is not None]
+        children = [ev for ev in trace.committed if ev.parent_lp is not None]
         assert len(children) > 50
         assert all((ev.dest_lp != ev.source_lp) == remote for ev in children)
     coupled = build_model("event-ties", remote_prob=0.0, coupled=True, **ROUTED["event-ties"])

@@ -20,7 +20,8 @@ REGRESSION = ((0, 0, 1.0, (5,), None), (1, 0, 1.0, (3,), None))
 
 def synthetic_trace(entries):
     return Trace(committed=[
-        Event(0, lp, serial, lp, ts, tb, parent_key=parent)
+        Event(0, lp, serial, lp, ts, tb, parent_lp=parent and parent[0],
+              parent_serial=parent and parent[1])
         for lp, serial, ts, tb, parent in entries
     ])
 

@@ -9,9 +9,9 @@ import pytest
 from tiewarp.trace import CHUNK, TRACE_SCHEMA, Event, Trace, first_divergence, read_trace
 
 
-def make_event(serial=0, tb=(5,), payload=7, depth=0, parent=None):
-    return Event(0, 2, serial, 3, 1.0, tb,
-                 payload=payload, zero_offset_depth=depth, parent_key=parent)
+def make_event(serial=0, tb=(5,), payload=7, depth=0, parent=(None, None)):
+    return Event(0, 2, serial, 3, 1.0, tb, payload=payload, zero_offset_depth=depth,
+                 parent_lp=parent[0], parent_serial=parent[1])
 
 
 def test_match_key_is_content_not_creation_identity():
@@ -35,8 +35,8 @@ def test_equal_match_keys_hash_equal():
     assert hash(a.match_key()) == hash(b.match_key())
 
 
-def committed(lp, serial, ts, tb, pe=0, parent=None):
-    return Event(pe, lp, serial, lp, ts, tb, parent_key=parent)
+def committed(lp, serial, ts, tb, pe=0, parent=(None, None)):
+    return Event(pe, lp, serial, lp, ts, tb, parent_lp=parent[0], parent_serial=parent[1])
 
 
 def test_trace_is_what_the_digest_covers():
@@ -90,7 +90,7 @@ def reference_lines(trace):
     """The canonical lines formatted one event at a time, spelled out here
     independently of the chunked encoder."""
     for index, ev in enumerate(trace.committed):
-        parent = f"{ev.parent_key[0]}#{ev.parent_key[1]}" if ev.parent_key else "-"
+        parent = f"{ev.parent_lp}#{ev.parent_serial}" if ev.parent_lp is not None else "-"
         tiebreak = ":".join(format(v, "032x") for v in ev.tiebreak)
         yield (f"{index},{ev.source_lp},{ev.serial},{ev.dest_lp},"
                f"{repr(float(ev.timestamp))},{tiebreak},{parent}")
@@ -107,9 +107,10 @@ def random_trace(n_events, seed):
         tiebreak = tuple(rng.choice((rng.randrange(2 ** 64), 2 ** 64 + rng.randrange(2 ** 70)))
                          for _ in range(rng.choice((0, 1, 1, 3))))
         parent = rng.choice((None, (0, 0), (rng.randrange(50), rng.randrange(10 ** 6))))
+        parent_lp, parent_serial = parent or (None, None)
         events.append(Event(rng.randrange(8), rng.randrange(50), serial, rng.randrange(50),
                             rng.choice((0.0, 2.0, rng.random() * 1e9)), tiebreak,
-                            parent_key=parent))
+                            parent_lp=parent_lp, parent_serial=parent_serial))
     # one final state of each kind the encoder formats, drawn from a stream
     # of their own, so a change to the event draws cannot lose a kind
     state_rng = random.Random(f"states {seed}")
@@ -146,7 +147,8 @@ def test_reference_covers_every_shape_the_encoder_formats():
     assert {0, 1, 3} <= lengths
     assert any(v >= 2 ** 64 for ev in events for v in ev.tiebreak)
     assert any(v >= 2 ** 128 for ev in events for v in ev.tiebreak)
-    parents = [ev.parent_key for ev in events]
+    parents = [None if ev.parent_lp is None else (ev.parent_lp, ev.parent_serial)
+               for ev in events]
     assert None in parents and (0, 0) in parents
     states = [v for n in (1, CHUNK - 1, CHUNK, CHUNK + 1)
               for v in random_trace(n, n).final_states.values()]
