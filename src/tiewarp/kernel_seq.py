@@ -78,10 +78,10 @@ def build_event(
     None for a seed. Payloads must be hashable, because the optimistic
     kernel matches the events it sends between PEs on their content; both
     kernels reject an unhashable one here, a destination that is not an LP
-    id in ``[0, n_lps)`` (a bool is none), a forced tie-break that is not a
-    64-bit draw, an int in ``[0, 2**64)``, and an offset that is not a real
-    number >= 0 in float range (a bool is none), each with a
-    ``ConfigError`` that names the LP.
+    id in ``[0, n_lps)``, a forced tie-break that is not a 64-bit draw, an
+    int in ``[0, 2**64)``, and an offset that is not a real number >= 0 in
+    float range, each with a ``ConfigError`` that names the LP; a bool is
+    neither an LP id nor an offset.
 
     A child keyed below its parent raises ``CausalityViolation``: this is
     both kernels' one causality check, which only modes naive and biased

@@ -45,10 +45,9 @@ class Event:
     ``parent_lp`` and ``parent_serial`` are the causal parent's
     ``(source_lp, serial)``, both None for a seed event; the causality
     audits walk these back-pointers. They are two slots rather than one
-    2-tuple because a tuple per event is a separate 56-byte object, while
-    the two slots keep ``Event`` in the same allocation size class: a
-    committed trace keeps every event alive, so this is the record's
-    largest saving.
+    2-tuple because a tuple is a separate 56-byte object, which a committed
+    trace, keeping every event alive, would hold once per event, while the
+    two slots leave ``Event`` in the same 128-byte allocation class.
     ``zero_offset_depth`` counts consecutive zero-offset ancestors. ``match``
     is what the optimistic kernel's annihilation counts are keyed by, stored
     once when it creates the event, and None in sequential runs: ``id(self)``

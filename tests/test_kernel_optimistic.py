@@ -1089,16 +1089,17 @@ def test_committed_faults_raise_promptly(seed):
 
 
 class BadDestination:
-    """Four LPs tick at 1, 2 and 3; LP 1's tick at 2 also emits to ``dest``,
-    with the forced tie-break ``forced`` unless it is None."""
+    """Four LPs tick at 1, 2 and 3; LP 1's tick at 2 also emits to ``dest``
+    at ``offset``, with the forced tie-break ``forced`` unless it is None."""
 
     name = "bad-destination"
     n_lps = 4
     end_time = 3.0
 
-    def __init__(self, dest, forced=None):
+    def __init__(self, dest, forced=None, offset=0.5):
         self.dest = dest
         self.forced = forced
+        self.offset = offset
 
     def initial_state(self, lp_id):
         return 0
@@ -1109,7 +1110,7 @@ class BadDestination:
     def handle(self, state, event, stream):
         emits = [Emit(event.dest_lp, 1.0)]
         if event.dest_lp == 1 and event.timestamp == 2.0:
-            emits.append(Emit(self.dest, 0.5, None, self.forced))
+            emits.append(Emit(self.dest, self.offset, None, self.forced))
         return state + 1, emits
 
     def final_value(self, state):
@@ -1130,26 +1131,12 @@ def test_bad_destination_is_the_same_error_in_both_kernels(dest):
         assert opt == ref, chaos
 
 
-class BadOffset(BadDestination):
-    """BadDestination whose extra event goes to LP 2 at ``offset``."""
-
-    def __init__(self, offset):
-        super().__init__(2)
-        self.offset = offset
-
-    def handle(self, state, event, stream):
-        emits = [Emit(event.dest_lp, 1.0)]
-        if event.dest_lp == 1 and event.timestamp == 2.0:
-            emits.append(Emit(self.dest, self.offset))
-        return state + 1, emits
-
-
 @pytest.mark.parametrize("offset", ("1", None, 10 ** 400, -1.0, float("nan"), True),
                          ids=("str", "none", "huge-int", "negative", "nan", "bool"))
 def test_bad_offset_is_the_same_error_in_both_kernels(offset):
     # an offset that is not a real number >= 0 in float range, or is a bool,
     # is one ConfigError naming the LP and the offset, at the same event
-    model = BadOffset(offset)
+    model = BadDestination(2, offset=offset)
     ref = outcome(SequentialKernel(model, OrderingMode.LEX_SEQUENCE, 1))
     assert ref == {"error": f"ConfigError: LP 1 emitted an event at offset {offset!r}; "
                             f"offsets must be real numbers >= 0 in float range"}
